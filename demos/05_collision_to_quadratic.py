@@ -6,7 +6,8 @@ is small compared to the width of the state, each kick barely displaces the
 system and the generator is indistinguishable from the quadratic one built
 from the matched diffusion coefficient.  Shrinking the integration support
 makes the two act identically, which is a strong cross-check: the jump
-integral and the double-commutator form are implemented independently.
+integral and the double-commutator form are compiled independently and
+share only the kernel that applies the compiled Lindblad form.
 """
 
 import numpy as np

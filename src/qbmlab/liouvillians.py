@@ -1,6 +1,6 @@
 """Generators drho/dt = L[rho] for the quantum Brownian motion family.
 
-Four builders share one bilinear core:
+Four builders:
 
 * damped-commutator generator (friction + momentum diffusion only), the
   high-temperature form that is NOT completely positive;
@@ -13,9 +13,40 @@ Four builders share one bilinear core:
 * gas-collision generator built from exponential shift/weight sandwiches over
   a signed momentum-transfer quadrature grid.
 
-Every generator annihilates the trace and preserves Hermiticity exactly at
-finite truncation, because each term is a commutator or a sandwich of
-truncated matrices.
+Each builder compiles its physics once, at build time, into one Lindblad
+normal form
+
+    L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag,
+
+and one kernel applies it, with the sandwiches of all jumps stacked into two
+matrix products.
+
+For the bilinear family the double commutators expand to
+
+    K = -(i/hbar)(H - z mu {x,p}) - z (d_pp x^2 + d_xx p^2 - d_xp {x,p})/hbar^2
+        - z (i gamma/hbar) x p,
+
+and the sandwich part is sum_ab C_ab A_a rho A_b over A = (x, p) with the
+Hermitian Kossakowski matrix
+
+    C = (z/hbar^2) [[2 d_pp, -2 d_xp - i gamma hbar],
+                    [-2 d_xp + i gamma hbar, 2 d_xx]].
+
+Its eigenvalues are the weights s_k and its eigenvectors U give the jumps
+J_k = U_xk x + U_pk p.  By the Gorini-Kossakowski-Sudarshan-Lindblad theorem
+the generator is completely positive exactly when C >= 0, i.e. when no weight
+is negative; det C >= 0 is the CP bound above.  The Caldeira-Leggett generator
+(d_xx = 0, gamma > 0) therefore keeps one negative weight, and the minimal
+generator saturates the bound, so its C has rank one and it has a single jump.
+A weight that is zero within the round-off of the 2x2 eigensolve is dropped.
+
+Trace and Hermiticity are preserved, and never renormalized: tr L[rho] =
+tr((K + K^dag + sum_k s_k J_k^dag J_k) rho), and that operator sum cancels
+identically as a sum of products of the same truncated matrices (for the
+collision generator, up to the unitarity of the computed momentum shift),
+so the trace is annihilated at any truncation up to round-off.  With real
+weights the two K terms are each other's adjoints and every sandwich is
+self-adjoint, so Hermitian rho maps to Hermitian L[rho].
 """
 
 from __future__ import annotations
@@ -39,6 +70,10 @@ SINGLE_GENERATOR = "single_generator"
 
 # G(q) = exp(-(beta/4M) q p) must stay representable; cap the exponent norm.
 _COLLISION_EXPONENT_CAP = 5.0
+
+# Kossakowski weights below this fraction of the largest are eigensolver
+# round-off (the CP-saturated minimal generator has an exact zero) and dropped.
+_WEIGHT_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -138,39 +173,52 @@ class Liouvillian:
         return self._apply(rho)
 
 
-def _bilinear_apply_fn(cfg: HilbertConfig, coeffs: BilinearCoefficients,
-                       hamiltonian_kind: str, omega_trap: float | None):
+def _normal_form_apply(k: np.ndarray, jumps):
+    """Apply function of L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag.
+
+    jumps is a sequence of (s_k, J_k).  All n sandwiches run as two stacked
+    products: Y = [s_1 J_1; ...; s_n J_n] rho, then its n blocks side by side
+    times [J_1^dag; ...; J_n^dag].  An apply is four matrix products whatever
+    n is, doing the arithmetic of 2 + 2n square ones.
+    """
+    d = k.shape[0]
+    kdag = k.conj().T.copy()
+    left = np.array([s * j for s, j in jumps], dtype=complex).reshape(-1, d)
+    right = np.array([j.conj().T for _, j in jumps], dtype=complex).reshape(-1, d)
+
+    def apply(rho):
+        out = k @ rho
+        out += rho @ kdag
+        y = (left @ rho).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+        out += y @ right
+        return out
+
+    return apply
+
+
+def _bilinear_normal_form(cfg: HilbertConfig, coeffs: BilinearCoefficients,
+                          hamiltonian_kind: str, omega_trap: float | None):
+    """Compile the bilinear generator's terms into K and Kossakowski jumps."""
     hbar = cfg.hbar
     h = build_hamiltonian(cfg, hamiltonian_kind, omega_trap)
     x = build_position(cfg)
     p = build_momentum(cfg)
-    xp_anti = x @ p + p @ x
+    xp = x @ p
+    xp_anti = xp + p @ x
     gamma, d_pp, d_xx, d_xp = coeffs.gamma, coeffs.d_pp, coeffs.d_xx, coeffs.d_xp
     mu, z = coeffs.mu, coeffs.fugacity_z
 
-    def apply(rho):
-        out = (-1j / hbar) * (h @ rho - rho @ h)
-        if z == 0.0:
-            return out
-        dis = np.zeros_like(out)
-        comm_x = x @ rho - rho @ x
-        comm_p = p @ rho - rho @ p
-        if mu != 0.0:
-            dis += (-1j / hbar) * mu * (rho @ xp_anti - xp_anti @ rho)
-        if gamma != 0.0:
-            anti_p = p @ rho + rho @ p
-            dis += (-1j / hbar) * gamma * (x @ anti_p - anti_p @ x)
-        if d_pp != 0.0:
-            dis += (-d_pp / hbar**2) * (x @ comm_x - comm_x @ x)
-        if d_xx != 0.0:
-            dis += (-d_xx / hbar**2) * (p @ comm_p - comm_p @ p)
-        if d_xp != 0.0:
-            # symmetric assembly: Hermiticity-safe form of the cross term
-            dis += (d_xp / hbar**2) * ((p @ comm_x - comm_x @ p)
-                                       + (x @ comm_p - comm_p @ x))
-        return out + z * dis
-
-    return apply
+    k = (-1j / hbar) * h + z * (
+        (1j * mu / hbar) * xp_anti - (1j * gamma / hbar) * xp
+        - (d_pp * (x @ x) + d_xx * (p @ p) - d_xp * xp_anti) / hbar**2)
+    kossakowski = (z / hbar**2) * np.array(
+        [[2.0 * d_pp, -2.0 * d_xp - 1j * gamma * hbar],
+         [-2.0 * d_xp + 1j * gamma * hbar, 2.0 * d_xx]])
+    weights, vecs = np.linalg.eigh(kossakowski)
+    cutoff = _WEIGHT_ROUNDOFF * np.abs(weights).max()
+    jumps = [(s, u[0] * x + u[1] * p)
+             for s, u in zip(weights, vecs.T) if abs(s) > cutoff]
+    return _normal_form_apply(k, jumps)
 
 
 def build_bilinear_lindblad(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
@@ -179,15 +227,15 @@ def build_bilinear_lindblad(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvi
         raise ValueError(f"spec kind {spec.kind!r} is not {BILINEAR!r}")
     if spec.coeffs is None:
         raise ValueError("bilinear generator requires coefficients")
-    fn = _bilinear_apply_fn(cfg, spec.coeffs, spec.hamiltonian_kind, spec.omega_trap)
+    fn = _bilinear_normal_form(cfg, spec.coeffs, spec.hamiltonian_kind, spec.omega_trap)
     return Liouvillian(cfg, BILINEAR, fn, coeffs=spec.coeffs)
 
 
 def build_caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     """Friction + momentum diffusion d_pp = 2*M*gamma/beta, no position diffusion.
 
-    Delegates to the bilinear core, so it agrees with build_bilinear_lindblad
-    at the same coefficients bit for bit.
+    Compiles through the bilinear normal form, so it agrees with
+    build_bilinear_lindblad at the same coefficients bit for bit.
     """
     if spec.kind != CALDEIRA_LEGGETT:
         raise ValueError(f"spec kind {spec.kind!r} is not {CALDEIRA_LEGGETT!r}")
@@ -204,7 +252,7 @@ def build_caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvil
     derived = BilinearCoefficients(
         gamma=c.gamma, d_pp=2.0 * cfg.mass * c.gamma / spec.beta,
         d_xx=0.0, d_xp=0.0, mu=0.0, fugacity_z=c.fugacity_z)
-    fn = _bilinear_apply_fn(cfg, derived, spec.hamiltonian_kind, spec.omega_trap)
+    fn = _bilinear_normal_form(cfg, derived, spec.hamiltonian_kind, spec.omega_trap)
     return Liouvillian(cfg, CALDEIRA_LEGGETT, fn, coeffs=derived)
 
 
@@ -231,8 +279,9 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     """Completely positive Brownian generator from d_pp and fugacity_z only.
 
     assembly selects between the algebraically identical routes:
-    DOUBLE_COMMUTATOR builds the three bilinear terms; SINGLE_GENERATOR builds
-    the jump-operator sandwich from the thermal-scale annihilator plus the
+    DOUBLE_COMMUTATOR compiles the three bilinear terms through the Kossakowski
+    matrix, whose one nonzero weight yields the jump; SINGLE_GENERATOR takes
+    the thermal-scale annihilator as the jump directly, plus the
     anticommutator Hamiltonian correction with coefficient z*gamma/2.
     """
     if spec.kind != MINIMAL_QBM:
@@ -246,7 +295,7 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     derived = minimal_coefficients(cfg, c.d_pp, spec.beta, c.fugacity_z)
 
     if spec.assembly == DOUBLE_COMMUTATOR:
-        fn = _bilinear_apply_fn(cfg, derived, spec.hamiltonian_kind, spec.omega_trap)
+        fn = _bilinear_normal_form(cfg, derived, spec.hamiltonian_kind, spec.omega_trap)
         return Liouvillian(cfg, MINIMAL_QBM, fn, coeffs=derived)
     if spec.assembly != SINGLE_GENERATOR:
         raise ValueError(f"unknown assembly {spec.assembly!r}")
@@ -260,16 +309,10 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     h_eff = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap) \
         + z * d_pp * lam2 / (4.0 * hbar**2) * (x @ p + p @ x)
     jump = build_annihilator(cfg, spec.beta)
-    jdag = jump.conj().T
-    jdj = jdag @ jump
     rate = z * d_pp * lam2 / hbar**2
-
-    def apply(rho):
-        out = (-1j / hbar) * (h_eff @ rho - rho @ h_eff)
-        out += rate * (jump @ rho @ jdag - 0.5 * (jdj @ rho + rho @ jdj))
-        return out
-
-    return Liouvillian(cfg, MINIMAL_QBM, apply, coeffs=derived)
+    k = (-1j / hbar) * h_eff - (0.5 * rate) * (jump.conj().T @ jump)
+    fn = _normal_form_apply(k, [(rate, jump)] if rate != 0.0 else [])
+    return Liouvillian(cfg, MINIMAL_QBM, fn, coeffs=derived)
 
 
 def collision_prefactor(params: CollisionParameters, hbar: float) -> float:
@@ -301,7 +344,8 @@ def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liou
     Each node contributes, for both signs of q,
         U(q) G(q) rho G(q) U(q)^dag - (1/2){G(q)^2, rho}
     with U(q) = exp((i/hbar) q x) a momentum shift and G(q) = exp(-(beta/4M) q p)
-    the thermal weight; all exponentials are cached at construction.
+    the thermal weight.  The exponentials are computed at construction, and
+    every -(1/2){G(q)^2, rho} is folded into the normal form's K.
     """
     if spec.kind != BOLTZMANN_COLLISION:
         raise ValueError(f"spec kind {spec.kind!r} is not {BOLTZMANN_COLLISION!r}")
@@ -326,7 +370,8 @@ def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liou
         -par.beta * par.q_nodes**2 / (8.0 * par.gas_mass))
     rates = par.fugacity_z * c0 * par.q_weights * kern / par.q_nodes
 
-    sandwiches = []
+    k = (-1j / hbar) * h
+    jumps = []
     for q, rate in zip(par.q_nodes, rates):
         if rate == 0.0:
             continue
@@ -335,16 +380,11 @@ def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liou
             g = scipy.linalg.expm(-par.beta / (4.0 * cfg.mass) * sq * p)
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(g))):
                 raise ArithmeticError(f"non-finite matrix exponential at q={sq}")
-            w = u @ g
-            sandwiches.append((rate, w, w.conj().T, g @ g))
+            k = k - (0.5 * rate) * (g @ g)
+            jumps.append((rate, u @ g))
+    fn = _normal_form_apply(k, jumps)
 
-    def apply(rho):
-        out = (-1j / hbar) * (h @ rho - rho @ h)
-        for rate, w, wdag, g2 in sandwiches:
-            out += rate * (w @ rho @ wdag - 0.5 * (g2 @ rho + rho @ g2))
-        return out
-
-    return Liouvillian(cfg, BOLTZMANN_COLLISION, apply, collision=par)
+    return Liouvillian(cfg, BOLTZMANN_COLLISION, fn, collision=par)
 
 
 _BUILDERS = {

@@ -29,8 +29,9 @@ RK4_FIXED = "rk4_fixed"
 RK45_ADAPTIVE = "rk45_adaptive"
 
 # Dormand-Prince 5(4) coefficients.  b5 propagates, b4 is the embedded
-# error estimator; the last stage reuses the b5 combination (FSAL is not
-# exploited, the generator call is cheap relative to the monitors).
+# error estimator.  The last stage is evaluated at the b5 combination, so it
+# is the first stage of the next step (first same as last): generator calls
+# dominate a step, and reusing it saves one of seven.
 _DP_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -184,14 +185,19 @@ def _propagate_rk4(rho, apply_fn, icfg, mon):
     return rho, accepted, 0
 
 
-def _dp_attempt(apply_fn, rho, dt):
-    k = [apply_fn(rho)]
-    for i in range(1, 7):
+def _dp_attempt(apply_fn, rho, k1, dt):
+    """One trial step from rho with first stage k1 = apply_fn(rho).
+
+    Returns (rho5, rho4, k7) where k7 = apply_fn(rho5) is the next first stage.
+    """
+    k = [k1]
+    for i in range(1, 6):
         incr = sum(a * ki for a, ki in zip(_DP_A[i], k))
         k.append(apply_fn(rho + dt * incr))
     rho5 = rho + dt * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
+    k.append(apply_fn(rho5))
     rho4 = rho + dt * sum(b * ki for b, ki in zip(_DP_B4, k) if b != 0.0)
-    return rho5, rho4
+    return rho5, rho4, k[6]
 
 
 def _propagate_rk45(rho, apply_fn, icfg, mon):
@@ -200,12 +206,14 @@ def _propagate_rk45(rho, apply_fn, icfg, mon):
     accepted = 0
     rejected = 0
     dt_floor = 1e-14 * icfg.t_final
+    # rejected attempts leave rho, and so its first stage, unchanged
+    k1 = apply_fn(rho)
     while t < icfg.t_final * (1.0 - 1e-15):
         dt = min(dt, icfg.t_final - t)
         if dt < dt_floor:
             raise NumericalFailure(
                 "step size underflow at t=%.6g (dt=%.3g)" % (t, dt))
-        rho5, rho4 = _dp_attempt(apply_fn, rho, dt)
+        rho5, rho4, k7 = _dp_attempt(apply_fn, rho, k1, dt)
         scale = icfg.atol + icfg.rtol * np.maximum(np.abs(rho), np.abs(rho5))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             err = np.sqrt(np.mean(np.abs((rho5 - rho4) / scale) ** 2))
@@ -219,7 +227,7 @@ def _propagate_rk45(rho, apply_fn, icfg, mon):
             t += dt
             if t >= icfg.t_final * (1.0 - 1e-15):
                 t = icfg.t_final
-            rho = rho5
+            rho, k1 = rho5, k7
             _check_finite(rho, t)
             accepted += 1
             if accepted % icfg.monitor_stride == 0:

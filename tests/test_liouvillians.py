@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_density
 from qbmlab import (
@@ -20,6 +22,8 @@ from qbmlab import (
     build_boltzmann_collision,
     build_caldeira_leggett,
     build_hamiltonian,
+    build_momentum,
+    build_position,
     build_liouvillian,
     build_minimal_qbm,
     collision_dpp,
@@ -44,19 +48,142 @@ def _collision_params(q_max, n_nodes=60, fugacity_z=0.8):
                                q_max=q_max)
 
 
-def _all_generators():
-    cl = build_liouvillian(CFG, LiouvillianSpec(
+def _all_generators(cfg, q_max):
+    cl = build_liouvillian(cfg, LiouvillianSpec(
         kind=CALDEIRA_LEGGETT, beta=2.0, coeffs=BilinearCoefficients(gamma=0.3)))
-    bil = build_liouvillian(CFG, LiouvillianSpec(
+    bil = build_liouvillian(cfg, LiouvillianSpec(
         kind=BILINEAR,
         coeffs=BilinearCoefficients(gamma=0.3, d_pp=0.4, d_xx=0.05, d_xp=0.01,
                                     mu=0.1, fugacity_z=0.9)))
-    mini = build_liouvillian(CFG, LiouvillianSpec(
+    mini = build_liouvillian(cfg, LiouvillianSpec(
         kind=MINIMAL_QBM, beta=2.0,
         coeffs=BilinearCoefficients(d_pp=0.7, fugacity_z=0.8)))
-    col = build_liouvillian(CFG, LiouvillianSpec(
-        kind=BOLTZMANN_COLLISION, collision=_collision_params(2.0)))
+    col = build_liouvillian(cfg, LiouvillianSpec(
+        kind=BOLTZMANN_COLLISION, collision=_collision_params(q_max)))
     return [cl, bil, mini, col]
+
+
+def _reference_bilinear(cfg, coeffs, hamiltonian_kind, omega_trap):
+    """Term-by-term double-commutator apply: the oracle for the normal form."""
+    hbar = cfg.hbar
+    h = build_hamiltonian(cfg, hamiltonian_kind, omega_trap)
+    x = build_position(cfg)
+    p = build_momentum(cfg)
+    xp_anti = x @ p + p @ x
+    gamma, d_pp, d_xx, d_xp = coeffs.gamma, coeffs.d_pp, coeffs.d_xx, coeffs.d_xp
+    mu, z = coeffs.mu, coeffs.fugacity_z
+
+    def apply(rho):
+        out = (-1j / hbar) * (h @ rho - rho @ h)
+        comm_x = x @ rho - rho @ x
+        comm_p = p @ rho - rho @ p
+        anti_p = p @ rho + rho @ p
+        dis = (-1j / hbar) * mu * (rho @ xp_anti - xp_anti @ rho)
+        dis += (-1j / hbar) * gamma * (x @ anti_p - anti_p @ x)
+        dis += (-d_pp / hbar**2) * (x @ comm_x - comm_x @ x)
+        dis += (-d_xx / hbar**2) * (p @ comm_p - comm_p @ p)
+        dis += (d_xp / hbar**2) * ((p @ comm_x - comm_x @ p)
+                                   + (x @ comm_p - comm_p @ x))
+        return out + z * dis
+
+    return apply
+
+
+def _reference_collision(cfg, par, hamiltonian_kind):
+    """Sum of per-node sandwiches U G rho G U^dag - (1/2){G^2, rho}: the oracle
+    for the compiled collision generator."""
+    hbar = cfg.hbar
+    x = build_position(cfg)
+    p = build_momentum(cfg)
+    h = build_hamiltonian(cfg, hamiltonian_kind)
+    kern = par.tmatrix.squared(par.q_nodes) * np.exp(
+        -par.beta * par.q_nodes**2 / (8.0 * par.gas_mass))
+    rates = (par.fugacity_z * collision_prefactor(par, hbar) * par.q_weights
+             * kern / par.q_nodes)
+    sandwiches = []
+    for q, rate in zip(par.q_nodes, rates):
+        for sq in (q, -q):
+            u = scipy.linalg.expm(1j / hbar * sq * x)
+            g = scipy.linalg.expm(-par.beta / (4.0 * cfg.mass) * sq * p)
+            w = u @ g
+            sandwiches.append((rate, w, w.conj().T, g @ g))
+
+    def apply(rho):
+        out = (-1j / hbar) * (h @ rho - rho @ h)
+        for rate, w, wdag, g2 in sandwiches:
+            out += rate * (w @ rho @ wdag - 0.5 * (g2 @ rho + rho @ g2))
+        return out
+
+    return apply
+
+
+def _assert_matches_reference(liouv, reference, seed):
+    """Agreement to 1e-12 relative on density matrices and on a general matrix,
+    which also pins which side of rho each term multiplies."""
+    rng = np.random.default_rng(seed)
+    general = rng.normal(size=(CFG.dim, CFG.dim)) + 1j * rng.normal(size=(CFG.dim, CFG.dim))
+    for rho in (random_density(CFG.dim, rng), random_density(CFG.dim, rng), general):
+        ref = reference(rho)
+        assert np.abs(liouv(rho) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+fugacity = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=2.0))
+
+
+@given(kind=st.sampled_from([BILINEAR, CALDEIRA_LEGGETT, DOUBLE_COMMUTATOR,
+                             SINGLE_GENERATOR]),
+       gamma=st.floats(min_value=0.0, max_value=1.0),
+       d_pp=st.floats(min_value=0.01, max_value=2.0),
+       d_xp=st.floats(min_value=-0.5, max_value=0.5),
+       cp_margin=st.floats(min_value=-0.5, max_value=0.5),
+       mu=st.floats(min_value=-0.5, max_value=0.5),
+       fugacity_z=fugacity,
+       beta=st.floats(min_value=0.2, max_value=5.0),
+       hamiltonian_kind=st.sampled_from(["free", "harmonic"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_normal_form_matches_double_commutator_reference(
+        kind, gamma, d_pp, d_xp, cp_margin, mu, fugacity_z, beta,
+        hamiltonian_kind, seed):
+    """Every bilinear-family builder equals the term-by-term double
+    commutators at its (derived) coefficients, on either side of the CP bound
+    d_xx d_pp - d_xp^2 - (gamma hbar/2)^2 >= 0."""
+    omega = 0.8 if hamiltonian_kind == "harmonic" else None
+    if kind == BILINEAR:
+        d_xx = max(0.0, (d_xp**2 + (gamma * CFG.hbar / 2.0) ** 2 + cp_margin) / d_pp)
+        spec = LiouvillianSpec(
+            kind=BILINEAR, hamiltonian_kind=hamiltonian_kind, omega_trap=omega,
+            coeffs=BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx,
+                                        d_xp=d_xp, mu=mu, fugacity_z=fugacity_z))
+    elif kind == CALDEIRA_LEGGETT:
+        spec = LiouvillianSpec(
+            kind=CALDEIRA_LEGGETT, hamiltonian_kind=hamiltonian_kind,
+            omega_trap=omega, beta=beta,
+            coeffs=BilinearCoefficients(gamma=gamma, fugacity_z=fugacity_z))
+    else:
+        spec = LiouvillianSpec(
+            kind=MINIMAL_QBM, hamiltonian_kind=hamiltonian_kind, omega_trap=omega,
+            beta=beta, assembly=kind,
+            coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=fugacity_z))
+    liouv = build_liouvillian(CFG, spec)
+    reference = _reference_bilinear(CFG, liouv.coeffs, hamiltonian_kind, omega)
+    _assert_matches_reference(liouv, reference, seed)
+
+
+@given(q_max=st.floats(min_value=0.1, max_value=2.0),
+       n_nodes=st.integers(min_value=1, max_value=12),
+       fugacity_z=fugacity,
+       hamiltonian_kind=st.sampled_from(["free", "harmonic"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_collision_matches_sandwich_reference(q_max, n_nodes, fugacity_z,
+                                              hamiltonian_kind, seed):
+    par = _collision_params(q_max, n_nodes, fugacity_z)
+    liouv = build_liouvillian(CFG, LiouvillianSpec(
+        kind=BOLTZMANN_COLLISION, hamiltonian_kind=hamiltonian_kind,
+        collision=par))
+    _assert_matches_reference(liouv, _reference_collision(CFG, par, hamiltonian_kind),
+                              seed)
 
 
 def test_radial_grid_integrates_square_measure():
@@ -69,13 +196,16 @@ def test_radial_grid_integrates_square_measure():
 
 
 def test_trace_and_hermiticity_preservation(rng):
-    for liouv in _all_generators():
-        for _ in range(3):
-            rho = random_density(CFG.dim, rng)
-            out = liouv(rho)
-            scale = np.abs(out).max()
-            assert abs(np.trace(out)) < 1e-13 * max(scale, 1.0)
-            assert np.abs(out - out.conj().T).max() < 1e-13 * max(scale, 1.0)
+    # the collision grid's q_max keeps exp(-(beta/4M) q p) under the exponent cap
+    for dim, q_max in ((12, 2.0), (40, 1.0)):
+        cfg = HilbertConfig(dim=dim)
+        for liouv in _all_generators(cfg, q_max):
+            for _ in range(3):
+                rho = random_density(cfg.dim, rng)
+                out = liouv(rho)
+                scale = np.abs(out).max()
+                assert abs(np.trace(out)) < 1e-13 * max(scale, 1.0)
+                assert np.abs(out - out.conj().T).max() < 1e-13 * max(scale, 1.0)
 
 
 def test_caldeira_leggett_equals_bilinear_bitwise(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qbmlab.propagation as propagation
 from conftest import random_density
 from qbmlab import (
     BILINEAR,
@@ -137,6 +138,51 @@ def test_adaptive_rejects_coarse_first_step():
         method=RK45_ADAPTIVE, t_final=1.0, dt_init=0.5, rtol=1e-8, atol=1e-10,
         monitor_stride=10))
     assert record.rejected_steps >= 1
+
+
+def _dp_attempt_without_fsal(apply_fn, rho, k1, dt):
+    """Reference trial step that evaluates all seven stages, ignoring k1."""
+    k = [apply_fn(rho)]
+    for i in range(1, 7):
+        incr = sum(a * ki for a, ki in zip(propagation._DP_A[i], k))
+        k.append(apply_fn(rho + dt * incr))
+    rho5 = rho + dt * sum(b * ki for b, ki in zip(propagation._DP_B5, k) if b != 0.0)
+    rho4 = rho + dt * sum(b * ki for b, ki in zip(propagation._DP_B4, k) if b != 0.0)
+    return rho5, rho4, k[6]
+
+
+@pytest.mark.parametrize("dt_init, rtol, atol", [
+    (1e-3, 1e-12, 1e-14), (1e-4, 1e-10, 1e-12), (0.5, 1e-8, 1e-10)])
+def test_adaptive_first_same_as_last(monkeypatch, dt_init, rtol, atol):
+    """Reusing the last stage as the next first stage saves one generator
+    call per attempt and leaves the trajectory bit for bit unchanged."""
+    cfg = HilbertConfig(dim=12)
+    liouv = _damped_oscillator(cfg)
+    icfg = IntegratorConfig(method=RK45_ADAPTIVE, t_final=1.0, dt_init=dt_init,
+                            rtol=rtol, atol=atol, monitor_stride=3)
+    records, calls = [], []
+    for attempt in (propagation._dp_attempt, _dp_attempt_without_fsal):
+        monkeypatch.setattr(propagation, "_dp_attempt", attempt)
+        count = [0]
+
+        def counted(rho):
+            count[0] += 1
+            return liouv(rho)
+
+        records.append(propagate(coherent_state(cfg, 1.0),
+                                 Liouvillian(cfg, "counted", counted), icfg))
+        calls.append(count[0])
+    fsal, reference = records
+    attempts = fsal.accepted_steps + fsal.rejected_steps
+    assert (fsal.accepted_steps, fsal.rejected_steps) == \
+        (reference.accepted_steps, reference.rejected_steps)
+    # both runs evaluate the initial first stage once before the loop
+    assert calls == [1 + 6 * attempts, 1 + 7 * attempts]
+    for name in ("final_state", "times", "trace", "herm_drift", "min_eig",
+                 "purity", "mean_x", "mean_p", "var_x", "var_p"):
+        assert np.array_equal(getattr(fsal, name), getattr(reference, name)), name
+    if dt_init == 0.5:
+        assert fsal.rejected_steps >= 1
 
 
 def test_positivity_breach_detection():
