@@ -4,14 +4,18 @@ Each subcommand loads a fail-closed INI config, runs a single
 experiment, writes a CSV table (17 significant digits) plus a sidecar
 metadata file, and prints a short machine-greppable summary to stdout.
 
-Exit codes: 0 success, 2 configuration error (the message names the
-offending key), 3 numerical failure.
+Each subcommand runs in two phases: it parses the config and builds every
+input, then runs the experiment and writes the outputs.  Exit codes: 0
+success; 2 configuration error, a ConfigError or ValueError while parsing
+and building (the message names the offending key); 3 numerical failure,
+a NumericalFailure or ArithmeticError in either phase or a ValueError once
+the run has started (numpy.linalg.LinAlgError is a ValueError).
 
 The data files contain no timestamps or hostnames, so identical configs
 produce byte-identical tables; run provenance (version, config hash,
 wall-clock time) lives in the `<basename>.meta.txt` sidecar.  The
 environment variable QBMLAB_OUTPUT_DIR, when set, overrides the
-configured output directory.
+configured output directory, which defaults to ./qbmlab_out.
 """
 
 import argparse
@@ -79,7 +83,7 @@ _COMPARE_SUBSTEPS = 20
 def _output_dir(rc):
     out = os.environ.get(OUTPUT_DIR_ENV)
     if not out:
-        out = rc.get("output", "dir", ".")
+        out = rc.get("output", "dir", "qbmlab_out")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -226,20 +230,27 @@ def cmd_evolve(rc):
     liouv = _generator_from(rc, cfg)
     rho0 = _initial_state(rc, cfg)
     icfg = _integrator_from(rc)
-    record = propagate(rho0, liouv, icfg)
-    breach = positivity_breach_time(
-        record, rc.get("integrator", "breach_threshold", -1e-10))
-    rows = zip(record.times, record.trace, record.min_eig, record.purity,
-               record.mean_x, record.mean_p, record.var_x, record.var_p)
-    out_dir = _output_dir(rc)
+    threshold = rc.get("integrator", "breach_threshold", -1e-10)
+    if not threshold < 0.0:
+        raise ConfigError(
+            "key 'breach_threshold' in section [integrator] must be negative")
     basename = rc.get("output", "basename", "evolve")
-    _write_csv(out_dir, basename,
-               "t,trace,min_eig,purity,mean_x,mean_p,var_x,var_p", rows)
-    summary = "positivity_breach_t=%s" % (
-        "none" if breach is None else "%.16e" % breach)
-    print(summary)
-    _write_sidecar(out_dir, basename, rc, "evolve", [summary])
-    return 0
+
+    def run():
+        record = propagate(rho0, liouv, icfg)
+        breach = positivity_breach_time(record, threshold)
+        rows = zip(record.times, record.trace, record.min_eig, record.purity,
+                   record.mean_x, record.mean_p, record.var_x, record.var_p)
+        out_dir = _output_dir(rc)
+        _write_csv(out_dir, basename,
+                   "t,trace,min_eig,purity,mean_x,mean_p,var_x,var_p", rows)
+        summary = "positivity_breach_t=%s" % (
+            "none" if breach is None else "%.16e" % breach)
+        print(summary)
+        _write_sidecar(out_dir, basename, rc, "evolve", [summary])
+        return 0
+
+    return run
 
 
 def cmd_coeffs(rc):
@@ -250,20 +261,24 @@ def cmd_coeffs(rc):
     chi = chi_of(coeffs, gas, cfg.mass, cfg.hbar)
     margin = cp_margin(coeffs, cfg.hbar)
     ratio = friction_ratio(gas)
-    out_dir = _output_dir(rc)
     basename = rc.get("output", "basename", "coeffs")
-    # chi carries 15 significant digits, everything else 17
-    _write_csv(out_dir, basename,
-               "D_pp,D_xx,gamma,mu,chi,cp_margin,friction_ratio",
-               [(coeffs.d_pp, coeffs.d_xx, coeffs.gamma, coeffs.mu, chi,
-                 margin, ratio)],
-               formats=["%.16e"] * 4 + ["%.14e", "%.16e", "%.16e"])
-    summary = ["chi=%.14e" % chi, "cp_margin=%.16e" % margin,
-               "friction_ratio=%.16e" % ratio]
-    for line in summary:
-        print(line)
-    _write_sidecar(out_dir, basename, rc, "coeffs", summary)
-    return 0
+
+    def run():
+        out_dir = _output_dir(rc)
+        # chi carries 15 significant digits, everything else 17
+        _write_csv(out_dir, basename,
+                   "D_pp,D_xx,gamma,mu,chi,cp_margin,friction_ratio",
+                   [(coeffs.d_pp, coeffs.d_xx, coeffs.gamma, coeffs.mu, chi,
+                     margin, ratio)],
+                   formats=["%.16e"] * 4 + ["%.14e", "%.16e", "%.16e"])
+        summary = ["chi=%.14e" % chi, "cp_margin=%.16e" % margin,
+                   "friction_ratio=%.16e" % ratio]
+        for line in summary:
+            print(line)
+        _write_sidecar(out_dir, basename, rc, "coeffs", summary)
+        return 0
+
+    return run
 
 
 def cmd_dsf(rc):
@@ -289,18 +304,24 @@ def cmd_dsf(rc):
         first = sum_rule_f(q, gas)
         summary.append("sum_rule_0=%.16e" % zeroth)
         summary.append("sum_rule_f_ratio=%.16e" % (first / recoil))
-    out_dir = _output_dir(rc)
     basename = rc.get("output", "basename", "dsf")
-    _write_csv(out_dir, basename, "q,E,S", rows)
-    for line in summary:
-        print(line)
-    _write_sidecar(out_dir, basename, rc, "dsf", summary)
-    return 0
+
+    def run():
+        out_dir = _output_dir(rc)
+        _write_csv(out_dir, basename, "q,E,S", rows)
+        for line in summary:
+            print(line)
+        _write_sidecar(out_dir, basename, rc, "dsf", summary)
+        return 0
+
+    return run
 
 
 def cmd_fp(rc):
     eta = rc.require("fp", "eta")
     d_v = rc.require("fp", "d_v")
+    if eta < 0.0 or d_v < 0.0:
+        raise ConfigError("keys 'eta' and 'd_v' in section [fp] must be nonnegative")
     v_min = rc.get("fp", "v_min", -8.0)
     v_max = rc.get("fp", "v_max", 8.0)
     n_cells = rc.get("fp", "n_cells", 200)
@@ -312,25 +333,34 @@ def cmd_fp(rc):
                              mean=rc.get("fp", "initial_mean", 0.0),
                              var=rc.require("fp", "initial_var"))
     t_final = rc.require("fp", "t_final")
+    if not t_final > 0.0:
+        raise ConfigError("key 't_final' in section [fp] must be positive")
     dt = rc.get("fp", "dt")
+    bound = stability_bound(grid, eta, d_v)
     if dt is None:
-        bound = stability_bound(grid, eta, d_v)
         if not np.isfinite(bound):
             raise ConfigError(
                 "key 'dt' in section [fp] is required when eta = d_v = 0")
         dt = 0.9 * bound
+    elif not 0.0 < dt <= bound:
+        raise ConfigError("key 'dt' in section [fp] must lie in (0, %.6g], "
+                          "the stability bound" % bound)
     stride = rc.get("fp", "sample_stride")
     if stride is None:
         stride = max(1, int(np.ceil(t_final / dt / 500.0)))
-    traj = fp_solve(grid, eta, d_v, t_final, dt, sample_stride=stride)
-    out_dir = _output_dir(rc)
     basename = rc.get("output", "basename", "fp")
-    _write_csv(out_dir, basename, "t,mass,mean_v,var_v",
-               zip(traj.times, traj.mass, traj.mean_v, traj.var_v))
-    summary = "stationary_var=%.16e" % traj.var_v[-1]
-    print(summary)
-    _write_sidecar(out_dir, basename, rc, "fp", [summary])
-    return 0
+
+    def run():
+        traj = fp_solve(grid, eta, d_v, t_final, dt, sample_stride=stride)
+        out_dir = _output_dir(rc)
+        _write_csv(out_dir, basename, "t,mass,mean_v,var_v",
+                   zip(traj.times, traj.mass, traj.mean_v, traj.var_v))
+        summary = "stationary_var=%.16e" % traj.var_v[-1]
+        print(summary)
+        _write_sidecar(out_dir, basename, rc, "fp", [summary])
+        return 0
+
+    return run
 
 
 def cmd_compare(rc):
@@ -341,6 +371,8 @@ def cmd_compare(rc):
     t_final = rc.require("compare", "t_final")
     n_samples = rc.get("compare", "n_samples", 50)
     eta_scale = rc.get("compare", "eta_scale", 1.0)
+    if eta_scale < 0.0:
+        raise ConfigError("key 'eta_scale' in section [compare] must be nonnegative")
 
     cfg = HilbertConfig(dim=rc.get("compare", "dim", 40), hbar=1.0,
                         mass=mass, omega_basis=1.0)
@@ -354,7 +386,6 @@ def cmd_compare(rc):
     icfg = IntegratorConfig(method=RK4_FIXED, t_final=t_final,
                             dt=delta / _COMPARE_SUBSTEPS,
                             monitor_stride=_COMPARE_SUBSTEPS)
-    record = propagate(rho0, liouv, icfg)
 
     # classical twin: momentum-to-velocity conversion of the same moments
     eta = 2.0 * z * coeffs.gamma * eta_scale
@@ -369,27 +400,34 @@ def cmd_compare(rc):
         substeps = int(np.ceil(delta / (0.9 * bound)))
     else:
         substeps = 1
-    traj = fp_solve(grid, eta, d_v, t_final, delta / substeps,
-                    sample_stride=substeps)
-
-    if record.times.shape != traj.times.shape or \
-            np.max(np.abs(record.times - traj.times)) > 1e-9 * t_final:
-        raise NumericalFailure("comparison time grids failed to align")
-    var_q = record.var_p
-    var_c = mass**2 * traj.var_v
-    rel = np.abs(var_q - var_c) / np.maximum(np.maximum(np.abs(var_q),
-                                                        np.abs(var_c)), 1e-300)
-    out_dir = _output_dir(rc)
     basename = rc.get("output", "basename", "compare")
-    _write_csv(out_dir, basename,
-               "t,var_p_quantum,var_p_classical,rel_diff",
-               zip(record.times, var_q, var_c, rel))
-    summary = "max_rel_diff=%.16e" % np.max(rel)
-    print(summary)
-    _write_sidecar(out_dir, basename, rc, "compare", [summary])
-    return 0
+
+    def run():
+        record = propagate(rho0, liouv, icfg)
+        traj = fp_solve(grid, eta, d_v, t_final, delta / substeps,
+                        sample_stride=substeps)
+        if record.times.shape != traj.times.shape or \
+                np.max(np.abs(record.times - traj.times)) > 1e-9 * t_final:
+            raise NumericalFailure("comparison time grids failed to align")
+        var_q = record.var_p
+        var_c = mass**2 * traj.var_v
+        rel = np.abs(var_q - var_c) / np.maximum(np.maximum(np.abs(var_q),
+                                                            np.abs(var_c)), 1e-300)
+        out_dir = _output_dir(rc)
+        _write_csv(out_dir, basename,
+                   "t,var_p_quantum,var_p_classical,rel_diff",
+                   zip(record.times, var_q, var_c, rel))
+        summary = "max_rel_diff=%.16e" % np.max(rel)
+        print(summary)
+        _write_sidecar(out_dir, basename, rc, "compare", [summary])
+        return 0
+
+    return run
 
 
+# Each command parses its config and builds its inputs, then returns the
+# callable that runs the experiment and writes the outputs; main tells the
+# two phases apart by that boundary.
 _COMMANDS = {
     "evolve": (cmd_evolve, "integrate a quantum generator and tabulate monitors"),
     "coeffs": (cmd_coeffs, "friction/diffusion coefficients from the gas model"),
@@ -415,14 +453,18 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         rc = load_config(args.config)
-        return _COMMANDS[args.command][0](rc)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        run = _COMMANDS[args.command][0](rc)
+    except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except (NumericalFailure, ArithmeticError) as exc:
+        print("numerical failure: %s" % exc, file=sys.stderr)
+        return 3
+    # past parsing and building, a ValueError is a numerical failure:
+    # numpy.linalg.LinAlgError, for one, subclasses it
+    try:
+        return run()
+    except (NumericalFailure, ArithmeticError, ValueError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
 

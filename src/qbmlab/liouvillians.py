@@ -18,8 +18,9 @@ normal form
 
     L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag,
 
-and one kernel applies it, with the sandwiches of all jumps stacked into two
-matrix products.
+kept on the Liouvillian as data (its normal_form).  One kernel applies it,
+with the sandwiches of all jumps stacked into two matrix products, and
+superoperator_matrix assembles the dense matrix from the same data.
 
 For the bilinear family the double commutators expand to
 
@@ -154,16 +155,35 @@ class LiouvillianSpec:
     assembly: str = DOUBLE_COMMUTATOR
 
 
+@dataclass(frozen=True, eq=False)
+class NormalForm:
+    """A generator compiled to L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag.
+
+    k is the (d, d) matrix K, weights the n real s_k, and jumps the J_k
+    stacked as an (n, d, d) array.
+    """
+
+    k: np.ndarray
+    weights: np.ndarray
+    jumps: np.ndarray
+
+
 class Liouvillian:
-    """Immutable superoperator: callable on a density matrix."""
+    """Immutable superoperator: callable on a density matrix.
+
+    Builder-made generators carry their compiled normal_form; a Liouvillian
+    made from a custom callable has normal_form None.
+    """
 
     def __init__(self, cfg: HilbertConfig, kind: str, apply_fn,
                  coeffs: BilinearCoefficients | None = None,
-                 collision: CollisionParameters | None = None):
+                 collision: CollisionParameters | None = None,
+                 normal_form: NormalForm | None = None):
         self.cfg = cfg
         self.kind = kind
         self.coeffs = coeffs
         self.collision = collision
+        self.normal_form = normal_form
         self._apply = apply_fn
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
@@ -173,18 +193,28 @@ class Liouvillian:
         return self._apply(rho)
 
 
-def _normal_form_apply(k: np.ndarray, jumps):
-    """Apply function of L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag.
+def _compiled(cfg: HilbertConfig, kind: str, k: np.ndarray, jumps,
+              **attrs) -> Liouvillian:
+    """Liouvillian of the normal form with K = k and jumps a sequence of (s_k, J_k)."""
+    d = k.shape[0]
+    nf = NormalForm(k=k, weights=np.array([s for s, _ in jumps], dtype=float),
+                    jumps=np.array([j for _, j in jumps], dtype=complex).reshape(-1, d, d))
+    return Liouvillian(cfg, kind, _normal_form_apply(nf), normal_form=nf, **attrs)
 
-    jumps is a sequence of (s_k, J_k).  All n sandwiches run as two stacked
-    products: Y = [s_1 J_1; ...; s_n J_n] rho, then its n blocks side by side
-    times [J_1^dag; ...; J_n^dag].  An apply is four matrix products whatever
-    n is, doing the arithmetic of 2 + 2n square ones.
+
+def _normal_form_apply(nf: NormalForm):
+    """Apply function of the normal form.
+
+    All n sandwiches run as two stacked products: Y = [s_1 J_1; ...; s_n J_n]
+    rho, then its n blocks side by side times [J_1^dag; ...; J_n^dag].  An
+    apply is four matrix products whatever n is, doing the arithmetic of
+    2 + 2n square ones.
     """
+    k = nf.k
     d = k.shape[0]
     kdag = k.conj().T.copy()
-    left = np.array([s * j for s, j in jumps], dtype=complex).reshape(-1, d)
-    right = np.array([j.conj().T for _, j in jumps], dtype=complex).reshape(-1, d)
+    left = (nf.weights[:, None, None] * nf.jumps).reshape(-1, d)
+    right = nf.jumps.conj().transpose(0, 2, 1).reshape(-1, d)
 
     def apply(rho):
         out = k @ rho
@@ -198,7 +228,7 @@ def _normal_form_apply(k: np.ndarray, jumps):
 
 def _bilinear_normal_form(cfg: HilbertConfig, coeffs: BilinearCoefficients,
                           hamiltonian_kind: str, omega_trap: float | None):
-    """Compile the bilinear generator's terms into K and Kossakowski jumps."""
+    """Compile the bilinear generator's terms into K and Kossakowski (s_k, J_k)."""
     hbar = cfg.hbar
     h = build_hamiltonian(cfg, hamiltonian_kind, omega_trap)
     x = build_position(cfg)
@@ -218,7 +248,7 @@ def _bilinear_normal_form(cfg: HilbertConfig, coeffs: BilinearCoefficients,
     cutoff = _WEIGHT_ROUNDOFF * np.abs(weights).max()
     jumps = [(s, u[0] * x + u[1] * p)
              for s, u in zip(weights, vecs.T) if abs(s) > cutoff]
-    return _normal_form_apply(k, jumps)
+    return k, jumps
 
 
 def build_bilinear_lindblad(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
@@ -227,8 +257,9 @@ def build_bilinear_lindblad(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvi
         raise ValueError(f"spec kind {spec.kind!r} is not {BILINEAR!r}")
     if spec.coeffs is None:
         raise ValueError("bilinear generator requires coefficients")
-    fn = _bilinear_normal_form(cfg, spec.coeffs, spec.hamiltonian_kind, spec.omega_trap)
-    return Liouvillian(cfg, BILINEAR, fn, coeffs=spec.coeffs)
+    k, jumps = _bilinear_normal_form(cfg, spec.coeffs, spec.hamiltonian_kind,
+                                     spec.omega_trap)
+    return _compiled(cfg, BILINEAR, k, jumps, coeffs=spec.coeffs)
 
 
 def build_caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
@@ -252,8 +283,8 @@ def build_caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvil
     derived = BilinearCoefficients(
         gamma=c.gamma, d_pp=2.0 * cfg.mass * c.gamma / spec.beta,
         d_xx=0.0, d_xp=0.0, mu=0.0, fugacity_z=c.fugacity_z)
-    fn = _bilinear_normal_form(cfg, derived, spec.hamiltonian_kind, spec.omega_trap)
-    return Liouvillian(cfg, CALDEIRA_LEGGETT, fn, coeffs=derived)
+    k, jumps = _bilinear_normal_form(cfg, derived, spec.hamiltonian_kind, spec.omega_trap)
+    return _compiled(cfg, CALDEIRA_LEGGETT, k, jumps, coeffs=derived)
 
 
 def minimal_coefficients(cfg: HilbertConfig, d_pp: float, beta: float,
@@ -295,8 +326,9 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     derived = minimal_coefficients(cfg, c.d_pp, spec.beta, c.fugacity_z)
 
     if spec.assembly == DOUBLE_COMMUTATOR:
-        fn = _bilinear_normal_form(cfg, derived, spec.hamiltonian_kind, spec.omega_trap)
-        return Liouvillian(cfg, MINIMAL_QBM, fn, coeffs=derived)
+        k, jumps = _bilinear_normal_form(cfg, derived, spec.hamiltonian_kind,
+                                         spec.omega_trap)
+        return _compiled(cfg, MINIMAL_QBM, k, jumps, coeffs=derived)
     if spec.assembly != SINGLE_GENERATOR:
         raise ValueError(f"unknown assembly {spec.assembly!r}")
 
@@ -311,8 +343,8 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     jump = build_annihilator(cfg, spec.beta)
     rate = z * d_pp * lam2 / hbar**2
     k = (-1j / hbar) * h_eff - (0.5 * rate) * (jump.conj().T @ jump)
-    fn = _normal_form_apply(k, [(rate, jump)] if rate != 0.0 else [])
-    return Liouvillian(cfg, MINIMAL_QBM, fn, coeffs=derived)
+    return _compiled(cfg, MINIMAL_QBM, k, [(rate, jump)] if rate != 0.0 else [],
+                     coeffs=derived)
 
 
 def collision_prefactor(params: CollisionParameters, hbar: float) -> float:
@@ -382,9 +414,7 @@ def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liou
                 raise ArithmeticError(f"non-finite matrix exponential at q={sq}")
             k = k - (0.5 * rate) * (g @ g)
             jumps.append((rate, u @ g))
-    fn = _normal_form_apply(k, jumps)
-
-    return Liouvillian(cfg, BOLTZMANN_COLLISION, fn, collision=par)
+    return _compiled(cfg, BOLTZMANN_COLLISION, k, jumps, collision=par)
 
 
 _BUILDERS = {
@@ -407,9 +437,17 @@ def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
 def superoperator_matrix(liouv, cfg: HilbertConfig | None = None) -> np.ndarray:
     """Dense column-stacked matrix of a superoperator.
 
-    Column j is vec(L[E_j]) where E_j is the j-th Fortran-order unit matrix,
-    so matrix @ vec(rho) reproduces L[rho] for every rho.  Guarded to
-    dim^2 <= 10^4.
+    The matrix acts on Fortran-order (column-stacked) vec(rho), so
+    matrix @ vec(rho) reproduces L[rho] for every rho.  A generator that
+    carries its normal form is assembled from it directly with
+    vec(A X B) = (B^T kron A) vec(X):
+
+        I kron K + conj(K) kron I + sum_k s_k conj(J_k) kron J_k,
+
+    the jump sum taken as one (d^2 x n)(n x d^2) product.  Any other
+    callable, such as a Liouvillian built from a custom apply function, is
+    probed one column at a time: column j is vec(L[E_j]) for the j-th
+    Fortran-order unit matrix E_j.  Guarded to dim^2 <= 10^4.
     """
     if cfg is None:
         cfg = liouv.cfg
@@ -417,6 +455,11 @@ def superoperator_matrix(liouv, cfg: HilbertConfig | None = None) -> np.ndarray:
     n = d * d
     if n > 10_000:
         raise ValueError(f"superoperator matrix would be {n}x{n}; guard is 10^4")
+    nf = getattr(liouv, "normal_form", None)
+    if nf is not None:
+        if nf.k.shape != (d, d):
+            raise ValueError(f"generator acts on dim {nf.k.shape[0]}, not {d}")
+        return _normal_form_superoperator(nf)
     mat = np.zeros((n, n), dtype=complex)
     basis = np.zeros((d, d), dtype=complex)
     for j in range(n):
@@ -425,3 +468,17 @@ def superoperator_matrix(liouv, cfg: HilbertConfig | None = None) -> np.ndarray:
         basis[j % d, j // d] = 1.0
         mat[:, j] = liouv(basis).flatten(order="F")
     return mat
+
+
+def _normal_form_superoperator(nf: NormalForm) -> np.ndarray:
+    d = nf.k.shape[0]
+    # (conj(J) kron J)[(a, i), (b, j)] = conj(J)[a, b] J[i, j]: multiply over
+    # the realigned pairs (a, b), (i, j), then reorder the four indices
+    flat = nf.jumps.reshape(-1, d * d)
+    realigned = flat.conj().T @ (nf.weights[:, None] * flat)
+    blocks = realigned.reshape(d, d, d, d).transpose(0, 2, 1, 3).copy()
+    # the two kron-with-identity terms touch only the a == b and i == j entries
+    diag = np.arange(d)
+    blocks[diag, :, diag, :] += nf.k
+    blocks[:, diag, :, diag] += nf.k.conj()
+    return blocks.reshape(d * d, d * d)

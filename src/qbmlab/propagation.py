@@ -14,6 +14,7 @@ position and momentum, hermiticity drift) are sampled at t = 0, every
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .operators import (
     build_momentum,
@@ -48,6 +49,11 @@ _DP_B5 = np.array([35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
                    -2187.0 / 6784.0, 11.0 / 84.0, 0.0])
 _DP_B4 = np.array([5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
                    -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0])
+
+# tr L[rho] = vec(I)^T L vec(rho) sums d entries of a column of L, so a
+# trace-preserving generator leaves round-off of order d * eps * max|L|
+# there, about 2e-14 at the largest dim the superoperator guard allows
+_TRACE_LEAK_TOL = 1e-10
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -254,6 +260,10 @@ def propagate(rho0, liouvillian, icfg):
     the integrator produced it; any trace or positivity defect is left
     for the caller to inspect.
     """
+    dim = liouvillian.cfg.dim
+    if np.shape(rho0) != (dim, dim):
+        raise ValueError("initial state has shape %s, but the generator acts "
+                         "on dim %d" % (np.shape(rho0), dim))
     validate_density_matrix(rho0)
     rho = np.array(rho0, dtype=complex)
     mon = _MonitorBuffer(liouvillian.cfg)
@@ -278,10 +288,27 @@ def positivity_breach_time(record, threshold=-1e-10):
 def stationary_state(l_matrix, degeneracy_tol=1e-8, residual_tol=1e-8):
     """Unique trace-one Hermitian kernel element of a matrixified generator.
 
-    Raises DegenerateStationaryState when the number of singular values
-    below degeneracy_tol * sigma_max differs from one, and
-    NumericalFailure when the candidate is traceless or fails the
-    residual check max|L vec(rho)| < residual_tol.
+    l_matrix is L acting on Fortran-order vec(rho), as superoperator_matrix
+    builds it.  The solve is a bordered LU ("direct" steady state): the row
+    of L that gives d(rho_00)/dt is replaced by the trace functional
+    vec(I)^T, and B vec(rho) = e_0 is LU-solved after exact power-of-two
+    row and column equilibration.  For a trace-preserving L, vec(I)^T is a
+    left null vector, so the replaced row is minus the sum of the other
+    diagonal rows and no equation is lost.  B is then nonsingular exactly
+    when the kernel of L is one-dimensional and its element has nonzero
+    trace, and the solution is that element with unit trace.
+
+    The trace-row check comes first: max|vec(I)^T L| must stay within
+    1e-10 * max|L|.  A generator that fails it is not
+    trace-preserving and has no trace-one state to find, and the solve
+    raises DegenerateStationaryState, as it does for a zero L.
+    degeneracy_tol bounds the reciprocal 1-norm condition number of the
+    equilibrated B, which LAPACK gecon estimates from the LU factors;
+    below it, or at an exactly zero pivot, the kernel counts as more than
+    one-dimensional (or traceless) at working precision and
+    DegenerateStationaryState is raised.  NumericalFailure is raised for
+    non-finite entries, a traceless candidate, or a failed residual check
+    max|L vec(rho)| < residual_tol.
     """
     if hasattr(l_matrix, "apply"):
         raise TypeError("expected the matrixified generator; pass "
@@ -292,18 +319,43 @@ def stationary_state(l_matrix, degeneracy_tol=1e-8, residual_tol=1e-8):
     d = int(round(np.sqrt(n)))
     if d * d != n or l_matrix.shape != (n, n):
         raise ValueError("expected a square matrix acting on vectorized states")
-    _, sigma, vh = np.linalg.svd(l_matrix)
-    if sigma[0] == 0.0:
+    scale = np.abs(l_matrix).max()
+    if not np.isfinite(scale):
+        raise NumericalFailure("generator matrix has non-finite entries")
+    if scale == 0.0:
         raise DegenerateStationaryState("generator is identically zero")
-    null_mask = sigma < degeneracy_tol * sigma[0]
-    n_null = int(np.count_nonzero(null_mask))
-    if n_null != 1:
+    diagonal = np.arange(d) * (d + 1)  # positions of rho_ii in vec(rho)
+    leak = np.abs(l_matrix[diagonal].sum(axis=0)).max()
+    if leak > _TRACE_LEAK_TOL * scale:
         raise DegenerateStationaryState(
-            "expected exactly one singular value below %.1e * sigma_max, "
-            "found %d (smallest: %s)"
-            % (degeneracy_tol, n_null,
-               np.array2string(sigma[-min(4, n):], precision=3)))
-    vec = vh[-1].conj()
+            "generator is not trace-preserving: max|vec(I)^T L| = %.3e "
+            "exceeds %.1e * max|L|, so there is no trace-one kernel "
+            "element to border for" % (leak, _TRACE_LEAK_TOL))
+    bordered = np.array(l_matrix, order="F")
+    bordered[0] = 0.0
+    bordered[0, diagonal] = 1.0
+    geequb, getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
+        ("geequb", "getrf", "gecon", "getrs"), (bordered,))
+    # exact power-of-two row and column scalings bring the trace row and
+    # slowly relaxing rows to the scale of the rest
+    row_scale, col_scale, _, _, _, info = geequb(bordered)
+    rcond = 0.0
+    if info == 0:  # info > 0: an exactly zero row or column
+        bordered *= row_scale[:, None]
+        bordered *= col_scale
+        anorm = np.abs(bordered).sum(axis=0).max()
+        lu, piv, info = getrf(bordered, overwrite_a=True)
+        if info == 0:  # info > 0: an exactly zero pivot
+            rcond = gecon(lu, anorm, norm="1")[0]
+    if rcond < degeneracy_tol:
+        raise DegenerateStationaryState(
+            "bordered generator is singular at working precision: "
+            "reciprocal condition number %.3e below %.1e, so the kernel is "
+            "not one-dimensional or its element is traceless"
+            % (rcond, degeneracy_tol))
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = row_scale[0]
+    vec = col_scale * getrs(lu, piv, rhs)[0]
     rho = vec.reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho)

@@ -2,6 +2,7 @@ import glob
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qbmlab import cli
@@ -132,6 +133,51 @@ dt = 1.0
     code = cli.main(["evolve", str(cfg)])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_linalg_failure_during_run_exits_three(tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; mid-run it is numerical, not config
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "propagate", failing)
+    code, out = run(tmp_path, monkeypatch, EVOLVE_QUICK, "evolve", "quick")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "did not converge" in err
+    assert not (out / "quick.csv").exists()
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("evolve", EVOLVE_QUICK.replace("monitor_stride = 10",
+                                    "monitor_stride = 10\nbreach_threshold = 1e-6"),
+     "breach_threshold"),
+    ("fp", FP_QUICK.replace("initial = maxwell", "initial = maxwell\ndt = 0.5"), "dt"),
+    ("fp", FP_QUICK.replace("t_final = 0.2", "t_final = -0.2"), "t_final"),
+    ("fp", FP_QUICK.replace("initial = maxwell",
+                            "initial = gaussian\ninitial_var = 1.0")
+                   .replace("eta = 1.0", "eta = -1.0"), "eta"),
+    ("compare", "[compare]\nbeta = 2.0\nd_pp = 0.3\nt_final = 0.1\ndim = 8\n"
+                "eta_scale = -1.0\n", "eta_scale"),
+], ids=["evolve-breach_threshold", "fp-dt", "fp-t_final", "fp-eta",
+        "compare-eta_scale"])
+def test_bad_run_parameters_exit_two_before_running(tmp_path, monkeypatch, capsys,
+                                                    command, text, key):
+    code, out = run(tmp_path, monkeypatch, text, command, "bad")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+def test_default_output_dir(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "co.ini").write_text(COEFFS_QUICK)
+    assert cli.main(["coeffs", "co.ini"]) == 0
+    assert sorted(p.name for p in (tmp_path / "qbmlab_out").iterdir()) == \
+        ["co.csv", "co.meta.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["co.ini", "qbmlab_out"]
 
 
 def test_evolve_output_contract(tmp_path, monkeypatch, capsys):

@@ -1,27 +1,34 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qbmlab.propagation as propagation
 from conftest import random_density
 from qbmlab import (
     BILINEAR,
+    BOLTZMANN_COLLISION,
     CALDEIRA_LEGGETT,
     MINIMAL_QBM,
     RK4_FIXED,
     RK45_ADAPTIVE,
     BilinearCoefficients,
+    CollisionParameters,
     DegenerateStationaryState,
     HilbertConfig,
     IntegratorConfig,
     Liouvillian,
     LiouvillianSpec,
     NumericalFailure,
+    TMatrixModel,
     build_caldeira_leggett,
     build_liouvillian,
     coherent_state,
     min_eigenvalue,
     positivity_breach_time,
     propagate,
+    radial_grid,
     squeezed_state,
     stationary_state,
     superoperator_matrix,
@@ -237,6 +244,21 @@ def test_initial_state_is_validated():
         propagate(bad, liouv, IntegratorConfig(t_final=1.0, dt=1e-3))
 
 
+def test_initial_state_dimension_must_match_generator():
+    liouv = _damped_oscillator(CFG)
+    calls = [0]
+
+    def counted(rho):
+        calls[0] += 1
+        return liouv(rho)
+
+    small = vacuum_state(HilbertConfig(dim=CFG.dim - 2))
+    with pytest.raises(ValueError, match=r"\(14, 14\).*dim 16"):
+        propagate(small, Liouvillian(CFG, "counted", counted),
+                  IntegratorConfig(t_final=1.0, dt=1e-3))
+    assert calls == [0]
+
+
 def test_stationary_state_of_damped_oscillator():
     cfg = HilbertConfig(dim=10)
     liouv = _damped_oscillator(cfg)
@@ -265,8 +287,119 @@ def test_stationary_state_requires_a_kernel():
         stationary_state(np.eye(4, dtype=complex))
 
 
+def test_stationary_state_requires_trace_preservation():
+    # |0><0| spans the kernel, but rho_11 decays without feeding rho_00:
+    # the trace row vec(I)^T L = (0, 0, 0, -1) does not vanish
+    l_matrix = np.diag([0.0, -0.5, -0.5, -1.0]).astype(complex)
+    with pytest.raises(DegenerateStationaryState, match="not trace-preserving"):
+        stationary_state(l_matrix)
+
+
 def test_stationary_state_rejects_traceless_kernel():
     # kernel vector |1><0| has zero trace: no density matrix to normalize
     l_matrix = np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)
     with pytest.raises(NumericalFailure):
         stationary_state(l_matrix)
+
+
+def _svd_stationary_state(l_matrix, degeneracy_tol=1e-8, residual_tol=1e-8):
+    """Reference solve: the right singular vector of the smallest singular
+    value, after checking that exactly one lies below degeneracy_tol *
+    sigma_max."""
+    l_matrix = np.asarray(l_matrix, dtype=complex)
+    n = l_matrix.shape[0]
+    d = int(round(np.sqrt(n)))
+    _, sigma, vh = np.linalg.svd(l_matrix)
+    if sigma[0] == 0.0:
+        raise DegenerateStationaryState("generator is identically zero")
+    n_null = int(np.count_nonzero(sigma < degeneracy_tol * sigma[0]))
+    if n_null != 1:
+        raise DegenerateStationaryState(
+            "%d singular values below %.1e * sigma_max" % (n_null, degeneracy_tol))
+    rho = vh[-1].conj().reshape((d, d), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = np.trace(rho)
+    if abs(tr) < 1e-10:
+        raise NumericalFailure("stationary candidate is traceless")
+    rho = rho / tr
+    residual = np.max(np.abs(l_matrix @ rho.flatten(order="F")))
+    if residual > residual_tol:
+        raise NumericalFailure("stationary residual %.3e" % residual)
+    return rho
+
+
+def _stationary_generator(kind, dim, beta, d_pp, fugacity_z, omega_trap, d_xp,
+                          cp_margin, q_max):
+    cfg = HilbertConfig(dim=dim)
+    if kind == MINIMAL_QBM:
+        return build_liouvillian(cfg, LiouvillianSpec(
+            kind=MINIMAL_QBM, hamiltonian_kind="harmonic", omega_trap=omega_trap,
+            beta=beta, coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=fugacity_z)))
+    if kind == BILINEAR:
+        # completely positive: d_xx d_pp - d_xp^2 - (gamma hbar/2)^2 = cp_margin
+        gamma = beta * d_pp / (2.0 * cfg.mass)
+        d_xx = (d_xp**2 + (gamma * cfg.hbar / 2.0) ** 2 + cp_margin) / d_pp
+        return build_liouvillian(cfg, LiouvillianSpec(
+            kind=BILINEAR, hamiltonian_kind="harmonic", omega_trap=omega_trap,
+            coeffs=BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx,
+                                        d_xp=d_xp, fugacity_z=fugacity_z)))
+    nodes, weights = radial_grid(q_max, 8)
+    return build_liouvillian(cfg, LiouvillianSpec(
+        kind=BOLTZMANN_COLLISION, hamiltonian_kind="harmonic", omega_trap=omega_trap,
+        collision=CollisionParameters(
+            gas_mass=1.0, beta=beta, fugacity_z=fugacity_z,
+            tmatrix=TMatrixModel(kind="gaussian", t0=0.3, sigma_q=1.0),
+            q_nodes=nodes, q_weights=weights, q_max=q_max)))
+
+
+@given(kind=st.sampled_from([MINIMAL_QBM, BILINEAR, BOLTZMANN_COLLISION]),
+       dim=st.integers(min_value=3, max_value=9),
+       beta=st.floats(min_value=0.5, max_value=2.5),
+       d_pp=st.floats(min_value=0.1, max_value=1.0),
+       fugacity_z=st.floats(min_value=0.3, max_value=1.0),
+       omega_trap=st.floats(min_value=0.7, max_value=1.3),
+       d_xp=st.floats(min_value=-0.3, max_value=0.3).filter(lambda v: v != 0.0),
+       cp_margin=st.floats(min_value=0.0, max_value=0.5),
+       q_max=st.floats(min_value=0.3, max_value=1.2))
+@settings(max_examples=40, deadline=None)
+def test_bordered_solve_matches_svd_reference(kind, dim, beta, d_pp, fugacity_z,
+                                              omega_trap, d_xp, cp_margin, q_max):
+    """The bordered LU solve returns the SVD reference's stationary state, for
+    minimal, completely positive bilinear (d_xp != 0) and collision
+    generators."""
+    liouv = _stationary_generator(kind, dim, beta, d_pp, fugacity_z, omega_trap,
+                                  d_xp, cp_margin, q_max)
+    l_matrix = superoperator_matrix(liouv)
+    reference = _svd_stationary_state(l_matrix)
+    rho = stationary_state(l_matrix)
+    assert np.abs(rho - reference).max() < 1e-10
+    assert abs(np.trace(rho) - 1.0) < 1e-13
+    assert np.abs(rho - rho.conj().T).max() == 0.0
+
+
+def _closed(dim, hamiltonian_kind, omega_trap=None):
+    return superoperator_matrix(build_liouvillian(HilbertConfig(dim=dim), LiouvillianSpec(
+        kind=BILINEAR, hamiltonian_kind=hamiltonian_kind, omega_trap=omega_trap,
+        coeffs=BilinearCoefficients(fugacity_z=0.0))))
+
+
+@pytest.mark.parametrize("l_matrix", [
+    # two conserved populations: the bordered matrix has a zero row
+    np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex),
+    # closed evolutions: an exactly zero pivot, then a tiny nonzero one
+    _closed(6, "harmonic", 1.3),
+    _closed(8, "free"),
+    # nearly closed: a unique kernel in exact arithmetic, not at 1e-8
+    superoperator_matrix(build_liouvillian(HilbertConfig(dim=8), LiouvillianSpec(
+        kind=MINIMAL_QBM, hamiltonian_kind="harmonic", omega_trap=1.1, beta=2.0,
+        coeffs=BilinearCoefficients(d_pp=0.3, fugacity_z=1e-12)))),
+], ids=["zero-row", "zero-pivot", "tiny-pivot", "nearly-closed"])
+def test_singular_bordered_matrix_raises_without_warning(l_matrix):
+    """Every singular or near-singular case raises DegenerateStationaryState,
+    as the SVD reference does, and no LinAlgWarning or other warning escapes."""
+    with pytest.raises(DegenerateStationaryState):
+        _svd_stationary_state(l_matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateStationaryState):
+            stationary_state(l_matrix)
