@@ -6,7 +6,7 @@ has a closed form, which pins the quadrature to machine precision; the
 friction and position diffusion follow from fluctuation-dissipation
 relations.  The resulting coefficient set always lands exactly on the
 complete positivity boundary, with the dimensionless combination
-chi = d_xx * d_pp / (hbar * gamma)^2 locked at 1/8.
+chi = M * d_xx / (beta * hbar^2 * gamma) locked at 1/8.
 """
 
 import numpy as np

@@ -42,7 +42,7 @@ from .structure_factor import (
 from .microcoeffs import (
     EQ_MICRO,
     USER,
-    CoefficientSet,
+    BilinearCoefficients,
     TMatrixModel,
     chi_of,
     compute_dpp,
@@ -59,7 +59,6 @@ from .liouvillians import (
     DOUBLE_COMMUTATOR,
     MINIMAL_QBM,
     SINGLE_GENERATOR,
-    BilinearCoefficients,
     CollisionParameters,
     Liouvillian,
     LiouvillianSpec,

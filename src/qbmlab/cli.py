@@ -1,21 +1,26 @@
 """Command-line front door: one config file, one experiment, one table.
 
-Each subcommand loads a fail-closed INI config, runs a single
-experiment, writes a CSV table (17 significant digits) plus a sidecar
-metadata file, and prints a short machine-greppable summary to stdout.
+Each subcommand loads a fail-closed INI config and runs a single
+experiment.  A cmd_* function parses the config and builds every input,
+then returns the callable that runs the experiment and returns its table:
+(header, rows, summary lines[, column formats]).  main is the one output
+path: it writes the CSV (17 significant digits unless a format says
+otherwise) as `<basename>.csv`, prints the summary to stdout in a
+machine-greppable key=value form, and writes the `<basename>.meta.txt`
+sidecar.  The basename defaults to the command name.
 
-Each subcommand runs in two phases: it parses the config and builds every
-input, then runs the experiment and writes the outputs.  Exit codes: 0
-success; 2 configuration error, a ConfigError or ValueError while parsing
-and building (the message names the offending key); 3 numerical failure,
-a NumericalFailure or ArithmeticError in either phase or a ValueError once
-the run has started (numpy.linalg.LinAlgError is a ValueError).
+Exit codes: 0 success; 2 configuration error, a ConfigError or ValueError
+while parsing and building (the message names the offending key, and a
+[generator] key the chosen generator and initial state do not read is one);
+3 numerical failure, a NumericalFailure or ArithmeticError in either phase
+or a ValueError once the run has started (numpy.linalg.LinAlgError is a
+ValueError).  Writing the outputs belongs to the run.
 
 The data files contain no timestamps or hostnames, so identical configs
 produce byte-identical tables; run provenance (version, config hash,
-wall-clock time) lives in the `<basename>.meta.txt` sidecar.  The
-environment variable QBMLAB_OUTPUT_DIR, when set, overrides the
-configured output directory, which defaults to ./qbmlab_out.
+wall-clock time) lives in the sidecar.  The environment variable
+QBMLAB_OUTPUT_DIR, when set, overrides the configured output directory,
+which defaults to ./qbmlab_out.
 """
 
 import argparse
@@ -35,14 +40,13 @@ from .liouvillians import (
     DOUBLE_COMMUTATOR,
     MINIMAL_QBM,
     BILINEAR,
-    BilinearCoefficients,
     CollisionParameters,
     LiouvillianSpec,
     build_liouvillian,
-    minimal_coefficients,
     radial_grid,
 )
 from .microcoeffs import (
+    BilinearCoefficients,
     TMatrixModel,
     chi_of,
     compute_dpp,
@@ -89,15 +93,12 @@ def _output_dir(rc):
 
 
 def _write_csv(out_dir, basename, header, rows, formats=None):
-    n_cols = len(header.split(","))
     if formats is None:
-        formats = ["%.16e"] * n_cols
-    path = os.path.join(out_dir, basename + ".csv")
-    with open(path, "w") as fh:
+        formats = ["%.16e"] * len(header.split(","))
+    with open(os.path.join(out_dir, basename + ".csv"), "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(f % v for f, v in zip(formats, row)) + "\n")
-    return path
 
 
 def _write_sidecar(out_dir, basename, rc, command, summary):
@@ -111,10 +112,8 @@ def _write_sidecar(out_dir, basename, rc, command, summary):
         "written_utc=%s" % datetime.now(timezone.utc).isoformat(),
     ]
     lines.extend(summary)
-    path = os.path.join(out_dir, basename + ".meta.txt")
-    with open(path, "w") as fh:
+    with open(os.path.join(out_dir, basename + ".meta.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    return path
 
 
 def _hilbert_from(rc):
@@ -146,44 +145,37 @@ def _initial_state(rc, cfg):
         return vacuum_state(cfg)
     if kind == "number":
         return number_state(cfg, rc.require("generator", "initial_n"))
-    if kind == "coherent":
-        alpha = complex(rc.get("generator", "initial_alpha_re", 0.0),
-                        rc.get("generator", "initial_alpha_im", 0.0))
-        return coherent_state(cfg, alpha)
-    if kind == "squeezed":
-        alpha = complex(rc.get("generator", "initial_alpha_re", 0.0),
-                        rc.get("generator", "initial_alpha_im", 0.0))
-        return squeezed_state(cfg, rc.require("generator", "initial_r"), alpha)
     if kind == "thermal":
         return thermal_state(cfg, rc.require("generator", "initial_nbar"))
-    raise ConfigError("unknown initial_state %r in section [generator]" % kind)
+    if kind not in ("coherent", "squeezed"):
+        raise ConfigError("unknown initial_state %r in section [generator]" % kind)
+    alpha = complex(rc.get("generator", "initial_alpha_re", 0.0),
+                    rc.get("generator", "initial_alpha_im", 0.0))
+    if kind == "coherent":
+        return coherent_state(cfg, alpha)
+    return squeezed_state(cfg, rc.require("generator", "initial_r"), alpha)
 
 
 def _generator_from(rc, cfg):
+    """Build the generator [generator] names, reading only the keys it takes."""
     kind = rc.require("generator", "kind")
-    ham = rc.get("generator", "hamiltonian", "free")
-    omega_trap = rc.get("generator", "omega_trap")
-    z = rc.get("generator", "fugacity_z", 1.0)
+    common = dict(kind=kind, hamiltonian_kind=rc.get("generator", "hamiltonian", "free"),
+                  omega_trap=rc.get("generator", "omega_trap"))
+    microscopic = (kind == MINIMAL_QBM and
+                   rc.get("generator", "coefficients", "user") == "microscopic")
+    # the microscopic route takes its fugacity from [gas]
+    z = None if microscopic else rc.get("generator", "fugacity_z", 1.0)
 
     if kind == CALDEIRA_LEGGETT:
-        coeffs = BilinearCoefficients(
-            gamma=rc.require("generator", "gamma"), fugacity_z=z)
         spec = LiouvillianSpec(
-            kind=kind, hamiltonian_kind=ham, omega_trap=omega_trap,
-            beta=rc.require("generator", "beta"), coeffs=coeffs)
+            beta=rc.require("generator", "beta"), coeffs=BilinearCoefficients(
+                gamma=rc.require("generator", "gamma"), fugacity_z=z), **common)
     elif kind == BILINEAR:
-        coeffs = BilinearCoefficients(
-            gamma=rc.get("generator", "gamma", 0.0),
-            d_pp=rc.get("generator", "d_pp", 0.0),
-            d_xx=rc.get("generator", "d_xx", 0.0),
-            d_xp=rc.get("generator", "d_xp", 0.0),
-            mu=rc.get("generator", "mu", 0.0),
-            fugacity_z=z)
-        spec = LiouvillianSpec(kind=kind, hamiltonian_kind=ham,
-                               omega_trap=omega_trap, coeffs=coeffs)
+        spec = LiouvillianSpec(coeffs=BilinearCoefficients(
+            fugacity_z=z, **{key: rc.get("generator", key, 0.0)
+                             for key in ("gamma", "d_pp", "d_xx", "d_xp", "mu")}), **common)
     elif kind == MINIMAL_QBM:
-        source = rc.get("generator", "coefficients", "user")
-        if source == "microscopic":
+        if microscopic:
             gas = _gas_from(rc)
             if gas.statistics != MAXWELL_BOLTZMANN:
                 raise ConfigError(
@@ -194,21 +186,17 @@ def _generator_from(rc, cfg):
         else:
             d_pp = rc.require("generator", "d_pp")
             beta = rc.require("generator", "beta")
-        coeffs = BilinearCoefficients(d_pp=d_pp, fugacity_z=z)
         spec = LiouvillianSpec(
-            kind=kind, hamiltonian_kind=ham, omega_trap=omega_trap,
-            beta=beta, coeffs=coeffs,
-            assembly=rc.get("generator", "assembly", DOUBLE_COMMUTATOR))
+            beta=beta, coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z),
+            assembly=rc.get("generator", "assembly", DOUBLE_COMMUTATOR), **common)
     elif kind == BOLTZMANN_COLLISION:
         gas = _gas_from(rc)
         q_max = rc.get("generator", "q_max", cutoff_momentum(gas))
         nodes, weights = radial_grid(q_max, rc.get("generator", "n_nodes", 40))
-        collision = CollisionParameters(
+        spec = LiouvillianSpec(collision=CollisionParameters(
             gas_mass=gas.gas_mass, beta=gas.beta, fugacity_z=z,
             tmatrix=_tmatrix_from(rc), q_nodes=nodes, q_weights=weights,
-            q_max=q_max)
-        spec = LiouvillianSpec(kind=kind, hamiltonian_kind=ham,
-                               omega_trap=omega_trap, collision=collision)
+            q_max=q_max), **common)
     else:
         raise ConfigError("unknown generator kind %r" % kind)
     return build_liouvillian(cfg, spec)
@@ -229,26 +217,25 @@ def cmd_evolve(rc):
     cfg = _hilbert_from(rc)
     liouv = _generator_from(rc, cfg)
     rho0 = _initial_state(rc, cfg)
+    unread = rc.unread("generator")
+    if unread:
+        raise ConfigError("key(s) %s in section [generator] not read by this "
+                          "generator kind or initial_state"
+                          % ", ".join("'%s'" % key for key in unread))
     icfg = _integrator_from(rc)
     threshold = rc.get("integrator", "breach_threshold", -1e-10)
     if not threshold < 0.0:
         raise ConfigError(
             "key 'breach_threshold' in section [integrator] must be negative")
-    basename = rc.get("output", "basename", "evolve")
 
     def run():
         record = propagate(rho0, liouv, icfg)
         breach = positivity_breach_time(record, threshold)
         rows = zip(record.times, record.trace, record.min_eig, record.purity,
                    record.mean_x, record.mean_p, record.var_x, record.var_p)
-        out_dir = _output_dir(rc)
-        _write_csv(out_dir, basename,
-                   "t,trace,min_eig,purity,mean_x,mean_p,var_x,var_p", rows)
         summary = "positivity_breach_t=%s" % (
             "none" if breach is None else "%.16e" % breach)
-        print(summary)
-        _write_sidecar(out_dir, basename, rc, "evolve", [summary])
-        return 0
+        return "t,trace,min_eig,purity,mean_x,mean_p,var_x,var_p", rows, [summary]
 
     return run
 
@@ -256,29 +243,17 @@ def cmd_evolve(rc):
 def cmd_coeffs(rc):
     cfg = _hilbert_from(rc)
     gas = _gas_from(rc)
-    tmat = _tmatrix_from(rc)
-    coeffs = compute_dpp(tmat, gas, cfg.mass, cfg.hbar)
+    coeffs = compute_dpp(_tmatrix_from(rc), gas, cfg.mass, cfg.hbar)
     chi = chi_of(coeffs, gas, cfg.mass, cfg.hbar)
     margin = cp_margin(coeffs, cfg.hbar)
     ratio = friction_ratio(gas)
-    basename = rc.get("output", "basename", "coeffs")
-
-    def run():
-        out_dir = _output_dir(rc)
-        # chi carries 15 significant digits, everything else 17
-        _write_csv(out_dir, basename,
-                   "D_pp,D_xx,gamma,mu,chi,cp_margin,friction_ratio",
-                   [(coeffs.d_pp, coeffs.d_xx, coeffs.gamma, coeffs.mu, chi,
-                     margin, ratio)],
-                   formats=["%.16e"] * 4 + ["%.14e", "%.16e", "%.16e"])
-        summary = ["chi=%.14e" % chi, "cp_margin=%.16e" % margin,
-                   "friction_ratio=%.16e" % ratio]
-        for line in summary:
-            print(line)
-        _write_sidecar(out_dir, basename, rc, "coeffs", summary)
-        return 0
-
-    return run
+    table = ("D_pp,D_xx,gamma,mu,chi,cp_margin,friction_ratio",
+             [(coeffs.d_pp, coeffs.d_xx, coeffs.gamma, coeffs.mu, chi, margin, ratio)],
+             ["chi=%.14e" % chi, "cp_margin=%.16e" % margin,
+              "friction_ratio=%.16e" % ratio],
+             # chi carries 15 significant digits, everything else 17
+             ["%.16e"] * 4 + ["%.14e", "%.16e", "%.16e"])
+    return lambda: table
 
 
 def cmd_dsf(rc):
@@ -304,17 +279,7 @@ def cmd_dsf(rc):
         first = sum_rule_f(q, gas)
         summary.append("sum_rule_0=%.16e" % zeroth)
         summary.append("sum_rule_f_ratio=%.16e" % (first / recoil))
-    basename = rc.get("output", "basename", "dsf")
-
-    def run():
-        out_dir = _output_dir(rc)
-        _write_csv(out_dir, basename, "q,E,S", rows)
-        for line in summary:
-            print(line)
-        _write_sidecar(out_dir, basename, rc, "dsf", summary)
-        return 0
-
-    return run
+    return lambda: ("q,E,S", rows, summary)
 
 
 def cmd_fp(rc):
@@ -348,17 +313,12 @@ def cmd_fp(rc):
     stride = rc.get("fp", "sample_stride")
     if stride is None:
         stride = max(1, int(np.ceil(t_final / dt / 500.0)))
-    basename = rc.get("output", "basename", "fp")
 
     def run():
         traj = fp_solve(grid, eta, d_v, t_final, dt, sample_stride=stride)
-        out_dir = _output_dir(rc)
-        _write_csv(out_dir, basename, "t,mass,mean_v,var_v",
-                   zip(traj.times, traj.mass, traj.mean_v, traj.var_v))
-        summary = "stationary_var=%.16e" % traj.var_v[-1]
-        print(summary)
-        _write_sidecar(out_dir, basename, rc, "fp", [summary])
-        return 0
+        return ("t,mass,mean_v,var_v",
+                zip(traj.times, traj.mass, traj.mean_v, traj.var_v),
+                ["stationary_var=%.16e" % traj.var_v[-1]])
 
     return run
 
@@ -376,7 +336,6 @@ def cmd_compare(rc):
 
     cfg = HilbertConfig(dim=rc.get("compare", "dim", 40), hbar=1.0,
                         mass=mass, omega_basis=1.0)
-    coeffs = minimal_coefficients(cfg, d_pp, beta, fugacity_z=z)
     spec = LiouvillianSpec(kind=MINIMAL_QBM, hamiltonian_kind="free",
                            beta=beta,
                            coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z))
@@ -388,7 +347,7 @@ def cmd_compare(rc):
                             monitor_stride=_COMPARE_SUBSTEPS)
 
     # classical twin: momentum-to-velocity conversion of the same moments
-    eta = 2.0 * z * coeffs.gamma * eta_scale
+    eta = 2.0 * z * liouv.coeffs.gamma * eta_scale
     d_v = z * d_pp / mass**2
     var_v0 = cfg.hbar * cfg.omega_basis / (2.0 * mass)  # vacuum momentum spread
     var_ref = max(var_v0, d_v / eta) if eta > 0.0 else var_v0
@@ -400,7 +359,6 @@ def cmd_compare(rc):
         substeps = int(np.ceil(delta / (0.9 * bound)))
     else:
         substeps = 1
-    basename = rc.get("output", "basename", "compare")
 
     def run():
         record = propagate(rho0, liouv, icfg)
@@ -413,21 +371,16 @@ def cmd_compare(rc):
         var_c = mass**2 * traj.var_v
         rel = np.abs(var_q - var_c) / np.maximum(np.maximum(np.abs(var_q),
                                                             np.abs(var_c)), 1e-300)
-        out_dir = _output_dir(rc)
-        _write_csv(out_dir, basename,
-                   "t,var_p_quantum,var_p_classical,rel_diff",
-                   zip(record.times, var_q, var_c, rel))
-        summary = "max_rel_diff=%.16e" % np.max(rel)
-        print(summary)
-        _write_sidecar(out_dir, basename, rc, "compare", [summary])
-        return 0
+        return ("t,var_p_quantum,var_p_classical,rel_diff",
+                zip(record.times, var_q, var_c, rel),
+                ["max_rel_diff=%.16e" % np.max(rel)])
 
     return run
 
 
 # Each command parses its config and builds its inputs, then returns the
-# callable that runs the experiment and writes the outputs; main tells the
-# two phases apart by that boundary.
+# callable that runs the experiment and returns its table; main writes the
+# outputs, and tells the two phases apart by that boundary.
 _COMMANDS = {
     "evolve": (cmd_evolve, "integrate a quantum generator and tabulate monitors"),
     "coeffs": (cmd_coeffs, "friction/diffusion coefficients from the gas model"),
@@ -463,10 +416,17 @@ def main(argv=None):
     # past parsing and building, a ValueError is a numerical failure:
     # numpy.linalg.LinAlgError, for one, subclasses it
     try:
-        return run()
+        header, rows, summary, *formats = run()
+        out_dir = _output_dir(rc)
+        basename = rc.get("output", "basename", args.command)
+        _write_csv(out_dir, basename, header, rows, *formats)
+        for line in summary:
+            print(line)
+        _write_sidecar(out_dir, basename, rc, args.command, summary)
     except (NumericalFailure, ArithmeticError, ValueError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -153,24 +153,36 @@ _SCHEMA = {
 
 
 class RunConfig:
-    """Parsed and validated configuration."""
+    """Parsed and validated configuration.
+
+    It remembers which keys get and require have asked for, so a command
+    can reject keys its run would silently ignore (see unread).
+    """
 
     def __init__(self, values, path):
         self.values = values
         self.path = path
+        self._asked = set()
 
     def has_section(self, section):
         return section in self.values
 
     def get(self, section, key, default=None):
+        self._asked.add((section, key))
         return self.values.get(section, {}).get(key, default)
 
     def require(self, section, key):
+        self._asked.add((section, key))
         try:
             return self.values[section][key]
         except KeyError:
             raise ConfigError(
                 "missing required key '%s' in section [%s]" % (key, section))
+
+    def unread(self, section):
+        """Keys set in section that neither get nor require has asked for."""
+        return [key for key in self.values.get(section, {})
+                if (section, key) not in self._asked]
 
 
 def load_config(path):

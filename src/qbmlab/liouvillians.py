@@ -57,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .microcoeffs import TMatrixModel
+from .microcoeffs import (CP_ROUNDOFF, BilinearCoefficients, TMatrixModel,
+                          saturating_coefficients)
 from .operators import (HilbertConfig, build_annihilator, build_hamiltonian,
                         build_momentum, build_position, thermal_wavelength)
 
@@ -71,31 +72,6 @@ SINGLE_GENERATOR = "single_generator"
 
 # G(q) = exp(-(beta/4M) q p) must stay representable; cap the exponent norm.
 _COLLISION_EXPONENT_CAP = 5.0
-
-# Kossakowski weights below this fraction of the largest are eigensolver
-# round-off (the CP-saturated minimal generator has an exact zero) and dropped.
-_WEIGHT_ROUNDOFF = 16.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class BilinearCoefficients:
-    """Coefficients of the bilinear generator; fugacity_z scales the dissipator."""
-
-    gamma: float = 0.0
-    d_pp: float = 0.0
-    d_xx: float = 0.0
-    d_xp: float = 0.0
-    mu: float = 0.0
-    fugacity_z: float = 1.0
-
-    def __post_init__(self):
-        vals = (self.gamma, self.d_pp, self.d_xx, self.d_xp, self.mu, self.fugacity_z)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"coefficients must be finite, got {vals}")
-        if self.d_pp < 0 or self.d_xx < 0:
-            raise ValueError("diffusion coefficients d_pp, d_xx must be nonnegative")
-        if self.fugacity_z < 0:
-            raise ValueError("fugacity_z must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -245,7 +221,9 @@ def _bilinear_normal_form(cfg: HilbertConfig, coeffs: BilinearCoefficients,
         [[2.0 * d_pp, -2.0 * d_xp - 1j * gamma * hbar],
          [-2.0 * d_xp + 1j * gamma * hbar, 2.0 * d_xx]])
     weights, vecs = np.linalg.eigh(kossakowski)
-    cutoff = _WEIGHT_ROUNDOFF * np.abs(weights).max()
+    # the CP-saturated minimal generator has an exact zero weight; what
+    # the eigensolver leaves of it is round-off, and dropped
+    cutoff = CP_ROUNDOFF * np.abs(weights).max()
     jumps = [(s, u[0] * x + u[1] * p)
              for s, u in zip(weights, vecs.T) if abs(s) > cutoff]
     return k, jumps
@@ -291,19 +269,18 @@ def minimal_coefficients(cfg: HilbertConfig, d_pp: float, beta: float,
                          fugacity_z: float = 1.0) -> BilinearCoefficients:
     """Derive the completely positive coefficient set from d_pp alone.
 
-    gamma = (beta/2M) d_pp and d_xx = (beta hbar/4M)^2 d_pp saturate the CP
-    bound; the bilinear form carries no anticommutator correction (mu = 0),
-    which is exactly what the single-generator assembly reduces to.
+    gamma = (beta/2M) d_pp and d_xx = (beta hbar/4M)^2 d_pp, from
+    saturating_coefficients, saturate the CP bound; the bilinear form
+    carries no anticommutator correction (mu = 0), which is exactly what
+    the single-generator assembly reduces to.
     """
     if d_pp < 0:
         raise ValueError(f"d_pp must be nonnegative, got {d_pp}")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    return BilinearCoefficients(
-        gamma=beta * d_pp / (2.0 * cfg.mass),
-        d_pp=d_pp,
-        d_xx=(beta * cfg.hbar / (4.0 * cfg.mass)) ** 2 * d_pp,
-        d_xp=0.0, mu=0.0, fugacity_z=fugacity_z)
+    gamma, d_xx = saturating_coefficients(d_pp, beta, cfg.mass, cfg.hbar)
+    return BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx,
+                                fugacity_z=fugacity_z)
 
 
 def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:

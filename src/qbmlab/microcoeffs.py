@@ -1,4 +1,7 @@
-"""Microscopic transport coefficients from gas-scattering kernels.
+"""Transport coefficients: the one coefficient type and its microscopic source.
+
+BilinearCoefficients (gamma, d_pp, d_xx, d_xp, mu, fugacity_z, provenance)
+is the coefficient type of every generator builder and coefficient report.
 
 The momentum-diffusion coefficient of the weak-coupling Brownian limit is a
 radial quadrature of the squared scattering amplitude against the thermal
@@ -11,8 +14,10 @@ follow from D_pp by the fluctuation-dissipation-consistent relations
 
     D_xx = (beta hbar / 4M)^2 * D_pp,      gamma = (beta / 2M) * D_pp,
 
-which saturate the complete-positivity bound D_xx*D_pp - D_xp^2 >= (gamma hbar/2)^2
-exactly, i.e. chi = D_xx*M/(beta hbar^2 gamma) = 1/8.
+written once, in saturating_coefficients, for compute_dpp and the minimal
+generator alike.  They saturate the complete-positivity bound
+D_xx*D_pp - D_xp^2 >= (gamma hbar/2)^2 exactly, i.e.
+chi = D_xx*M/(beta hbar^2 gamma) = 1/8.
 """
 
 from __future__ import annotations
@@ -26,6 +31,11 @@ from .structure_factor import BOSE, FERMI, MAXWELL_BOLTZMANN, GasThermodynamics
 
 USER = "user"
 EQ_MICRO = "microscopic"
+
+# Relative round-off of a quantity that vanishes exactly on the CP boundary:
+# the Kossakowski weight of a saturated generator, or cp_margin of a
+# saturated coefficient set, computed from terms a few roundings deep.
+CP_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -58,22 +68,29 @@ class TMatrixModel:
 
 
 @dataclass(frozen=True)
-class CoefficientSet:
-    """Transport coefficients of the bilinear generator, with provenance."""
+class BilinearCoefficients:
+    """Coefficients of the bilinear generator; fugacity_z scales the dissipator.
 
-    d_pp: float
-    d_xx: float
-    d_xp: float
-    gamma: float
-    mu: float
+    provenance is USER for coefficients given by hand and EQ_MICRO for those
+    compute_dpp derives from a scattering model.
+    """
+
+    gamma: float = 0.0
+    d_pp: float = 0.0
+    d_xx: float = 0.0
+    d_xp: float = 0.0
+    mu: float = 0.0
+    fugacity_z: float = 1.0
     provenance: str = USER
 
     def __post_init__(self):
-        vals = (self.d_pp, self.d_xx, self.d_xp, self.gamma, self.mu)
+        vals = (self.gamma, self.d_pp, self.d_xx, self.d_xp, self.mu, self.fugacity_z)
         if not all(np.isfinite(v) for v in vals):
             raise ValueError(f"coefficients must be finite, got {vals}")
         if self.d_pp < 0 or self.d_xx < 0:
             raise ValueError("diffusion coefficients d_pp, d_xx must be nonnegative")
+        if self.fugacity_z < 0:
+            raise ValueError("fugacity_z must be nonnegative")
 
 
 def cutoff_momentum(gas: GasThermodynamics) -> float:
@@ -81,13 +98,27 @@ def cutoff_momentum(gas: GasThermodynamics) -> float:
     return 12.0 * np.sqrt(8.0 * gas.gas_mass / gas.beta)
 
 
+def saturating_coefficients(d_pp: float, beta: float, mass: float,
+                            hbar: float = 1.0) -> tuple[float, float]:
+    """(gamma, d_xx) that put d_pp exactly on the CP boundary.
+
+    gamma = beta d_pp / 2M and d_xx = (beta hbar / 4M)^2 d_pp; compute_dpp
+    and minimal_coefficients both derive their sets here, so they agree bit
+    for bit at the same d_pp, beta, M and hbar.
+    """
+    return beta * d_pp / (2.0 * mass), (beta * hbar / (4.0 * mass)) ** 2 * d_pp
+
+
 def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
-                hbar: float = 1.0) -> CoefficientSet:
+                hbar: float = 1.0) -> BilinearCoefficients:
     """Momentum diffusion by radial quadrature, with derived d_xx, gamma, mu.
 
-    mu is the friction-consistent coefficient gamma/2 of the anticommutator
-    correction used by the single-generator assembly; the bilinear form of the
-    resulting generator carries no anticommutator term of its own.
+    gamma and d_xx come from saturating_coefficients, so the set sits on the
+    CP boundary (chi = 1/8).  mu = gamma/2 is the anticommutator correction
+    that the single-generator assembly of the minimal generator carries; it
+    is reported, not an input for a bilinear spec, whose minimal form has no
+    anticommutator term.  fugacity_z is 1 because the quadrature gives d_pp
+    per unit fugacity.
     """
     if not mass_test > 0 or not hbar > 0:
         raise ValueError("test mass and hbar must be positive")
@@ -99,10 +130,9 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
         raise ArithmeticError(f"radial quadrature did not converge: val={val}, err={err}")
     prefactor = (8.0 * np.pi**3 / 3.0) * gas.gas_mass**2 / (gas.beta * hbar)
     d_pp = prefactor * val
-    gamma = gas.beta / (2.0 * mass_test) * d_pp
-    d_xx = (gas.beta * hbar / (4.0 * mass_test)) ** 2 * d_pp
-    return CoefficientSet(d_pp=d_pp, d_xx=d_xx, d_xp=0.0, gamma=gamma,
-                          mu=0.5 * gamma, provenance=EQ_MICRO)
+    gamma, d_xx = saturating_coefficients(d_pp, gas.beta, mass_test, hbar)
+    return BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx, mu=0.5 * gamma,
+                                provenance=EQ_MICRO)
 
 
 def dpp_constant_closed_form(t0: float, gas: GasThermodynamics, hbar: float = 1.0) -> float:
@@ -110,19 +140,30 @@ def dpp_constant_closed_form(t0: float, gas: GasThermodynamics, hbar: float = 1.
     return 256.0 * np.pi**3 / 3.0 * gas.gas_mass**4 * t0**2 / (hbar * gas.beta**3)
 
 
-def cp_margin(c: CoefficientSet, hbar: float = 1.0) -> float:
+def _cp_terms(c: BilinearCoefficients, hbar: float) -> tuple[float, float, float]:
+    return c.d_xx * c.d_pp, c.d_xp**2, (c.gamma * hbar / 2.0) ** 2
+
+
+def cp_margin(c: BilinearCoefficients, hbar: float = 1.0) -> float:
     """Signed slack of the complete-positivity bound; >= 0 iff satisfiable."""
-    return c.d_xx * c.d_pp - c.d_xp**2 - (c.gamma * hbar / 2.0) ** 2
+    det, xp2, bound = _cp_terms(c, hbar)
+    return det - xp2 - bound
 
 
-def cp_check(c: CoefficientSet, hbar: float = 1.0) -> tuple[bool, float]:
-    """(satisfied, margin): positivity of both diffusions plus the determinant bound."""
+def cp_check(c: BilinearCoefficients, hbar: float = 1.0) -> tuple[bool, float]:
+    """(satisfied, margin): positivity of both diffusions plus the determinant bound.
+
+    The bound counts as met when the margin is no more negative than
+    CP_ROUNDOFF times its largest term, so a saturated set (chi = 1/8),
+    whose computed margin is zero only up to round-off, is completely
+    positive.  The margin itself is returned unchanged.
+    """
     margin = cp_margin(c, hbar)
-    ok = c.d_pp > 0 and c.d_xx > 0 and margin >= 0.0
+    ok = c.d_pp > 0 and c.d_xx > 0 and margin >= -CP_ROUNDOFF * max(_cp_terms(c, hbar))
     return ok, margin
 
 
-def chi_of(c: CoefficientSet, gas: GasThermodynamics, mass_test: float,
+def chi_of(c: BilinearCoefficients, gas: GasThermodynamics, mass_test: float,
            hbar: float = 1.0) -> float:
     """Position-diffusion strength in units of beta*hbar^2*gamma/M; 1/8 saturates CP."""
     if c.gamma == 0:

@@ -60,25 +60,8 @@ def s_mb(q: float, energy, gas: GasThermodynamics):
     return out if out.ndim else float(out)
 
 
-def sum_rule_zero(q: float, gas: GasThermodynamics) -> float:
-    """Zeroth energy moment of s_mb by adaptive quadrature; equals 1."""
-    import scipy.integrate
-
-    if not q > 0:
-        raise ValueError(f"momentum transfer q must be positive, got {q}")
-    recoil = q**2 / (2.0 * gas.gas_mass)
-    width = q / np.sqrt(gas.beta * gas.gas_mass)
-    val, err = scipy.integrate.quad(
-        lambda e: s_mb(q, e, gas),
-        recoil - 14.0 * width, recoil + 14.0 * width,
-        epsabs=0.0, epsrel=1e-12, limit=200)
-    if err > 1e-8 * max(abs(val), 1.0):
-        raise ArithmeticError(f"zeroth-moment quadrature did not converge: err={err:.3e}")
-    return val
-
-
-def sum_rule_f(q: float, gas: GasThermodynamics) -> float:
-    """First energy moment of s_mb by adaptive quadrature; equals q^2/2m.
+def _energy_moment(q: float, gas: GasThermodynamics, power: int) -> float:
+    """Integral of E^power s_mb(q, E) dE by adaptive quadrature over +-14 widths.
 
     Kept numerical on purpose: it cross-checks the closed form rather than
     restating it.
@@ -90,12 +73,22 @@ def sum_rule_f(q: float, gas: GasThermodynamics) -> float:
     recoil = q**2 / (2.0 * gas.gas_mass)
     width = q / np.sqrt(gas.beta * gas.gas_mass)
     val, err = scipy.integrate.quad(
-        lambda e: e * s_mb(q, e, gas),
+        lambda e: e**power * s_mb(q, e, gas),
         recoil - 14.0 * width, recoil + 14.0 * width,
         epsabs=0.0, epsrel=1e-12, limit=200)
     if err > 1e-8 * max(abs(val), 1.0):
-        raise ArithmeticError(f"first-moment quadrature did not converge: err={err:.3e}")
+        raise ArithmeticError(f"moment-{power} quadrature did not converge: err={err:.3e}")
     return val
+
+
+def sum_rule_zero(q: float, gas: GasThermodynamics) -> float:
+    """Zeroth energy moment of s_mb by adaptive quadrature; equals 1."""
+    return _energy_moment(q, gas, 0)
+
+
+def sum_rule_f(q: float, gas: GasThermodynamics) -> float:
+    """First energy moment of s_mb by adaptive quadrature; equals q^2/2m."""
+    return _energy_moment(q, gas, 1)
 
 
 def statistics_prefactor(gas: GasThermodynamics) -> float:

@@ -170,6 +170,71 @@ def test_bad_run_parameters_exit_two_before_running(tmp_path, monkeypatch, capsy
     assert not out.exists()
 
 
+COLLISION_QUICK = """
+[hilbert]
+dim = 6
+
+[generator]
+kind = boltzmann_collision
+q_max = 0.2
+n_nodes = 4
+
+[gas]
+beta = 2.0
+gas_mass = 1.0
+
+[tmatrix]
+kind = constant
+t0 = 0.05
+
+[integrator]
+t_final = 0.01
+dt = 0.005
+"""
+
+MICROSCOPIC_QUICK = COLLISION_QUICK.replace(
+    "kind = boltzmann_collision\nq_max = 0.2\nn_nodes = 4",
+    "kind = minimal_qbm\ncoefficients = microscopic")
+
+
+@pytest.mark.parametrize("text, keys", [
+    (EVOLVE_QUICK.replace("kind = minimal_qbm\nbeta = 2.0\nd_pp = 0.4",
+                          "kind = caldeira_leggett\nbeta = 2.0\ngamma = 0.2\n"
+                          "d_pp = 5.0\nd_xx = 3.0"), ["d_pp", "d_xx"]),
+    (EVOLVE_QUICK.replace("kind = minimal_qbm\nbeta = 2.0\nd_pp = 0.4",
+                          "kind = caldeira_leggett\nbeta = 2.0\ngamma = 0.2\n"
+                          "d_pp = 0.0"), ["d_pp"]),
+    (COLLISION_QUICK.replace("n_nodes = 4", "n_nodes = 4\nbeta = 99\ngamma = 0.1\n"
+                             "d_pp = 0.3"), ["beta", "gamma", "d_pp"]),
+    (MICROSCOPIC_QUICK.replace("microscopic", "microscopic\nbeta = 2.0"), ["beta"]),
+    (MICROSCOPIC_QUICK.replace("microscopic", "microscopic\nd_pp = 0.4"), ["d_pp"]),
+    (MICROSCOPIC_QUICK.replace("microscopic", "microscopic\nfugacity_z = 0.5"),
+     ["fugacity_z"]),
+    (EVOLVE_QUICK.replace("d_pp = 0.4", "d_pp = 0.4\nq_max = 1.0"), ["q_max"]),
+    (EVOLVE_QUICK.replace("kind = minimal_qbm\nbeta = 2.0",
+                          "kind = bilinear\nassembly = single_generator"),
+     ["assembly"]),
+    (EVOLVE_QUICK.replace("initial_nbar = 0.3", "initial_nbar = 0.3\ninitial_n = 2"),
+     ["initial_n"]),
+], ids=["cl-d_pp-d_xx", "cl-zero-d_pp", "collision-beta-gamma-d_pp",
+        "microscopic-beta", "microscopic-d_pp", "microscopic-fugacity_z",
+        "minimal-q_max", "bilinear-assembly", "thermal-initial_n"])
+def test_unread_generator_keys_exit_two(tmp_path, monkeypatch, capsys, text, keys):
+    code, out = run(tmp_path, monkeypatch, text, "evolve", "unread")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and all("'%s'" % key in err for key in keys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [COLLISION_QUICK, MICROSCOPIC_QUICK],
+                         ids=["collision", "microscopic"])
+def test_generator_keys_read_by_their_kind_run(tmp_path, monkeypatch, text):
+    code, out = run(tmp_path, monkeypatch, text, "evolve", "read")
+    assert code == 0
+    assert (out / "evolve.csv").exists()
+
+
 def test_default_output_dir(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
@@ -263,11 +328,21 @@ def test_output_dir_env_overrides_config(tmp_path, monkeypatch):
     assert not (tmp_path / "from_config").exists()
 
 
+def _preset_command(path):
+    text = Path(path).read_text()
+    for section, command in (("[generator]", "evolve"), ("[compare]", "compare"),
+                             ("[fp]", "fp"), ("[dsf]", "dsf")):
+        if section in text:
+            return command
+    return "coeffs"
+
+
 def test_all_presets_parse():
+    # parsing and building pass for every preset, the unread-key check included
     paths = sorted(glob.glob(str(PRESETS / "*.ini")))
     assert len(paths) >= 10
     for path in paths:
-        load_config(path)
+        assert callable(cli._COMMANDS[_preset_command(path)][0](load_config(path)))
 
 
 def test_quick_presets_run(tmp_path, monkeypatch):

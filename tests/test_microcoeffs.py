@@ -7,8 +7,9 @@ from qbmlab import (
     EQ_MICRO,
     FERMI,
     USER,
-    CoefficientSet,
+    BilinearCoefficients,
     GasThermodynamics,
+    HilbertConfig,
     TMatrixModel,
     chi_of,
     compute_dpp,
@@ -17,6 +18,7 @@ from qbmlab import (
     cutoff_momentum,
     dpp_constant_closed_form,
     friction_ratio,
+    minimal_coefficients,
 )
 
 scale = st.floats(min_value=0.1, max_value=10.0)
@@ -35,14 +37,14 @@ def test_tmatrix_validation():
 
 
 def test_coefficient_set_validation():
-    with pytest.raises(ValueError):
-        CoefficientSet(d_pp=-1.0, d_xx=0.0, d_xp=0.0, gamma=0.1, mu=0.0)
-    with pytest.raises(ValueError):
-        CoefficientSet(d_pp=1.0, d_xx=-1.0, d_xp=0.0, gamma=0.1, mu=0.0)
-    with pytest.raises(ValueError):
-        CoefficientSet(d_pp=np.inf, d_xx=0.0, d_xp=0.0, gamma=0.1, mu=0.0)
-    c = CoefficientSet(d_pp=1.0, d_xx=0.0, d_xp=0.0, gamma=0.1, mu=0.0)
+    for bad in (dict(d_pp=-1.0, gamma=0.1), dict(d_pp=1.0, d_xx=-1.0, gamma=0.1),
+                dict(d_pp=np.inf, gamma=0.1), dict(d_pp=1.0, fugacity_z=-0.5),
+                dict(d_pp=1.0, fugacity_z=np.nan)):
+        with pytest.raises(ValueError):
+            BilinearCoefficients(**bad)
+    c = BilinearCoefficients(d_pp=1.0, gamma=0.1)
     assert c.provenance == USER
+    assert c.fugacity_z == 1.0
 
 
 def test_closed_form_matches_quadrature():
@@ -77,7 +79,23 @@ def test_cp_saturation_property(beta, t0, gas_mass, mass_test):
     assert abs(cp_margin(coeffs)) < 1e-12 * bound
     assert abs(chi_of(coeffs, gas, mass_test) - 0.125) < 1e-12
     ok, margin = cp_check(coeffs)
-    assert ok or abs(margin) < 1e-12 * bound
+    assert ok
+    assert margin == cp_margin(coeffs)
+
+
+@given(beta=st.floats(min_value=0.05, max_value=50.0), t0=scale,
+       gas_mass=scale, mass_test=scale, hbar=scale,
+       kind=st.sampled_from(["constant", "gaussian"]))
+@settings(max_examples=50, deadline=None)
+def test_single_thermal_derivation(beta, t0, gas_mass, mass_test, hbar, kind):
+    """compute_dpp and the minimal generator derive gamma, d_xx bit for bit alike."""
+    gas = GasThermodynamics(beta=beta, gas_mass=gas_mass)
+    tm = TMatrixModel(kind=kind, t0=t0, sigma_q=1.0)
+    micro = compute_dpp(tm, gas, mass_test=mass_test, hbar=hbar)
+    minimal = minimal_coefficients(HilbertConfig(dim=2, hbar=hbar, mass=mass_test),
+                                   micro.d_pp, beta)
+    assert micro.gamma.hex() == minimal.gamma.hex()
+    assert micro.d_xx.hex() == minimal.d_xx.hex()
 
 
 def test_quadratic_scaling_in_coupling():
@@ -111,15 +129,24 @@ def test_cutoff_momentum():
 
 def test_friction_only_set_violates_cp():
     # momentum diffusion without position diffusion cannot be Lindblad
-    c = CoefficientSet(d_pp=1.3, d_xx=0.0, d_xp=0.0, gamma=0.4, mu=0.0)
+    c = BilinearCoefficients(d_pp=1.3, gamma=0.4)
     ok, margin = cp_check(c)
     assert not ok
     assert margin == -(0.5 * 0.4) ** 2
 
 
+def test_cp_check_slack_is_round_off_only():
+    # d_xx * d_pp = 0.04 = (gamma/2)^2 exactly at d_xx = 0.04 / 1.3
+    on = BilinearCoefficients(d_pp=1.3, d_xx=0.04 / 1.3, gamma=0.4)
+    assert cp_check(on)[0]
+    below = BilinearCoefficients(d_pp=1.3, d_xx=0.04 / 1.3 * (1.0 - 1e-12), gamma=0.4)
+    ok, margin = cp_check(below)
+    assert not ok and margin < 0.0
+
+
 def test_chi_requires_friction():
     gas = GasThermodynamics(beta=2.0, gas_mass=1.0)
-    c = CoefficientSet(d_pp=1.0, d_xx=0.1, d_xp=0.0, gamma=0.0, mu=0.0)
+    c = BilinearCoefficients(d_pp=1.0, d_xx=0.1)
     with pytest.raises(ValueError):
         chi_of(c, gas, mass_test=1.0)
 
