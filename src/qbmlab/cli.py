@@ -3,18 +3,19 @@
 Each subcommand loads a fail-closed INI config and runs a single
 experiment.  A cmd_* function parses the config and builds every input,
 then returns the callable that runs the experiment and returns its table:
-(header, rows, summary lines[, column formats]).  main is the one output
-path: it writes the CSV (17 significant digits unless a format says
-otherwise) as `<basename>.csv`, prints the summary to stdout in a
-machine-greppable key=value form, and writes the `<basename>.meta.txt`
-sidecar.  The basename defaults to the command name.
+(header, rows, summary lines[, column formats]).  build ends the build
+phase with one check: every key in the file must have been read, and a
+key is read only where the run uses it.  main is the one output path: it
+writes the CSV (17 significant digits unless a format says otherwise) as
+`<basename>.csv`, prints the summary to stdout in a machine-greppable
+key=value form, and writes the `<basename>.meta.txt` sidecar.  The
+basename defaults to the command name.
 
 Exit codes: 0 success; 2 configuration error, a ConfigError or ValueError
-while parsing and building (the message names the offending key, and a
-[generator] key the chosen generator and initial state do not read is one);
-3 numerical failure, a NumericalFailure or ArithmeticError in either phase
+while parsing and building (the message names the offending keys); 3
+numerical failure, a NumericalFailure or ArithmeticError in either phase
 or a ValueError once the run has started (numpy.linalg.LinAlgError is a
-ValueError).  Writing the outputs belongs to the run.
+ValueError).  Making the output directory and writing belong to the run.
 
 The data files contain no timestamps or hostnames, so identical configs
 produce byte-identical tables; run provenance (version, config hash,
@@ -84,14 +85,6 @@ OUTPUT_DIR_ENV = "QBMLAB_OUTPUT_DIR"
 _COMPARE_SUBSTEPS = 20
 
 
-def _output_dir(rc):
-    out = os.environ.get(OUTPUT_DIR_ENV)
-    if not out:
-        out = rc.get("output", "dir", "qbmlab_out")
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _write_csv(out_dir, basename, header, rows, formats=None):
     if formats is None:
         formats = ["%.16e"] * len(header.split(","))
@@ -116,27 +109,21 @@ def _write_sidecar(out_dir, basename, rc, command, summary):
         fh.write("\n".join(lines) + "\n")
 
 
-def _hilbert_from(rc):
-    return HilbertConfig(
-        dim=rc.get("hilbert", "dim", 40),
-        hbar=rc.get("hilbert", "hbar", 1.0),
-        mass=rc.get("hilbert", "mass", 1.0),
-        omega_basis=rc.get("hilbert", "omega_basis", 1.0))
+def _optional(rc, section, cls, *keys):
+    """The keys of [section] named, each defaulting to the field default of cls."""
+    return {key: rc.get(section, key, getattr(cls, key)) for key in keys}
 
 
-def _gas_from(rc):
+def _gas_from(rc, *optional):
     return GasThermodynamics(
-        beta=rc.require("gas", "beta"),
-        gas_mass=rc.require("gas", "gas_mass"),
-        fugacity=rc.get("gas", "fugacity", 1.0),
-        statistics=rc.get("gas", "statistics", MAXWELL_BOLTZMANN))
+        beta=rc.require("gas", "beta"), gas_mass=rc.require("gas", "gas_mass"),
+        **_optional(rc, "gas", GasThermodynamics, *optional))
 
 
 def _tmatrix_from(rc):
-    return TMatrixModel(
-        kind=rc.require("tmatrix", "kind"),
-        t0=rc.require("tmatrix", "t0"),
-        sigma_q=rc.get("tmatrix", "sigma_q"))
+    kind = rc.require("tmatrix", "kind")
+    return TMatrixModel(kind=kind, t0=rc.require("tmatrix", "t0"), sigma_q=(
+        rc.get("tmatrix", "sigma_q") if kind == "gaussian" else None))
 
 
 def _initial_state(rc, cfg):
@@ -157,14 +144,22 @@ def _initial_state(rc, cfg):
 
 
 def _generator_from(rc, cfg):
-    """Build the generator [generator] names, reading only the keys it takes."""
+    """Build the generator [generator] names, reading only the keys it takes.
+
+    The gas-driven ones, collision and microscopic minimal_qbm, take beta
+    and the fugacity from [gas], whose statistics must be Maxwell-Boltzmann.
+    """
     kind = rc.require("generator", "kind")
-    common = dict(kind=kind, hamiltonian_kind=rc.get("generator", "hamiltonian", "free"),
-                  omega_trap=rc.get("generator", "omega_trap"))
-    microscopic = (kind == MINIMAL_QBM and
-                   rc.get("generator", "coefficients", "user") == "microscopic")
-    # the microscopic route takes its fugacity from [gas]
-    z = None if microscopic else rc.get("generator", "fugacity_z", 1.0)
+    hamiltonian = rc.get("generator", "hamiltonian", "free")
+    common = dict(kind=kind, hamiltonian_kind=hamiltonian, omega_trap=(
+        rc.get("generator", "omega_trap") if hamiltonian == "harmonic" else None))
+    gas_driven = kind == BOLTZMANN_COLLISION or (
+        kind == MINIMAL_QBM and rc.get("generator", "coefficients", "user") == "microscopic")
+    gas = _gas_from(rc, "fugacity", "statistics") if gas_driven else None
+    if gas is not None and gas.statistics != MAXWELL_BOLTZMANN:
+        raise ConfigError("key 'statistics' in section [gas] must be "
+                          "maxwell_boltzmann for generator kind %r" % kind)
+    z = rc.get("generator", "fugacity_z", 1.0) if gas is None else gas.fugacity
 
     if kind == CALDEIRA_LEGGETT:
         spec = LiouvillianSpec(
@@ -175,14 +170,9 @@ def _generator_from(rc, cfg):
             fugacity_z=z, **{key: rc.get("generator", key, 0.0)
                              for key in ("gamma", "d_pp", "d_xx", "d_xp", "mu")}), **common)
     elif kind == MINIMAL_QBM:
-        if microscopic:
-            gas = _gas_from(rc)
-            if gas.statistics != MAXWELL_BOLTZMANN:
-                raise ConfigError(
-                    "key 'coefficients=microscopic' in [generator] requires "
-                    "statistics=maxwell_boltzmann in [gas]")
-            micro = compute_dpp(_tmatrix_from(rc), gas, cfg.mass, cfg.hbar)
-            d_pp, beta, z = micro.d_pp, gas.beta, gas.fugacity
+        if gas is not None:
+            d_pp = compute_dpp(_tmatrix_from(rc), gas, cfg.mass, cfg.hbar).d_pp
+            beta = gas.beta
         else:
             d_pp = rc.require("generator", "d_pp")
             beta = rc.require("generator", "beta")
@@ -190,7 +180,6 @@ def _generator_from(rc, cfg):
             beta=beta, coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z),
             assembly=rc.get("generator", "assembly", DOUBLE_COMMUTATOR), **common)
     elif kind == BOLTZMANN_COLLISION:
-        gas = _gas_from(rc)
         q_max = rc.get("generator", "q_max", cutoff_momentum(gas))
         nodes, weights = radial_grid(q_max, rc.get("generator", "n_nodes", 40))
         spec = LiouvillianSpec(collision=CollisionParameters(
@@ -203,25 +192,19 @@ def _generator_from(rc, cfg):
 
 
 def _integrator_from(rc):
+    method = rc.get("integrator", "method", RK4_FIXED)
+    # the fixed scheme steps by dt, the adaptive one by dt_init, rtol and atol
+    keys = ("dt",) if method == RK4_FIXED else ("dt_init", "rtol", "atol")
     return IntegratorConfig(
-        method=rc.get("integrator", "method", RK4_FIXED),
-        t_final=rc.require("integrator", "t_final"),
-        dt=rc.get("integrator", "dt", 1e-3),
-        dt_init=rc.get("integrator", "dt_init", 1e-4),
-        rtol=rc.get("integrator", "rtol", 1e-8),
-        atol=rc.get("integrator", "atol", 1e-10),
-        monitor_stride=rc.get("integrator", "monitor_stride", 1))
+        method=method, t_final=rc.require("integrator", "t_final"),
+        **_optional(rc, "integrator", IntegratorConfig, *keys, "monitor_stride"))
 
 
 def cmd_evolve(rc):
-    cfg = _hilbert_from(rc)
+    cfg = HilbertConfig(**_optional(rc, "hilbert", HilbertConfig,
+                                    "dim", "hbar", "mass", "omega_basis"))
     liouv = _generator_from(rc, cfg)
     rho0 = _initial_state(rc, cfg)
-    unread = rc.unread("generator")
-    if unread:
-        raise ConfigError("key(s) %s in section [generator] not read by this "
-                          "generator kind or initial_state"
-                          % ", ".join("'%s'" % key for key in unread))
     icfg = _integrator_from(rc)
     threshold = rc.get("integrator", "breach_threshold", -1e-10)
     if not threshold < 0.0:
@@ -241,11 +224,12 @@ def cmd_evolve(rc):
 
 
 def cmd_coeffs(rc):
-    cfg = _hilbert_from(rc)
-    gas = _gas_from(rc)
-    coeffs = compute_dpp(_tmatrix_from(rc), gas, cfg.mass, cfg.hbar)
-    chi = chi_of(coeffs, gas, cfg.mass, cfg.hbar)
-    margin = cp_margin(coeffs, cfg.hbar)
+    mass = rc.get("hilbert", "mass", 1.0)
+    hbar = rc.get("hilbert", "hbar", 1.0)
+    gas = _gas_from(rc, "fugacity", "statistics")
+    coeffs = compute_dpp(_tmatrix_from(rc), gas, mass, hbar)
+    chi = chi_of(coeffs, gas, mass, hbar)
+    margin = cp_margin(coeffs, hbar)
     ratio = friction_ratio(gas)
     table = ("D_pp,D_xx,gamma,mu,chi,cp_margin,friction_ratio",
              [(coeffs.d_pp, coeffs.d_xx, coeffs.gamma, coeffs.mu, chi, margin, ratio)],
@@ -257,7 +241,8 @@ def cmd_coeffs(rc):
 
 
 def cmd_dsf(rc):
-    gas = _gas_from(rc)
+    # the closed form is Maxwell-Boltzmann's, which takes no fugacity
+    gas = _gas_from(rc, "statistics")
     q_values = rc.get("dsf", "q_values", (0.2, 1.0, 5.0))
     if any(q <= 0 for q in q_values):
         raise ConfigError(
@@ -378,9 +363,6 @@ def cmd_compare(rc):
     return run
 
 
-# Each command parses its config and builds its inputs, then returns the
-# callable that runs the experiment and returns its table; main writes the
-# outputs, and tells the two phases apart by that boundary.
 _COMMANDS = {
     "evolve": (cmd_evolve, "integrate a quantum generator and tabulate monitors"),
     "coeffs": (cmd_coeffs, "friction/diffusion coefficients from the gas model"),
@@ -402,11 +384,25 @@ def build_parser():
     return parser
 
 
+def build(command, rc):
+    """(run, output dir, basename); ConfigError names every key nothing read."""
+    run = _COMMANDS[command][0](rc)
+    # read before the override, so a configured dir counts as read either way
+    out_dir = rc.get("output", "dir", "qbmlab_out")
+    basename = rc.get("output", "basename", command)
+    unread = rc.unread()
+    if unread:
+        raise ConfigError("%s not read by this %s run" % (", ".join(
+            "key '%s' in section [%s]" % (key, section) for section, key in unread),
+            command))
+    return run, os.environ.get(OUTPUT_DIR_ENV) or out_dir, basename
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         rc = load_config(args.config)
-        run = _COMMANDS[args.command][0](rc)
+        run, out_dir, basename = build(args.command, rc)
     except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
@@ -417,8 +413,7 @@ def main(argv=None):
     # numpy.linalg.LinAlgError, for one, subclasses it
     try:
         header, rows, summary, *formats = run()
-        out_dir = _output_dir(rc)
-        basename = rc.get("output", "basename", args.command)
+        os.makedirs(out_dir, exist_ok=True)
         _write_csv(out_dir, basename, header, rows, *formats)
         for line in summary:
             print(line)

@@ -7,6 +7,7 @@ not mid-run.
 """
 
 import configparser
+import math
 import os
 
 from .liouvillians import (
@@ -26,28 +27,26 @@ class ConfigError(Exception):
 
 
 def _float(text):
-    return float(text)
-
-
-def _positive_int(text):
-    val = int(text)
-    if val <= 0:
-        raise ValueError("must be a positive integer")
+    val = float(text)
+    if not math.isfinite(val):
+        raise ValueError("must be a finite number")
     return val
 
 
-def _nonnegative_int(text):
-    val = int(text)
-    if val < 0:
-        raise ValueError("must be a nonnegative integer")
-    return val
+def _int_from(low):
+    def cast(text):
+        val = int(text)
+        if val < low:
+            raise ValueError("must be an integer >= %d" % low)
+        return val
+    return cast
 
 
 def _float_list(text):
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(p) for p in parts)
+    return tuple(_float(p) for p in parts)
 
 
 def _choice(*options):
@@ -58,13 +57,9 @@ def _choice(*options):
     return cast
 
 
-def _string(text):
-    return text
-
-
 _SCHEMA = {
     "hilbert": {
-        "dim": _positive_int,
+        "dim": _int_from(1),
         "hbar": _float,
         "mass": _float,
         "omega_basis": _float,
@@ -84,10 +79,10 @@ _SCHEMA = {
         "assembly": _choice(DOUBLE_COMMUTATOR, SINGLE_GENERATOR),
         "coefficients": _choice("user", "microscopic"),
         "q_max": _float,
-        "n_nodes": _positive_int,
+        "n_nodes": _int_from(1),
         "initial_state": _choice("vacuum", "number", "coherent", "squeezed",
                                  "thermal"),
-        "initial_n": _nonnegative_int,
+        "initial_n": _int_from(0),
         "initial_alpha_re": _float,
         "initial_alpha_im": _float,
         "initial_r": _float,
@@ -111,18 +106,18 @@ _SCHEMA = {
         "dt_init": _float,
         "rtol": _float,
         "atol": _float,
-        "monitor_stride": _positive_int,
+        "monitor_stride": _int_from(1),
         "breach_threshold": _float,
     },
     "fp": {
         "v_min": _float,
         "v_max": _float,
-        "n_cells": _positive_int,
+        "n_cells": _int_from(1),
         "eta": _float,
         "d_v": _float,
         "t_final": _float,
         "dt": _float,
-        "sample_stride": _positive_int,
+        "sample_stride": _int_from(1),
         "initial": _choice("maxwell", "gaussian"),
         "initial_mean": _float,
         "initial_var": _float,
@@ -131,23 +126,23 @@ _SCHEMA = {
         "q_values": _float_list,
         "e_min": _float,
         "e_max": _float,
-        "n_e": _positive_int,
+        "n_e": _int_from(1),
     },
     "compare": {
         "beta": _float,
         "mass": _float,
         "d_pp": _float,
         "fugacity_z": _float,
-        "dim": _positive_int,
+        "dim": _int_from(1),
         "t_final": _float,
-        "n_samples": _positive_int,
-        "n_cells": _positive_int,
+        "n_samples": _int_from(1),
+        "n_cells": _int_from(1),
         "v_max": _float,
         "eta_scale": _float,
     },
     "output": {
-        "dir": _string,
-        "basename": _string,
+        "dir": str,
+        "basename": str,
     },
 }
 
@@ -155,8 +150,8 @@ _SCHEMA = {
 class RunConfig:
     """Parsed and validated configuration.
 
-    It remembers which keys get and require have asked for, so a command
-    can reject keys its run would silently ignore (see unread).
+    It remembers which keys get and require have asked for, so the CLI
+    can reject keys a run would silently ignore (see unread).
     """
 
     def __init__(self, values, path):
@@ -179,10 +174,10 @@ class RunConfig:
             raise ConfigError(
                 "missing required key '%s' in section [%s]" % (key, section))
 
-    def unread(self, section):
-        """Keys set in section that neither get nor require has asked for."""
-        return [key for key in self.values.get(section, {})
-                if (section, key) not in self._asked]
+    def unread(self):
+        """(section, key) pairs set in the file that neither get nor require asked for."""
+        return [(section, key) for section, keys in self.values.items()
+                for key in keys if (section, key) not in self._asked]
 
 
 def load_config(path):

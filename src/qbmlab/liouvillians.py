@@ -58,7 +58,7 @@ import numpy as np
 import scipy.linalg
 
 from .microcoeffs import (CP_ROUNDOFF, BilinearCoefficients, TMatrixModel,
-                          saturating_coefficients)
+                          dpp_prefactor, saturating_coefficients, thermal_kernel)
 from .operators import (HilbertConfig, build_annihilator, build_hamiltonian,
                         build_momentum, build_position, thermal_wavelength)
 
@@ -325,13 +325,9 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
 
 
 def collision_prefactor(params: CollisionParameters, hbar: float) -> float:
-    """Constant in front of the collision sum: 8 pi^3 m^2 / (3 beta hbar).
-
-    Calibrated so that the small-q expansion of the signed-q sandwich sum
-    reproduces the one-dimensional momentum diffusion coefficient of
-    compute_dpp with the same amplitude model (see collision_dpp).
-    """
-    return 8.0 * np.pi**3 * params.gas_mass**2 / (3.0 * params.beta * hbar)
+    """Constant in front of the collision sum: compute_dpp's 8 pi^3 m^2 / (3 beta hbar),
+    so the small-q limit of the sandwich sum has its D_pp (see collision_dpp)."""
+    return dpp_prefactor(params.gas_mass, params.beta, hbar)
 
 
 def collision_dpp(params: CollisionParameters, hbar: float) -> float:
@@ -341,10 +337,9 @@ def collision_dpp(params: CollisionParameters, hbar: float) -> float:
     and evaluated with this grid's nodes; the collision generator converges to
     the minimal generator with exactly this coefficient as q_max shrinks.
     """
-    kern = params.tmatrix.squared(params.q_nodes) * np.exp(
-        -params.beta * params.q_nodes**2 / (8.0 * params.gas_mass))
-    return collision_prefactor(params, hbar) * float(
-        np.sum(params.q_weights * params.q_nodes * kern))
+    return collision_prefactor(params, hbar) * float(np.sum(thermal_kernel(
+        params.tmatrix, params.beta, params.gas_mass, params.q_nodes,
+        params.q_weights * params.q_nodes)))
 
 
 def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
@@ -374,10 +369,8 @@ def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liou
             f"exceeds {_COLLISION_EXPONENT_CAP}; lower q_max, beta, or dim "
             "to keep exp(-(beta/4M) q p) representable")
 
-    c0 = collision_prefactor(par, hbar)
-    kern = par.tmatrix.squared(par.q_nodes) * np.exp(
-        -par.beta * par.q_nodes**2 / (8.0 * par.gas_mass))
-    rates = par.fugacity_z * c0 * par.q_weights * kern / par.q_nodes
+    rates = par.fugacity_z * collision_prefactor(par, hbar) * thermal_kernel(
+        par.tmatrix, par.beta, par.gas_mass, par.q_nodes, par.q_weights / par.q_nodes)
 
     k = (-1j / hbar) * h
     jumps = []

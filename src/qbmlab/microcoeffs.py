@@ -98,6 +98,16 @@ def cutoff_momentum(gas: GasThermodynamics) -> float:
     return 12.0 * np.sqrt(8.0 * gas.gas_mass / gas.beta)
 
 
+def thermal_kernel(tmat: TMatrixModel, beta: float, gas_mass: float, q, weight=1.0):
+    """weight * |t(q)|^2 * exp(-beta q^2 / 8m), the D_pp integrand; weight multiplies first."""
+    return weight * tmat.squared(q) * np.exp(-beta / (8.0 * gas_mass) * q**2)
+
+
+def dpp_prefactor(gas_mass: float, beta: float, hbar: float) -> float:
+    """Constant in front of the D_pp integral: 8 pi^3 m^2 / (3 beta hbar)."""
+    return (8.0 * np.pi**3 / 3.0) * gas_mass**2 / (beta * hbar)
+
+
 def saturating_coefficients(d_pp: float, beta: float, mass: float,
                             hbar: float = 1.0) -> tuple[float, float]:
     """(gamma, d_xx) that put d_pp exactly on the CP boundary.
@@ -122,14 +132,12 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
     """
     if not mass_test > 0 or not hbar > 0:
         raise ValueError("test mass and hbar must be positive")
-    alpha = gas.beta / (8.0 * gas.gas_mass)
     val, err = scipy.integrate.quad(
-        lambda q: q**3 * tmat.squared(q) * np.exp(-alpha * q**2),
+        lambda q: thermal_kernel(tmat, gas.beta, gas.gas_mass, q, q**3),
         0.0, cutoff_momentum(gas), epsabs=0.0, epsrel=1e-12, limit=200)
     if not np.isfinite(val) or (val != 0.0 and err > 1e-10 * abs(val)):
         raise ArithmeticError(f"radial quadrature did not converge: val={val}, err={err}")
-    prefactor = (8.0 * np.pi**3 / 3.0) * gas.gas_mass**2 / (gas.beta * hbar)
-    d_pp = prefactor * val
+    d_pp = dpp_prefactor(gas.gas_mass, gas.beta, hbar) * val
     gamma, d_xx = saturating_coefficients(d_pp, gas.beta, mass_test, hbar)
     return BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx, mu=0.5 * gamma,
                                 provenance=EQ_MICRO)

@@ -161,25 +161,31 @@ def thermal_state(cfg: HilbertConfig, nbar: float) -> np.ndarray:
     return np.diag(weights).astype(complex)
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
-                            trace_tol: float = 1e-12, eig_floor: float = -1e-10) -> None:
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_EIG_FLOOR = -1e-10
+
+
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Reject non-Hermitian, badly normalized, or significantly negative input.
 
-    Only a construction-time gate: evolution is allowed to drive states
-    negative, and that negativity is a measured result, never an error.
+    Only a construction-time gate, passed when max|rho - rho^dag| <= 1e-12,
+    |tr rho - 1| <= 1e-12 and the smallest eigenvalue is >= -1e-10:
+    evolution is allowed to drive states negative, and that negativity is
+    a measured result, never an error.
     """
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
     herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
+    if herm > _HERM_TOL:
         raise ValueError(f"density matrix not Hermitian: max |rho-rho^dag| = {herm:.3e}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond {trace_tol}")
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond {_TRACE_TOL}")
     low = min_eigenvalue(rho)
-    if low < eig_floor:
+    if low < _EIG_FLOOR:
         raise ValueError(f"density matrix significantly negative: min eigenvalue {low:.3e}")
 
 

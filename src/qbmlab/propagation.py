@@ -54,6 +54,9 @@ _DP_B4 = np.array([5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
 # trace-preserving generator leaves round-off of order d * eps * max|L|
 # there, about 2e-14 at the largest dim the superoperator guard allows
 _TRACE_LEAK_TOL = 1e-10
+# stationary_state's floor on rcond and its largest accepted residual
+_DEGENERACY_TOL = 1e-8
+_RESIDUAL_TOL = 1e-8
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -285,7 +288,7 @@ def positivity_breach_time(record, threshold=-1e-10):
     return float(record.times[idx[0]])
 
 
-def stationary_state(l_matrix, degeneracy_tol=1e-8, residual_tol=1e-8):
+def stationary_state(l_matrix):
     """Unique trace-one Hermitian kernel element of a matrixified generator.
 
     l_matrix is L acting on Fortran-order vec(rho), as superoperator_matrix
@@ -302,13 +305,13 @@ def stationary_state(l_matrix, degeneracy_tol=1e-8, residual_tol=1e-8):
     1e-10 * max|L|.  A generator that fails it is not
     trace-preserving and has no trace-one state to find, and the solve
     raises DegenerateStationaryState, as it does for a zero L.
-    degeneracy_tol bounds the reciprocal 1-norm condition number of the
-    equilibrated B, which LAPACK gecon estimates from the LU factors;
-    below it, or at an exactly zero pivot, the kernel counts as more than
+    The reciprocal 1-norm condition number of the equilibrated B, which
+    LAPACK gecon estimates from the LU factors, must reach 1e-8; below it,
+    or at an exactly zero pivot, the kernel counts as more than
     one-dimensional (or traceless) at working precision and
     DegenerateStationaryState is raised.  NumericalFailure is raised for
     non-finite entries, a traceless candidate, or a failed residual check
-    max|L vec(rho)| < residual_tol.
+    max|L vec(rho)| < 1e-8.
     """
     if hasattr(l_matrix, "apply"):
         raise TypeError("expected the matrixified generator; pass "
@@ -347,12 +350,12 @@ def stationary_state(l_matrix, degeneracy_tol=1e-8, residual_tol=1e-8):
         lu, piv, info = getrf(bordered, overwrite_a=True)
         if info == 0:  # info > 0: an exactly zero pivot
             rcond = gecon(lu, anorm, norm="1")[0]
-    if rcond < degeneracy_tol:
+    if rcond < _DEGENERACY_TOL:
         raise DegenerateStationaryState(
             "bordered generator is singular at working precision: "
             "reciprocal condition number %.3e below %.1e, so the kernel is "
             "not one-dimensional or its element is traceless"
-            % (rcond, degeneracy_tol))
+            % (rcond, _DEGENERACY_TOL))
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = row_scale[0]
     vec = col_scale * getrs(lu, piv, rhs)[0]
@@ -363,7 +366,7 @@ def stationary_state(l_matrix, degeneracy_tol=1e-8, residual_tol=1e-8):
         raise NumericalFailure("stationary candidate is traceless")
     rho = rho / tr
     residual = np.max(np.abs(l_matrix @ rho.flatten(order="F")))
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise NumericalFailure(
-            "stationary residual %.3e exceeds %.1e" % (residual, residual_tol))
+            "stationary residual %.3e exceeds %.1e" % (residual, _RESIDUAL_TOL))
     return rho

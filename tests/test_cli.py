@@ -159,8 +159,10 @@ def test_linalg_failure_during_run_exits_three(tmp_path, monkeypatch, capsys):
                    .replace("eta = 1.0", "eta = -1.0"), "eta"),
     ("compare", "[compare]\nbeta = 2.0\nd_pp = 0.3\nt_final = 0.1\ndim = 8\n"
                 "eta_scale = -1.0\n", "eta_scale"),
+    ("fp", FP_QUICK.replace("eta = 1.0", "eta = nan"), "eta"),
+    ("fp", FP_QUICK.replace("eta = 1.0", "eta = inf"), "eta"),
 ], ids=["evolve-breach_threshold", "fp-dt", "fp-t_final", "fp-eta",
-        "compare-eta_scale"])
+        "compare-eta_scale", "fp-eta-nan", "fp-eta-inf"])
 def test_bad_run_parameters_exit_two_before_running(tmp_path, monkeypatch, capsys,
                                                     command, text, key):
     code, out = run(tmp_path, monkeypatch, text, command, "bad")
@@ -233,6 +235,80 @@ def test_generator_keys_read_by_their_kind_run(tmp_path, monkeypatch, text):
     code, out = run(tmp_path, monkeypatch, text, "evolve", "read")
     assert code == 0
     assert (out / "evolve.csv").exists()
+
+
+RK45_QUICK = EVOLVE_QUICK.replace("method = rk4_fixed\nt_final = 0.2\ndt = 0.002",
+                                  "method = rk45_adaptive\nt_final = 0.2\nrtol = 1e-6")
+CL_QUICK = EVOLVE_QUICK.replace("kind = minimal_qbm\nbeta = 2.0\nd_pp = 0.4",
+                                "kind = caldeira_leggett\nbeta = 2.0\ngamma = 0.2")
+COMPARE_QUICK = "[compare]\nbeta = 2.0\nd_pp = 0.3\nt_final = 0.1\ndim = 8\n"
+
+
+@pytest.mark.parametrize("command, text, keys", [
+    # each reader reads a key only on the branch that uses it
+    ("evolve", EVOLVE_QUICK.replace("dt = 0.002",
+                                    "dt = 0.002\ndt_init = 1e-3\nrtol = 1e-6\natol = 1e-9"),
+     [("integrator", "dt_init"), ("integrator", "rtol"), ("integrator", "atol")]),
+    ("evolve", RK45_QUICK.replace("rtol = 1e-6", "rtol = 1e-6\ndt = 0.002\natol = 1e-9"),
+     [("integrator", "dt")]),
+    ("evolve", EVOLVE_QUICK.replace("kind = minimal_qbm", "kind = minimal_qbm\nomega_trap = 1.5"),
+     [("generator", "omega_trap")]),
+    ("evolve", MICROSCOPIC_QUICK.replace("t0 = 0.05", "t0 = 0.05\nsigma_q = 1.0"),
+     [("tmatrix", "sigma_q")]),
+    ("coeffs", COEFFS_QUICK.replace("mass = 2.0", "mass = 2.0\nhbar = 1.0\nomega_basis = 2.0"),
+     [("hilbert", "omega_basis")]),
+    ("dsf", DSF_QUICK.replace("gas_mass = 1.0", "gas_mass = 1.0\nfugacity = 0.5"),
+     [("gas", "fugacity")]),
+    ("evolve", COLLISION_QUICK.replace("n_nodes = 4", "n_nodes = 4\nfugacity_z = 0.5"),
+     [("generator", "fugacity_z")]),
+    ("evolve", COLLISION_QUICK.replace("gas_mass = 1.0", "gas_mass = 1.0\nstatistics = fermi"),
+     [("gas", "statistics")]),
+    ("evolve", MICROSCOPIC_QUICK.replace("gas_mass = 1.0",
+                                         "gas_mass = 1.0\nfugacity = 0.5\nstatistics = bose"),
+     [("gas", "statistics")]),
+    # inputs that used to do nothing without a message
+    ("compare", COMPARE_QUICK + "\n[hilbert]\nmass = 5.0\n", [("hilbert", "mass")]),
+    ("fp", FP_QUICK.replace("initial = maxwell", "initial = maxwell\ninitial_var = 2.0")
+     + "\n[integrator]\nt_final = 1.0\ndt = 0.01\n",
+     [("fp", "initial_var"), ("integrator", "t_final"), ("integrator", "dt")]),
+    ("coeffs", COEFFS_QUICK.replace("mass = 2.0", "mass = 2.0\ndim = 8")
+     .replace("t0 = 0.02", "t0 = 0.02\nsigma_q = 1.0"),
+     [("hilbert", "dim"), ("tmatrix", "sigma_q")]),
+    ("evolve", CL_QUICK + "\n[gas]\nbeta = 2.0\ngas_mass = 1.0\n\n"
+     "[tmatrix]\nkind = constant\nt0 = 0.05\n",
+     [("gas", "beta"), ("gas", "gas_mass"), ("tmatrix", "kind"), ("tmatrix", "t0")]),
+], ids=["rk4-dt_init-rtol-atol", "rk45-dt", "free-omega_trap",
+        "constant-sigma_q", "coeffs-omega_basis", "dsf-fugacity",
+        "collision-fugacity_z", "collision-fermi", "microscopic-bose",
+        "compare-hilbert-mass", "fp-maxwell-initial_var-integrator",
+        "coeffs-dim-sigma_q", "cl-gas-tmatrix"])
+def test_unread_keys_exit_two(tmp_path, monkeypatch, capsys, command, text, keys):
+    code, out = run(tmp_path, monkeypatch, text, command, "unread")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    for section, key in keys:
+        assert "key '%s' in section [%s]" % (key, section) in err
+    assert err.count("key '") == len(keys)
+    assert not out.exists()
+
+
+def test_branch_keys_read_where_used(tmp_path, monkeypatch):
+    harmonic = EVOLVE_QUICK.replace(
+        "kind = minimal_qbm", "kind = minimal_qbm\nhamiltonian = harmonic\nomega_trap = 1.5")
+    assert run(tmp_path, monkeypatch, harmonic, "evolve", "harmonic")[0] == 0
+    rk45 = RK45_QUICK.replace("rtol = 1e-6", "rtol = 1e-6\ndt_init = 1e-3\natol = 1e-9")
+    assert run(tmp_path, monkeypatch, rk45, "evolve", "rk45")[0] == 0
+
+
+def test_collision_takes_its_fugacity_from_gas(tmp_path, monkeypatch):
+    tables = []
+    for z in ("0.5", "1.0"):
+        text = COLLISION_QUICK.replace("gas_mass = 1.0", "gas_mass = 1.0\nfugacity = " + z)
+        code, out = run(tmp_path, monkeypatch, text, "evolve", "z" + z)
+        assert code == 0
+        tables.append((out / "evolve.csv").read_bytes())
+    assert tables[0] != tables[1]
 
 
 def test_default_output_dir(tmp_path, monkeypatch):
@@ -342,7 +418,8 @@ def test_all_presets_parse():
     paths = sorted(glob.glob(str(PRESETS / "*.ini")))
     assert len(paths) >= 10
     for path in paths:
-        assert callable(cli._COMMANDS[_preset_command(path)][0](load_config(path)))
+        run_fn, _, _ = cli.build(_preset_command(path), load_config(path))
+        assert callable(run_fn)
 
 
 def test_quick_presets_run(tmp_path, monkeypatch):

@@ -80,6 +80,19 @@ def test_bad_value_names_the_key(tmp_path):
     assert "dim" in str(exc.value)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("[fp]\neta = nan\n", "eta"),
+    ("[fp]\neta = inf\n", "eta"),
+    ("[hilbert]\nmass = -Infinity\n", "mass"),
+    ("[dsf]\nq_values = 0.5, nan\n", "q_values"),
+], ids=["nan", "inf", "minus-infinity", "list-nan"])
+def test_non_finite_numbers_rejected(tmp_path, text, key):
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert "'%s'" % key in str(exc.value) and "finite" in str(exc.value)
+
+
 def test_choice_values_are_validated(tmp_path):
     path = write(tmp_path, "[gas]\nbeta = 1.0\ngas_mass = 1.0\nstatistics = anyonic\n")
     with pytest.raises(ConfigError) as exc:
