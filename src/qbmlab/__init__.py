@@ -50,6 +50,7 @@ from .microcoeffs import (
     cp_margin,
     cutoff_momentum,
     dpp_constant_closed_form,
+    dpp_prefactor,
     friction_ratio,
 )
 from .liouvillians import (
@@ -62,7 +63,6 @@ from .liouvillians import (
     CollisionParameters,
     Liouvillian,
     LiouvillianSpec,
-    collision_prefactor,
     build_bilinear_lindblad,
     build_boltzmann_collision,
     build_caldeira_leggett,

@@ -12,7 +12,8 @@ key=value form, and writes the `<basename>.meta.txt` sidecar.  The
 basename defaults to the command name.
 
 Exit codes: 0 success; 2 configuration error, a ConfigError or ValueError
-while parsing and building (the message names the offending keys); 3
+while parsing and building (the message names the offending keys, and a
+library ValueError is reported with the section being built); 3
 numerical failure, a NumericalFailure or ArithmeticError in either phase
 or a ValueError once the run has started (numpy.linalg.LinAlgError is a
 ValueError).  Making the output directory and writing belong to the run.
@@ -25,6 +26,7 @@ which defaults to ./qbmlab_out.
 """
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -109,21 +111,35 @@ def _write_sidecar(out_dir, basename, rc, command, summary):
         fh.write("\n".join(lines) + "\n")
 
 
-def _optional(rc, section, cls, *keys):
-    """The keys of [section] named, each defaulting to the field default of cls."""
-    return {key: rc.get(section, key, getattr(cls, key)) for key in keys}
+@contextlib.contextmanager
+def _section(rc, section):
+    """Builds [section]'s objects; yields given(*keys), the keys set in the
+    file (one left out keeps the library default).  A ValueError, whose
+    message names the key, becomes a ConfigError naming the section too."""
+    try:
+        yield lambda *keys: {key: value for key in keys
+                             if (value := rc.get(section, key)) is not None}
+    except ValueError as exc:
+        raise ConfigError("in section [%s]: %s" % (section, exc)) from exc
 
 
-def _gas_from(rc, *optional):
-    return GasThermodynamics(
-        beta=rc.require("gas", "beta"), gas_mass=rc.require("gas", "gas_mass"),
-        **_optional(rc, "gas", GasThermodynamics, *optional))
+def _gas_from(rc, *optional, maxwell_for=None):
+    """The gas of [gas]; maxwell_for names a use that needs Maxwell-Boltzmann."""
+    with _section(rc, "gas") as given:
+        keys = given(*optional)
+        # before the gas checks its fugacity, which such a use may not read
+        if maxwell_for and keys.get("statistics", MAXWELL_BOLTZMANN) != MAXWELL_BOLTZMANN:
+            raise ConfigError("key 'statistics' in section [gas] must be "
+                              "maxwell_boltzmann for %s" % maxwell_for)
+        return GasThermodynamics(
+            beta=rc.require("gas", "beta"), gas_mass=rc.require("gas", "gas_mass"), **keys)
 
 
 def _tmatrix_from(rc):
     kind = rc.require("tmatrix", "kind")
-    return TMatrixModel(kind=kind, t0=rc.require("tmatrix", "t0"), sigma_q=(
-        rc.get("tmatrix", "sigma_q") if kind == "gaussian" else None))
+    with _section(rc, "tmatrix"):
+        return TMatrixModel(kind=kind, t0=rc.require("tmatrix", "t0"), sigma_q=(
+            rc.get("tmatrix", "sigma_q") if kind == "gaussian" else None))
 
 
 def _initial_state(rc, cfg):
@@ -155,10 +171,8 @@ def _generator_from(rc, cfg):
         rc.get("generator", "omega_trap") if hamiltonian == "harmonic" else None))
     gas_driven = kind == BOLTZMANN_COLLISION or (
         kind == MINIMAL_QBM and rc.get("generator", "coefficients", "user") == "microscopic")
-    gas = _gas_from(rc, "fugacity", "statistics") if gas_driven else None
-    if gas is not None and gas.statistics != MAXWELL_BOLTZMANN:
-        raise ConfigError("key 'statistics' in section [gas] must be "
-                          "maxwell_boltzmann for generator kind %r" % kind)
+    gas = _gas_from(rc, "fugacity", "statistics",
+                    maxwell_for="generator kind %r" % kind) if gas_driven else None
     z = rc.get("generator", "fugacity_z", 1.0) if gas is None else gas.fugacity
 
     if kind == CALDEIRA_LEGGETT:
@@ -191,21 +205,18 @@ def _generator_from(rc, cfg):
     return build_liouvillian(cfg, spec)
 
 
-def _integrator_from(rc):
+def cmd_evolve(rc):
+    with _section(rc, "hilbert") as given:
+        cfg = HilbertConfig(**given("dim", "hbar", "mass", "omega_basis"))
+    with _section(rc, "generator"):
+        liouv = _generator_from(rc, cfg)
+        rho0 = _initial_state(rc, cfg)
     method = rc.get("integrator", "method", RK4_FIXED)
     # the fixed scheme steps by dt, the adaptive one by dt_init, rtol and atol
     keys = ("dt",) if method == RK4_FIXED else ("dt_init", "rtol", "atol")
-    return IntegratorConfig(
-        method=method, t_final=rc.require("integrator", "t_final"),
-        **_optional(rc, "integrator", IntegratorConfig, *keys, "monitor_stride"))
-
-
-def cmd_evolve(rc):
-    cfg = HilbertConfig(**_optional(rc, "hilbert", HilbertConfig,
-                                    "dim", "hbar", "mass", "omega_basis"))
-    liouv = _generator_from(rc, cfg)
-    rho0 = _initial_state(rc, cfg)
-    icfg = _integrator_from(rc)
+    with _section(rc, "integrator") as given:
+        icfg = IntegratorConfig(method=method, t_final=rc.require("integrator", "t_final"),
+                                **given(*keys, "monitor_stride"))
     threshold = rc.get("integrator", "breach_threshold", -1e-10)
     if not threshold < 0.0:
         raise ConfigError(
@@ -227,8 +238,10 @@ def cmd_coeffs(rc):
     mass = rc.get("hilbert", "mass", 1.0)
     hbar = rc.get("hilbert", "hbar", 1.0)
     gas = _gas_from(rc, "fugacity", "statistics")
-    coeffs = compute_dpp(_tmatrix_from(rc), gas, mass, hbar)
-    chi = chi_of(coeffs, gas, mass, hbar)
+    with _section(rc, "hilbert"):
+        coeffs = compute_dpp(_tmatrix_from(rc), gas, mass, hbar)
+    with _section(rc, "tmatrix"):  # t0 = 0: no friction to measure chi by
+        chi = chi_of(coeffs, gas, mass, hbar)
     margin = cp_margin(coeffs, hbar)
     ratio = friction_ratio(gas)
     table = ("D_pp,D_xx,gamma,mu,chi,cp_margin,friction_ratio",
@@ -242,7 +255,7 @@ def cmd_coeffs(rc):
 
 def cmd_dsf(rc):
     # the closed form is Maxwell-Boltzmann's, which takes no fugacity
-    gas = _gas_from(rc, "statistics")
+    gas = _gas_from(rc, "statistics", maxwell_for="dsf")
     q_values = rc.get("dsf", "q_values", (0.2, 1.0, 5.0))
     if any(q <= 0 for q in q_values):
         raise ConfigError(
@@ -276,12 +289,13 @@ def cmd_fp(rc):
     v_max = rc.get("fp", "v_max", 8.0)
     n_cells = rc.get("fp", "n_cells", 200)
     kind = rc.get("fp", "initial", "maxwell")
-    if kind == "maxwell":
-        grid = maxwell_grid(v_min, v_max, n_cells, eta, d_v)
-    else:
-        grid = gaussian_grid(v_min, v_max, n_cells,
-                             mean=rc.get("fp", "initial_mean", 0.0),
-                             var=rc.require("fp", "initial_var"))
+    with _section(rc, "fp"):
+        if kind == "maxwell":
+            grid = maxwell_grid(v_min, v_max, n_cells, eta, d_v)
+        else:
+            grid = gaussian_grid(v_min, v_max, n_cells,
+                                 mean=rc.get("fp", "initial_mean", 0.0),
+                                 var=rc.require("fp", "initial_var"))
     t_final = rc.require("fp", "t_final")
     if not t_final > 0.0:
         raise ConfigError("key 't_final' in section [fp] must be positive")
@@ -319,31 +333,31 @@ def cmd_compare(rc):
     if eta_scale < 0.0:
         raise ConfigError("key 'eta_scale' in section [compare] must be nonnegative")
 
-    cfg = HilbertConfig(dim=rc.get("compare", "dim", 40), hbar=1.0,
-                        mass=mass, omega_basis=1.0)
-    spec = LiouvillianSpec(kind=MINIMAL_QBM, hamiltonian_kind="free",
-                           beta=beta,
-                           coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z))
-    liouv = build_liouvillian(cfg, spec)
-    rho0 = vacuum_state(cfg)
-    delta = t_final / n_samples
-    icfg = IntegratorConfig(method=RK4_FIXED, t_final=t_final,
-                            dt=delta / _COMPARE_SUBSTEPS,
-                            monitor_stride=_COMPARE_SUBSTEPS)
+    with _section(rc, "compare"):
+        cfg = HilbertConfig(dim=rc.get("compare", "dim", 40), hbar=1.0,
+                            mass=mass, omega_basis=1.0)
+        spec = LiouvillianSpec(kind=MINIMAL_QBM, hamiltonian_kind="free", beta=beta,
+                               coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z))
+        liouv = build_liouvillian(cfg, spec)
+        rho0 = vacuum_state(cfg)
+        delta = t_final / n_samples
+        icfg = IntegratorConfig(method=RK4_FIXED, t_final=t_final,
+                                dt=delta / _COMPARE_SUBSTEPS,
+                                monitor_stride=_COMPARE_SUBSTEPS)
 
-    # classical twin: momentum-to-velocity conversion of the same moments
-    eta = 2.0 * z * liouv.coeffs.gamma * eta_scale
-    d_v = z * d_pp / mass**2
-    var_v0 = cfg.hbar * cfg.omega_basis / (2.0 * mass)  # vacuum momentum spread
-    var_ref = max(var_v0, d_v / eta) if eta > 0.0 else var_v0
-    v_max = rc.get("compare", "v_max", 8.0 * np.sqrt(var_ref))
-    grid = gaussian_grid(-v_max, v_max, rc.get("compare", "n_cells", 200),
-                         mean=0.0, var=var_v0)
-    if eta > 0.0 or d_v > 0.0:
-        bound = stability_bound(grid, eta, d_v)
-        substeps = int(np.ceil(delta / (0.9 * bound)))
-    else:
-        substeps = 1
+        # classical twin: momentum-to-velocity conversion of the same moments
+        eta = 2.0 * z * liouv.coeffs.gamma * eta_scale
+        d_v = z * d_pp / mass**2
+        var_v0 = cfg.hbar * cfg.omega_basis / (2.0 * mass)  # vacuum momentum spread
+        var_ref = max(var_v0, d_v / eta) if eta > 0.0 else var_v0
+        v_max = rc.get("compare", "v_max", 8.0 * np.sqrt(var_ref))
+        grid = gaussian_grid(-v_max, v_max, rc.get("compare", "n_cells", 200),
+                             mean=0.0, var=var_v0)
+        if eta > 0.0 or d_v > 0.0:
+            bound = stability_bound(grid, eta, d_v)
+            substeps = int(np.ceil(delta / (0.9 * bound)))
+        else:
+            substeps = 1
 
     def run():
         record = propagate(rho0, liouv, icfg)

@@ -17,11 +17,16 @@ truncation, < 1e-8 relative for a domain of 6 standard deviations).
 Convergence studies therefore measure transient moments against the
 closed-form moment solutions, where the scheme has a genuine second
 order error.
+
+fp_solve steps and samples like the RK4 propagator (see propagation), so
+the quantum and classical series of a comparison share one time grid.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .propagation import Sampler, fixed_steps
 
 _CFL_FRACTION = 0.4
 
@@ -182,32 +187,17 @@ class FPTrajectory:
 
 
 def fp_solve(grid, eta, d_v, t_final, dt, sample_stride=1):
-    """Repeated fp_step to t_final, recording mass, mean and variance."""
+    """fp_step on propagation.fixed_steps to t_final, sampling mass, mean and
+    variance by propagation's sampling rule with stride sample_stride."""
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
-    n_full = int(np.floor(t_final / dt + 1e-12))
-    steps = [dt] * n_full
-    remainder = t_final - n_full * dt
-    if remainder > 1e-12 * dt:
-        steps.append(remainder)
-    rows = []
-
-    def sample(t, g):
-        mass, mean, var = grid_moments(g)
-        rows.append((t, mass, mean, var))
-
-    sample(0.0, grid)
-    t = 0.0
+    sampler = Sampler(grid_moments, sample_stride, grid)
     current = grid
-    for i, h in enumerate(steps):
+    for t, h in fixed_steps(t_final, dt):
         current = fp_step(current, eta, d_v, h)
-        t = t_final if i == len(steps) - 1 else t + h
-        if (i + 1) % sample_stride == 0:
-            sample(t, current)
-    if len(steps) % sample_stride != 0:
-        sample(t_final, current)
-    cols = np.array(rows, dtype=float).T
-    return FPTrajectory(times=cols[0], mass=cols[1], mean_v=cols[2],
-                        var_v=cols[3], final_grid=current)
+        sampler.accept(t, current)
+    times, mass, mean_v, var_v = sampler.columns(t_final, current)
+    return FPTrajectory(times=times, mass=mass, mean_v=mean_v, var_v=var_v,
+                        final_grid=current)

@@ -324,12 +324,6 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
                      coeffs=derived)
 
 
-def collision_prefactor(params: CollisionParameters, hbar: float) -> float:
-    """Constant in front of the collision sum: compute_dpp's 8 pi^3 m^2 / (3 beta hbar),
-    so the small-q limit of the sandwich sum has its D_pp (see collision_dpp)."""
-    return dpp_prefactor(params.gas_mass, params.beta, hbar)
-
-
 def collision_dpp(params: CollisionParameters, hbar: float) -> float:
     """Momentum diffusion implied by the collision quadrature grid itself.
 
@@ -337,7 +331,7 @@ def collision_dpp(params: CollisionParameters, hbar: float) -> float:
     and evaluated with this grid's nodes; the collision generator converges to
     the minimal generator with exactly this coefficient as q_max shrinks.
     """
-    return collision_prefactor(params, hbar) * float(np.sum(thermal_kernel(
+    return dpp_prefactor(params.gas_mass, params.beta, hbar) * float(np.sum(thermal_kernel(
         params.tmatrix, params.beta, params.gas_mass, params.q_nodes,
         params.q_weights * params.q_nodes)))
 
@@ -369,7 +363,8 @@ def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liou
             f"exceeds {_COLLISION_EXPONENT_CAP}; lower q_max, beta, or dim "
             "to keep exp(-(beta/4M) q p) representable")
 
-    rates = par.fugacity_z * collision_prefactor(par, hbar) * thermal_kernel(
+    prefactor = dpp_prefactor(par.gas_mass, par.beta, hbar)
+    rates = par.fugacity_z * prefactor * thermal_kernel(
         par.tmatrix, par.beta, par.gas_mass, par.q_nodes, par.q_weights / par.q_nodes)
 
     k = (-1j / hbar) * h

@@ -6,9 +6,12 @@ control.  Neither integrator renormalizes the trace or projects onto the
 positive cone: trace drift, hermiticity drift and negative eigenvalues
 are diagnostics of the generator and must stay visible.
 
-Monitors (trace, minimum eigenvalue, purity, first and second moments of
-position and momentum, hermiticity drift) are sampled at t = 0, every
-`monitor_stride`-th accepted step, and at the final time.
+The sampling rule, kept by Sampler for both integrators and for
+fokker_planck.fp_solve: a sample at t = 0, one after every stride-th
+accepted step, and one at the final time if the last step was not sampled.
+RK4 and fp_solve also share one step schedule, fixed_steps.  The monitors
+are trace, hermiticity drift, minimum eigenvalue, purity, and the first and
+second moments of position and momentum.
 """
 
 from dataclasses import dataclass
@@ -80,7 +83,7 @@ class IntegratorConfig:
     dt: step for the fixed scheme, also the monitor time resolution there.
     dt_init: first trial step for the adaptive scheme.
     rtol, atol: elementwise error weights for the adaptive scheme.
-    monitor_stride: sample monitors every this many accepted steps.
+    monitor_stride: the stride of the sampling rule (module docstring).
     """
 
     method: str = RK4_FIXED
@@ -122,41 +125,54 @@ class TrajectoryRecord:
     rejected_steps: int
 
 
-class _MonitorBuffer:
-    def __init__(self, cfg):
-        self.x = build_position(cfg)
-        self.p = build_momentum(cfg)
-        self.x2 = self.x @ self.x
-        self.p2 = self.p @ self.p
-        self.rows = []
+def fixed_steps(t_final, dt):
+    """(t after the step, h): floor(t_final/dt + 1e-12) steps of dt, then the
+    remainder if it exceeds 1e-12*dt; the last step ends exactly at t_final."""
+    n_full = int(np.floor(t_final / dt + 1e-12))
+    remainder = t_final - n_full * dt
+    n_steps = n_full + (remainder > 1e-12 * dt)
+    t = 0.0
+    for i in range(1, n_steps + 1):
+        h = dt if i <= n_full else remainder
+        t = t_final if i == n_steps else t + h
+        yield t, h
 
-    def sample(self, t, rho):
+
+class Sampler:
+    """Rows (t, *measure(state)) by the sampling rule; counts accepted steps."""
+
+    def __init__(self, measure, stride, state):
+        self.measure = measure
+        self.stride = stride
+        self.accepted = 0
+        self.rows = [(0.0, *measure(state))]
+
+    def accept(self, t, state):
+        self.accepted += 1
+        if self.accepted % self.stride == 0:
+            self.rows.append((t, *self.measure(state)))
+
+    def columns(self, t_final, state):
+        """One array per column, time first, after any final sample."""
+        if self.accepted % self.stride != 0:
+            self.rows.append((t_final, *self.measure(state)))
+        return np.array(self.rows, dtype=float).T
+
+
+def _monitors(cfg):
+    """The eight monitors of a state, in TrajectoryRecord's field order."""
+    x, p = build_position(cfg), build_momentum(cfg)
+    x2, p2 = x @ x, p @ p
+
+    def measure(rho):
         # near-overflow states may push monitors to inf; record that honestly
         with np.errstate(over="ignore", invalid="ignore"):
-            self._sample(t, rho)
+            return (np.trace(rho).real, np.max(np.abs(rho - rho.conj().T)),
+                    min_eigenvalue(rho), purity(rho),
+                    expectation(rho, x).real, expectation(rho, p).real,
+                    variance(rho, x, x2), variance(rho, p, p2))
 
-    def _sample(self, t, rho):
-        tr = np.trace(rho)
-        herm = np.max(np.abs(rho - rho.conj().T))
-        self.rows.append((
-            t,
-            tr.real,
-            herm,
-            min_eigenvalue(rho),
-            purity(rho),
-            expectation(rho, self.x).real,
-            expectation(rho, self.p).real,
-            variance(rho, self.x, self.x2),
-            variance(rho, self.p, self.p2),
-        ))
-
-    def record(self, final_state, accepted, rejected):
-        cols = np.array(self.rows, dtype=float).T
-        return TrajectoryRecord(
-            times=cols[0], trace=cols[1], herm_drift=cols[2], min_eig=cols[3],
-            purity=cols[4], mean_x=cols[5], mean_p=cols[6], var_x=cols[7],
-            var_p=cols[8], final_state=final_state, accepted_steps=accepted,
-            rejected_steps=rejected)
+    return measure
 
 
 def _check_finite(rho, t):
@@ -174,24 +190,12 @@ def _rk4_step(apply_fn, rho, dt):
         return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _propagate_rk4(rho, apply_fn, icfg, mon):
-    t = 0.0
-    accepted = 0
-    n_full = int(np.floor(icfg.t_final / icfg.dt + 1e-12))
-    remainder = icfg.t_final - n_full * icfg.dt
-    steps = [icfg.dt] * n_full
-    if remainder > 1e-12 * icfg.dt:
-        steps.append(remainder)
-    for i, h in enumerate(steps):
+def _propagate_rk4(rho, apply_fn, icfg, sampler):
+    for t, h in fixed_steps(icfg.t_final, icfg.dt):
         rho = _rk4_step(apply_fn, rho, h)
-        t = icfg.t_final if i == len(steps) - 1 else t + h
         _check_finite(rho, t)
-        accepted += 1
-        if accepted % icfg.monitor_stride == 0:
-            mon.sample(t, rho)
-    if accepted % icfg.monitor_stride != 0:
-        mon.sample(icfg.t_final, rho)
-    return rho, accepted, 0
+        sampler.accept(t, rho)
+    return rho, 0
 
 
 def _dp_attempt(apply_fn, rho, k1, dt):
@@ -209,10 +213,9 @@ def _dp_attempt(apply_fn, rho, k1, dt):
     return rho5, rho4, k[6]
 
 
-def _propagate_rk45(rho, apply_fn, icfg, mon):
+def _propagate_rk45(rho, apply_fn, icfg, sampler):
     t = 0.0
     dt = min(icfg.dt_init, icfg.t_final)
-    accepted = 0
     rejected = 0
     dt_floor = 1e-14 * icfg.t_final
     # rejected attempts leave rho, and so its first stage, unchanged
@@ -229,7 +232,6 @@ def _propagate_rk45(rho, apply_fn, icfg, mon):
         if not np.isfinite(err):
             # divergent attempt: shrink hard and retry
             rejected += 1
-            sampled_final = False
             dt = dt * _FACTOR_MIN
             continue
         if err <= 1.0:
@@ -238,22 +240,17 @@ def _propagate_rk45(rho, apply_fn, icfg, mon):
                 t = icfg.t_final
             rho, k1 = rho5, k7
             _check_finite(rho, t)
-            accepted += 1
-            if accepted % icfg.monitor_stride == 0:
-                mon.sample(t, rho)
-            sampled_final = accepted % icfg.monitor_stride == 0
+            sampler.accept(t, rho)
         else:
             rejected += 1
-            sampled_final = False
         if err == 0.0:
             factor = _FACTOR_MAX
         else:
             factor = min(_FACTOR_MAX,
                          max(_FACTOR_MIN, _SAFETY * err ** (-0.2)))
         dt = dt * factor
-    if not sampled_final:
-        mon.sample(icfg.t_final, rho)
-    return rho, accepted, rejected
+    # the loop ends on an accepted step, so the sampler sees the last one
+    return rho, rejected
 
 
 def propagate(rho0, liouvillian, icfg):
@@ -269,13 +266,11 @@ def propagate(rho0, liouvillian, icfg):
                          "on dim %d" % (np.shape(rho0), dim))
     validate_density_matrix(rho0)
     rho = np.array(rho0, dtype=complex)
-    mon = _MonitorBuffer(liouvillian.cfg)
-    mon.sample(0.0, rho)
-    if icfg.method == RK4_FIXED:
-        rho, acc, rej = _propagate_rk4(rho, liouvillian.apply, icfg, mon)
-    else:
-        rho, acc, rej = _propagate_rk45(rho, liouvillian.apply, icfg, mon)
-    return mon.record(rho, acc, rej)
+    sampler = Sampler(_monitors(liouvillian.cfg), icfg.monitor_stride, rho)
+    integrate = _propagate_rk4 if icfg.method == RK4_FIXED else _propagate_rk45
+    rho, rejected = integrate(rho, liouvillian.apply, icfg, sampler)
+    return TrajectoryRecord(*sampler.columns(icfg.t_final, rho), final_state=rho,
+                            accepted_steps=sampler.accepted, rejected_steps=rejected)
 
 
 def positivity_breach_time(record, threshold=-1e-10):

@@ -148,27 +148,45 @@ def test_linalg_failure_during_run_exits_three(tmp_path, monkeypatch, capsys):
     assert not (out / "quick.csv").exists()
 
 
-@pytest.mark.parametrize("command, text, key", [
+@pytest.mark.parametrize("command, text, section, key", [
     ("evolve", EVOLVE_QUICK.replace("monitor_stride = 10",
                                     "monitor_stride = 10\nbreach_threshold = 1e-6"),
-     "breach_threshold"),
-    ("fp", FP_QUICK.replace("initial = maxwell", "initial = maxwell\ndt = 0.5"), "dt"),
-    ("fp", FP_QUICK.replace("t_final = 0.2", "t_final = -0.2"), "t_final"),
+     "integrator", "breach_threshold"),
+    ("fp", FP_QUICK.replace("initial = maxwell", "initial = maxwell\ndt = 0.5"), "fp", "dt"),
+    ("fp", FP_QUICK.replace("t_final = 0.2", "t_final = -0.2"), "fp", "t_final"),
     ("fp", FP_QUICK.replace("initial = maxwell",
                             "initial = gaussian\ninitial_var = 1.0")
-                   .replace("eta = 1.0", "eta = -1.0"), "eta"),
+                   .replace("eta = 1.0", "eta = -1.0"), "fp", "eta"),
     ("compare", "[compare]\nbeta = 2.0\nd_pp = 0.3\nt_final = 0.1\ndim = 8\n"
-                "eta_scale = -1.0\n", "eta_scale"),
-    ("fp", FP_QUICK.replace("eta = 1.0", "eta = nan"), "eta"),
-    ("fp", FP_QUICK.replace("eta = 1.0", "eta = inf"), "eta"),
+                "eta_scale = -1.0\n", "compare", "eta_scale"),
+    ("fp", FP_QUICK.replace("eta = 1.0", "eta = nan"), "fp", "eta"),
+    ("fp", FP_QUICK.replace("eta = 1.0", "eta = inf"), "fp", "eta"),
+    # values the library's own validation rejects
+    ("coeffs", COEFFS_QUICK.replace("gas_mass = 1.3", "gas_mass = 1.3\nstatistics = bose"),
+     "gas", "fugacity"),
+    ("evolve", EVOLVE_QUICK.replace("dim = 8", "dim = 8\nmass = -2"), "hilbert", "mass"),
+    ("evolve", EVOLVE_QUICK.replace("kind = minimal_qbm\nbeta = 2.0\nd_pp = 0.4",
+                                    "kind = caldeira_leggett\nbeta = 2.0\ngamma = -0.1"),
+     "generator", "gamma"),
+    ("fp", FP_QUICK.replace("eta = 1.0", "eta = 0"), "fp", "eta"),
+    ("coeffs", COEFFS_QUICK.replace("kind = constant", "kind = gaussian\nsigma_q = -1"),
+     "tmatrix", "sigma_q"),
+    ("compare", "[compare]\nbeta = 2.0\nd_pp = 0.3\nt_final = 0.1\ndim = 1\n",
+     "compare", "dim"),
+    ("dsf", DSF_QUICK.replace("gas_mass = 1.0", "gas_mass = 1.0\nstatistics = fermi"),
+     "gas", "statistics"),
+    ("dsf", DSF_QUICK.replace("gas_mass = 1.0", "gas_mass = 1.0\nstatistics = bose"),
+     "gas", "statistics"),
 ], ids=["evolve-breach_threshold", "fp-dt", "fp-t_final", "fp-eta",
-        "compare-eta_scale", "fp-eta-nan", "fp-eta-inf"])
+        "compare-eta_scale", "fp-eta-nan", "fp-eta-inf", "gas-bose-fugacity",
+        "hilbert-mass", "cl-gamma", "fp-maxwell-eta", "tmatrix-sigma_q", "compare-dim",
+        "dsf-fermi", "dsf-bose"])
 def test_bad_run_parameters_exit_two_before_running(tmp_path, monkeypatch, capsys,
-                                                    command, text, key):
+                                                    command, text, section, key):
     code, out = run(tmp_path, monkeypatch, text, command, "bad")
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and key in err
+    assert "config error" in err and "in section [%s]" % section in err and key in err
     assert not out.exists()
 
 

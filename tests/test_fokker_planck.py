@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbmlab import (
     FPGrid,
+    FPTrajectory,
     fp_solve,
     fp_step,
     gaussian_grid,
@@ -138,6 +139,45 @@ def test_transient_moments_converge_with_refinement():
                        np.abs(traj.var_v - var_exact).max()))
     assert errors[0][0] / errors[1][0] > 3.5
     assert errors[0][1] / errors[1][1] > 3.5
+
+
+def _reference_fp_solve(grid, eta, d_v, t_final, dt, sample_stride):
+    """fp_solve with its own step list and sampling loop."""
+    n_full = int(np.floor(t_final / dt + 1e-12))
+    steps = [dt] * n_full
+    remainder = t_final - n_full * dt
+    if remainder > 1e-12 * dt:
+        steps.append(remainder)
+    rows = [(0.0, *grid_moments(grid))]
+    t = 0.0
+    current = grid
+    for i, h in enumerate(steps):
+        current = fp_step(current, eta, d_v, h)
+        t = t_final if i == len(steps) - 1 else t + h
+        if (i + 1) % sample_stride == 0:
+            rows.append((t, *grid_moments(current)))
+    if len(steps) % sample_stride != 0:
+        rows.append((t_final, *grid_moments(current)))
+    cols = np.array(rows, dtype=float).T
+    return FPTrajectory(times=cols[0], mass=cols[1], mean_v=cols[2],
+                        var_v=cols[3], final_grid=current)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 10**9])
+def test_shared_schedule_and_sampler_match_reference_loop(stride):
+    """fp_solve on the propagator's fixed_steps and Sampler gives every
+    field bit for bit as the loop with its own schedule and sampling."""
+    grid = gaussian_grid(-6.0, 6.0, 60, mean=0.5, var=0.6)
+    dt = 0.7 * stability_bound(grid, 1.0, 0.8)
+    t_final = 40.5 * dt  # 40 full steps and a half step
+    traj = fp_solve(grid, 1.0, 0.8, t_final, dt, sample_stride=stride)
+    reference = _reference_fp_solve(grid, 1.0, 0.8, t_final, dt, stride)
+    for name in ("times", "mass", "mean_v", "var_v"):
+        assert np.array_equal(getattr(traj, name), getattr(reference, name)), name
+    for name in ("v_min", "v_max", "n_cells", "p_values"):
+        assert np.array_equal(getattr(traj.final_grid, name),
+                              getattr(reference.final_grid, name)), name
+    assert traj.times[-1] == t_final
 
 
 def test_sampling_grid():

@@ -27,9 +27,9 @@ from qbmlab import (
     build_liouvillian,
     build_minimal_qbm,
     collision_dpp,
-    collision_prefactor,
     compute_dpp,
     cutoff_momentum,
+    dpp_prefactor,
     minimal_coefficients,
     parity_operator,
     radial_grid,
@@ -98,8 +98,8 @@ def _reference_collision(cfg, par, hamiltonian_kind):
     h = build_hamiltonian(cfg, hamiltonian_kind)
     kern = par.tmatrix.squared(par.q_nodes) * np.exp(
         -par.beta * par.q_nodes**2 / (8.0 * par.gas_mass))
-    rates = (par.fugacity_z * collision_prefactor(par, hbar) * par.q_weights
-             * kern / par.q_nodes)
+    rates = (par.fugacity_z * dpp_prefactor(par.gas_mass, par.beta, hbar)
+             * par.q_weights * kern / par.q_nodes)
     sandwiches = []
     for q, rate in zip(par.q_nodes, rates):
         for sq in (q, -q):
@@ -315,7 +315,8 @@ def test_collision_parameters_validation():
 def test_collision_prefactor_value():
     params = _collision_params(2.0)
     expected = 8.0 * np.pi**3 * 1.0**2 / (3.0 * 2.0 * 1.0)
-    assert abs(collision_prefactor(params, 1.0) - expected) < 1e-15 * expected
+    assert abs(dpp_prefactor(params.gas_mass, params.beta, 1.0) - expected) \
+        < 1e-15 * expected
 
 
 def test_collision_dpp_matches_quadrature():

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -22,18 +23,24 @@ from qbmlab import (
     LiouvillianSpec,
     NumericalFailure,
     TMatrixModel,
+    TrajectoryRecord,
     build_caldeira_leggett,
     build_liouvillian,
+    build_momentum,
+    build_position,
     coherent_state,
+    expectation,
     min_eigenvalue,
     positivity_breach_time,
     propagate,
+    purity,
     radial_grid,
     squeezed_state,
     stationary_state,
     superoperator_matrix,
     thermal_state,
     vacuum_state,
+    variance,
 )
 
 CFG = HilbertConfig(dim=16)
@@ -190,6 +197,127 @@ def test_adaptive_first_same_as_last(monkeypatch, dt_init, rtol, atol):
         assert np.array_equal(getattr(fsal, name), getattr(reference, name)), name
     if dt_init == 0.5:
         assert fsal.rejected_steps >= 1
+
+
+class _ReferenceMonitors:
+    """The monitor buffer the integrators filled before they shared one
+    sampler: a row of (t, eight monitors) per sample."""
+
+    def __init__(self, cfg):
+        self.x = build_position(cfg)
+        self.p = build_momentum(cfg)
+        self.x2 = self.x @ self.x
+        self.p2 = self.p @ self.p
+        self.rows = []
+
+    def sample(self, t, rho):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.rows.append((
+                t, np.trace(rho).real, np.max(np.abs(rho - rho.conj().T)),
+                min_eigenvalue(rho), purity(rho),
+                expectation(rho, self.x).real, expectation(rho, self.p).real,
+                variance(rho, self.x, self.x2), variance(rho, self.p, self.p2)))
+
+
+def _reference_rk4(rho, apply_fn, icfg, mon):
+    """Fixed-step loop with its own step list and sampling rule."""
+    t = 0.0
+    accepted = 0
+    n_full = int(np.floor(icfg.t_final / icfg.dt + 1e-12))
+    remainder = icfg.t_final - n_full * icfg.dt
+    steps = [icfg.dt] * n_full
+    if remainder > 1e-12 * icfg.dt:
+        steps.append(remainder)
+    for i, h in enumerate(steps):
+        rho = propagation._rk4_step(apply_fn, rho, h)
+        t = icfg.t_final if i == len(steps) - 1 else t + h
+        propagation._check_finite(rho, t)
+        accepted += 1
+        if accepted % icfg.monitor_stride == 0:
+            mon.sample(t, rho)
+    if accepted % icfg.monitor_stride != 0:
+        mon.sample(icfg.t_final, rho)
+    return rho, accepted, 0
+
+
+def _reference_rk45(rho, apply_fn, icfg, mon):
+    """Adaptive loop that tracks whether the final state was sampled."""
+    t = 0.0
+    dt = min(icfg.dt_init, icfg.t_final)
+    accepted = 0
+    rejected = 0
+    dt_floor = 1e-14 * icfg.t_final
+    k1 = apply_fn(rho)
+    while t < icfg.t_final * (1.0 - 1e-15):
+        dt = min(dt, icfg.t_final - t)
+        if dt < dt_floor:
+            raise NumericalFailure("step size underflow")
+        rho5, rho4, k7 = propagation._dp_attempt(apply_fn, rho, k1, dt)
+        scale = icfg.atol + icfg.rtol * np.maximum(np.abs(rho), np.abs(rho5))
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            err = np.sqrt(np.mean(np.abs((rho5 - rho4) / scale) ** 2))
+        if not np.isfinite(err):
+            rejected += 1
+            sampled_final = False
+            dt = dt * propagation._FACTOR_MIN
+            continue
+        if err <= 1.0:
+            t += dt
+            if t >= icfg.t_final * (1.0 - 1e-15):
+                t = icfg.t_final
+            rho, k1 = rho5, k7
+            propagation._check_finite(rho, t)
+            accepted += 1
+            if accepted % icfg.monitor_stride == 0:
+                mon.sample(t, rho)
+            sampled_final = accepted % icfg.monitor_stride == 0
+        else:
+            rejected += 1
+            sampled_final = False
+        if err == 0.0:
+            factor = propagation._FACTOR_MAX
+        else:
+            factor = min(propagation._FACTOR_MAX, max(
+                propagation._FACTOR_MIN, propagation._SAFETY * err ** (-0.2)))
+        dt = dt * factor
+    if not sampled_final:
+        mon.sample(icfg.t_final, rho)
+    return rho, accepted, rejected
+
+
+def _reference_propagate(rho0, liouv, icfg):
+    rho = np.array(rho0, dtype=complex)
+    mon = _ReferenceMonitors(liouv.cfg)
+    mon.sample(0.0, rho)
+    loop = _reference_rk4 if icfg.method == RK4_FIXED else _reference_rk45
+    rho, accepted, rejected = loop(rho, liouv.apply, icfg, mon)
+    cols = np.array(mon.rows, dtype=float).T
+    return TrajectoryRecord(*cols, final_state=rho, accepted_steps=accepted,
+                            rejected_steps=rejected)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 10**9])
+@pytest.mark.parametrize("method", [RK4_FIXED, RK45_ADAPTIVE])
+def test_shared_schedule_and_sampler_match_reference_loops(method, stride):
+    """The integrators on fixed_steps and Sampler give every field of the
+    record bit for bit as the loops with their own schedule and sampling."""
+    cfg = HilbertConfig(dim=10)
+    liouv = _damped_oscillator(cfg)
+    # 16 steps of 0.03 and a remainder of 0.02; a first adaptive trial of
+    # 0.5 is rejected
+    icfg = IntegratorConfig(method=method, t_final=0.5, dt=0.03, dt_init=0.5,
+                            monitor_stride=stride)
+    rho0 = coherent_state(cfg, 0.8 + 0.3j)
+    record = propagate(rho0, liouv, icfg)
+    reference = _reference_propagate(rho0, liouv, icfg)
+    for field in dataclasses.fields(TrajectoryRecord):
+        assert np.array_equal(getattr(record, field.name),
+                              getattr(reference, field.name)), field.name
+    if method == RK4_FIXED:
+        assert record.accepted_steps == 17
+    else:
+        assert record.rejected_steps >= 1
+    assert record.times[-1] == 0.5
 
 
 def test_positivity_breach_detection():
