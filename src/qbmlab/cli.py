@@ -240,8 +240,10 @@ def cmd_coeffs(rc):
     gas = _gas_from(rc, "fugacity", "statistics")
     with _section(rc, "hilbert"):
         coeffs = compute_dpp(_tmatrix_from(rc), gas, mass, hbar)
-    with _section(rc, "tmatrix"):  # t0 = 0: no friction to measure chi by
+    try:
         chi = chi_of(coeffs, gas, mass, hbar)
+    except ValueError as exc:  # t0 = 0: no friction to measure chi by
+        raise ConfigError("key 't0' in section [tmatrix]: %s" % exc) from exc
     margin = cp_margin(coeffs, hbar)
     ratio = friction_ratio(gas)
     table = ("D_pp,D_xx,gamma,mu,chi,cp_margin,friction_ratio",

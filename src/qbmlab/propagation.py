@@ -12,12 +12,25 @@ accepted step, and one at the final time if the last step was not sampled.
 RK4 and fp_solve also share one step schedule, fixed_steps.  The monitors
 are trace, hermiticity drift, minimum eigenvalue, purity, and the first and
 second moments of position and momentum.
+
+stationary_state solves L vec(rho) = 0 by a bordered LU solve on one of two
+paths.  Banded: when the band read from L's zero pattern makes a banded LU
+cost at most a quarter of the dense LU's flops (every bilinear-family
+generator from dim 10 up, kl = ku = 2d), the rho_00 row becomes e_0^T, which
+keeps the band; LAPACK gbtrf, gbcon and gbtrs solve it, and the trace is
+normalized afterwards.  The rcond floor 1e-8 there bounds the e_0-bordered
+matrix, which is singular also when rho_00 = 0, so this path never raises:
+at a zero row or column, a zero pivot, a low rcond or a traceless candidate
+it hands over.  Dense: the rho_00 row becomes the trace row vec(I)^T, the
+same floor bounds that matrix, and this path's verdict, a state or
+DegenerateStationaryState, stands.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import (
     build_momentum,
@@ -60,6 +73,10 @@ _TRACE_LEAK_TOL = 1e-10
 # stationary_state's floor on rcond and its largest accepted residual
 _DEGENERACY_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
+# stationary_state's size rule: the banded path is taken when the banded LU,
+# about 2 n kl (kl + ku) flops, does at most this share of the dense LU's
+# 2 n^3 / 3
+_BAND_FLOP_SHARE = 0.25
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -287,26 +304,46 @@ def stationary_state(l_matrix):
     """Unique trace-one Hermitian kernel element of a matrixified generator.
 
     l_matrix is L acting on Fortran-order vec(rho), as superoperator_matrix
-    builds it.  The solve is a bordered LU ("direct" steady state): the row
-    of L that gives d(rho_00)/dt is replaced by the trace functional
-    vec(I)^T, and B vec(rho) = e_0 is LU-solved after exact power-of-two
-    row and column equilibration.  For a trace-preserving L, vec(I)^T is a
-    left null vector, so the replaced row is minus the sum of the other
-    diagonal rows and no equation is lost.  B is then nonsingular exactly
-    when the kernel of L is one-dimensional and its element has nonzero
-    trace, and the solution is that element with unit trace.
+    builds it.  The solve is a bordered LU ("direct" steady state): one row
+    of L, the one that gives d(rho_00)/dt, is replaced by a border row and
+    B vec(rho) = e_0 is LU-solved after exact power-of-two row and column
+    equilibration.  For a trace-preserving L, vec(I)^T is a left null
+    vector, so the replaced row is minus the sum of the other diagonal rows
+    and no equation is lost.  The Hermitian part of the solution, divided
+    by its trace, is the state.
 
     The trace-row check comes first: max|vec(I)^T L| must stay within
-    1e-10 * max|L|.  A generator that fails it is not
-    trace-preserving and has no trace-one state to find, and the solve
-    raises DegenerateStationaryState, as it does for a zero L.
-    The reciprocal 1-norm condition number of the equilibrated B, which
-    LAPACK gecon estimates from the LU factors, must reach 1e-8; below it,
-    or at an exactly zero pivot, the kernel counts as more than
-    one-dimensional (or traceless) at working precision and
-    DegenerateStationaryState is raised.  NumericalFailure is raised for
-    non-finite entries, a traceless candidate, or a failed residual check
-    max|L vec(rho)| < 1e-8.
+    1e-10 * max|L|.  A generator that fails it is not trace-preserving and
+    has no trace-one state to find, and the solve raises
+    DegenerateStationaryState, as it does for a zero L.
+
+    Banded path.  The band kl, ku is read from the nonzero pattern of L
+    below row 0.  When the banded LU, about 2 n kl (kl + ku) flops, does at
+    most a quarter of the dense LU's 2 n^3 / 3, the border row is e_0^T
+    (rho_00 = 1; the trace row would span the whole width and break the
+    band), and LAPACK gbtrf, gbcon and gbtrs factor, test and solve B in
+    band storage.  Every bilinear-family generator (x and p tridiagonal,
+    kl = ku = 2d) takes it from dim 10 up; collision generators are dense
+    and never do.  By Sherman-Morrison the e_0 bordering gives the trace
+    bordering's state whenever both are nonsingular, but it is singular
+    also when the state has rho_00 = 0.  So the banded path only hands
+    over: at a zero row or column, an exactly zero pivot, a reciprocal
+    1-norm condition number of the equilibrated B below 1e-8, or a
+    traceless candidate, the dense path runs and its verdict stands.
+
+    Dense path.  The border row is the trace functional vec(I)^T, and
+    getrf and gecon factor and test B.  B is nonsingular exactly when the
+    kernel of L is one-dimensional and its element has nonzero trace.  The
+    reciprocal 1-norm condition number of the equilibrated B must reach
+    1e-8; below it, or at an exactly zero pivot, the kernel counts as more
+    than one-dimensional (or traceless) at working precision and
+    DegenerateStationaryState is raised.  So 1e-8 bounds the conditioning
+    of the e_0-bordered band on the banded path, and that of the
+    trace-bordered matrix, the one that decides, on the dense path.
+
+    NumericalFailure is raised for non-finite entries, a traceless
+    candidate from the dense path, or a failed residual check
+    max|L vec(rho)| < 1e-8 on the state of either path.
     """
     if hasattr(l_matrix, "apply"):
         raise TypeError("expected the matrixified generator; pass "
@@ -317,7 +354,8 @@ def stationary_state(l_matrix):
     d = int(round(np.sqrt(n)))
     if d * d != n or l_matrix.shape != (n, n):
         raise ValueError("expected a square matrix acting on vectorized states")
-    scale = np.abs(l_matrix).max()
+    magnitude = np.abs(l_matrix)
+    scale = magnitude.max()
     if not np.isfinite(scale):
         raise NumericalFailure("generator matrix has non-finite entries")
     if scale == 0.0:
@@ -329,9 +367,87 @@ def stationary_state(l_matrix):
             "generator is not trace-preserving: max|vec(I)^T L| = %.3e "
             "exceeds %.1e * max|L|, so there is no trace-one kernel "
             "element to border for" % (leak, _TRACE_LEAK_TOL))
+    rho = _banded_stationary(l_matrix, magnitude)
+    if rho is None:
+        rho = _dense_stationary(l_matrix)
+    residual = np.max(np.abs(l_matrix @ rho.flatten(order="F")))
+    if residual > _RESIDUAL_TOL:
+        raise NumericalFailure(
+            "stationary residual %.3e exceeds %.1e" % (residual, _RESIDUAL_TOL))
+    return rho
+
+
+def _unit_trace(vec):
+    """The Hermitian part of vec as a matrix, scaled to unit trace; None if
+    its trace is below 1e-10."""
+    d = int(round(np.sqrt(vec.size)))
+    rho = vec.reshape((d, d), order="F")
+    rho = 0.5 * (rho + rho.conj().T)
+    tr = np.trace(rho)
+    if abs(tr) < 1e-10:
+        return None
+    return rho / tr
+
+
+def _power_of_two_scale(maxima):
+    """Exact powers of two that bring each positive maximum into [0.5, 1)."""
+    return np.ldexp(1.0, -np.frexp(maxima)[1])
+
+
+def _banded_stationary(l_matrix, magnitude):
+    """stationary_state's banded path on L and |L|: the unit-trace state, or
+    None when the band is too wide or the solve hands over."""
+    n = l_matrix.shape[0]
+    # row 0 becomes the border e_0^T: only the other rows set the band
+    row_max = magnitude.max(axis=1)
+    row_max[0] = 1.0
+    if not row_max.all():  # a zero row
+        return None
+    nonzero = magnitude[1:] != 0.0
+    rows = np.arange(1, n)
+    kl = max(int((rows - nonzero.argmax(axis=1)).max()), 0)
+    ku = max(int((n - 1 - nonzero[:, ::-1].argmax(axis=1) - rows).max()), 0)
+    if 3 * kl * (kl + ku) > _BAND_FLOP_SHARE * n * n:
+        return None
+    # LAPACK band storage: A[i, j] sits in row kl + ku + i - j of column j;
+    # gbtrf takes the first kl rows for fill-in
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+    band = ab[kl:]
+    for off in range(-ku, kl + 1):  # off = i - j
+        band[ku + off, max(-off, 0):n - max(off, 0)] = l_matrix.diagonal(-off)
+    top = np.arange(ku + 1)
+    band[ku - top, top] = 0.0  # row 0, entry (0, j) at band row ku - j
+    band[ku, 0] = 1.0
+    # [ku + off, j] = row_scale[j + off], zero outside the matrix
+    row_scale = _power_of_two_scale(row_max)
+    band *= sliding_window_view(np.pad(row_scale, (ku, kl)), n)
+    band_magnitude = np.abs(band)
+    col_max = band_magnitude.max(axis=0)
+    if not col_max.all():  # a zero column
+        return None
+    col_scale = _power_of_two_scale(col_max)
+    band *= col_scale
+    anorm = (band_magnitude * col_scale).sum(axis=0).max()
+    gbtrf, gbcon, gbtrs = scipy.linalg.get_lapack_funcs(
+        ("gbtrf", "gbcon", "gbtrs"), (ab,))
+    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
+    if info != 0:  # info > 0: an exactly zero pivot
+        return None
+    rcond, _ = gbcon(kl, ku, lu, piv, anorm, norm="1")
+    if not rcond >= _DEGENERACY_TOL:  # NaN too: only a sound solve answers
+        return None
+    rhs = np.zeros((n, 1), dtype=complex)
+    rhs[0] = row_scale[0]
+    return _unit_trace(col_scale * gbtrs(lu, kl, ku, rhs, piv)[0][:, 0])
+
+
+def _dense_stationary(l_matrix):
+    """stationary_state's dense path: the unit-trace state, or an error."""
+    n = l_matrix.shape[0]
+    d = int(round(np.sqrt(n)))
     bordered = np.array(l_matrix, order="F")
     bordered[0] = 0.0
-    bordered[0, diagonal] = 1.0
+    bordered[0, np.arange(d) * (d + 1)] = 1.0
     geequb, getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
         ("geequb", "getrf", "gecon", "getrs"), (bordered,))
     # exact power-of-two row and column scalings bring the trace row and
@@ -353,15 +469,7 @@ def stationary_state(l_matrix):
             % (rcond, _DEGENERACY_TOL))
     rhs = np.zeros(n, dtype=complex)
     rhs[0] = row_scale[0]
-    vec = col_scale * getrs(lu, piv, rhs)[0]
-    rho = vec.reshape((d, d), order="F")
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho)
-    if abs(tr) < 1e-10:
+    rho = _unit_trace(col_scale * getrs(lu, piv, rhs)[0])
+    if rho is None:
         raise NumericalFailure("stationary candidate is traceless")
-    rho = rho / tr
-    residual = np.max(np.abs(l_matrix @ rho.flatten(order="F")))
-    if residual > _RESIDUAL_TOL:
-        raise NumericalFailure(
-            "stationary residual %.3e exceeds %.1e" % (residual, _RESIDUAL_TOL))
     return rho

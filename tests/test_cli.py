@@ -177,10 +177,12 @@ def test_linalg_failure_during_run_exits_three(tmp_path, monkeypatch, capsys):
      "gas", "statistics"),
     ("dsf", DSF_QUICK.replace("gas_mass = 1.0", "gas_mass = 1.0\nstatistics = bose"),
      "gas", "statistics"),
+    # no friction, so chi is undefined
+    ("coeffs", COEFFS_QUICK.replace("t0 = 0.02", "t0 = 0"), "tmatrix", "t0"),
 ], ids=["evolve-breach_threshold", "fp-dt", "fp-t_final", "fp-eta",
         "compare-eta_scale", "fp-eta-nan", "fp-eta-inf", "gas-bose-fugacity",
         "hilbert-mass", "cl-gamma", "fp-maxwell-eta", "tmatrix-sigma_q", "compare-dim",
-        "dsf-fermi", "dsf-bose"])
+        "dsf-fermi", "dsf-bose", "tmatrix-t0-zero"])
 def test_bad_run_parameters_exit_two_before_running(tmp_path, monkeypatch, capsys,
                                                     command, text, section, key):
     code, out = run(tmp_path, monkeypatch, text, command, "bad")

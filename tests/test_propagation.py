@@ -471,6 +471,11 @@ def _stationary_generator(kind, dim, beta, d_pp, fugacity_z, omega_trap, d_xp,
             kind=BILINEAR, hamiltonian_kind="harmonic", omega_trap=omega_trap,
             coeffs=BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx,
                                         d_xp=d_xp, fugacity_z=fugacity_z)))
+    if kind == CALDEIRA_LEGGETT:
+        return build_liouvillian(cfg, LiouvillianSpec(
+            kind=CALDEIRA_LEGGETT, hamiltonian_kind="harmonic", omega_trap=omega_trap,
+            beta=beta, coeffs=BilinearCoefficients(gamma=beta * d_pp / (2.0 * cfg.mass),
+                                                    fugacity_z=fugacity_z)))
     nodes, weights = radial_grid(q_max, 8)
     return build_liouvillian(cfg, LiouvillianSpec(
         kind=BOLTZMANN_COLLISION, hamiltonian_kind="harmonic", omega_trap=omega_trap,
@@ -480,8 +485,12 @@ def _stationary_generator(kind, dim, beta, d_pp, fugacity_z, omega_trap, d_xp,
             q_nodes=nodes, q_weights=weights, q_max=q_max)))
 
 
-@given(kind=st.sampled_from([MINIMAL_QBM, BILINEAR, BOLTZMANN_COLLISION]),
-       dim=st.integers(min_value=3, max_value=9),
+@given(kind_dim=st.one_of(
+           st.tuples(st.sampled_from([MINIMAL_QBM, BILINEAR, BOLTZMANN_COLLISION]),
+                     st.integers(min_value=3, max_value=9)),
+           # banded inputs, solved on stationary_state's banded path
+           st.tuples(st.sampled_from([MINIMAL_QBM, BILINEAR, CALDEIRA_LEGGETT]),
+                     st.integers(min_value=12, max_value=16))),
        beta=st.floats(min_value=0.5, max_value=2.5),
        d_pp=st.floats(min_value=0.1, max_value=1.0),
        fugacity_z=st.floats(min_value=0.3, max_value=1.0),
@@ -489,12 +498,14 @@ def _stationary_generator(kind, dim, beta, d_pp, fugacity_z, omega_trap, d_xp,
        d_xp=st.floats(min_value=-0.3, max_value=0.3).filter(lambda v: v != 0.0),
        cp_margin=st.floats(min_value=0.0, max_value=0.5),
        q_max=st.floats(min_value=0.3, max_value=1.2))
-@settings(max_examples=40, deadline=None)
-def test_bordered_solve_matches_svd_reference(kind, dim, beta, d_pp, fugacity_z,
+@settings(max_examples=80, deadline=None)
+def test_bordered_solve_matches_svd_reference(kind_dim, beta, d_pp, fugacity_z,
                                               omega_trap, d_xp, cp_margin, q_max):
     """The bordered LU solve returns the SVD reference's stationary state, for
     minimal, completely positive bilinear (d_xp != 0) and collision
-    generators."""
+    generators at small dims, and for banded minimal, bilinear and
+    Caldeira-Leggett generators at dim 12-16."""
+    kind, dim = kind_dim
     liouv = _stationary_generator(kind, dim, beta, d_pp, fugacity_z, omega_trap,
                                   d_xp, cp_margin, q_max)
     l_matrix = superoperator_matrix(liouv)
@@ -511,6 +522,12 @@ def _closed(dim, hamiltonian_kind, omega_trap=None):
         coeffs=BilinearCoefficients(fugacity_z=0.0))))
 
 
+def _nearly_closed(dim):
+    return superoperator_matrix(build_liouvillian(HilbertConfig(dim=dim), LiouvillianSpec(
+        kind=MINIMAL_QBM, hamiltonian_kind="harmonic", omega_trap=1.1, beta=2.0,
+        coeffs=BilinearCoefficients(d_pp=0.3, fugacity_z=1e-12))))
+
+
 @pytest.mark.parametrize("l_matrix", [
     # two conserved populations: the bordered matrix has a zero row
     np.diag([0.0, 1.0, 1.0, 0.0]).astype(complex),
@@ -518,10 +535,12 @@ def _closed(dim, hamiltonian_kind, omega_trap=None):
     _closed(6, "harmonic", 1.3),
     _closed(8, "free"),
     # nearly closed: a unique kernel in exact arithmetic, not at 1e-8
-    superoperator_matrix(build_liouvillian(HilbertConfig(dim=8), LiouvillianSpec(
-        kind=MINIMAL_QBM, hamiltonian_kind="harmonic", omega_trap=1.1, beta=2.0,
-        coeffs=BilinearCoefficients(d_pp=0.3, fugacity_z=1e-12)))),
-], ids=["zero-row", "zero-pivot", "tiny-pivot", "nearly-closed"])
+    _nearly_closed(8),
+    # the same at a banded size: the banded path hands over, the dense raises
+    _closed(12, "harmonic", 1.3),
+    _nearly_closed(12),
+], ids=["zero-row", "zero-pivot", "tiny-pivot", "nearly-closed", "closed-banded",
+        "nearly-closed-banded"])
 def test_singular_bordered_matrix_raises_without_warning(l_matrix):
     """Every singular or near-singular case raises DegenerateStationaryState,
     as the SVD reference does, and no LinAlgWarning or other warning escapes."""
@@ -531,3 +550,55 @@ def test_singular_bordered_matrix_raises_without_warning(l_matrix):
         warnings.simplefilter("error")
         with pytest.raises(DegenerateStationaryState):
             stationary_state(l_matrix)
+
+
+@pytest.mark.parametrize("kind", [MINIMAL_QBM, BILINEAR, CALDEIRA_LEGGETT])
+@pytest.mark.parametrize("dim", [12, 17, 25])
+def test_bilinear_family_takes_the_banded_path(kind, dim):
+    """The banded solve accepts every bilinear-family generator at dim 12-25,
+    without handing over, and agrees with the dense trace-bordered solve."""
+    l_matrix = superoperator_matrix(_stationary_generator(
+        kind, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8, omega_trap=1.1, d_xp=0.1,
+        cp_margin=0.1, q_max=None))
+    rho = propagation._banded_stationary(l_matrix, np.abs(l_matrix))
+    assert rho is not None
+    assert np.abs(rho - propagation._dense_stationary(l_matrix)).max() < 1e-12
+
+
+def test_band_comes_from_the_zero_pattern():
+    """The column-loop superoperator has the normal form's zero pattern, so it
+    takes the banded path too; a dense collision generator does not."""
+    cfg = HilbertConfig(dim=14)
+    liouv = _stationary_generator(MINIMAL_QBM, 14, beta=2.0, d_pp=0.3, fugacity_z=0.8,
+                                  omega_trap=1.1, d_xp=None, cp_margin=None, q_max=None)
+    probed = superoperator_matrix(Liouvillian(cfg, "probed", liouv.apply))
+    assert np.array_equal(probed != 0, superoperator_matrix(liouv) != 0)
+    assert propagation._banded_stationary(probed, np.abs(probed)) is not None
+    collision = superoperator_matrix(_stationary_generator(
+        BOLTZMANN_COLLISION, 12, beta=2.0, d_pp=None, fugacity_z=0.8, omega_trap=1.1,
+        d_xp=None, cp_margin=None, q_max=0.5))
+    assert propagation._banded_stationary(collision, np.abs(collision)) is None
+    reference = _svd_stationary_state(collision)
+    assert np.abs(stationary_state(collision) - reference).max() < 1e-10
+
+
+def test_stationary_state_with_empty_ground_level():
+    """A banded, trace-preserving generator whose unique stationary state
+    |1><1| has rho_00 = 0: the e_0 border is singular, so the banded path
+    hands over and the trace-bordered dense solve finds the state."""
+    dim = 12
+
+    def unit(a, b):
+        m = np.zeros((dim, dim))
+        m[a, b] = 1.0
+        return m
+
+    # |0> -> |1>, and |k> -> |k - 1> for k >= 2: every population ends in |1>
+    jumps = [unit(1, 0)] + [unit(k - 1, k) for k in range(2, dim)]
+    eye = np.eye(dim)
+    l_matrix = sum(np.kron(j.conj(), j) - 0.5 * (np.kron(eye, j.T @ j) + np.kron(j.T @ j, eye))
+                   for j in jumps).astype(complex)
+    assert propagation._banded_stationary(l_matrix, np.abs(l_matrix)) is None
+    rho = stationary_state(l_matrix)
+    assert np.abs(rho - _svd_stationary_state(l_matrix)).max() < 1e-10
+    assert np.abs(rho - unit(1, 1)).max() < 1e-10
