@@ -63,11 +63,7 @@ from .liouvillians import (
     CollisionParameters,
     Liouvillian,
     LiouvillianSpec,
-    build_bilinear_lindblad,
-    build_boltzmann_collision,
-    build_caldeira_leggett,
     build_liouvillian,
-    build_minimal_qbm,
     collision_dpp,
     minimal_coefficients,
     radial_grid,

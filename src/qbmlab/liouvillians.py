@@ -1,6 +1,6 @@
 """Generators drho/dt = L[rho] for the quantum Brownian motion family.
 
-Four builders:
+One constructor, build_liouvillian, builds four kinds of generator:
 
 * damped-commutator generator (friction + momentum diffusion only), the
   high-temperature form that is NOT completely positive;
@@ -13,8 +13,8 @@ Four builders:
 * gas-collision generator built from exponential shift/weight sandwiches over
   a signed momentum-transfer quadrature grid.
 
-Each builder compiles its physics once, at build time, into one Lindblad
-normal form
+The compile function of each kind turns its physics, once, at build time,
+into one Lindblad normal form
 
     L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag,
 
@@ -36,10 +36,12 @@ Hermitian Kossakowski matrix
 Its eigenvalues are the weights s_k and its eigenvectors U give the jumps
 J_k = U_xk x + U_pk p.  By the Gorini-Kossakowski-Sudarshan-Lindblad theorem
 the generator is completely positive exactly when C >= 0, i.e. when no weight
-is negative; det C >= 0 is the CP bound above.  The Caldeira-Leggett generator
-(d_xx = 0, gamma > 0) therefore keeps one negative weight, and the minimal
-generator saturates the bound, so its C has rank one and it has a single jump.
-A weight that is zero within the round-off of the 2x2 eigensolve is dropped.
+is negative; det C = 4 (z/hbar^2)^2 cp_margin >= 0 is the CP bound above.
+microcoeffs.kossakowski_weights decides which weights survive, by cp_check's
+rule: a saturated set's smaller weight is an exact zero and is dropped, and
+any other keeps the margin's sign.  The Caldeira-Leggett generator (d_xx = 0,
+gamma > 0) therefore keeps one negative weight, and the minimal generator
+saturates the bound, so its C has rank one and it has a single jump.
 
 Trace and Hermiticity are preserved, and never renormalized: tr L[rho] =
 tr((K + K^dag + sum_k s_k J_k^dag J_k) rho), and that operator sum cancels
@@ -57,8 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .microcoeffs import (CP_ROUNDOFF, BilinearCoefficients, TMatrixModel,
-                          dpp_prefactor, saturating_coefficients, thermal_kernel)
+from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
+                          kossakowski_weights, saturating_coefficients,
+                          thermal_kernel)
 from .operators import (HilbertConfig, build_annihilator, build_hamiltonian,
                         build_momentum, build_position, thermal_wavelength)
 
@@ -80,7 +83,7 @@ class CollisionParameters:
 
     q_nodes/q_weights discretize the radial momentum-transfer integral on
     (0, q_max]; the weights carry the 3D radial measure q^2, as produced by
-    radial_grid().  The builder sums each node with both signs of q.
+    radial_grid().  The generator sums each node with both signs of q.
     """
 
     gas_mass: float
@@ -147,8 +150,8 @@ class NormalForm:
 class Liouvillian:
     """Immutable superoperator: callable on a density matrix.
 
-    Builder-made generators carry their compiled normal_form; a Liouvillian
-    made from a custom callable has normal_form None.
+    Generators from build_liouvillian carry their compiled normal_form; a
+    Liouvillian made from a custom callable has normal_form None.
     """
 
     def __init__(self, cfg: HilbertConfig, kind: str, apply_fn,
@@ -202,11 +205,11 @@ def _normal_form_apply(nf: NormalForm):
     return apply
 
 
-def _bilinear_normal_form(cfg: HilbertConfig, coeffs: BilinearCoefficients,
-                          hamiltonian_kind: str, omega_trap: float | None):
-    """Compile the bilinear generator's terms into K and Kossakowski (s_k, J_k)."""
+def _bilinear_normal_form(cfg: HilbertConfig, spec: LiouvillianSpec,
+                          coeffs: BilinearCoefficients):
+    """K, the Kossakowski (s_k, J_k) and the attributes of the bilinear terms."""
     hbar = cfg.hbar
-    h = build_hamiltonian(cfg, hamiltonian_kind, omega_trap)
+    h = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap)
     x = build_position(cfg)
     p = build_momentum(cfg)
     xp = x @ p
@@ -217,37 +220,24 @@ def _bilinear_normal_form(cfg: HilbertConfig, coeffs: BilinearCoefficients,
     k = (-1j / hbar) * h + z * (
         (1j * mu / hbar) * xp_anti - (1j * gamma / hbar) * xp
         - (d_pp * (x @ x) + d_xx * (p @ p) - d_xp * xp_anti) / hbar**2)
-    kossakowski = (z / hbar**2) * np.array(
-        [[2.0 * d_pp, -2.0 * d_xp - 1j * gamma * hbar],
-         [-2.0 * d_xp + 1j * gamma * hbar, 2.0 * d_xx]])
-    weights, vecs = np.linalg.eigh(kossakowski)
-    # the CP-saturated minimal generator has an exact zero weight; what
-    # the eigensolver leaves of it is round-off, and dropped
-    cutoff = CP_ROUNDOFF * np.abs(weights).max()
-    jumps = [(s, u[0] * x + u[1] * p)
-             for s, u in zip(weights, vecs.T) if abs(s) > cutoff]
-    return k, jumps
+    weights, vecs = kossakowski_weights(coeffs, hbar)
+    jumps = [(s, u[0] * x + u[1] * p) for s, u in zip(weights, vecs.T)]
+    return k, jumps, {"coeffs": coeffs}
 
 
-def build_bilinear_lindblad(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
+def _bilinear(cfg: HilbertConfig, spec: LiouvillianSpec):
     """General bilinear generator with user-supplied coefficients."""
-    if spec.kind != BILINEAR:
-        raise ValueError(f"spec kind {spec.kind!r} is not {BILINEAR!r}")
     if spec.coeffs is None:
         raise ValueError("bilinear generator requires coefficients")
-    k, jumps = _bilinear_normal_form(cfg, spec.coeffs, spec.hamiltonian_kind,
-                                     spec.omega_trap)
-    return _compiled(cfg, BILINEAR, k, jumps, coeffs=spec.coeffs)
+    return _bilinear_normal_form(cfg, spec, spec.coeffs)
 
 
-def build_caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
+def _caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec):
     """Friction + momentum diffusion d_pp = 2*M*gamma/beta, no position diffusion.
 
-    Compiles through the bilinear normal form, so it agrees with
-    build_bilinear_lindblad at the same coefficients bit for bit.
+    Compiles through the bilinear normal form, so it agrees with the
+    bilinear kind at the same coefficients bit for bit.
     """
-    if spec.kind != CALDEIRA_LEGGETT:
-        raise ValueError(f"spec kind {spec.kind!r} is not {CALDEIRA_LEGGETT!r}")
     if spec.coeffs is None or spec.beta is None:
         raise ValueError("caldeira_leggett requires coeffs.gamma and beta")
     if not spec.beta > 0:
@@ -261,8 +251,7 @@ def build_caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvil
     derived = BilinearCoefficients(
         gamma=c.gamma, d_pp=2.0 * cfg.mass * c.gamma / spec.beta,
         d_xx=0.0, d_xp=0.0, mu=0.0, fugacity_z=c.fugacity_z)
-    k, jumps = _bilinear_normal_form(cfg, derived, spec.hamiltonian_kind, spec.omega_trap)
-    return _compiled(cfg, CALDEIRA_LEGGETT, k, jumps, coeffs=derived)
+    return _bilinear_normal_form(cfg, spec, derived)
 
 
 def minimal_coefficients(cfg: HilbertConfig, d_pp: float, beta: float,
@@ -283,7 +272,7 @@ def minimal_coefficients(cfg: HilbertConfig, d_pp: float, beta: float,
                                 fugacity_z=fugacity_z)
 
 
-def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
+def _minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec):
     """Completely positive Brownian generator from d_pp and fugacity_z only.
 
     assembly selects between the algebraically identical routes:
@@ -292,8 +281,6 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     the thermal-scale annihilator as the jump directly, plus the
     anticommutator Hamiltonian correction with coefficient z*gamma/2.
     """
-    if spec.kind != MINIMAL_QBM:
-        raise ValueError(f"spec kind {spec.kind!r} is not {MINIMAL_QBM!r}")
     if spec.coeffs is None or spec.beta is None:
         raise ValueError("minimal_qbm requires coeffs.d_pp and beta")
     c = spec.coeffs
@@ -303,9 +290,7 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     derived = minimal_coefficients(cfg, c.d_pp, spec.beta, c.fugacity_z)
 
     if spec.assembly == DOUBLE_COMMUTATOR:
-        k, jumps = _bilinear_normal_form(cfg, derived, spec.hamiltonian_kind,
-                                         spec.omega_trap)
-        return _compiled(cfg, MINIMAL_QBM, k, jumps, coeffs=derived)
+        return _bilinear_normal_form(cfg, spec, derived)
     if spec.assembly != SINGLE_GENERATOR:
         raise ValueError(f"unknown assembly {spec.assembly!r}")
 
@@ -320,8 +305,7 @@ def build_minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     jump = build_annihilator(cfg, spec.beta)
     rate = z * d_pp * lam2 / hbar**2
     k = (-1j / hbar) * h_eff - (0.5 * rate) * (jump.conj().T @ jump)
-    return _compiled(cfg, MINIMAL_QBM, k, [(rate, jump)] if rate != 0.0 else [],
-                     coeffs=derived)
+    return k, [(rate, jump)] if rate != 0.0 else [], {"coeffs": derived}
 
 
 def collision_dpp(params: CollisionParameters, hbar: float) -> float:
@@ -336,7 +320,7 @@ def collision_dpp(params: CollisionParameters, hbar: float) -> float:
         params.q_weights * params.q_nodes)))
 
 
-def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
+def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
     """Collision generator: momentum-kick sandwiches over the signed q grid.
 
     Each node contributes, for both signs of q,
@@ -345,8 +329,6 @@ def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liou
     the thermal weight.  The exponentials are computed at construction, and
     every -(1/2){G(q)^2, rho} is folded into the normal form's K.
     """
-    if spec.kind != BOLTZMANN_COLLISION:
-        raise ValueError(f"spec kind {spec.kind!r} is not {BOLTZMANN_COLLISION!r}")
     if spec.collision is None:
         raise ValueError("boltzmann_collision requires CollisionParameters")
     par = spec.collision
@@ -379,27 +361,32 @@ def build_boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liou
                 raise ArithmeticError(f"non-finite matrix exponential at q={sq}")
             k = k - (0.5 * rate) * (g @ g)
             jumps.append((rate, u @ g))
-    return _compiled(cfg, BOLTZMANN_COLLISION, k, jumps, collision=par)
+    return k, jumps, {"collision": par}
 
 
-_BUILDERS = {
-    CALDEIRA_LEGGETT: build_caldeira_leggett,
-    BILINEAR: build_bilinear_lindblad,
-    MINIMAL_QBM: build_minimal_qbm,
-    BOLTZMANN_COLLISION: build_boltzmann_collision,
+_COMPILERS = {
+    CALDEIRA_LEGGETT: _caldeira_leggett,
+    BILINEAR: _bilinear,
+    MINIMAL_QBM: _minimal_qbm,
+    BOLTZMANN_COLLISION: _boltzmann_collision,
 }
 
 
 def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
-    """Dispatch to the builder named by spec.kind."""
+    """Compile the generator spec names: the one way to build a generator.
+
+    The compile function of spec.kind validates the fields that kind takes
+    and returns K, the jumps (s_k, J_k) and the attributes to attach.
+    """
     try:
-        builder = _BUILDERS[spec.kind]
+        compile_kind = _COMPILERS[spec.kind]
     except KeyError:
         raise ValueError(f"unknown generator kind {spec.kind!r}") from None
-    return builder(cfg, spec)
+    k, jumps, attrs = compile_kind(cfg, spec)
+    return _compiled(cfg, spec.kind, k, jumps, **attrs)
 
 
-def superoperator_matrix(liouv, cfg: HilbertConfig | None = None) -> np.ndarray:
+def superoperator_matrix(liouv) -> np.ndarray:
     """Dense column-stacked matrix of a superoperator.
 
     The matrix acts on Fortran-order (column-stacked) vec(rho), so
@@ -412,18 +399,14 @@ def superoperator_matrix(liouv, cfg: HilbertConfig | None = None) -> np.ndarray:
     the jump sum taken as one (d^2 x n)(n x d^2) product.  Any other
     callable, such as a Liouvillian built from a custom apply function, is
     probed one column at a time: column j is vec(L[E_j]) for the j-th
-    Fortran-order unit matrix E_j.  Guarded to dim^2 <= 10^4.
+    Fortran-order unit matrix E_j.  d = liouv.cfg.dim; d^2 <= 10^4 is guarded.
     """
-    if cfg is None:
-        cfg = liouv.cfg
-    d = cfg.dim
+    d = liouv.cfg.dim
     n = d * d
     if n > 10_000:
         raise ValueError(f"superoperator matrix would be {n}x{n}; guard is 10^4")
     nf = getattr(liouv, "normal_form", None)
     if nf is not None:
-        if nf.k.shape != (d, d):
-            raise ValueError(f"generator acts on dim {nf.k.shape[0]}, not {d}")
         return _normal_form_superoperator(nf)
     mat = np.zeros((n, n), dtype=complex)
     basis = np.zeros((d, d), dtype=complex)

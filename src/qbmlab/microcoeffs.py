@@ -1,7 +1,7 @@
 """Transport coefficients: the one coefficient type and its microscopic source.
 
 BilinearCoefficients (gamma, d_pp, d_xx, d_xp, mu, fugacity_z, provenance)
-is the coefficient type of every generator builder and coefficient report.
+is the coefficient type of every generator and coefficient report.
 
 The momentum-diffusion coefficient of the weak-coupling Brownian limit is a
 radial quadrature of the squared scattering amplitude against the thermal
@@ -17,7 +17,8 @@ follow from D_pp by the fluctuation-dissipation-consistent relations
 written once, in saturating_coefficients, for compute_dpp and the minimal
 generator alike.  They saturate the complete-positivity bound
 D_xx*D_pp - D_xp^2 >= (gamma hbar/2)^2 exactly, i.e.
-chi = D_xx*M/(beta hbar^2 gamma) = 1/8.
+chi = D_xx*M/(beta hbar^2 gamma) = 1/8.  cp_check and kossakowski_weights
+decide that bound by one rule, with one round-off slack.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ USER = "user"
 EQ_MICRO = "microscopic"
 
 # Relative round-off of a quantity that vanishes exactly on the CP boundary:
-# the Kossakowski weight of a saturated generator, or cp_margin of a
-# saturated coefficient set, computed from terms a few roundings deep.
+# cp_margin of a saturated coefficient set, computed from terms a few
+# roundings deep, or the smaller Kossakowski weight as eigh computes it.
 CP_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
@@ -168,7 +169,34 @@ def cp_check(c: BilinearCoefficients, hbar: float = 1.0) -> tuple[bool, float]:
     """
     margin = cp_margin(c, hbar)
     ok = c.d_pp > 0 and c.d_xx > 0 and margin >= -CP_ROUNDOFF * max(_cp_terms(c, hbar))
-    return ok, margin
+    return bool(ok), margin
+
+
+def kossakowski_weights(c: BilinearCoefficients,
+                        hbar: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Surviving weights s_k and eigenvectors (columns) of the Kossakowski matrix.
+
+    C is the bilinear generator's 2x2 matrix over (x, p), written out in
+    liouvillians; tr C >= 0 and det C = 4 (z/hbar^2)^2 cp_margin.  A zero C
+    leaves no weights.  The smaller weight follows cp_check's rule: an exact
+    zero, dropped, when cp_check's slack calls the set saturated; otherwise
+    it keeps the margin's sign, and where eigh cannot resolve it (within
+    CP_ROUNDOFF of the larger weight) its value is det C / lambda_max.
+    """
+    z = c.fugacity_z
+    kossakowski = (z / hbar**2) * np.array(
+        [[2.0 * c.d_pp, -2.0 * c.d_xp - 1j * c.gamma * hbar],
+         [-2.0 * c.d_xp + 1j * c.gamma * hbar, 2.0 * c.d_xx]])
+    weights, vecs = np.linalg.eigh(kossakowski)
+    top = weights[1]
+    if not top > 0.0:
+        return weights[:0], vecs[:, :0]
+    margin = cp_margin(c, hbar)
+    if abs(margin) <= CP_ROUNDOFF * max(_cp_terms(c, hbar)):
+        return weights[1:], vecs[:, 1:]
+    if not abs(weights[0]) > CP_ROUNDOFF * top:
+        weights[0] = 4.0 * (z / hbar**2) ** 2 * margin / top
+    return weights, vecs
 
 
 def chi_of(c: BilinearCoefficients, gas: GasThermodynamics, mass_test: float,

@@ -123,11 +123,14 @@ def vacuum_state(cfg: HilbertConfig) -> np.ndarray:
     return number_state(cfg, 0)
 
 
+def _displacement(a: np.ndarray, alpha: complex) -> np.ndarray:
+    """exp(alpha a^dag - conj(alpha) a) of the truncated ladder operator a."""
+    return scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
+
+
 def coherent_state(cfg: HilbertConfig, alpha: complex) -> np.ndarray:
     """Displaced vacuum as a pure density matrix, normalized after truncation."""
-    a = build_ladder(cfg)
-    d = scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
-    psi = d[:, 0]
+    psi = _displacement(build_ladder(cfg), alpha)[:, 0]
     psi = psi / np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
 
@@ -143,8 +146,7 @@ def squeezed_state(cfg: HilbertConfig, r: float, alpha: complex = 0.0) -> np.nda
     s = scipy.linalg.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
     psi = s[:, 0]
     if alpha != 0.0:
-        d = scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
-        psi = d @ psi
+        psi = _displacement(a, alpha) @ psi
     psi = psi / np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
 

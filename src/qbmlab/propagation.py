@@ -13,17 +13,8 @@ RK4 and fp_solve also share one step schedule, fixed_steps.  The monitors
 are trace, hermiticity drift, minimum eigenvalue, purity, and the first and
 second moments of position and momentum.
 
-stationary_state solves L vec(rho) = 0 by a bordered LU solve on one of two
-paths.  Banded: when the band read from L's zero pattern makes a banded LU
-cost at most a quarter of the dense LU's flops (every bilinear-family
-generator from dim 10 up, kl = ku = 2d), the rho_00 row becomes e_0^T, which
-keeps the band; LAPACK gbtrf, gbcon and gbtrs solve it, and the trace is
-normalized afterwards.  The rcond floor 1e-8 there bounds the e_0-bordered
-matrix, which is singular also when rho_00 = 0, so this path never raises:
-at a zero row or column, a zero pivot, a low rcond or a traceless candidate
-it hands over.  Dense: the rho_00 row becomes the trace row vec(I)^T, the
-same floor bounds that matrix, and this path's verdict, a state or
-DegenerateStationaryState, stands.
+stationary_state solves L vec(rho) = 0 by a bordered LU solve, banded where
+that is cheap and dense otherwise; its docstring states the path rules.
 """
 
 from dataclasses import dataclass
@@ -46,10 +37,10 @@ RK4_FIXED = "rk4_fixed"
 RK45_ADAPTIVE = "rk45_adaptive"
 
 # Dormand-Prince 5(4) coefficients.  b5 propagates, b4 is the embedded
-# error estimator.  The last stage is evaluated at the b5 combination, so it
-# is the first stage of the next step (first same as last): generator calls
+# error estimator.  The system is autonomous, so the stage times c_i are not
+# needed.  The last stage is evaluated at the b5 combination, so it is the
+# first stage of the next step (first same as last): generator calls
 # dominate a step, and reusing it saves one of seven.
-_DP_C = np.array([0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0])
 _DP_A = [
     np.array([]),
     np.array([1.0 / 5.0]),

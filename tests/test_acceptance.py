@@ -28,10 +28,7 @@ from qbmlab import (
     IntegratorConfig,
     LiouvillianSpec,
     TMatrixModel,
-    build_bilinear_lindblad,
-    build_caldeira_leggett,
     build_liouvillian,
-    build_minimal_qbm,
     chi_of,
     coherent_state,
     collision_dpp,
@@ -58,7 +55,7 @@ from qbmlab.fokker_planck import fp_step, grid_moments
 @pytest.fixture(scope="module")
 def cl_breach_record():
     cfg = HilbertConfig(dim=40)
-    liouv = build_caldeira_leggett(cfg, LiouvillianSpec(
+    liouv = build_liouvillian(cfg, LiouvillianSpec(
         kind=CALDEIRA_LEGGETT, hamiltonian_kind="harmonic", omega_trap=1.0,
         beta=10.0, coeffs=BilinearCoefficients(gamma=0.5)))
     return propagate(squeezed_state(cfg, 1.0), liouv,
@@ -217,10 +214,10 @@ def test_criterion_7_generator_equivalences(rng):
     cfg = HilbertConfig(dim=12)
     beta, gamma = 2.0, 0.3
 
-    # (a) friction-only builder == general bilinear builder, bitwise
-    cl = build_caldeira_leggett(cfg, LiouvillianSpec(
+    # (a) friction-only generator == general bilinear generator, bitwise
+    cl = build_liouvillian(cfg, LiouvillianSpec(
         kind=CALDEIRA_LEGGETT, beta=beta, coeffs=BilinearCoefficients(gamma=gamma)))
-    bil = build_bilinear_lindblad(cfg, LiouvillianSpec(
+    bil = build_liouvillian(cfg, LiouvillianSpec(
         kind=BILINEAR,
         coeffs=BilinearCoefficients(gamma=gamma, d_pp=2.0 * cfg.mass * gamma / beta)))
     states = [random_density(cfg.dim, rng) for _ in range(20)]
@@ -229,8 +226,8 @@ def test_criterion_7_generator_equivalences(rng):
     # (b) double-commutator and single-generator assemblies agree
     base = dict(kind=MINIMAL_QBM, beta=beta,
                 coeffs=BilinearCoefficients(d_pp=0.7, fugacity_z=0.8))
-    double = build_minimal_qbm(cfg, LiouvillianSpec(assembly=DOUBLE_COMMUTATOR, **base))
-    single = build_minimal_qbm(cfg, LiouvillianSpec(assembly=SINGLE_GENERATOR, **base))
+    double = build_liouvillian(cfg, LiouvillianSpec(assembly=DOUBLE_COMMUTATOR, **base))
+    single = build_liouvillian(cfg, LiouvillianSpec(assembly=SINGLE_GENERATOR, **base))
     worst_ab = 0.0
     for rho in states:
         a, b = double(rho), single(rho)
@@ -276,7 +273,7 @@ def test_criterion_8_numerical_hygiene(cl_breach_record,
 
     # fixed-step convergence: error must drop at least 3.2x per halving
     cfg = HilbertConfig(dim=16)
-    liouv = build_caldeira_leggett(cfg, LiouvillianSpec(
+    liouv = build_liouvillian(cfg, LiouvillianSpec(
         kind=CALDEIRA_LEGGETT, hamiltonian_kind="harmonic", omega_trap=1.0,
         beta=2.0, coeffs=BilinearCoefficients(gamma=0.3)))
     rho0 = coherent_state(cfg, 1.2 + 0.3j)

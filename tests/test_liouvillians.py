@@ -18,21 +18,19 @@ from qbmlab import (
     Liouvillian,
     LiouvillianSpec,
     TMatrixModel,
-    build_bilinear_lindblad,
-    build_boltzmann_collision,
-    build_caldeira_leggett,
     build_hamiltonian,
     build_momentum,
     build_position,
     build_liouvillian,
-    build_minimal_qbm,
     collision_dpp,
     compute_dpp,
+    cp_check,
     cutoff_momentum,
     dpp_prefactor,
     minimal_coefficients,
     parity_operator,
     radial_grid,
+    s_mb,
     superoperator_matrix,
 )
 
@@ -145,7 +143,7 @@ fugacity = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=2.0))
 def test_normal_form_matches_double_commutator_reference(
         kind, gamma, d_pp, d_xp, cp_margin, mu, fugacity_z, beta,
         hamiltonian_kind, seed):
-    """Every bilinear-family builder equals the term-by-term double
+    """Every bilinear-family generator equals the term-by-term double
     commutators at its (derived) coefficients, on either side of the CP bound
     d_xx d_pp - d_xp^2 - (gamma hbar/2)^2 >= 0."""
     omega = 0.8 if hamiltonian_kind == "harmonic" else None
@@ -208,12 +206,71 @@ def test_trace_and_hermiticity_preservation(rng):
                 assert np.abs(out - out.conj().T).max() < 1e-13 * max(scale, 1.0)
 
 
+@given(fugacity_z=st.floats(min_value=2.0**-20, max_value=2.0),
+       gamma=st.floats(min_value=1e-3, max_value=1.0),
+       d_xp=st.floats(min_value=-0.5, max_value=0.5),
+       log10_d_pp=st.floats(min_value=-3.0, max_value=3.0),
+       relative_margin=st.sampled_from([0.0, 1e-15, -1e-15, 1e-13, -1e-13,
+                                        1e-8, -1e-8, 0.1, -0.1]))
+@settings(max_examples=300, deadline=None)
+def test_cp_check_decides_the_compiled_weights(fugacity_z, gamma, d_xp, log10_d_pp,
+                                               relative_margin):
+    """cp_check's verdict and the compiled generator's Kossakowski weights
+    follow one rule: the set is CP exactly when no weight is negative, on
+    the boundary and near it, with d_pp / d_xx spanning many decades."""
+    d_pp = 10.0**log10_d_pp
+    d_xx = (d_xp**2 + (gamma / 2.0) ** 2) * (1.0 + relative_margin) / d_pp
+    c = BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx, d_xp=d_xp,
+                             fugacity_z=fugacity_z)
+    liouv = build_liouvillian(HilbertConfig(dim=3), LiouvillianSpec(kind=BILINEAR,
+                                                                    coeffs=c))
+    assert cp_check(c)[0] == (liouv.normal_form.weights.min() >= 0.0)
+
+
+def test_unresolved_negative_weight_is_kept():
+    """d_pp = 10 beside a tiny d_xx: the negative weight, -5e-14, lies below
+    eigh's resolution of the 20.0 weight and is det C / lambda_max."""
+    gamma, d_pp = 0.01, 10.0
+    c = BilinearCoefficients(gamma=gamma, d_pp=d_pp,
+                             d_xx=(gamma / 2.0) ** 2 / d_pp * (1.0 - 1e-8))
+    ok, margin = cp_check(c)
+    assert ok is False and abs(margin / -2.5e-13 - 1.0) < 1e-6
+    weights = build_liouvillian(CFG, LiouvillianSpec(kind=BILINEAR, coeffs=c)) \
+        .normal_form.weights
+    assert weights.size == 2
+    assert abs(weights.min() / -5.0e-14 - 1.0) < 1e-6
+    assert abs(weights.sum() - 2.0 * (d_pp + c.d_xx)) < 1e-12 * d_pp
+
+
+@given(d_pp=st.floats(min_value=1e-4, max_value=1e4),
+       beta=st.floats(min_value=0.05, max_value=20.0),
+       mass=st.floats(min_value=0.1, max_value=10.0),
+       hbar=st.floats(min_value=0.1, max_value=10.0),
+       fugacity_z=st.floats(min_value=0.01, max_value=2.0))
+@settings(max_examples=60, deadline=None)
+def test_positivity_dichotomy_in_the_weights(d_pp, beta, mass, hbar, fugacity_z):
+    """The minimal generator has one positive weight in both assemblies;
+    Caldeira-Leggett at the minimal generator's friction keeps a negative one."""
+    cfg = HilbertConfig(dim=3, hbar=hbar, mass=mass)
+    for assembly in (DOUBLE_COMMUTATOR, SINGLE_GENERATOR):
+        weights = build_liouvillian(cfg, LiouvillianSpec(
+            kind=MINIMAL_QBM, beta=beta, assembly=assembly,
+            coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=fugacity_z))
+        ).normal_form.weights
+        assert weights.size == 1 and weights[0] > 0.0, assembly
+    cl = build_liouvillian(cfg, LiouvillianSpec(
+        kind=CALDEIRA_LEGGETT, beta=beta,
+        coeffs=BilinearCoefficients(gamma=beta * d_pp / (2.0 * mass),
+                                    fugacity_z=fugacity_z)))
+    assert cl.normal_form.weights.size == 2 and cl.normal_form.weights.min() < 0.0
+
+
 def test_caldeira_leggett_equals_bilinear_bitwise(rng):
     beta, gamma = 2.0, 0.3
-    cl = build_caldeira_leggett(CFG, LiouvillianSpec(
+    cl = build_liouvillian(CFG, LiouvillianSpec(
         kind=CALDEIRA_LEGGETT, hamiltonian_kind="harmonic", omega_trap=1.0,
         beta=beta, coeffs=BilinearCoefficients(gamma=gamma)))
-    bil = build_bilinear_lindblad(CFG, LiouvillianSpec(
+    bil = build_liouvillian(CFG, LiouvillianSpec(
         kind=BILINEAR, hamiltonian_kind="harmonic", omega_trap=1.0,
         coeffs=BilinearCoefficients(gamma=gamma,
                                     d_pp=2.0 * CFG.mass * gamma / beta)))
@@ -242,8 +299,8 @@ def test_minimal_assemblies_agree(rng):
     spec_s = LiouvillianSpec(kind=MINIMAL_QBM, beta=2.0,
                              coeffs=BilinearCoefficients(d_pp=0.7, fugacity_z=0.8),
                              assembly=SINGLE_GENERATOR)
-    double = build_minimal_qbm(CFG, spec_d)
-    single = build_minimal_qbm(CFG, spec_s)
+    double = build_liouvillian(CFG, spec_d)
+    single = build_liouvillian(CFG, spec_s)
     for _ in range(20):
         rho = random_density(CFG.dim, rng)
         a = double(rho)
@@ -256,13 +313,13 @@ def test_minimal_rejects_redundant_coefficients():
                 BilinearCoefficients(d_pp=0.7, d_xx=0.1),
                 BilinearCoefficients(d_pp=0.7, mu=0.1)):
         with pytest.raises(ValueError):
-            build_minimal_qbm(CFG, LiouvillianSpec(kind=MINIMAL_QBM, beta=2.0,
+            build_liouvillian(CFG, LiouvillianSpec(kind=MINIMAL_QBM, beta=2.0,
                                                    coeffs=bad))
     with pytest.raises(ValueError):
-        build_minimal_qbm(CFG, LiouvillianSpec(kind=MINIMAL_QBM,
+        build_liouvillian(CFG, LiouvillianSpec(kind=MINIMAL_QBM,
                                                coeffs=BilinearCoefficients(d_pp=0.7)))
     with pytest.raises(ValueError):
-        build_minimal_qbm(CFG, LiouvillianSpec(
+        build_liouvillian(CFG, LiouvillianSpec(
             kind=MINIMAL_QBM, beta=2.0,
             coeffs=BilinearCoefficients(d_pp=0.7), assembly="triple"))
 
@@ -280,20 +337,18 @@ def test_zero_fugacity_reduces_to_hamiltonian_flow(rng):
 def test_builder_kind_crosschecks():
     good = BilinearCoefficients(gamma=0.3)
     with pytest.raises(ValueError):
-        build_caldeira_leggett(CFG, LiouvillianSpec(kind=BILINEAR, coeffs=good))
+        build_liouvillian(CFG, LiouvillianSpec(kind=BILINEAR))
     with pytest.raises(ValueError):
-        build_bilinear_lindblad(CFG, LiouvillianSpec(kind=BILINEAR))
+        build_liouvillian(CFG, LiouvillianSpec(kind=CALDEIRA_LEGGETT,
+                                               coeffs=good))
     with pytest.raises(ValueError):
-        build_caldeira_leggett(CFG, LiouvillianSpec(kind=CALDEIRA_LEGGETT,
-                                                    coeffs=good))
-    with pytest.raises(ValueError):
-        build_caldeira_leggett(CFG, LiouvillianSpec(
+        build_liouvillian(CFG, LiouvillianSpec(
             kind=CALDEIRA_LEGGETT, beta=2.0,
             coeffs=BilinearCoefficients(gamma=0.3, d_pp=1.0)))
     with pytest.raises(ValueError):
         build_liouvillian(CFG, LiouvillianSpec(kind="unitary"))
     with pytest.raises(ValueError):
-        build_boltzmann_collision(CFG, LiouvillianSpec(kind=BOLTZMANN_COLLISION))
+        build_liouvillian(CFG, LiouvillianSpec(kind=BOLTZMANN_COLLISION))
 
 
 def test_collision_parameters_validation():
@@ -356,6 +411,43 @@ def test_collision_approaches_minimal_at_small_momentum_transfer(rng):
     assert discrepancies[2] < 0.02
 
 
+def test_collision_weight_is_brownian_limit_of_structure_factor():
+    """J_q^dag J_q = G(q)^2 (U(q) is unitary) is the m/M -> 0 limit of the
+    gas's dynamic structure factor.  On p's eigenvector with eigenvalue
+    lambda, G(q)^2 = exp(-(beta/2M) q lambda), and s_mb(q, E(lambda)) /
+    s_mb(q, E(0)), with E(p) = -(q p/M + q^2/2M) the energy handed to the
+    gas, differs from it by the recoil factor exp(-beta m (E^2 - E_0^2)/2q^2),
+    which vanishes linearly in m/M.  The two are paired by eigenvector, not
+    as sorted lists: p's spectrum is symmetric, so sorting would hide the
+    sign of G's exponent."""
+    cfg = HilbertConfig(dim=14)
+    par = _collision_params(0.25, n_nodes=8)
+    liouv = build_liouvillian(cfg, LiouvillianSpec(kind=BOLTZMANN_COLLISION,
+                                                   collision=par))
+    signed = [sq for q in par.q_nodes for sq in (q, -q)]
+    assert liouv.normal_form.jumps.shape[0] == len(signed)
+    lam, vecs = np.linalg.eigh(build_momentum(cfg))
+    gaps = []
+    for mass_ratio in (0.05, 0.005, 0.0005):
+        gas = GasThermodynamics(beta=par.beta, gas_mass=mass_ratio * cfg.mass)
+        gap = 0.0
+        for sq, jump in zip(signed, liouv.normal_form.jumps):
+            g2 = jump.conj().T @ jump
+            on_p = np.einsum("ik,ij,jk->k", vecs.conj(), g2, vecs).real
+            # equal to the spectrum only if the p eigenbasis diagonalizes G^2
+            assert np.abs(np.sort(on_p) - np.linalg.eigvalsh(g2)).max() \
+                < 1e-12 * on_p.max()
+            energy = -(sq * lam + sq**2 / 2.0) / cfg.mass
+            e_zero = -sq**2 / (2.0 * cfg.mass)
+            ratio = s_mb(abs(sq), energy, gas) / s_mb(abs(sq), e_zero, gas)
+            gap = max(gap, (np.abs(on_p - ratio) / ratio).max())
+        gaps.append(gap)
+    # about 1.66, 0.103 and 0.0098: linear once the recoil exponent is small
+    assert gaps[0] > gaps[1] > gaps[2]
+    assert 9.0 < gaps[1] / gaps[2] < 11.0
+    assert gaps[2] < 0.011
+
+
 def test_collision_exponent_guard():
     # a huge radial extent would overflow the drift exponential; refuse to build
     with pytest.raises(ValueError):
@@ -378,7 +470,7 @@ def test_superoperator_matrix_consistency(rng):
 @pytest.mark.parametrize("dim", [2, 7, 12])
 def test_kronecker_superoperator_matches_column_loop(dim):
     """The superoperator assembled from the normal form equals the one probed
-    column by column through apply, for every builder: Caldeira-Leggett with
+    column by column through apply, for every kind: Caldeira-Leggett with
     its negative Kossakowski weight, bilinear, the rank-one minimal generator
     in both assemblies, a jump-free generator and the 120-jump collision
     generator."""
@@ -397,12 +489,6 @@ def test_kronecker_superoperator_matches_column_loop(dim):
         assert np.abs(kron - loop).max() <= 1e-14 * np.abs(loop).max(), liouv.kind
 
 
-def test_superoperator_rejects_mismatched_config():
-    liouv = _all_generators(CFG, 1.0)[0]
-    with pytest.raises(ValueError):
-        superoperator_matrix(liouv, HilbertConfig(dim=CFG.dim + 1))
-
-
 def test_superoperator_two_level_spectrum():
     # closed two-level system: eigenvalues are 0 (twice) and +-i * gap
     cfg2 = HilbertConfig(dim=2)
@@ -413,7 +499,7 @@ def test_superoperator_two_level_spectrum():
         return -1j / cfg2.hbar * (ham @ rho - rho @ ham)
 
     liouv = Liouvillian(cfg2, "two_level", apply)
-    eig = np.linalg.eigvals(superoperator_matrix(liouv, cfg2))
+    eig = np.linalg.eigvals(superoperator_matrix(liouv))
     eig = eig[np.argsort(eig.imag)]
     expected = np.array([-1j * gap, 0.0, 0.0, 1j * gap])
     assert np.abs(eig - expected).max() < 1e-12

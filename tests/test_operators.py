@@ -236,7 +236,7 @@ def test_basis_frequency_is_gauge():
         CALDEIRA_LEGGETT,
         IntegratorConfig,
         LiouvillianSpec,
-        build_caldeira_leggett,
+        build_liouvillian,
         propagate,
     )
 
@@ -245,7 +245,7 @@ def test_basis_frequency_is_gauge():
         spec = LiouvillianSpec(kind=CALDEIRA_LEGGETT, hamiltonian_kind="harmonic",
                                omega_trap=1.0, beta=5.0,
                                coeffs=BilinearCoefficients(gamma=0.3))
-        liouv = build_caldeira_leggett(cfg, spec)
+        liouv = build_liouvillian(cfg, spec)
         rho0 = squeezed_state(cfg, -0.5 * np.log(omega_basis))
         icfg = IntegratorConfig(t_final=2.0, dt=1e-3, monitor_stride=50)
         return propagate(rho0, liouv, icfg)

@@ -24,7 +24,6 @@ from qbmlab import (
     NumericalFailure,
     TMatrixModel,
     TrajectoryRecord,
-    build_caldeira_leggett,
     build_liouvillian,
     build_momentum,
     build_position,
@@ -47,7 +46,7 @@ CFG = HilbertConfig(dim=16)
 
 
 def _damped_oscillator(cfg, gamma=0.3, beta=2.0):
-    return build_caldeira_leggett(cfg, LiouvillianSpec(
+    return build_liouvillian(cfg, LiouvillianSpec(
         kind=CALDEIRA_LEGGETT, hamiltonian_kind="harmonic", omega_trap=1.0,
         beta=beta, coeffs=BilinearCoefficients(gamma=gamma)))
 
@@ -322,7 +321,7 @@ def test_shared_schedule_and_sampler_match_reference_loops(method, stride):
 
 def test_positivity_breach_detection():
     cfg = HilbertConfig(dim=20)
-    liouv = build_caldeira_leggett(cfg, LiouvillianSpec(
+    liouv = build_liouvillian(cfg, LiouvillianSpec(
         kind=CALDEIRA_LEGGETT, hamiltonian_kind="harmonic", omega_trap=1.0,
         beta=10.0, coeffs=BilinearCoefficients(gamma=0.5)))
     record = propagate(squeezed_state(cfg, 1.0), liouv,
