@@ -150,8 +150,6 @@ def _initial_state(rc, cfg):
         return number_state(cfg, rc.require("generator", "initial_n"))
     if kind == "thermal":
         return thermal_state(cfg, rc.require("generator", "initial_nbar"))
-    if kind not in ("coherent", "squeezed"):
-        raise ConfigError("unknown initial_state %r in section [generator]" % kind)
     alpha = complex(rc.get("generator", "initial_alpha_re", 0.0),
                     rc.get("generator", "initial_alpha_im", 0.0))
     if kind == "coherent":
@@ -193,15 +191,13 @@ def _generator_from(rc, cfg):
         spec = LiouvillianSpec(
             beta=beta, coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z),
             assembly=rc.get("generator", "assembly", DOUBLE_COMMUTATOR), **common)
-    elif kind == BOLTZMANN_COLLISION:
+    else:
         q_max = rc.get("generator", "q_max", cutoff_momentum(gas))
         nodes, weights = radial_grid(q_max, rc.get("generator", "n_nodes", 40))
         spec = LiouvillianSpec(collision=CollisionParameters(
             gas_mass=gas.gas_mass, beta=gas.beta, fugacity_z=z,
             tmatrix=_tmatrix_from(rc), q_nodes=nodes, q_weights=weights,
             q_max=q_max), **common)
-    else:
-        raise ConfigError("unknown generator kind %r" % kind)
     return build_liouvillian(cfg, spec)
 
 
@@ -285,8 +281,6 @@ def cmd_dsf(rc):
 def cmd_fp(rc):
     eta = rc.require("fp", "eta")
     d_v = rc.require("fp", "d_v")
-    if eta < 0.0 or d_v < 0.0:
-        raise ConfigError("keys 'eta' and 'd_v' in section [fp] must be nonnegative")
     v_min = rc.get("fp", "v_min", -8.0)
     v_max = rc.get("fp", "v_max", 8.0)
     n_cells = rc.get("fp", "n_cells", 200)
@@ -298,11 +292,11 @@ def cmd_fp(rc):
             grid = gaussian_grid(v_min, v_max, n_cells,
                                  mean=rc.get("fp", "initial_mean", 0.0),
                                  var=rc.require("fp", "initial_var"))
+        bound = stability_bound(grid, eta, d_v)
     t_final = rc.require("fp", "t_final")
     if not t_final > 0.0:
         raise ConfigError("key 't_final' in section [fp] must be positive")
     dt = rc.get("fp", "dt")
-    bound = stability_bound(grid, eta, d_v)
     if dt is None:
         if not np.isfinite(bound):
             raise ConfigError(

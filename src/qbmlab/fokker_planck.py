@@ -104,14 +104,16 @@ def grid_moments(grid):
 
 
 def stability_bound(grid, eta, d_v):
-    """Largest dt that fp_step accepts for this grid and coefficients."""
+    """Largest dt that fp_step accepts for this grid and coefficients, which
+    must be nonnegative; inf when both are zero."""
+    if eta < 0.0 or d_v < 0.0:
+        raise ValueError("eta and d_v must be nonnegative")
     dv = grid.dv
     bounds = []
     if d_v > 0.0:
         bounds.append(dv * dv / (2.0 * d_v))
-    v_abs = max(abs(grid.v_min), abs(grid.v_max))
-    if eta > 0.0 and v_abs > 0.0:
-        bounds.append(dv / (eta * v_abs))
+    if eta > 0.0:  # FPGrid holds v_min < 0 < v_max
+        bounds.append(dv / (eta * max(-grid.v_min, grid.v_max)))
     if not bounds:
         return np.inf
     return _CFL_FRACTION * min(bounds)
@@ -154,15 +156,14 @@ def _edge_fluxes(grid, eta, d_v):
 def fp_step(grid, eta, d_v, dt):
     """One explicit conservative update; returns a new grid.
 
-    Rejects dt above the positivity-preserving stability bound.  Mass is
-    conserved to roundoff because interior fluxes telescope and the
-    boundary fluxes are identically zero.
+    Rejects dt above the positivity-preserving stability bound, and, through
+    stability_bound, negative coefficients.  Mass is conserved to roundoff
+    because interior fluxes telescope and the boundary fluxes are
+    identically zero.
     """
-    if eta < 0.0 or d_v < 0.0:
-        raise ValueError("eta and d_v must be nonnegative")
+    bound = stability_bound(grid, eta, d_v)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    bound = stability_bound(grid, eta, d_v)
     if dt > bound:
         raise ValueError(
             "dt=%.6g violates the stability bound %.6g" % (dt, bound))

@@ -1,6 +1,7 @@
 """Generators drho/dt = L[rho] for the quantum Brownian motion family.
 
-One constructor, build_liouvillian, builds four kinds of generator:
+One constructor, build_liouvillian, compiles a LiouvillianSpec, which
+checks its own fields on construction, into one of four kinds of generator:
 
 * damped-commutator generator (friction + momentum diffusion only), the
   high-temperature form that is NOT completely positive;
@@ -9,7 +10,7 @@ One constructor, build_liouvillian, builds four kinds of generator:
   D_xx*D_pp - D_xp^2 >= (gamma*hbar/2)^2;
 * minimal completely positive generator, whose d_xx and gamma derive from the
   user-supplied d_pp (equivalently assembled from a single thermal-scale jump
-  operator);
+  operator at rate 2 z gamma);
 * gas-collision generator built from exponential shift/weight sandwiches over
   a signed momentum-transfer quadrature grid.
 
@@ -63,7 +64,7 @@ from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           kossakowski_weights, saturating_coefficients,
                           thermal_kernel)
 from .operators import (HilbertConfig, build_annihilator, build_hamiltonian,
-                        build_momentum, build_position, thermal_wavelength)
+                        build_momentum, build_position)
 
 CALDEIRA_LEGGETT = "caldeira_leggett"
 BILINEAR = "bilinear"
@@ -123,7 +124,11 @@ def radial_grid(q_max: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class LiouvillianSpec:
-    """Which generator to build, and with what physics."""
+    """Which generator to build, and with what physics.
+
+    Checked on construction for every rule the spec alone decides; the
+    compile functions check only what needs the Hilbert space.
+    """
 
     kind: str
     hamiltonian_kind: str = "free"
@@ -132,6 +137,33 @@ class LiouvillianSpec:
     coeffs: BilinearCoefficients | None = None
     collision: CollisionParameters | None = None
     assembly: str = DOUBLE_COMMUTATOR
+
+    def __post_init__(self):
+        kind, c = self.kind, self.coeffs
+        if kind not in _COMPILERS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        if kind == BOLTZMANN_COLLISION and self.collision is None:
+            raise ValueError("boltzmann_collision requires CollisionParameters")
+        if kind == BILINEAR and c is None:
+            raise ValueError("bilinear generator requires coefficients")
+        if kind not in (CALDEIRA_LEGGETT, MINIMAL_QBM):
+            return
+        # the thermal kinds take one coefficient and derive the others from beta
+        given, derived = (("gamma", "diffusion coefficients") if kind == CALDEIRA_LEGGETT
+                          else ("d_pp", "gamma and d_xx"))
+        if c is None or self.beta is None:
+            raise ValueError(f"{kind} requires coeffs.{given} and beta")
+        if not self.beta > 0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
+        if c.gamma < 0:
+            raise ValueError("gamma must be nonnegative")
+        if any(getattr(c, name) != 0.0
+               for name in ("gamma", "d_pp", "d_xx", "d_xp", "mu") if name != given):
+            raise ValueError(f"{kind} takes only {given} (+ fugacity_z); "
+                             f"{derived} are derived")
+        if kind == MINIMAL_QBM and self.assembly not in (DOUBLE_COMMUTATOR,
+                                                        SINGLE_GENERATOR):
+            raise ValueError(f"unknown assembly {self.assembly!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +238,10 @@ def _normal_form_apply(nf: NormalForm):
 
 
 def _bilinear_normal_form(cfg: HilbertConfig, spec: LiouvillianSpec,
-                          coeffs: BilinearCoefficients):
-    """K, the Kossakowski (s_k, J_k) and the attributes of the bilinear terms."""
+                          coeffs: BilinearCoefficients | None = None):
+    """K, the Kossakowski (s_k, J_k) and the attributes of the bilinear terms
+    of coeffs: spec.coeffs for the bilinear kind, derived ones for the others."""
+    coeffs = spec.coeffs if coeffs is None else coeffs
     hbar = cfg.hbar
     h = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap)
     x = build_position(cfg)
@@ -225,32 +259,16 @@ def _bilinear_normal_form(cfg: HilbertConfig, spec: LiouvillianSpec,
     return k, jumps, {"coeffs": coeffs}
 
 
-def _bilinear(cfg: HilbertConfig, spec: LiouvillianSpec):
-    """General bilinear generator with user-supplied coefficients."""
-    if spec.coeffs is None:
-        raise ValueError("bilinear generator requires coefficients")
-    return _bilinear_normal_form(cfg, spec, spec.coeffs)
-
-
 def _caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec):
     """Friction + momentum diffusion d_pp = 2*M*gamma/beta, no position diffusion.
 
     Compiles through the bilinear normal form, so it agrees with the
     bilinear kind at the same coefficients bit for bit.
     """
-    if spec.coeffs is None or spec.beta is None:
-        raise ValueError("caldeira_leggett requires coeffs.gamma and beta")
-    if not spec.beta > 0:
-        raise ValueError(f"beta must be positive, got {spec.beta}")
-    if spec.coeffs.gamma < 0:
-        raise ValueError("gamma must be nonnegative")
     c = spec.coeffs
-    if c.d_pp != 0.0 or c.d_xx != 0.0 or c.d_xp != 0.0 or c.mu != 0.0:
-        raise ValueError("caldeira_leggett takes only gamma (+ fugacity_z); "
-                         "diffusion coefficients are derived")
     derived = BilinearCoefficients(
         gamma=c.gamma, d_pp=2.0 * cfg.mass * c.gamma / spec.beta,
-        d_xx=0.0, d_xp=0.0, mu=0.0, fugacity_z=c.fugacity_z)
+        fugacity_z=c.fugacity_z)
     return _bilinear_normal_form(cfg, spec, derived)
 
 
@@ -261,10 +279,9 @@ def minimal_coefficients(cfg: HilbertConfig, d_pp: float, beta: float,
     gamma = (beta/2M) d_pp and d_xx = (beta hbar/4M)^2 d_pp, from
     saturating_coefficients, saturate the CP bound; the bilinear form
     carries no anticommutator correction (mu = 0), which is exactly what
-    the single-generator assembly reduces to.
+    the single-generator assembly reduces to.  BilinearCoefficients
+    rejects a negative d_pp.
     """
-    if d_pp < 0:
-        raise ValueError(f"d_pp must be nonnegative, got {d_pp}")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     gamma, d_xx = saturating_coefficients(d_pp, beta, cfg.mass, cfg.hbar)
@@ -275,36 +292,27 @@ def minimal_coefficients(cfg: HilbertConfig, d_pp: float, beta: float,
 def _minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec):
     """Completely positive Brownian generator from d_pp and fugacity_z only.
 
-    assembly selects between the algebraically identical routes:
-    DOUBLE_COMMUTATOR compiles the three bilinear terms through the Kossakowski
-    matrix, whose one nonzero weight yields the jump; SINGLE_GENERATOR takes
-    the thermal-scale annihilator as the jump directly, plus the
-    anticommutator Hamiltonian correction with coefficient z*gamma/2.
+    gamma and d_xx come from minimal_coefficients, the one thermal
+    derivation.  assembly selects between the algebraically identical
+    routes: DOUBLE_COMMUTATOR compiles the three bilinear terms through the
+    Kossakowski matrix, whose one nonzero weight yields the jump;
+    SINGLE_GENERATOR takes the thermal-scale annihilator as the jump
+    directly, with rate 2*z*gamma, plus the anticommutator Hamiltonian
+    correction with coefficient z*gamma/2.
     """
-    if spec.coeffs is None or spec.beta is None:
-        raise ValueError("minimal_qbm requires coeffs.d_pp and beta")
     c = spec.coeffs
-    if c.gamma != 0.0 or c.d_xx != 0.0 or c.d_xp != 0.0 or c.mu != 0.0:
-        raise ValueError("minimal_qbm takes only d_pp (+ fugacity_z); "
-                         "gamma and d_xx are derived")
     derived = minimal_coefficients(cfg, c.d_pp, spec.beta, c.fugacity_z)
-
     if spec.assembly == DOUBLE_COMMUTATOR:
         return _bilinear_normal_form(cfg, spec, derived)
-    if spec.assembly != SINGLE_GENERATOR:
-        raise ValueError(f"unknown assembly {spec.assembly!r}")
 
-    hbar = cfg.hbar
-    lam2 = thermal_wavelength(cfg, spec.beta) ** 2
-    z, d_pp = derived.fugacity_z, derived.d_pp
+    z_gamma = derived.fugacity_z * derived.gamma
     x = build_position(cfg)
     p = build_momentum(cfg)
-    # Hamiltonian correction z*d_pp*lam^2/(4 hbar^2) * {x,p} = (z*gamma/2) {x,p}
     h_eff = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap) \
-        + z * d_pp * lam2 / (4.0 * hbar**2) * (x @ p + p @ x)
+        + (0.5 * z_gamma) * (x @ p + p @ x)
     jump = build_annihilator(cfg, spec.beta)
-    rate = z * d_pp * lam2 / hbar**2
-    k = (-1j / hbar) * h_eff - (0.5 * rate) * (jump.conj().T @ jump)
+    rate = 2.0 * z_gamma
+    k = (-1j / cfg.hbar) * h_eff - (0.5 * rate) * (jump.conj().T @ jump)
     return k, [(rate, jump)] if rate != 0.0 else [], {"coeffs": derived}
 
 
@@ -329,8 +337,6 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
     the thermal weight.  The exponentials are computed at construction, and
     every -(1/2){G(q)^2, rho} is folded into the normal form's K.
     """
-    if spec.collision is None:
-        raise ValueError("boltzmann_collision requires CollisionParameters")
     par = spec.collision
     hbar = cfg.hbar
     x = build_position(cfg)
@@ -364,9 +370,10 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
     return k, jumps, {"collision": par}
 
 
+# the one list of generator kinds, each with its compile function
 _COMPILERS = {
     CALDEIRA_LEGGETT: _caldeira_leggett,
-    BILINEAR: _bilinear,
+    BILINEAR: _bilinear_normal_form,
     MINIMAL_QBM: _minimal_qbm,
     BOLTZMANN_COLLISION: _boltzmann_collision,
 }
@@ -375,14 +382,10 @@ _COMPILERS = {
 def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     """Compile the generator spec names: the one way to build a generator.
 
-    The compile function of spec.kind validates the fields that kind takes
-    and returns K, the jumps (s_k, J_k) and the attributes to attach.
+    The spec has validated itself; the compile function of spec.kind
+    returns K, the jumps (s_k, J_k) and the attributes to attach.
     """
-    try:
-        compile_kind = _COMPILERS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown generator kind {spec.kind!r}") from None
-    k, jumps, attrs = compile_kind(cfg, spec)
+    k, jumps, attrs = _COMPILERS[spec.kind](cfg, spec)
     return _compiled(cfg, spec.kind, k, jumps, **attrs)
 
 

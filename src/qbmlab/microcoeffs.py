@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
-from .structure_factor import BOSE, FERMI, MAXWELL_BOLTZMANN, GasThermodynamics
+from .structure_factor import BOSE, MAXWELL_BOLTZMANN, GasThermodynamics
 
 USER = "user"
 EQ_MICRO = "microscopic"
@@ -160,16 +160,17 @@ def cp_margin(c: BilinearCoefficients, hbar: float = 1.0) -> float:
 
 
 def cp_check(c: BilinearCoefficients, hbar: float = 1.0) -> tuple[bool, float]:
-    """(satisfied, margin): positivity of both diffusions plus the determinant bound.
+    """(satisfied, margin): the GKSL condition C >= 0 on the Kossakowski matrix.
 
-    The bound counts as met when the margin is no more negative than
-    CP_ROUNDOFF times its largest term, so a saturated set (chi = 1/8),
+    BilinearCoefficients keeps C's diagonal nonnegative, so C >= 0 is the
+    determinant bound.  It counts as met when the margin is no more negative
+    than CP_ROUNDOFF times its largest term, so a saturated set (chi = 1/8),
     whose computed margin is zero only up to round-off, is completely
-    positive.  The margin itself is returned unchanged.
+    positive; kossakowski_weights keeps weights by the same rule.  The
+    margin itself is returned unchanged.
     """
     margin = cp_margin(c, hbar)
-    ok = c.d_pp > 0 and c.d_xx > 0 and margin >= -CP_ROUNDOFF * max(_cp_terms(c, hbar))
-    return bool(ok), margin
+    return bool(margin >= -CP_ROUNDOFF * max(_cp_terms(c, hbar))), margin
 
 
 def kossakowski_weights(c: BilinearCoefficients,
@@ -213,6 +214,4 @@ def friction_ratio(gas: GasThermodynamics) -> float:
         return 1.0
     if gas.statistics == BOSE:
         return 1.0 - gas.fugacity
-    if gas.statistics == FERMI:
-        return 1.0 + gas.fugacity
-    raise ValueError(f"unknown statistics {gas.statistics!r}")
+    return 1.0 + gas.fugacity

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.integrate
 
 MAXWELL_BOLTZMANN = "maxwell_boltzmann"
 BOSE = "bose"
@@ -66,8 +67,6 @@ def _energy_moment(q: float, gas: GasThermodynamics, power: int) -> float:
     Kept numerical on purpose: it cross-checks the closed form rather than
     restating it.
     """
-    import scipy.integrate
-
     if not q > 0:
         raise ValueError(f"momentum transfer q must be positive, got {q}")
     recoil = q**2 / (2.0 * gas.gas_mass)

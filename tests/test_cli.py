@@ -148,6 +148,28 @@ def test_linalg_failure_during_run_exits_three(tmp_path, monkeypatch, capsys):
     assert not (out / "quick.csv").exists()
 
 
+def test_numerical_failure_while_building_exits_three(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise ArithmeticError("radial quadrature did not converge")
+
+    monkeypatch.setattr(cli, "compute_dpp", failing)
+    code, out = run(tmp_path, monkeypatch, COEFFS_QUICK, "coeffs", "co")
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("state", ["initial_state = number\ninitial_n = 2",
+                                   "initial_state = coherent\ninitial_alpha_re = 0.5\n"
+                                   "initial_alpha_im = -0.3"],
+                         ids=["number", "coherent"])
+def test_evolve_from_pure_initial_states(tmp_path, monkeypatch, state):
+    text = EVOLVE_QUICK.replace("initial_state = thermal\ninitial_nbar = 0.3", state)
+    code, out = run(tmp_path, monkeypatch, text, "evolve", "pure")
+    assert code == 0
+    assert (out / "quick.csv").exists()
+
+
 @pytest.mark.parametrize("command, text, section, key", [
     ("evolve", EVOLVE_QUICK.replace("monitor_stride = 10",
                                     "monitor_stride = 10\nbreach_threshold = 1e-6"),
@@ -179,10 +201,13 @@ def test_linalg_failure_during_run_exits_three(tmp_path, monkeypatch, capsys):
      "gas", "statistics"),
     # no friction, so chi is undefined
     ("coeffs", COEFFS_QUICK.replace("t0 = 0.02", "t0 = 0"), "tmatrix", "t0"),
+    # no drift and no diffusion: nothing bounds the step, so dt must be given
+    ("fp", FP_QUICK.replace("initial = maxwell", "initial = gaussian\ninitial_var = 1.0")
+     .replace("eta = 1.0", "eta = 0").replace("d_v = 1.0", "d_v = 0"), "fp", "dt"),
 ], ids=["evolve-breach_threshold", "fp-dt", "fp-t_final", "fp-eta",
         "compare-eta_scale", "fp-eta-nan", "fp-eta-inf", "gas-bose-fugacity",
         "hilbert-mass", "cl-gamma", "fp-maxwell-eta", "tmatrix-sigma_q", "compare-dim",
-        "dsf-fermi", "dsf-bose", "tmatrix-t0-zero"])
+        "dsf-fermi", "dsf-bose", "tmatrix-t0-zero", "fp-no-coefficients-no-dt"])
 def test_bad_run_parameters_exit_two_before_running(tmp_path, monkeypatch, capsys,
                                                     command, text, section, key):
     code, out = run(tmp_path, monkeypatch, text, command, "bad")

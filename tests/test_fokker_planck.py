@@ -64,6 +64,18 @@ def test_stability_bound_cases():
     assert np.isinf(stability_bound(grid, 0.0, 0.0))
     drift_only = stability_bound(grid, 2.0, 0.0)
     assert drift_only == pytest.approx(0.4 * grid.dv / (2.0 * 6.0))
+    # a negative coefficient has no bound, not one that ignores its term
+    for eta, d_v in ((-1.0, 1.0), (1.0, -1.0), (-1.0, 0.0)):
+        with pytest.raises(ValueError):
+            stability_bound(grid, eta, d_v)
+
+
+def test_solve_validation():
+    grid = gaussian_grid(-6.0, 6.0, 100)
+    dt = 0.9 * stability_bound(grid, 1.0, 1.0)
+    for t_final, stride in ((0.0, 1), (-1.0, 1), (1.0, 0)):
+        with pytest.raises(ValueError):
+            fp_solve(grid, 1.0, 1.0, t_final, dt, sample_stride=stride)
 
 
 def test_mass_conserved_every_step():

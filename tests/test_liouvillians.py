@@ -242,6 +242,23 @@ def test_unresolved_negative_weight_is_kept():
     assert abs(weights.sum() - 2.0 * (d_pp + c.d_xx)) < 1e-12 * d_pp
 
 
+@pytest.mark.parametrize("coeffs, completely_positive", [
+    (BilinearCoefficients(d_pp=1.0), True),
+    (BilinearCoefficients(d_xx=0.3), True),
+    (BilinearCoefficients(), True),
+    (BilinearCoefficients(d_pp=1.3, gamma=0.4), False),
+    (BilinearCoefficients(d_xp=0.2), False),
+], ids=["pure-d_pp", "pure-d_xx", "zero", "d_xx-zero-with-friction", "d_xp-alone"])
+def test_cp_check_on_the_edges(coeffs, completely_positive):
+    """Where a diffusion vanishes, GKSL needs only C's nonnegative diagonal
+    and det C >= 0: cp_check's verdict is still "no compiled weight is
+    negative"."""
+    weights = build_liouvillian(CFG, LiouvillianSpec(kind=BILINEAR, coeffs=coeffs)) \
+        .normal_form.weights
+    assert cp_check(coeffs)[0] is completely_positive
+    assert bool(np.all(weights >= 0.0)) is completely_positive
+
+
 @given(d_pp=st.floats(min_value=1e-4, max_value=1e4),
        beta=st.floats(min_value=0.05, max_value=20.0),
        mass=st.floats(min_value=0.1, max_value=10.0),
@@ -263,6 +280,21 @@ def test_positivity_dichotomy_in_the_weights(d_pp, beta, mass, hbar, fugacity_z)
         coeffs=BilinearCoefficients(gamma=beta * d_pp / (2.0 * mass),
                                     fugacity_z=fugacity_z)))
     assert cl.normal_form.weights.size == 2 and cl.normal_form.weights.min() < 0.0
+
+
+def test_single_generator_rate_is_twice_z_gamma():
+    """The single-jump assembly takes gamma from minimal_coefficients, the
+    one thermal derivation, so its rate is 2 z gamma to the last bit."""
+    draws = np.random.default_rng(20240917)
+    for _ in range(200):
+        d_pp = 10.0 ** draws.uniform(-3.0, 3.0)
+        beta, z = draws.uniform(0.05, 20.0), draws.uniform(0.01, 2.0)
+        mass, hbar = draws.uniform(0.1, 10.0), draws.uniform(0.1, 10.0)
+        cfg = HilbertConfig(dim=2, hbar=hbar, mass=mass)
+        liouv = build_liouvillian(cfg, LiouvillianSpec(
+            kind=MINIMAL_QBM, beta=beta, assembly=SINGLE_GENERATOR,
+            coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z)))
+        assert liouv.normal_form.weights[0] == 2 * z * liouv.coeffs.gamma
 
 
 def test_caldeira_leggett_equals_bilinear_bitwise(rng):
@@ -351,20 +383,41 @@ def test_builder_kind_crosschecks():
         build_liouvillian(CFG, LiouvillianSpec(kind=BOLTZMANN_COLLISION))
 
 
+@pytest.mark.parametrize("fields", [
+    dict(kind="unitary"),
+    dict(kind=BILINEAR),
+    dict(kind=CALDEIRA_LEGGETT, coeffs=BilinearCoefficients(gamma=0.3)),
+    dict(kind=CALDEIRA_LEGGETT, beta=0.0, coeffs=BilinearCoefficients(gamma=0.3)),
+    dict(kind=CALDEIRA_LEGGETT, beta=2.0, coeffs=BilinearCoefficients(gamma=-0.3)),
+    dict(kind=CALDEIRA_LEGGETT, beta=2.0, coeffs=BilinearCoefficients(gamma=0.3, d_pp=1.0)),
+    dict(kind=MINIMAL_QBM, coeffs=BilinearCoefficients(d_pp=0.7)),
+    dict(kind=MINIMAL_QBM, beta=2.0, coeffs=BilinearCoefficients(d_pp=0.7, mu=0.1)),
+    dict(kind=MINIMAL_QBM, beta=2.0, coeffs=BilinearCoefficients(d_pp=0.7),
+         assembly="triple"),
+    dict(kind=BOLTZMANN_COLLISION),
+], ids=["unknown-kind", "bilinear-no-coeffs", "cl-no-beta", "cl-beta-zero",
+        "cl-negative-gamma", "cl-d_pp", "minimal-no-beta", "minimal-mu",
+        "minimal-assembly", "collision-no-parameters"])
+def test_spec_rules_raise_at_construction(fields):
+    """A spec checks every rule it alone decides when it is made, with no
+    Hilbert space and no build."""
+    with pytest.raises(ValueError):
+        LiouvillianSpec(**fields)
+
+
 def test_collision_parameters_validation():
     nodes, weights = radial_grid(2.0, 20)
-    with pytest.raises(ValueError):
-        CollisionParameters(gas_mass=-1.0, beta=2.0, fugacity_z=0.8,
-                            tmatrix=TMAT, q_nodes=nodes, q_weights=weights,
-                            q_max=2.0)
-    with pytest.raises(ValueError):
-        CollisionParameters(gas_mass=1.0, beta=2.0, fugacity_z=-0.1,
-                            tmatrix=TMAT, q_nodes=nodes, q_weights=weights,
-                            q_max=2.0)
-    with pytest.raises(ValueError):
-        CollisionParameters(gas_mass=1.0, beta=2.0, fugacity_z=0.8,
-                            tmatrix=TMAT, q_nodes=nodes, q_weights=weights[:-1],
-                            q_max=2.0)
+    good = dict(gas_mass=1.0, beta=2.0, fugacity_z=0.8, tmatrix=TMAT,
+                q_nodes=nodes, q_weights=weights, q_max=2.0)
+    CollisionParameters(**good)
+    for bad in (dict(gas_mass=-1.0), dict(fugacity_z=-0.1),
+                dict(q_weights=weights[:-1]),
+                dict(q_nodes=nodes[:0], q_weights=weights[:0]),  # empty grid
+                dict(q_max=1.0),  # nodes beyond q_max
+                dict(q_nodes=-nodes),  # nodes below zero
+                dict(q_weights=np.where(nodes > 1.0, 0.0, weights))):
+        with pytest.raises(ValueError):
+            CollisionParameters(**{**good, **bad})
 
 
 def test_collision_prefactor_value():

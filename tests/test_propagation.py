@@ -409,6 +409,21 @@ def test_stationary_state_degeneracy_detected():
         stationary_state(superoperator_matrix(liouv))
 
 
+def test_stationary_state_input_guards():
+    liouv = _damped_oscillator(HilbertConfig(dim=3))
+    with pytest.raises(TypeError):
+        stationary_state(liouv)
+    with pytest.raises(ValueError):
+        stationary_state(np.zeros((9, 8), dtype=complex))
+    l_matrix = superoperator_matrix(liouv)
+    l_matrix[2, 5] = np.nan
+    with pytest.raises(NumericalFailure) as exc:
+        stationary_state(l_matrix)
+    assert not isinstance(exc.value, DegenerateStationaryState)
+    with pytest.raises(DegenerateStationaryState, match="identically zero"):
+        stationary_state(np.zeros((9, 9), dtype=complex))
+
+
 def test_stationary_state_requires_a_kernel():
     with pytest.raises(DegenerateStationaryState):
         stationary_state(np.eye(4, dtype=complex))
