@@ -34,6 +34,7 @@ from .structure_factor import (
     FERMI,
     MAXWELL_BOLTZMANN,
     GasThermodynamics,
+    brownian_weight,
     s_mb,
     statistics_prefactor,
     sum_rule_f,

@@ -12,7 +12,8 @@ checks its own fields on construction, into one of four kinds of generator:
   user-supplied d_pp (equivalently assembled from a single thermal-scale jump
   operator at rate 2 z gamma);
 * gas-collision generator built from exponential shift/weight sandwiches over
-  a signed momentum-transfer quadrature grid.
+  a signed momentum-transfer quadrature grid, all taken from one
+  eigendecomposition of x and one of p.
 
 The compile function of each kind turns its physics, once, at build time,
 into one Lindblad normal form
@@ -47,10 +48,12 @@ saturates the bound, so its C has rank one and it has a single jump.
 Trace and Hermiticity are preserved, and never renormalized: tr L[rho] =
 tr((K + K^dag + sum_k s_k J_k^dag J_k) rho), and that operator sum cancels
 identically as a sum of products of the same truncated matrices (for the
-collision generator, up to the unitarity of the computed momentum shift),
-so the trace is annihilated at any truncation up to round-off.  With real
-weights the two K terms are each other's adjoints and every sandwich is
-self-adjoint, so Hermitian rho maps to Hermitian L[rho].
+collision generator, up to the unitarity of the computed momentum shift
+V_x e^{i theta} V_x^dag and of p's computed eigenvectors V_p, on which
+both G(q)^2 in K and each J_k^dag J_k rest), so the trace is annihilated
+at any truncation up to round-off.  With real weights the two K terms are
+each other's adjoints and every sandwich is self-adjoint, so Hermitian rho
+maps to Hermitian L[rho].
 """
 
 from __future__ import annotations
@@ -58,13 +61,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           kossakowski_weights, saturating_coefficients,
                           thermal_kernel)
 from .operators import (HilbertConfig, build_annihilator, build_hamiltonian,
                         build_momentum, build_position)
+from .structure_factor import brownian_weight
 
 CALDEIRA_LEGGETT = "caldeira_leggett"
 BILINEAR = "bilinear"
@@ -146,6 +149,16 @@ class LiouvillianSpec:
             raise ValueError("boltzmann_collision requires CollisionParameters")
         if kind == BILINEAR and c is None:
             raise ValueError("bilinear generator requires coefficients")
+        # a field the kind's compile function never reads would be dropped
+        # without a word; CollisionParameters carries the collision beta
+        unread = [name for name, stray in (
+            ("beta", kind in (BILINEAR, BOLTZMANN_COLLISION) and self.beta is not None),
+            ("coeffs", kind == BOLTZMANN_COLLISION and c is not None),
+            ("collision", kind != BOLTZMANN_COLLISION and self.collision is not None),
+            ("assembly", kind != MINIMAL_QBM and self.assembly != DOUBLE_COMMUTATOR),
+        ) if stray]
+        if unread:
+            raise ValueError(f"{kind} does not read {', '.join(unread)}")
         if kind not in (CALDEIRA_LEGGETT, MINIMAL_QBM):
             return
         # the thermal kinds take one coefficient and derive the others from beta
@@ -334,8 +347,15 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
     Each node contributes, for both signs of q,
         U(q) G(q) rho G(q) U(q)^dag - (1/2){G(q)^2, rho}
     with U(q) = exp((i/hbar) q x) a momentum shift and G(q) = exp(-(beta/4M) q p)
-    the thermal weight.  The exponentials are computed at construction, and
-    every -(1/2){G(q)^2, rho} is folded into the normal form's K.
+    the thermal weight, structure_factor.brownian_weight of p.  Both are
+    functions of one Hermitian matrix, so they come from one eigh of x and
+    one of p: with x = V_x diag(l_x) V_x^dag and p = V_p diag(l_p) V_p^dag,
+
+        J(q) = U(q) G(q) = V_x diag(e^{i q l_x/hbar}) (V_x^dag V_p) diag(w_q) V_p^dag,
+
+    w_q = brownian_weight(q, l_p), for all signed nodes as one stacked
+    product, and every -(1/2){G(q)^2, rho} is folded into K as
+    -(1/2) V_p diag(sum_q s_q w_q^2) V_p^dag.
     """
     par = spec.collision
     hbar = cfg.hbar
@@ -355,19 +375,23 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
     rates = par.fugacity_z * prefactor * thermal_kernel(
         par.tmatrix, par.beta, par.gas_mass, par.q_nodes, par.q_weights / par.q_nodes)
 
-    k = (-1j / hbar) * h
-    jumps = []
-    for q, rate in zip(par.q_nodes, rates):
-        if rate == 0.0:
-            continue
-        for sq in (q, -q):
-            u = scipy.linalg.expm(1j / hbar * sq * x)
-            g = scipy.linalg.expm(-par.beta / (4.0 * cfg.mass) * sq * p)
-            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(g))):
-                raise ArithmeticError(f"non-finite matrix exponential at q={sq}")
-            k = k - (0.5 * rate) * (g @ g)
-            jumps.append((rate, u @ g))
-    return k, jumps, {"collision": par}
+    # signed nodes (q_1, -q_1, q_2, -q_2, ...), skipping those of rate 0
+    live = rates != 0.0
+    signed = np.stack([par.q_nodes[live], -par.q_nodes[live]], axis=1).ravel()
+    signed_rates = np.repeat(rates[live], 2)
+    lam_x, v_x = np.linalg.eigh(x)
+    lam_p, v_p = np.linalg.eigh(p)
+    phase = np.exp((1j / hbar) * signed[:, None] * lam_x)
+    weight = brownian_weight(signed[:, None], lam_p, par.beta, cfg.mass)
+    if not (np.isfinite(phase).all() and np.isfinite(weight).all()):
+        raise ArithmeticError(
+            "non-finite momentum shift or thermal weight on the collision grid "
+            f"of {par.q_nodes.size} nodes up to q_max={par.q_max}")
+
+    v_p_dag = v_p.conj().T
+    jumps = v_x @ (phase[:, :, None] * (v_x.conj().T @ v_p) * weight[:, None, :]) @ v_p_dag
+    k = (-1j / hbar) * h - (0.5 * v_p * (signed_rates @ weight**2)) @ v_p_dag
+    return k, list(zip(signed_rates, jumps)), {"collision": par}
 
 
 # the one list of generator kinds, each with its compile function

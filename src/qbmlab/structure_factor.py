@@ -61,6 +61,19 @@ def s_mb(q: float, energy, gas: GasThermodynamics):
     return out if out.ndim else float(out)
 
 
+def brownian_weight(q, momentum, beta: float, mass: float):
+    """Thermal weight exp(-(beta/4M) q p) of a kick q on a particle of mass M
+    and momentum p, elementwise, with q and momentum broadcast together.
+
+    It is the Brownian limit of the structure factor: as m/M -> 0 it equals
+    sqrt(s_mb(q, E(p)) / s_mb(q, E(0))), with E(p) = -(q p/M + q^2/2M) the
+    energy the kick hands to the gas.  At finite m/M the two differ by the
+    recoil factor exp(-beta m (E(p)^2 - E(0)^2) / 4q^2), which tends to 1
+    linearly in m/M.
+    """
+    return np.exp((-beta / (4.0 * mass)) * np.multiply(q, momentum))
+
+
 def _energy_moment(q: float, gas: GasThermodynamics, power: int) -> float:
     """Integral of E^power s_mb(q, E) dE by adaptive quadrature over +-14 widths.
 

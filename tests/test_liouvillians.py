@@ -33,6 +33,7 @@ from qbmlab import (
     s_mb,
     superoperator_matrix,
 )
+from qbmlab.microcoeffs import thermal_kernel
 
 CFG = HilbertConfig(dim=12)
 TMAT = TMatrixModel(kind="gaussian", t0=0.05, sigma_q=1.0)
@@ -113,6 +114,34 @@ def _reference_collision(cfg, par, hamiltonian_kind):
         return out
 
     return apply
+
+
+def _expm_collision_normal_form(cfg, spec):
+    """K and the jumps (s_k, J_k) of the collision generator with one expm per
+    shift and one per weight at every signed node: the oracle for the build
+    from the eigendecompositions of x and p."""
+    par = spec.collision
+    hbar = cfg.hbar
+    x = build_position(cfg)
+    p = build_momentum(cfg)
+    h = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap)
+    prefactor = dpp_prefactor(par.gas_mass, par.beta, hbar)
+    rates = par.fugacity_z * prefactor * thermal_kernel(
+        par.tmatrix, par.beta, par.gas_mass, par.q_nodes, par.q_weights / par.q_nodes)
+
+    k = (-1j / hbar) * h
+    jumps = []
+    for q, rate in zip(par.q_nodes, rates):
+        if rate == 0.0:
+            continue
+        for sq in (q, -q):
+            u = scipy.linalg.expm(1j / hbar * sq * x)
+            g = scipy.linalg.expm(-par.beta / (4.0 * cfg.mass) * sq * p)
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(g))):
+                raise ArithmeticError(f"non-finite matrix exponential at q={sq}")
+            k = k - (0.5 * rate) * (g @ g)
+            jumps.append((rate, u @ g))
+    return k, jumps
 
 
 def _assert_matches_reference(liouv, reference, seed):
@@ -395,9 +424,22 @@ def test_builder_kind_crosschecks():
     dict(kind=MINIMAL_QBM, beta=2.0, coeffs=BilinearCoefficients(d_pp=0.7),
          assembly="triple"),
     dict(kind=BOLTZMANN_COLLISION),
+    dict(kind=BOLTZMANN_COLLISION, collision=_collision_params(0.25), beta=50.0),
+    dict(kind=BOLTZMANN_COLLISION, collision=_collision_params(0.25),
+         coeffs=BilinearCoefficients(gamma=3.0)),
+    dict(kind=BOLTZMANN_COLLISION, collision=_collision_params(0.25),
+         assembly=SINGLE_GENERATOR),
+    dict(kind=BILINEAR, coeffs=BilinearCoefficients(gamma=0.3), beta=-3.0),
+    dict(kind=BILINEAR, coeffs=BilinearCoefficients(gamma=0.3), assembly="triple"),
+    dict(kind=CALDEIRA_LEGGETT, beta=2.0, coeffs=BilinearCoefficients(gamma=0.3),
+         assembly=SINGLE_GENERATOR),
+    dict(kind=MINIMAL_QBM, beta=2.0, coeffs=BilinearCoefficients(d_pp=0.7),
+         collision=_collision_params(0.25)),
 ], ids=["unknown-kind", "bilinear-no-coeffs", "cl-no-beta", "cl-beta-zero",
         "cl-negative-gamma", "cl-d_pp", "minimal-no-beta", "minimal-mu",
-        "minimal-assembly", "collision-no-parameters"])
+        "minimal-assembly", "collision-no-parameters", "collision-beta",
+        "collision-coeffs", "collision-assembly", "bilinear-beta",
+        "bilinear-assembly", "cl-assembly", "minimal-collision"])
 def test_spec_rules_raise_at_construction(fields):
     """A spec checks every rule it alone decides when it is made, with no
     Hilbert space and no build."""
@@ -499,6 +541,41 @@ def test_collision_weight_is_brownian_limit_of_structure_factor():
     assert gaps[0] > gaps[1] > gaps[2]
     assert 9.0 < gaps[1] / gaps[2] < 11.0
     assert gaps[2] < 0.011
+
+
+@pytest.mark.parametrize("dim, beta, gas_mass, fugacity_z", [
+    (12, 2.0, 1.0, 0.8), (14, 3.0, 0.5, 1.0), (24, 1.5, 2.0, 0.5), (13, 2.0, 1.0, 0.0)])
+@pytest.mark.parametrize("exponent", [None, 4.95])
+def test_collision_normal_form_matches_expm_build(dim, beta, gas_mass, fugacity_z,
+                                                  exponent):
+    """Every jump and K agree with the build by one expm per shift and weight,
+    at the benchmark's sizes (40 nodes, q_max 0.25) and with the weight
+    exponent beta q_max ||p||/4M just under its cap; the jumps come in the
+    same order, two per node of nonzero rate (none at zero fugacity), and
+    K + K^dag + sum_k s_k J_k^dag J_k, the operator the trace sees, cancels
+    to round-off."""
+    cfg = HilbertConfig(dim=dim)
+    q_max = 0.25 if exponent is None else (
+        exponent * 4.0 * cfg.mass / (beta * np.linalg.norm(build_momentum(cfg), 2)))
+    nodes, weights = radial_grid(q_max, 40)
+    spec = LiouvillianSpec(
+        kind=BOLTZMANN_COLLISION, hamiltonian_kind="harmonic", omega_trap=1.1,
+        collision=CollisionParameters(gas_mass=gas_mass, beta=beta,
+                                      fugacity_z=fugacity_z, tmatrix=TMAT,
+                                      q_nodes=nodes, q_weights=weights, q_max=q_max))
+    nf = build_liouvillian(cfg, spec).normal_form
+    k_ref, jumps_ref = _expm_collision_normal_form(cfg, spec)
+    assert np.array_equal(nf.weights, [s for s, _ in jumps_ref])
+    assert nf.jumps.shape == (len(jumps_ref), dim, dim)
+    assert len(jumps_ref) == (0 if fugacity_z == 0.0 else 80)
+    for jump, (_, ref) in zip(nf.jumps, jumps_ref):
+        assert np.abs(jump - ref).max() <= 1e-13 * np.abs(ref).max()
+    # relative to the dissipative part of K, which H would otherwise swamp
+    dissipative = k_ref + (1j / cfg.hbar) * build_hamiltonian(cfg, "harmonic", 1.1)
+    assert np.abs(nf.k - k_ref).max() <= 1e-13 * np.abs(dissipative).max()
+    trace_op = nf.k + nf.k.conj().T + np.einsum(
+        "n,nji,njk->ik", nf.weights, nf.jumps.conj(), nf.jumps)
+    assert np.abs(trace_op).max() <= 1e-14 * np.abs(nf.k).max()
 
 
 def test_collision_exponent_guard():

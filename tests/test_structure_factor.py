@@ -7,6 +7,7 @@ from qbmlab import (
     FERMI,
     MAXWELL_BOLTZMANN,
     GasThermodynamics,
+    brownian_weight,
     friction_ratio,
     s_mb,
     statistics_prefactor,
@@ -85,6 +86,28 @@ def test_detailed_balance_property(q, energy, beta, gas_mass):
         return
     target = np.exp(-beta * energy) * forward
     assert abs(backward - target) <= 1e-12 * max(abs(backward), abs(target), 1e-300)
+
+
+def test_brownian_weight_is_limit_of_structure_factor():
+    """exp(-(beta/4M) q p) is sqrt(s_mb(q, E(p)) / s_mb(q, E(0))) as m/M -> 0,
+    with E(p) = -(q p/M + q^2/2M) the energy a kick q hands to the gas; the
+    recoil factor between them tends to 1 linearly in m/M."""
+    beta, mass = 2.0, 1.0
+    momentum = np.linspace(-4.0, 4.0, 81)
+    gaps = []
+    for mass_ratio in (5e-3, 5e-4, 5e-5):
+        gas = GasThermodynamics(beta=beta, gas_mass=mass_ratio * mass)
+        gap = 0.0
+        for q in (0.05, -0.05, 0.1, -0.1, 0.25, -0.25):
+            energy = -(q * momentum + q**2 / 2.0) / mass
+            limit = np.sqrt(s_mb(abs(q), energy, gas)
+                            / s_mb(abs(q), -q**2 / (2.0 * mass), gas))
+            weight = brownian_weight(q, momentum, beta, mass)
+            gap = max(gap, (np.abs(weight - limit) / limit).max())
+        gaps.append(gap)
+    assert gaps[1] < 0.01
+    assert 9.0 < gaps[0] / gaps[1] < 11.0
+    assert 9.0 < gaps[1] / gaps[2] < 11.0
 
 
 def test_sum_rules():
