@@ -67,6 +67,7 @@ from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           thermal_kernel)
 from .operators import (HilbertConfig, build_annihilator, build_hamiltonian,
                         build_momentum, build_position)
+from .quadrature import legendre_rule
 from .structure_factor import brownian_weight
 
 CALDEIRA_LEGGETT = "caldeira_leggett"
@@ -119,7 +120,7 @@ def radial_grid(q_max: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes on (0, q_max) with the radial q^2 measure folded in."""
     if not q_max > 0 or n_nodes < 1:
         raise ValueError("q_max must be positive and n_nodes >= 1")
-    t, w = np.polynomial.legendre.leggauss(n_nodes)
+    t, w = legendre_rule(n_nodes)
     nodes = 0.5 * q_max * (t + 1.0)
     weights = 0.5 * q_max * w * nodes**2
     return nodes, weights
@@ -363,8 +364,8 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
     p = build_momentum(cfg)
     h = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap)
 
-    p_norm = np.linalg.norm(p, 2)
-    exponent = par.beta * par.q_max * p_norm / (4.0 * cfg.mass)
+    lam_p, v_p = np.linalg.eigh(p)  # ||p|| = max |lam_p|
+    exponent = par.beta * par.q_max * np.abs(lam_p).max() / (4.0 * cfg.mass)
     if exponent > _COLLISION_EXPONENT_CAP:
         raise ValueError(
             f"collision weight exponent beta*q_max*||p||/(4M) = {exponent:.2f} "
@@ -380,7 +381,6 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
     signed = np.stack([par.q_nodes[live], -par.q_nodes[live]], axis=1).ravel()
     signed_rates = np.repeat(rates[live], 2)
     lam_x, v_x = np.linalg.eigh(x)
-    lam_p, v_p = np.linalg.eigh(p)
     phase = np.exp((1j / hbar) * signed[:, None] * lam_x)
     weight = brownian_weight(signed[:, None], lam_p, par.beta, cfg.mass)
     if not (np.isfinite(phase).all() and np.isfinite(weight).all()):

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
+from .quadrature import integrate
 from .structure_factor import BOSE, MAXWELL_BOLTZMANN, GasThermodynamics
 
 USER = "user"
@@ -95,7 +95,8 @@ class BilinearCoefficients:
 
 
 def cutoff_momentum(gas: GasThermodynamics) -> float:
-    """Upper quadrature limit; kernel tail beyond it is < 1e-16 of the peak."""
+    """12 sqrt(8m/beta), where the gas's thermal kernel exp(-beta q^2/8m) has
+    fallen to e^-144 of its peak; the CLI's default collision q_max."""
     return 12.0 * np.sqrt(8.0 * gas.gas_mass / gas.beta)
 
 
@@ -124,6 +125,14 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
                 hbar: float = 1.0) -> BilinearCoefficients:
     """Momentum diffusion by radial quadrature, with derived d_xx, gamma, mu.
 
+    The radial integrand is q^3 t0^2 exp(-a q^2), with a = beta/8m, plus
+    1/(2 sigma_q^2) for the Gaussian t-matrix.  It is integrated over
+    [0, 12/sqrt(a)], where it has the same shape for every parameter set, so
+    a narrow t-matrix is resolved as well as a wide one; for the constant
+    kind the interval ends at cutoff_momentum.  Gauss-Legendre rules of two
+    orders give the value and its error estimate; an estimate above 1e-10
+    of the value raises ArithmeticError.
+
     gamma and d_xx come from saturating_coefficients, so the set sits on the
     CP boundary (chi = 1/8).  mu = gamma/2 is the anticommutator correction
     that the single-generator assembly of the minimal generator carries; it
@@ -133,9 +142,11 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
     """
     if not mass_test > 0 or not hbar > 0:
         raise ValueError("test mass and hbar must be positive")
-    val, err = scipy.integrate.quad(
-        lambda q: thermal_kernel(tmat, gas.beta, gas.gas_mass, q, q**3),
-        0.0, cutoff_momentum(gas), epsabs=0.0, epsrel=1e-12, limit=200)
+    a = gas.beta / (8.0 * gas.gas_mass)
+    if tmat.kind == "gaussian":
+        a += 0.5 / tmat.sigma_q**2
+    val, err = integrate(lambda q: thermal_kernel(tmat, gas.beta, gas.gas_mass, q, q**3),
+                         0.0, 12.0 / np.sqrt(a))
     if not np.isfinite(val) or (val != 0.0 and err > 1e-10 * abs(val)):
         raise ArithmeticError(f"radial quadrature did not converge: val={val}, err={err}")
     d_pp = dpp_prefactor(gas.gas_mass, gas.beta, hbar) * val

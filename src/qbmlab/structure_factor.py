@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+
+from .quadrature import integrate
 
 MAXWELL_BOLTZMANN = "maxwell_boltzmann"
 BOSE = "bose"
@@ -75,7 +76,7 @@ def brownian_weight(q, momentum, beta: float, mass: float):
 
 
 def _energy_moment(q: float, gas: GasThermodynamics, power: int) -> float:
-    """Integral of E^power s_mb(q, E) dE by adaptive quadrature over +-14 widths.
+    """Integral of E^power s_mb(q, E) dE by Gauss-Legendre rules over +-14 widths.
 
     Kept numerical on purpose: it cross-checks the closed form rather than
     restating it.
@@ -84,22 +85,20 @@ def _energy_moment(q: float, gas: GasThermodynamics, power: int) -> float:
         raise ValueError(f"momentum transfer q must be positive, got {q}")
     recoil = q**2 / (2.0 * gas.gas_mass)
     width = q / np.sqrt(gas.beta * gas.gas_mass)
-    val, err = scipy.integrate.quad(
-        lambda e: e**power * s_mb(q, e, gas),
-        recoil - 14.0 * width, recoil + 14.0 * width,
-        epsabs=0.0, epsrel=1e-12, limit=200)
+    val, err = integrate(lambda e: e**power * s_mb(q, e, gas),
+                         recoil - 14.0 * width, recoil + 14.0 * width)
     if err > 1e-8 * max(abs(val), 1.0):
         raise ArithmeticError(f"moment-{power} quadrature did not converge: err={err:.3e}")
     return val
 
 
 def sum_rule_zero(q: float, gas: GasThermodynamics) -> float:
-    """Zeroth energy moment of s_mb by adaptive quadrature; equals 1."""
+    """Zeroth energy moment of s_mb by Gauss-Legendre quadrature; equals 1."""
     return _energy_moment(q, gas, 0)
 
 
 def sum_rule_f(q: float, gas: GasThermodynamics) -> float:
-    """First energy moment of s_mb by adaptive quadrature; equals q^2/2m."""
+    """First energy moment of s_mb by Gauss-Legendre quadrature; equals q^2/2m."""
     return _energy_moment(q, gas, 1)
 
 

@@ -222,6 +222,17 @@ def test_radial_grid_integrates_square_measure():
         assert abs(weights.sum() - q_max**3 / 3.0) < 1e-12 * q_max**3
 
 
+def test_radial_grid_is_bit_identical_to_leggauss_grid():
+    """The grid comes from the shared rule cache, unchanged: the reference is
+    leggauss's rule mapped to (0, q_max), as radial_grid once computed it."""
+    for q_max, n_nodes in ((0.25, 40), (2.0, 8), (10.0, 60), (10.0, 40)):
+        t, w = np.polynomial.legendre.leggauss(n_nodes)
+        expected = 0.5 * q_max * (t + 1.0)
+        nodes, weights = radial_grid(q_max, n_nodes)
+        assert np.array_equal(nodes, expected)
+        assert np.array_equal(weights, 0.5 * q_max * w * expected**2)
+
+
 def test_trace_and_hermiticity_preservation(rng):
     # the collision grid's q_max keeps exp(-(beta/4M) q p) under the exponent cap
     for dim, q_max in ((12, 2.0), (40, 1.0)):

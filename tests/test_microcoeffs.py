@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from qbmlab import (
@@ -17,9 +18,11 @@ from qbmlab import (
     cp_margin,
     cutoff_momentum,
     dpp_constant_closed_form,
+    dpp_prefactor,
     friction_ratio,
     minimal_coefficients,
 )
+from qbmlab.microcoeffs import thermal_kernel
 
 scale = st.floats(min_value=0.1, max_value=10.0)
 
@@ -65,6 +68,64 @@ def test_closed_form_property(beta, t0, gas_mass, mass_test):
     coeffs = compute_dpp(tm, gas, mass_test=mass_test)
     exact = dpp_constant_closed_form(t0, gas)
     assert abs(coeffs.d_pp - exact) < 1e-8 * exact
+
+
+def _log_uniform(rng, lo, hi):
+    return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+
+def _gaussian_draws(seed, n):
+    """(beta, gas_mass, sigma_q, t0) log-uniform across decades."""
+    rng = np.random.default_rng(seed)
+    return [(_log_uniform(rng, 0.01, 100.0), _log_uniform(rng, 0.1, 10.0),
+             _log_uniform(rng, 0.01, 100.0), _log_uniform(rng, 0.01, 10.0))
+            for _ in range(n)]
+
+
+def test_gaussian_dpp_closed_form_across_decades():
+    """Gaussian t-matrix: the radial integral of q^3 t0^2 exp(-a q^2) is
+    t0^2 / (2 a^2), a = beta/8m + 1/(2 sigma_q^2).  The first case is a
+    narrow t-matrix against a wide thermal kernel, a peak near q = 0.035 on
+    [0, cutoff_momentum] = [0, 480]."""
+    worst = 0.0
+    for beta, gas_mass, sigma_q, t0 in [(0.01, 2.0, 0.02, 1.0)] + _gaussian_draws(11, 200):
+        gas = GasThermodynamics(beta=beta, gas_mass=gas_mass)
+        d_pp = compute_dpp(TMatrixModel(kind="gaussian", t0=t0, sigma_q=sigma_q),
+                           gas, mass_test=1.0).d_pp
+        a = beta / (8.0 * gas_mass) + 0.5 / sigma_q**2
+        exact = dpp_prefactor(gas_mass, beta, 1.0) * t0**2 / (2.0 * a**2)
+        worst = max(worst, abs(d_pp - exact) / exact)
+    assert worst < 1e-12
+
+
+def _quad_dpp(tmat, gas):
+    """D_pp by adaptive quadrature over [0, cutoff_momentum], as compute_dpp
+    once computed it: the oracle where quad resolves the integrand."""
+    val, err = scipy.integrate.quad(
+        lambda q: thermal_kernel(tmat, gas.beta, gas.gas_mass, q, q**3),
+        0.0, cutoff_momentum(gas), epsabs=0.0, epsrel=1e-12, limit=200)
+    assert err <= 1e-10 * abs(val)
+    return dpp_prefactor(gas.gas_mass, gas.beta, 1.0) * val
+
+
+def test_dpp_matches_quad_oracle():
+    """Both kinds agree with quad to 1e-12 wherever quad is correct: where the
+    integrand's width 1/sqrt(a) is at least 1e-2 of the thermal kernel's,
+    sqrt(8m/beta).  Below about 1e-3 quad misses the peak on
+    [0, cutoff_momentum]."""
+    compared = 0
+    for beta, gas_mass, sigma_q, t0 in _gaussian_draws(12, 150):
+        gas = GasThermodynamics(beta=beta, gas_mass=gas_mass)
+        thermal = beta / (8.0 * gas_mass)
+        tmats = [TMatrixModel(kind="constant", t0=t0)]
+        if np.sqrt(thermal / (thermal + 0.5 / sigma_q**2)) >= 1e-2:
+            tmats.append(TMatrixModel(kind="gaussian", t0=t0, sigma_q=sigma_q))
+        for tmat in tmats:
+            d_pp = compute_dpp(tmat, gas, mass_test=1.0).d_pp
+            oracle = _quad_dpp(tmat, gas)
+            assert abs(d_pp - oracle) < 1e-12 * oracle
+            compared += 1
+    assert compared > 250
 
 
 @given(beta=st.floats(min_value=0.05, max_value=50.0), t0=scale,

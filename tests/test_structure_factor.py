@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -121,6 +123,26 @@ def test_f_sum_across_two_decades():
     for q in (0.1, 0.32, 1.0, 3.2, 10.0):
         recoil = q**2 / (2.0 * gas.gas_mass)
         assert abs(sum_rule_f(q, gas) - recoil) < 1e-8 * recoil
+
+
+def test_sum_rules_across_decades_without_warning():
+    """300 seeded draws, beta in 0.01-100, m in 0.1-10 and q in 0.01-10, all
+    log-uniform.  Any warning is an error, and pytest's filterwarnings would
+    not make one of a quadrature library's own warning classes one.  At high
+    temperature and small q, E s(q, E) nearly cancels, so the f ratio keeps
+    fewer digits than the zeroth moment."""
+    rng = np.random.default_rng(300)
+    lo, hi = np.log([0.01, 0.1, 0.01]), np.log([100.0, 10.0, 10.0])
+    worst_0 = worst_f = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta, gas_mass, q in np.exp(rng.uniform(lo, hi, size=(300, 3))):
+            gas = GasThermodynamics(beta=beta, gas_mass=gas_mass)
+            worst_0 = max(worst_0, abs(sum_rule_zero(q, gas) - 1.0))
+            recoil = q**2 / (2.0 * gas_mass)
+            worst_f = max(worst_f, abs(sum_rule_f(q, gas) / recoil - 1.0))
+    assert worst_0 < 1e-14
+    assert worst_f < 1e-12
 
 
 def test_statistics_prefactor_values():
