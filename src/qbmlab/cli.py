@@ -54,7 +54,6 @@ from .microcoeffs import (
     chi_of,
     compute_dpp,
     cp_margin,
-    cutoff_momentum,
     friction_ratio,
 )
 from .operators import (
@@ -192,7 +191,7 @@ def _generator_from(rc, cfg):
             beta=beta, coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z),
             assembly=rc.get("generator", "assembly", DOUBLE_COMMUTATOR), **common)
     else:
-        q_max = rc.get("generator", "q_max", cutoff_momentum(gas))
+        q_max = rc.require("generator", "q_max")
         nodes, weights = radial_grid(q_max, rc.get("generator", "n_nodes", 40))
         spec = LiouvillianSpec(collision=CollisionParameters(
             gas_mass=gas.gas_mass, beta=gas.beta, fugacity_z=z,

@@ -20,9 +20,10 @@ into one Lindblad normal form
 
     L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag,
 
-kept on the Liouvillian as data (its normal_form).  One kernel applies it,
-with the sandwiches of all jumps stacked into two matrix products, and
-superoperator_matrix assembles the dense matrix from the same data.
+kept on the Liouvillian as data (its normal_form).  The normal form is
+compiled once more, into the entries (row, column, value) of its
+superoperator: apply is one sparse mat-vec over them, and
+superoperator_matrix scatters the same entries into the dense matrix.
 
 For the bilinear family the double commutators expand to
 
@@ -59,8 +60,10 @@ maps to Hermitian L[rho].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           kossakowski_weights, saturating_coefficients,
@@ -185,19 +188,74 @@ class NormalForm:
     """A generator compiled to L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag.
 
     k is the (d, d) matrix K, weights the n real s_k, and jumps the J_k
-    stacked as an (n, d, d) array.
+    stacked as an (n, d, d) array.  entries is its superoperator, compiled
+    on first use; apply multiplies by it as a CSR matrix, built on the
+    first call, so a generator that is only matrixified never builds one.
     """
 
     k: np.ndarray
     weights: np.ndarray
     jumps: np.ndarray
 
+    @cached_property
+    def entries(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """The superoperator on Fortran-order vec(rho), where rho[i, j] sits
+        at i + d j: one group (rows, cols, values) for each of its terms
+
+            sum_k s_k conj(J_k) kron J_k,   I kron K,   conj(K) kron I.
+
+        No (row, col) pair repeats within a group; the groups overlap.  The
+        jump group is one (m x n)(n x m) product over the m positions where
+        any J_k is nonzero: 2d - 2 for the bilinear family, whose x and p
+        are tridiagonal, but all d^2 for the dense collision jumps.  So a
+        collision form holds d^4 entries, as many as its dense superoperator:
+        38k at dim 14 (the benchmark, the presets and the demos stay at dim
+        24 or below), but 2.6M, 41 MB of values, at dim 40, and as many
+        again in its CSR once applied.  Each K group repeats K's nonzeros d
+        times.
+        """
+        d = self.k.shape[0]
+        flat = self.jumps.reshape(-1, d * d)
+        pos = np.flatnonzero((flat != 0.0).any(axis=0))
+        row, col = np.divmod(pos, d)
+        # (J rho J^dag)[i, j] = J[i, k] rho[k, l] conj(J[j, l]): J's position
+        # (i, k) runs along the product's columns, conj(J)'s (j, l) down its rows
+        jump = flat[:, pos].conj().T @ (self.weights[:, None] * flat[:, pos])
+        k_row, k_col = np.nonzero(self.k)
+        k_val = self.k[k_row, k_col]
+        other = np.arange(d)[:, None]
+        return (
+            ((row + d * row[:, None]).ravel(), (col + d * col[:, None]).ravel(),
+             jump.ravel()),
+            # (K rho)[i, j] = K[i, k] rho[k, j]
+            ((k_row + d * other).ravel(), (k_col + d * other).ravel(),
+             np.tile(k_val, d)),
+            # (rho K^dag)[i, j] = rho[i, l] conj(K[j, l])
+            ((other + d * k_row).ravel(), (other + d * k_col).ravel(),
+             np.tile(k_val.conj(), d)),
+        )
+
+    @cached_property
+    def _csr(self):
+        """entries as CSR on row-major vec(rho): index i + d j moves to i d + j."""
+        d = self.k.shape[0]
+        rows, cols, values = (np.concatenate(part) for part in zip(*self.entries))
+        return scipy.sparse.csr_array(
+            (values, (rows % d * d + rows // d, cols % d * d + cols // d)),
+            shape=(d * d, d * d))
+
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """L[rho] as one CSR mat-vec on row-major vec(rho): reshaping a
+        C-contiguous rho copies nothing, and the result is C-contiguous."""
+        return (self._csr @ rho.reshape(-1)).reshape(rho.shape)
+
 
 class Liouvillian:
     """Immutable superoperator: callable on a density matrix.
 
-    Generators from build_liouvillian carry their compiled normal_form; a
-    Liouvillian made from a custom callable has normal_form None.
+    Generators from build_liouvillian carry their compiled normal_form, which
+    applies them; a Liouvillian made from a custom callable has normal_form
+    None.
     """
 
     def __init__(self, cfg: HilbertConfig, kind: str, apply_fn,
@@ -224,31 +282,7 @@ def _compiled(cfg: HilbertConfig, kind: str, k: np.ndarray, jumps,
     d = k.shape[0]
     nf = NormalForm(k=k, weights=np.array([s for s, _ in jumps], dtype=float),
                     jumps=np.array([j for _, j in jumps], dtype=complex).reshape(-1, d, d))
-    return Liouvillian(cfg, kind, _normal_form_apply(nf), normal_form=nf, **attrs)
-
-
-def _normal_form_apply(nf: NormalForm):
-    """Apply function of the normal form.
-
-    All n sandwiches run as two stacked products: Y = [s_1 J_1; ...; s_n J_n]
-    rho, then its n blocks side by side times [J_1^dag; ...; J_n^dag].  An
-    apply is four matrix products whatever n is, doing the arithmetic of
-    2 + 2n square ones.
-    """
-    k = nf.k
-    d = k.shape[0]
-    kdag = k.conj().T.copy()
-    left = (nf.weights[:, None, None] * nf.jumps).reshape(-1, d)
-    right = nf.jumps.conj().transpose(0, 2, 1).reshape(-1, d)
-
-    def apply(rho):
-        out = k @ rho
-        out += rho @ kdag
-        y = (left @ rho).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
-        out += y @ right
-        return out
-
-    return apply
+    return Liouvillian(cfg, kind, nf.apply, normal_form=nf, **attrs)
 
 
 def _bilinear_normal_form(cfg: HilbertConfig, spec: LiouvillianSpec,
@@ -418,12 +452,8 @@ def superoperator_matrix(liouv) -> np.ndarray:
 
     The matrix acts on Fortran-order (column-stacked) vec(rho), so
     matrix @ vec(rho) reproduces L[rho] for every rho.  A generator that
-    carries its normal form is assembled from it directly with
-    vec(A X B) = (B^T kron A) vec(X):
-
-        I kron K + conj(K) kron I + sum_k s_k conj(J_k) kron J_k,
-
-    the jump sum taken as one (d^2 x n)(n x d^2) product.  Any other
+    carries its normal form scatters the form's entries into a zeroed
+    matrix, term after term; apply reads the same entries.  Any other
     callable, such as a Liouvillian built from a custom apply function, is
     probed one column at a time: column j is vec(L[E_j]) for the j-th
     Fortran-order unit matrix E_j.  d = liouv.cfg.dim; d^2 <= 10^4 is guarded.
@@ -434,7 +464,10 @@ def superoperator_matrix(liouv) -> np.ndarray:
         raise ValueError(f"superoperator matrix would be {n}x{n}; guard is 10^4")
     nf = getattr(liouv, "normal_form", None)
     if nf is not None:
-        return _normal_form_superoperator(nf)
+        mat = np.zeros(n * n, dtype=complex)
+        for rows, cols, values in nf.entries:
+            mat[rows * n + cols] += values
+        return mat.reshape(n, n)
     mat = np.zeros((n, n), dtype=complex)
     basis = np.zeros((d, d), dtype=complex)
     for j in range(n):
@@ -443,17 +476,3 @@ def superoperator_matrix(liouv) -> np.ndarray:
         basis[j % d, j // d] = 1.0
         mat[:, j] = liouv(basis).flatten(order="F")
     return mat
-
-
-def _normal_form_superoperator(nf: NormalForm) -> np.ndarray:
-    d = nf.k.shape[0]
-    # (conj(J) kron J)[(a, i), (b, j)] = conj(J)[a, b] J[i, j]: multiply over
-    # the realigned pairs (a, b), (i, j), then reorder the four indices
-    flat = nf.jumps.reshape(-1, d * d)
-    realigned = flat.conj().T @ (nf.weights[:, None] * flat)
-    blocks = realigned.reshape(d, d, d, d).transpose(0, 2, 1, 3).copy()
-    # the two kron-with-identity terms touch only the a == b and i == j entries
-    diag = np.arange(d)
-    blocks[diag, :, diag, :] += nf.k
-    blocks[:, diag, :, diag] += nf.k.conj()
-    return blocks.reshape(d * d, d * d)

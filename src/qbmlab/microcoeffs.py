@@ -96,7 +96,9 @@ class BilinearCoefficients:
 
 def cutoff_momentum(gas: GasThermodynamics) -> float:
     """12 sqrt(8m/beta), where the gas's thermal kernel exp(-beta q^2/8m) has
-    fallen to e^-144 of its peak; the CLI's default collision q_max."""
+    fallen to e^-144 of its peak: the end of compute_dpp's interval for the
+    constant t-matrix.  Far beyond the collision generator's exponent cap
+    for nearly every gas, so it is no default for that generator's q_max."""
     return 12.0 * np.sqrt(8.0 * gas.gas_mass / gas.beta)
 
 

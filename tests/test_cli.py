@@ -356,6 +356,19 @@ def test_collision_takes_its_fugacity_from_gas(tmp_path, monkeypatch):
     assert tables[0] != tables[1]
 
 
+def test_collision_q_max_is_required(tmp_path, monkeypatch, capsys):
+    """The collision generator has no default momentum-transfer cutoff: the
+    gas's thermal scale breaks the weight exponent's cap for nearly every
+    gas, so the preset without its q_max line is a configuration error."""
+    text = (PRESETS / "09_collision_thermal.ini").read_text()
+    assert "q_max = 0.25\n" in text
+    code, _ = run(tmp_path, monkeypatch, text.replace("q_max = 0.25\n", ""),
+                  "evolve", "no_q_max")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "q_max" in err and "[generator]" in err
+
+
 def test_default_output_dir(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path)

@@ -144,6 +144,41 @@ def _expm_collision_normal_form(cfg, spec):
     return k, jumps
 
 
+def _stacked_product_apply(nf):
+    """Apply by stacked products: Y = [s_1 J_1; ...; s_n J_n] rho, then its n
+    blocks side by side times [J_1^dag; ...; J_n^dag]: the oracle for the
+    sparse apply."""
+    k = nf.k
+    d = k.shape[0]
+    kdag = k.conj().T.copy()
+    left = (nf.weights[:, None, None] * nf.jumps).reshape(-1, d)
+    right = nf.jumps.conj().transpose(0, 2, 1).reshape(-1, d)
+
+    def apply(rho):
+        out = k @ rho
+        out += rho @ kdag
+        y = (left @ rho).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+        out += y @ right
+        return out
+
+    return apply
+
+
+def _realigned_superoperator(nf):
+    """I kron K + conj(K) kron I + sum_k s_k conj(J_k) kron J_k by one dense
+    (d^2 x n)(n x d^2) product over the realigned pairs and a four-index
+    transpose: the oracle for the scatter of the normal form's entries."""
+    d = nf.k.shape[0]
+    # (conj(J) kron J)[(a, i), (b, j)] = conj(J)[a, b] J[i, j]
+    flat = nf.jumps.reshape(-1, d * d)
+    realigned = flat.conj().T @ (nf.weights[:, None] * flat)
+    blocks = realigned.reshape(d, d, d, d).transpose(0, 2, 1, 3).copy()
+    diag = np.arange(d)
+    blocks[diag, :, diag, :] += nf.k
+    blocks[:, diag, :, diag] += nf.k.conj()
+    return blocks.reshape(d * d, d * d)
+
+
 def _assert_matches_reference(liouv, reference, seed):
     """Agreement to 1e-12 relative on density matrices and on a general matrix,
     which also pins which side of rho each term multiplies."""
@@ -628,6 +663,37 @@ def test_kronecker_superoperator_matches_column_loop(dim):
         loop = superoperator_matrix(Liouvillian(cfg, "probed", liouv.apply))
         assert kron.shape == loop.shape == (dim * dim, dim * dim)
         assert np.abs(kron - loop).max() <= 1e-14 * np.abs(loop).max(), liouv.kind
+
+
+@pytest.mark.parametrize("dim", [12, 24, 40])
+def test_entries_match_stacked_and_realigned_oracles(dim, rng):
+    """The normal form's entries reproduce both compilations they replace,
+    for every kind and for the jump-free zero-fugacity collision generator:
+    the dense scatter equals the realigned assembly entry for entry, and
+    the CSR apply the stacked products to 1e-14 max|K|.  The bilinear set's
+    two-term jump sums are rounded by BLAS per output tile, so there the
+    two assemblies may differ in the last bit of an entry, and no more."""
+    cfg = HilbertConfig(dim=dim)
+    closed = build_liouvillian(cfg, LiouvillianSpec(
+        kind=BOLTZMANN_COLLISION, collision=_collision_params(1.0, fugacity_z=0.0)))
+    assert closed.normal_form.weights.size == 0
+    general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for liouv in _all_generators(cfg, 1.0) + [closed]:
+        nf = liouv.normal_form
+        mat = superoperator_matrix(liouv)
+        ref = _realigned_superoperator(nf)
+        if liouv.kind == BILINEAR:
+            assert np.all(np.abs(mat - ref) <= np.finfo(float).eps * np.abs(ref))
+        else:
+            assert np.array_equal(mat, ref), liouv.kind
+        # matrixifying compiles the entries but builds no CSR
+        assert "_csr" not in vars(nf)
+        oracle = _stacked_product_apply(nf)
+        for rho in (random_density(dim, rng), general):
+            out = liouv.apply(rho)
+            assert out.shape == (dim, dim) and out.flags.c_contiguous
+            assert np.abs(out - oracle(rho)).max() <= 1e-14 * np.abs(nf.k).max(), \
+                liouv.kind
 
 
 def test_superoperator_two_level_spectrum():
