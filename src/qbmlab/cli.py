@@ -222,9 +222,15 @@ def cmd_evolve(rc):
         breach = positivity_breach_time(record, threshold)
         rows = zip(record.times, record.trace, record.min_eig, record.purity,
                    record.mean_x, record.mean_p, record.var_x, record.var_p)
-        summary = "positivity_breach_t=%s" % (
-            "none" if breach is None else "%.16e" % breach)
-        return "t,trace,min_eig,purity,mean_x,mean_p,var_x,var_p", rows, [summary]
+        summary = ["positivity_breach_t=%s" % (
+            "none" if breach is None else "%.16e" % breach)]
+        # what the integrator did, from the record itself
+        summary += ["%s=%d" % (name, value) for name, value in (
+            ("accepted_steps", record.accepted_steps),
+            ("rejected_steps", record.rejected_steps),
+            ("generator_calls", record.generator_calls),
+            ("monitor_samples", record.times.size))]
+        return "t,trace,min_eig,purity,mean_x,mean_p,var_x,var_p", rows, summary
 
     return run
 

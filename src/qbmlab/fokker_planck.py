@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import Sampler, fixed_steps
+from .propagation import Sampler, check_stride, fixed_steps
 
 _CFL_FRACTION = 0.4
 
@@ -192,8 +192,7 @@ def fp_solve(grid, eta, d_v, t_final, dt, sample_stride=1):
     variance by propagation's sampling rule with stride sample_stride."""
     if t_final <= 0.0:
         raise ValueError("t_final must be positive")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
+    check_stride("sample_stride", sample_stride)
     sampler = Sampler(grid_moments, sample_stride, grid)
     current = grid
     for t, h in fixed_steps(t_final, dt):

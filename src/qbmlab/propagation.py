@@ -13,6 +13,24 @@ RK4 and fp_solve also share one step schedule, fixed_steps.  The monitors
 are trace, hermiticity drift, minimum eigenvalue, purity, and the first and
 second moments of position and momentum.
 
+The five traces tr(rho A) for A in (I, x, p, x^2, p^2) come from one small
+product.  In the number basis I is diagonal, x and p are tridiagonal with
+a zero diagonal and x^2, p^2 are nonzero only on offsets 0 and +-2, so
+tr(rho A) = sum_ij rho_ij A_ji reads rho only on offsets 0, +-1 and +-2:
+the about 5d entries of rho there are gathered once and multiplied by the
+stacked, transposed A at the same positions.  The variances are the second
+moments minus the squared means.  Purity is one contraction of rho with
+itself, and the minimum eigenvalue is operators.min_eigenvalue's.
+
+Both integrators form each stage input and each combination of stages by
+in-place ufuncs in arrays allocated once per step, one of which becomes
+the new state, with the operations of the plain array expressions in
+their order: the states are those of the expressions bit for bit, up to
+the sign of a zero.  The adaptive error norm works in three real buffers
+kept for the whole integration, and |rho| carries over from the accepted
+attempt.  Nothing is written into an array the generator returned or into
+an accepted state.
+
 stationary_state solves L vec(rho) = 0 by a bordered LU solve, banded where
 that is cheap and dense otherwise; its docstring states the path rules.
 """
@@ -26,11 +44,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .operators import (
     build_momentum,
     build_position,
-    expectation,
     min_eigenvalue,
     purity,
     validate_density_matrix,
-    variance,
 )
 
 RK4_FIXED = "rk4_fixed"
@@ -74,6 +90,14 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 
 
+def check_stride(name, stride):
+    """The sampling rule's stride: an integer >= 1 (bool refused), else a
+    ValueError naming the field."""
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) \
+            or stride < 1:
+        raise ValueError("%s must be an integer >= 1, got %r" % (name, stride))
+
+
 class NumericalFailure(RuntimeError):
     """Integration or linear algebra failed in a way that has no answer."""
 
@@ -111,13 +135,17 @@ class IntegratorConfig:
             val = getattr(self, name)
             if not (val > 0.0 and np.isfinite(val)):
                 raise ValueError("%s must be positive and finite" % name)
-        if self.monitor_stride < 1:
-            raise ValueError("monitor_stride must be >= 1")
+        check_stride("monitor_stride", self.monitor_stride)
 
 
 @dataclass
 class TrajectoryRecord:
-    """Monitor time series plus the unmodified final state."""
+    """Monitor time series plus the unmodified final state and run counts.
+
+    generator_calls counts every evaluation of the generator: 4 per RK4
+    step, and 1 + 6 per adaptive attempt, accepted or rejected, after the
+    first stage evaluated once before the first attempt.
+    """
 
     times: np.ndarray
     trace: np.ndarray
@@ -131,6 +159,7 @@ class TrajectoryRecord:
     final_state: np.ndarray
     accepted_steps: int
     rejected_steps: int
+    generator_calls: int
 
 
 def fixed_steps(t_final, dt):
@@ -168,23 +197,28 @@ class Sampler:
 
 
 def _monitors(cfg):
-    """The eight monitors of a state, in TrajectoryRecord's field order."""
+    """The eight monitors of a state, in TrajectoryRecord's field order; the
+    moments by one band contraction (module docstring)."""
     x, p = build_position(cfg), build_momentum(cfg)
-    x2, p2 = x @ x, p @ p
+    ops = np.stack([np.eye(cfg.dim), x, p, x @ x, p @ p])
+    # rho_ij pairs with A_ji: the band is the transposed union pattern
+    cols, rows = np.nonzero(np.any(ops != 0.0, axis=0))
+    band = rows * cfg.dim + cols  # positions in row-major rho
+    weights = ops[:, cols, rows]
 
     def measure(rho):
         # near-overflow states may push monitors to inf; record that honestly
         with np.errstate(over="ignore", invalid="ignore"):
-            return (np.trace(rho).real, np.max(np.abs(rho - rho.conj().T)),
-                    min_eigenvalue(rho), purity(rho),
-                    expectation(rho, x).real, expectation(rho, p).real,
-                    variance(rho, x, x2), variance(rho, p, p2))
+            tr, mean_x, mean_p, x2, p2 = (weights @ rho.take(band)).real
+            return (tr, np.max(np.abs(rho - rho.conj().T)),
+                    min_eigenvalue(rho), purity(rho), mean_x, mean_p,
+                    x2 - mean_x**2, p2 - mean_p**2)
 
     return measure
 
 
 def _check_finite(rho, t):
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
+    if not np.isfinite(rho).all():
         raise NumericalFailure("state became non-finite at t=%.6g" % t)
 
 
@@ -192,10 +226,17 @@ def _rk4_step(apply_fn, rho, dt):
     # overflow here is caught by the finiteness check after the step
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = apply_fn(rho)
-        k2 = apply_fn(rho + 0.5 * dt * k1)
-        k3 = apply_fn(rho + 0.5 * dt * k2)
-        k4 = apply_fn(rho + dt * k3)
-        return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stage = np.multiply(0.5 * dt, k1)
+        k2 = apply_fn(np.add(rho, stage, out=stage))
+        k3 = apply_fn(np.add(rho, np.multiply(0.5 * dt, k2, out=stage), out=stage))
+        k4 = apply_fn(np.add(rho, np.multiply(dt, k3, out=stage), out=stage))
+        # rho + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4); out is the new state
+        out = np.multiply(2.0, k2)
+        np.add(k1, out, out=out)
+        np.add(out, np.multiply(2.0, k3, out=stage), out=out)
+        np.add(out, k4, out=out)
+        np.multiply(dt / 6.0, out, out=out)
+        return np.add(rho, out, out=out)
 
 
 def _propagate_rk4(rho, apply_fn, icfg, sampler):
@@ -209,16 +250,27 @@ def _propagate_rk4(rho, apply_fn, icfg, sampler):
 def _dp_attempt(apply_fn, rho, k1, dt):
     """One trial step from rho with first stage k1 = apply_fn(rho).
 
-    Returns (rho5, rho4, k7) where k7 = apply_fn(rho5) is the next first stage.
+    Returns (rho5, rho4, k7) where k7 = apply_fn(rho5) is the next first
+    stage.  rho4 is scratch the caller may overwrite.
     """
+    stage, tmp = np.empty_like(rho), np.empty_like(rho)
     k = [k1]
     for i in range(1, 6):
-        incr = sum(a * ki for a, ki in zip(_DP_A[i], k))
-        k.append(apply_fn(rho + dt * incr))
-    rho5 = rho + dt * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
+        k.append(apply_fn(_dp_combine(stage, rho, dt, _DP_A[i], k, tmp)))
+    rho5 = _dp_combine(np.empty_like(rho), rho, dt, _DP_B5, k, tmp)
     k.append(apply_fn(rho5))
-    rho4 = rho + dt * sum(b * ki for b, ki in zip(_DP_B4, k) if b != 0.0)
-    return rho5, rho4, k[6]
+    return rho5, _dp_combine(stage, rho, dt, _DP_B4, k, tmp), k[6]
+
+
+def _dp_combine(out, rho, dt, coeffs, k, tmp):
+    """out = rho + dt * sum(c * ki for c, ki in zip(coeffs, k) if c != 0),
+    summed left to right as that expression sums, with each c * ki in tmp."""
+    terms = [(c, ki) for c, ki in zip(coeffs, k) if c != 0.0]
+    np.multiply(*terms[0], out=out)
+    for c, ki in terms[1:]:
+        np.add(out, np.multiply(c, ki, out=tmp), out=out)
+    np.multiply(dt, out, out=out)
+    return np.add(rho, out, out=out)
 
 
 def _propagate_rk45(rho, apply_fn, icfg, sampler):
@@ -226,17 +278,25 @@ def _propagate_rk45(rho, apply_fn, icfg, sampler):
     dt = min(icfg.dt_init, icfg.t_final)
     rejected = 0
     dt_floor = 1e-14 * icfg.t_final
-    # rejected attempts leave rho, and so its first stage, unchanged
+    # rejected attempts leave rho, and so its first stage and |rho|, unchanged
     k1 = apply_fn(rho)
+    abs_rho = np.abs(rho)
+    abs_rho5, scale = np.empty_like(abs_rho), np.empty_like(abs_rho)
     while t < icfg.t_final * (1.0 - 1e-15):
         dt = min(dt, icfg.t_final - t)
         if dt < dt_floor:
             raise NumericalFailure(
                 "step size underflow at t=%.6g (dt=%.3g)" % (t, dt))
         rho5, rho4, k7 = _dp_attempt(apply_fn, rho, k1, dt)
-        scale = icfg.atol + icfg.rtol * np.maximum(np.abs(rho), np.abs(rho5))
+        # atol + rtol * max(|rho|, |rho5|), then the RMS of
+        # |(rho5 - rho4) / scale|, formed in scale and rho4
+        np.maximum(abs_rho, np.abs(rho5, out=abs_rho5), out=scale)
+        np.multiply(icfg.rtol, scale, out=scale)
+        np.add(icfg.atol, scale, out=scale)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            err = np.sqrt(np.mean(np.abs((rho5 - rho4) / scale) ** 2))
+            np.subtract(rho5, rho4, out=rho4)
+            np.divide(rho4, scale, out=rho4)
+            err = np.sqrt(np.mean(np.square(np.abs(rho4, out=scale), out=scale)))
         if not np.isfinite(err):
             # divergent attempt: shrink hard and retry
             rejected += 1
@@ -247,6 +307,7 @@ def _propagate_rk45(rho, apply_fn, icfg, sampler):
             if t >= icfg.t_final * (1.0 - 1e-15):
                 t = icfg.t_final
             rho, k1 = rho5, k7
+            abs_rho, abs_rho5 = abs_rho5, abs_rho
             _check_finite(rho, t)
             sampler.accept(t, rho)
         else:
@@ -266,7 +327,9 @@ def propagate(rho0, liouvillian, icfg):
 
     Returns a TrajectoryRecord.  The final state is returned exactly as
     the integrator produced it; any trace or positivity defect is left
-    for the caller to inspect.
+    for the caller to inspect.  liouvillian.apply must return a new array
+    and keep no reference to its argument, whose buffer the integrator
+    reuses for the next stage.
     """
     dim = liouvillian.cfg.dim
     if np.shape(rho0) != (dim, dim):
@@ -275,10 +338,18 @@ def propagate(rho0, liouvillian, icfg):
     validate_density_matrix(rho0)
     rho = np.array(rho0, dtype=complex)
     sampler = Sampler(_monitors(liouvillian.cfg), icfg.monitor_stride, rho)
+    calls = 0
+
+    def apply_fn(state):
+        nonlocal calls
+        calls += 1
+        return liouvillian.apply(state)
+
     integrate = _propagate_rk4 if icfg.method == RK4_FIXED else _propagate_rk45
-    rho, rejected = integrate(rho, liouvillian.apply, icfg, sampler)
+    rho, rejected = integrate(rho, apply_fn, icfg, sampler)
     return TrajectoryRecord(*sampler.columns(icfg.t_final, rho), final_state=rho,
-                            accepted_steps=sampler.accepted, rejected_steps=rejected)
+                            accepted_steps=sampler.accepted, rejected_steps=rejected,
+                            generator_calls=calls)
 
 
 def positivity_breach_time(record, threshold=-1e-10):

@@ -393,6 +393,12 @@ def test_evolve_output_contract(tmp_path, monkeypatch, capsys):
     assert "config_sha256" in meta
     assert "package_version" in meta
     assert "positivity_breach_t=none" in meta
+    # the run's own counts: 100 fixed steps of four generator calls each,
+    # sampled at t = 0 and after every 10th step
+    lines = meta.splitlines()
+    for line in ("accepted_steps=100", "rejected_steps=0", "generator_calls=400",
+                 "monitor_samples=11"):
+        assert line in lines
     # data files carry no timestamp; reruns must be byte-identical
     assert "written_utc" not in (out / "quick.csv").read_text()
 

@@ -76,6 +76,11 @@ def test_solve_validation():
     for t_final, stride in ((0.0, 1), (-1.0, 1), (1.0, 0)):
         with pytest.raises(ValueError):
             fp_solve(grid, 1.0, 1.0, t_final, dt, sample_stride=stride)
+    # the sampling rule counts steps: a fractional stride would sample
+    # every fifth step at 2.5, and a bool is no count
+    for stride in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="sample_stride"):
+            fp_solve(grid, 1.0, 1.0, 1.0, dt, sample_stride=stride)
 
 
 def test_mass_conserved_every_step():

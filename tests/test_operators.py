@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qbmlab import (
@@ -222,6 +223,40 @@ def test_scalar_helpers():
     mixed = np.eye(CFG.dim) / CFG.dim
     assert abs(purity(mixed) - 1.0 / CFG.dim) < 1e-14
     assert abs(expectation(mixed, np.eye(CFG.dim)) - 1.0) < 1e-14
+
+
+def _hermitian_cases(dim, rng):
+    """A random Hermitian matrix, a rank-deficient positive one and a
+    negative definite one, all of dim x dim."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    b = rng.normal(size=(dim, dim // 2 + 1)) + 1j * rng.normal(size=(dim, dim // 2 + 1))
+    low_rank = b @ b.conj().T
+    return [0.5 * (a + a.conj().T), low_rank / np.trace(low_rank).real,
+            -(a @ a.conj().T) - 0.1 * np.eye(dim)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 24, 38, 40, 42])
+def test_min_eigenvalue_matches_scipy_driver(dim):
+    """numpy's heevd driver gives scipy.linalg.eigvalsh's (evr) smallest
+    eigenvalue of the symmetrized matrix to 1e-14 * max(||rho||_2, 1), for
+    random Hermitian, rank-deficient and negative matrices, whether or not
+    the input is exactly Hermitian."""
+    rng = np.random.default_rng([20261018, dim])
+    for rho in _hermitian_cases(dim, rng):
+        noisy = rho + 1e-13 * rng.normal(size=(dim, dim))
+        for case in (rho, noisy):
+            oracle = scipy.linalg.eigvalsh(0.5 * (case + case.conj().T))
+            scale = max(np.abs(oracle).max(), 1.0)
+            assert abs(min_eigenvalue(case) - oracle[0]) <= 1e-14 * scale
+
+
+def test_min_eigenvalue_rejects_non_finite():
+    rho = vacuum_state(HilbertConfig(dim=4))
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        corrupt = rho.copy()
+        corrupt[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            min_eigenvalue(corrupt)
 
 
 def test_basis_frequency_is_gauge():

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import qbmlab.propagation as propagation
@@ -16,6 +17,8 @@ from qbmlab import (
     RK45_ADAPTIVE,
     BilinearCoefficients,
     CollisionParameters,
+    DOUBLE_COMMUTATOR,
+    SINGLE_GENERATOR,
     DegenerateStationaryState,
     HilbertConfig,
     IntegratorConfig,
@@ -62,6 +65,12 @@ def test_integrator_config_validation():
         IntegratorConfig(rtol=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(monitor_stride=0)
+    # the sampling rule counts steps: a stride of 2.5 would sample every
+    # fifth step, and a bool is no count
+    for stride in (2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="monitor_stride"):
+            IntegratorConfig(monitor_stride=stride)
+    assert IntegratorConfig(monitor_stride=np.int64(3)).monitor_stride == 3
 
 
 def test_free_particle_ballistic_means():
@@ -153,6 +162,30 @@ def test_adaptive_rejects_coarse_first_step():
     assert record.rejected_steps >= 1
 
 
+def _parent_rk4_step(apply_fn, rho, dt):
+    """The fixed step as plain array expressions: the oracle of the
+    in-place arithmetic, which must give the same states bit for bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = apply_fn(rho)
+        k2 = apply_fn(rho + 0.5 * dt * k1)
+        k3 = apply_fn(rho + 0.5 * dt * k2)
+        k4 = apply_fn(rho + dt * k3)
+        return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _parent_dp_attempt(apply_fn, rho, k1, dt):
+    """The adaptive trial step as plain array expressions, with the last
+    stage reused: the oracle of the in-place arithmetic."""
+    k = [k1]
+    for i in range(1, 6):
+        incr = sum(a * ki for a, ki in zip(propagation._DP_A[i], k))
+        k.append(apply_fn(rho + dt * incr))
+    rho5 = rho + dt * sum(b * ki for b, ki in zip(propagation._DP_B5, k) if b != 0.0)
+    k.append(apply_fn(rho5))
+    rho4 = rho + dt * sum(b * ki for b, ki in zip(propagation._DP_B4, k) if b != 0.0)
+    return rho5, rho4, k[6]
+
+
 def _dp_attempt_without_fsal(apply_fn, rho, k1, dt):
     """Reference trial step that evaluates all seven stages, ignoring k1."""
     k = [apply_fn(rho)]
@@ -189,8 +222,10 @@ def test_adaptive_first_same_as_last(monkeypatch, dt_init, rtol, atol):
     attempts = fsal.accepted_steps + fsal.rejected_steps
     assert (fsal.accepted_steps, fsal.rejected_steps) == \
         (reference.accepted_steps, reference.rejected_steps)
-    # both runs evaluate the initial first stage once before the loop
+    # both runs evaluate the initial first stage once before the loop, and
+    # each record counts the calls its run made
     assert calls == [1 + 6 * attempts, 1 + 7 * attempts]
+    assert [fsal.generator_calls, reference.generator_calls] == calls
     for name in ("final_state", "times", "trace", "herm_drift", "min_eig",
                  "purity", "mean_x", "mean_p", "var_x", "var_p"):
         assert np.array_equal(getattr(fsal, name), getattr(reference, name)), name
@@ -200,7 +235,9 @@ def test_adaptive_first_same_as_last(monkeypatch, dt_init, rtol, atol):
 
 class _ReferenceMonitors:
     """The monitor buffer the integrators filled before they shared one
-    sampler: a row of (t, eight monitors) per sample."""
+    sampler, a row of (t, eight monitors) per sample, each monitor by its
+    own full pass: the oracle of the band contraction, of the contracted
+    purity and of numpy's eigensolver (scipy's evr driver here)."""
 
     def __init__(self, cfg):
         self.x = build_position(cfg)
@@ -213,9 +250,21 @@ class _ReferenceMonitors:
         with np.errstate(over="ignore", invalid="ignore"):
             self.rows.append((
                 t, np.trace(rho).real, np.max(np.abs(rho - rho.conj().T)),
-                min_eigenvalue(rho), purity(rho),
+                scipy.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0],
+                np.sum(rho.T * rho).real,
                 expectation(rho, self.x).real, expectation(rho, self.p).real,
                 variance(rho, self.x, self.x2), variance(rho, self.p, self.p2)))
+
+
+class _MeasuredRows:
+    """The same buffer filled by the production measure."""
+
+    def __init__(self, cfg):
+        self.measure = propagation._monitors(cfg)
+        self.rows = []
+
+    def sample(self, t, rho):
+        self.rows.append((t, *self.measure(rho)))
 
 
 def _reference_rk4(rho, apply_fn, icfg, mon):
@@ -284,15 +333,24 @@ def _reference_rk45(rho, apply_fn, icfg, mon):
     return rho, accepted, rejected
 
 
-def _reference_propagate(rho0, liouv, icfg):
+def _reference_propagate(rho0, liouv, icfg, monitors):
+    """The reference loops on a monitor buffer of class monitors, counting
+    generator calls; the steps are propagation's _rk4_step and _dp_attempt
+    at call time."""
     rho = np.array(rho0, dtype=complex)
-    mon = _ReferenceMonitors(liouv.cfg)
+    mon = monitors(liouv.cfg)
     mon.sample(0.0, rho)
     loop = _reference_rk4 if icfg.method == RK4_FIXED else _reference_rk45
-    rho, accepted, rejected = loop(rho, liouv.apply, icfg, mon)
+    calls = [0]
+
+    def counted(state):
+        calls[0] += 1
+        return liouv.apply(state)
+
+    rho, accepted, rejected = loop(rho, counted, icfg, mon)
     cols = np.array(mon.rows, dtype=float).T
     return TrajectoryRecord(*cols, final_state=rho, accepted_steps=accepted,
-                            rejected_steps=rejected)
+                            rejected_steps=rejected, generator_calls=calls[0])
 
 
 @pytest.mark.parametrize("stride", [1, 3, 10**9])
@@ -308,15 +366,62 @@ def test_shared_schedule_and_sampler_match_reference_loops(method, stride):
                             monitor_stride=stride)
     rho0 = coherent_state(cfg, 0.8 + 0.3j)
     record = propagate(rho0, liouv, icfg)
-    reference = _reference_propagate(rho0, liouv, icfg)
+    reference = _reference_propagate(rho0, liouv, icfg, _MeasuredRows)
     for field in dataclasses.fields(TrajectoryRecord):
         assert np.array_equal(getattr(record, field.name),
                               getattr(reference, field.name)), field.name
     if method == RK4_FIXED:
         assert record.accepted_steps == 17
+        assert record.generator_calls == 4 * 17
     else:
         assert record.rejected_steps >= 1
+        assert record.generator_calls == \
+            1 + 6 * (record.accepted_steps + record.rejected_steps)
     assert record.times[-1] == 0.5
+
+
+_FAMILY = {
+    "caldeira_leggett": dict(kind=CALDEIRA_LEGGETT, beta=10.0,
+                             coeffs=BilinearCoefficients(gamma=0.5)),
+    "bilinear": dict(kind=BILINEAR, coeffs=BilinearCoefficients(
+        gamma=0.25, d_pp=0.3, d_xx=0.2, d_xp=-0.05, mu=0.1)),
+    "minimal_double": dict(kind=MINIMAL_QBM, beta=8.0, assembly=DOUBLE_COMMUTATOR,
+                           coeffs=BilinearCoefficients(d_pp=0.1, fugacity_z=0.8)),
+    "minimal_single": dict(kind=MINIMAL_QBM, beta=8.0, assembly=SINGLE_GENERATOR,
+                           coeffs=BilinearCoefficients(d_pp=0.1, fugacity_z=0.8)),
+}
+
+
+@pytest.mark.parametrize("dim", [24, 40])
+@pytest.mark.parametrize("method", [RK4_FIXED, RK45_ADAPTIVE])
+@pytest.mark.parametrize("variant", list(_FAMILY))
+def test_in_place_steps_and_band_monitors_match_parent_arithmetic(
+        monkeypatch, variant, method, dim):
+    """On every bilinear-family generator, the in-place stage arithmetic
+    gives the states of the plain array expressions bit for bit, and the
+    band-contraction monitors and numpy's eigensolver agree with one full
+    pass per monitor and scipy's driver to 1e-14 * max(|v|, 1).  From a
+    squeezed state, Caldeira-Leggett breaches positivity and the monitors
+    agree there too."""
+    cfg = HilbertConfig(dim=dim)
+    liouv = build_liouvillian(cfg, LiouvillianSpec(
+        hamiltonian_kind="harmonic", omega_trap=1.1, **_FAMILY[variant]))
+    rho0 = squeezed_state(cfg, 0.9)
+    icfg = IntegratorConfig(method=method, t_final=0.3, dt=3e-3, dt_init=1e-3,
+                            rtol=1e-9, atol=1e-11, monitor_stride=2)
+    record = propagate(rho0, liouv, icfg)
+    monkeypatch.setattr(propagation, "_rk4_step", _parent_rk4_step)
+    monkeypatch.setattr(propagation, "_dp_attempt", _parent_dp_attempt)
+    reference = _reference_propagate(rho0, liouv, icfg, _ReferenceMonitors)
+    assert np.array_equal(record.final_state, reference.final_state)
+    for name in ("times", "accepted_steps", "rejected_steps", "generator_calls"):
+        assert np.array_equal(getattr(record, name), getattr(reference, name)), name
+    for name in ("trace", "herm_drift", "min_eig", "purity", "mean_x", "mean_p",
+                 "var_x", "var_p"):
+        new, old = getattr(record, name), getattr(reference, name)
+        assert np.all(np.abs(new - old) <= 1e-14 * np.maximum(np.abs(old), 1.0)), name
+    if variant == "caldeira_leggett":
+        assert reference.min_eig.min() < -1e-6
 
 
 def test_positivity_breach_detection():
