@@ -318,7 +318,10 @@ def cmd_fp(rc):
         traj = fp_solve(grid, eta, d_v, t_final, dt, sample_stride=stride)
         return ("t,mass,mean_v,var_v",
                 zip(traj.times, traj.mass, traj.mean_v, traj.var_v),
-                ["stationary_var=%.16e" % traj.var_v[-1]])
+                ["stationary_var=%.16e" % traj.var_v[-1],
+                 # what the solver did, from the trajectory itself
+                 "steps=%d" % traj.steps,
+                 "cell_updates=%d" % (traj.steps * grid.n_cells)])
 
     return run
 

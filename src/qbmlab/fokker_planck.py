@@ -18,10 +18,17 @@ Convergence studies therefore measure transient moments against the
 closed-form moment solutions, where the scheme has a genuine second
 order error.
 
+fp_step is the one step.  Everything it reads that depends only on the
+grid and the coefficients (eta, d_v) -- the stability bound, the edge
+drift and the Chang-Cooper weights -- is its stencil, computed once per
+grid and coefficients and shared read-only; the cell centres are
+computed once per grid.  A step then does only the flux arithmetic.
+
 fp_solve steps and samples like the RK4 propagator (see propagation), so
 the quantum and classical series of a comparison share one time grid.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +60,14 @@ class FPGrid:
         object.__setattr__(self, "p_values", p)
         if p.shape != (self.n_cells,):
             raise ValueError("p_values must have shape (n_cells,)")
-        if not np.all(np.isfinite(p)):
+        # array methods: fp_step builds a grid every step, and numpy's
+        # np.* wrappers cost more per call than the reductions themselves
+        if not np.isfinite(p).all():
             raise ValueError("p_values must be finite")
-        if np.min(p) < -1e-15:
-            raise ValueError("p_values must be nonnegative (min %.3e)"
-                             % np.min(p))
-        mass = np.sum(p) * self.dv
+        p_min = p.min()
+        if p_min < -1e-15:
+            raise ValueError("p_values must be nonnegative (min %.3e)" % p_min)
+        mass = p.sum() * self.dv
         if abs(mass - 1.0) > 1e-12:
             raise ValueError("density must integrate to 1, got %.16g" % mass)
 
@@ -68,27 +77,56 @@ class FPGrid:
 
     @property
     def centers(self):
-        return self.v_min + (np.arange(self.n_cells) + 0.5) * self.dv
+        """The cell midpoints, read-only, shared by every grid of this geometry."""
+        return _centers(self.v_min, self.v_max, self.n_cells)
 
-    @property
-    def interior_edges(self):
-        return self.v_min + np.arange(1, self.n_cells) * self.dv
+
+# Both caches are bounded: a run steps one grid with one coefficient pair,
+# and a comparison or a test module touches a few.  Their arrays are shared
+# between grids, so they are read-only.
+@functools.lru_cache(maxsize=16)
+def _centers(v_min, v_max, n_cells):
+    v = v_min + (np.arange(n_cells) + 0.5) * ((v_max - v_min) / n_cells)
+    v.flags.writeable = False
+    return v
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil(v_min, v_max, n_cells, eta, d_v):
+    """(bound, dv, drift, delta, 1 - delta) of fp_step for coefficients that
+    _check_coefficients accepted: the stability bound, the cell width, eta*v
+    at the interior edges, and the edges' Chang-Cooper weights."""
+    dv = (v_max - v_min) / n_cells
+    bounds = []
+    if d_v > 0.0:
+        bounds.append(dv * dv / (2.0 * d_v))
+    if eta > 0.0:  # FPGrid holds v_min < 0 < v_max
+        bounds.append(dv / (eta * max(-v_min, v_max)))
+    bound = _CFL_FRACTION * min(bounds) if bounds else np.inf
+    drift = eta * (v_min + np.arange(1, n_cells) * dv)
+    if d_v > 0.0:
+        delta = _cc_delta(drift * dv / d_v)
+    else:
+        # pure advection: upwind against the characteristic flow -eta*v
+        delta = np.where(drift > 0.0, 0.0, np.where(drift < 0.0, 1.0, 0.5))
+    keep = 1.0 - delta
+    for array in (drift, delta, keep):
+        array.flags.writeable = False
+    return bound, dv, drift, delta, keep
 
 
 def gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=1.0):
     """Normalized Gaussian initial condition sampled at cell centers."""
-    if var <= 0.0:
+    if not var > 0.0:  # NaN too
         raise ValueError("var must be positive")
-    dv = (v_max - v_min) / n_cells
-    v = v_min + (np.arange(n_cells) + 0.5) * dv
-    p = np.exp(-0.5 * (v - mean) ** 2 / var)
-    p /= np.sum(p) * dv
+    p = np.exp(-0.5 * (_centers(v_min, v_max, n_cells) - mean) ** 2 / var)
+    p /= np.sum(p) * ((v_max - v_min) / n_cells)
     return FPGrid(v_min=v_min, v_max=v_max, n_cells=n_cells, p_values=p)
 
 
 def maxwell_grid(v_min, v_max, n_cells, eta, d_v):
     """Stationary distribution of the drift-diffusion pair (eta, d_v)."""
-    if eta <= 0.0 or d_v <= 0.0:
+    if not (eta > 0.0 and d_v > 0.0):  # NaN too
         raise ValueError("maxwell_grid needs eta > 0 and d_v > 0")
     return gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=d_v / eta)
 
@@ -97,26 +135,23 @@ def grid_moments(grid):
     """(mass, mean, variance) of the density by midpoint quadrature."""
     v = grid.centers
     weights = grid.p_values * grid.dv
-    mass = np.sum(weights)
-    mean = np.sum(v * weights) / mass
-    var = np.sum((v - mean) ** 2 * weights) / mass
+    mass = weights.sum()
+    mean = (v * weights).sum() / mass
+    var = ((v - mean) ** 2 * weights).sum() / mass
     return mass, mean, var
+
+
+def _check_coefficients(eta, d_v):
+    # the chained comparisons refuse NaN as well as inf and negatives
+    if not (0.0 <= eta < np.inf and 0.0 <= d_v < np.inf):
+        raise ValueError("eta and d_v must be finite and nonnegative")
 
 
 def stability_bound(grid, eta, d_v):
     """Largest dt that fp_step accepts for this grid and coefficients, which
-    must be nonnegative; inf when both are zero."""
-    if eta < 0.0 or d_v < 0.0:
-        raise ValueError("eta and d_v must be nonnegative")
-    dv = grid.dv
-    bounds = []
-    if d_v > 0.0:
-        bounds.append(dv * dv / (2.0 * d_v))
-    if eta > 0.0:  # FPGrid holds v_min < 0 < v_max
-        bounds.append(dv / (eta * max(-grid.v_min, grid.v_max)))
-    if not bounds:
-        return np.inf
-    return _CFL_FRACTION * min(bounds)
+    must be finite and nonnegative; inf when both are zero."""
+    _check_coefficients(eta, d_v)
+    return _stencil(grid.v_min, grid.v_max, grid.n_cells, eta, d_v)[0]
 
 
 def _cc_delta(w):
@@ -136,62 +171,53 @@ def _cc_delta(w):
     return out
 
 
-def _edge_fluxes(grid, eta, d_v):
-    p = grid.p_values
-    dv = grid.dv
-    v_e = grid.interior_edges
-    drift = eta * v_e
-    if d_v > 0.0:
-        delta = _cc_delta(drift * dv / d_v)
-    else:
-        # pure advection: upwind against the characteristic flow -eta*v
-        delta = np.where(drift > 0.0, 0.0, np.where(drift < 0.0, 1.0, 0.5))
-    p_edge = (1.0 - delta) * p[1:] + delta * p[:-1]
-    flux = drift * p_edge
-    if d_v > 0.0:
-        flux = flux + d_v * (p[1:] - p[:-1]) / dv
-    return flux
-
-
 def fp_step(grid, eta, d_v, dt):
     """One explicit conservative update; returns a new grid.
 
-    Rejects dt above the positivity-preserving stability bound, and, through
-    stability_bound, negative coefficients.  Mass is conserved to roundoff
-    because interior fluxes telescope and the boundary fluxes are
-    identically zero.
+    Rejects non-finite or negative coefficients, a dt that is not positive
+    and finite, and a dt above the positivity-preserving stability bound.
+    Mass is conserved to roundoff because interior fluxes telescope and
+    the boundary fluxes are identically zero.
     """
-    bound = stability_bound(grid, eta, d_v)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _check_coefficients(eta, d_v)
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    bound, dv, drift, delta, keep = _stencil(
+        grid.v_min, grid.v_max, grid.n_cells, eta, d_v)
     if dt > bound:
         raise ValueError(
             "dt=%.6g violates the stability bound %.6g" % (dt, bound))
-    flux = _edge_fluxes(grid, eta, d_v)
-    p_new = grid.p_values.copy()
-    scale = dt / grid.dv
-    p_new[:-1] += scale * flux
-    p_new[1:] -= scale * flux
+    p = grid.p_values
+    flux = drift * (keep * p[1:] + delta * p[:-1])
+    if d_v > 0.0:
+        flux += d_v * (p[1:] - p[:-1]) / dv
+    flux *= dt / dv
+    p_new = p.copy()
+    p_new[:-1] += flux
+    p_new[1:] -= flux
     return FPGrid(v_min=grid.v_min, v_max=grid.v_max,
                   n_cells=grid.n_cells, p_values=p_new)
 
 
 @dataclass
 class FPTrajectory:
-    """Moment time series plus the final grid."""
+    """Moment time series, the final grid and the number of steps taken."""
 
     times: np.ndarray
     mass: np.ndarray
     mean_v: np.ndarray
     var_v: np.ndarray
     final_grid: FPGrid
+    steps: int
 
 
 def fp_solve(grid, eta, d_v, t_final, dt, sample_stride=1):
     """fp_step on propagation.fixed_steps to t_final, sampling mass, mean and
     variance by propagation's sampling rule with stride sample_stride."""
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
+    if not 0.0 < t_final < np.inf:
+        raise ValueError("t_final must be positive and finite")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     check_stride("sample_stride", sample_stride)
     sampler = Sampler(grid_moments, sample_stride, grid)
     current = grid
@@ -200,4 +226,4 @@ def fp_solve(grid, eta, d_v, t_final, dt, sample_stride=1):
         sampler.accept(t, current)
     times, mass, mean_v, var_v = sampler.columns(t_final, current)
     return FPTrajectory(times=times, mass=mass, mean_v=mean_v, var_v=var_v,
-                        final_grid=current)
+                        final_grid=current, steps=sampler.accepted)

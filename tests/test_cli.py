@@ -447,6 +447,11 @@ def test_fp_output_contract(tmp_path, monkeypatch, capsys):
     assert abs(float(line.split("=")[1]) - 1.0) < 0.01
     data = (out / "fpq.csv").read_text().splitlines()
     assert data[0] == "t,mass,mean_v,var_v"
+    # the run's own counts: dt = 0.9 * 0.4 * dv**2 / 2 = 0.00405 at dv = 0.15
+    # gives 49 full steps and a remainder, each updating 80 cells
+    for lines in (stdout.splitlines(), (out / "fpq.meta.txt").read_text().splitlines()):
+        assert "steps=50" in lines
+        assert "cell_updates=4000" in lines
 
 
 def test_output_dir_env_overrides_config(tmp_path, monkeypatch):

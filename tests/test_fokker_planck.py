@@ -12,7 +12,7 @@ from qbmlab import (
     maxwell_grid,
     stability_bound,
 )
-from qbmlab.fokker_planck import _cc_delta
+from qbmlab.fokker_planck import _cc_delta, _stencil
 
 
 def test_grid_validation():
@@ -44,6 +44,12 @@ def test_maxwell_grid_requires_positive_coefficients():
         maxwell_grid(-8.0, 8.0, 200, eta=0.0, d_v=1.0)
     with pytest.raises(ValueError):
         maxwell_grid(-8.0, 8.0, 200, eta=1.0, d_v=-1.0)
+    # NaN fails the sign check itself, not the density's later finiteness check
+    for eta, d_v in ((float("nan"), 1.0), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="maxwell_grid needs eta > 0 and d_v > 0"):
+            maxwell_grid(-8.0, 8.0, 200, eta=eta, d_v=d_v)
+    with pytest.raises(ValueError, match="var must be positive"):
+        gaussian_grid(-8.0, 8.0, 200, var=float("nan"))
 
 
 def test_step_validation():
@@ -158,26 +164,88 @@ def test_transient_moments_converge_with_refinement():
     assert errors[0][1] / errors[1][1] > 3.5
 
 
+def _parent_stability_bound(grid, eta, d_v):
+    if eta < 0.0 or d_v < 0.0:
+        raise ValueError("eta and d_v must be nonnegative")
+    dv = grid.dv
+    bounds = []
+    if d_v > 0.0:
+        bounds.append(dv * dv / (2.0 * d_v))
+    if eta > 0.0:
+        bounds.append(dv / (eta * max(-grid.v_min, grid.v_max)))
+    if not bounds:
+        return np.inf
+    return 0.4 * min(bounds)
+
+
+def _parent_fp_step(grid, eta, d_v, dt):
+    """fp_step as it was before its stencil was cached: the bound, the edge
+    drift and the Chang-Cooper weights recomputed from the grid every step."""
+    bound = _parent_stability_bound(grid, eta, d_v)
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if dt > bound:
+        raise ValueError(
+            "dt=%.6g violates the stability bound %.6g" % (dt, bound))
+    p = grid.p_values
+    dv = grid.dv
+    v_e = grid.v_min + np.arange(1, grid.n_cells) * dv
+    drift = eta * v_e
+    if d_v > 0.0:
+        delta = _cc_delta(drift * dv / d_v)
+    else:
+        delta = np.where(drift > 0.0, 0.0, np.where(drift < 0.0, 1.0, 0.5))
+    p_edge = (1.0 - delta) * p[1:] + delta * p[:-1]
+    flux = drift * p_edge
+    if d_v > 0.0:
+        flux = flux + d_v * (p[1:] - p[:-1]) / dv
+    p_new = grid.p_values.copy()
+    scale = dt / grid.dv
+    p_new[:-1] += scale * flux
+    p_new[1:] -= scale * flux
+    return FPGrid(v_min=grid.v_min, v_max=grid.v_max,
+                  n_cells=grid.n_cells, p_values=p_new)
+
+
+def _parent_grid_moments(grid):
+    """grid_moments with the centres recomputed from the grid every call."""
+    v = grid.v_min + (np.arange(grid.n_cells) + 0.5) * grid.dv
+    weights = grid.p_values * grid.dv
+    mass = np.sum(weights)
+    mean = np.sum(v * weights) / mass
+    var = np.sum((v - mean) ** 2 * weights) / mass
+    return mass, mean, var
+
+
 def _reference_fp_solve(grid, eta, d_v, t_final, dt, sample_stride):
-    """fp_solve with its own step list and sampling loop."""
+    """fp_solve with its own step list and sampling loop, over the parent's
+    step and moments."""
     n_full = int(np.floor(t_final / dt + 1e-12))
     steps = [dt] * n_full
     remainder = t_final - n_full * dt
     if remainder > 1e-12 * dt:
         steps.append(remainder)
-    rows = [(0.0, *grid_moments(grid))]
+    rows = [(0.0, *_parent_grid_moments(grid))]
     t = 0.0
     current = grid
     for i, h in enumerate(steps):
-        current = fp_step(current, eta, d_v, h)
+        current = _parent_fp_step(current, eta, d_v, h)
         t = t_final if i == len(steps) - 1 else t + h
         if (i + 1) % sample_stride == 0:
-            rows.append((t, *grid_moments(current)))
+            rows.append((t, *_parent_grid_moments(current)))
     if len(steps) % sample_stride != 0:
-        rows.append((t_final, *grid_moments(current)))
+        rows.append((t_final, *_parent_grid_moments(current)))
     cols = np.array(rows, dtype=float).T
     return FPTrajectory(times=cols[0], mass=cols[1], mean_v=cols[2],
-                        var_v=cols[3], final_grid=current)
+                        var_v=cols[3], final_grid=current, steps=len(steps))
+
+
+def _assert_same_trajectory(traj, reference):
+    for name in ("times", "mass", "mean_v", "var_v", "steps"):
+        assert np.array_equal(getattr(traj, name), getattr(reference, name)), name
+    for name in ("v_min", "v_max", "n_cells", "p_values"):
+        assert np.array_equal(getattr(traj.final_grid, name),
+                              getattr(reference.final_grid, name)), name
 
 
 @pytest.mark.parametrize("stride", [1, 3, 10**9])
@@ -189,12 +257,113 @@ def test_shared_schedule_and_sampler_match_reference_loop(stride):
     t_final = 40.5 * dt  # 40 full steps and a half step
     traj = fp_solve(grid, 1.0, 0.8, t_final, dt, sample_stride=stride)
     reference = _reference_fp_solve(grid, 1.0, 0.8, t_final, dt, stride)
-    for name in ("times", "mass", "mean_v", "var_v"):
-        assert np.array_equal(getattr(traj, name), getattr(reference, name)), name
-    for name in ("v_min", "v_max", "n_cells", "p_values"):
-        assert np.array_equal(getattr(traj.final_grid, name),
-                              getattr(reference.final_grid, name)), name
+    _assert_same_trajectory(traj, reference)
     assert traj.times[-1] == t_final
+    assert traj.steps == 41
+
+
+# (v_min, v_max, n_cells, eta, d_v, dt); dt None is 0.7 of the bound
+_ORACLE_CASES = {
+    "drift_only": (-6.0, 6.0, 60, 1.3, 0.0, None),
+    "diffusion_only": (-6.0, 6.0, 60, 0.0, 0.8, None),
+    "zero_coefficients": (-6.0, 6.0, 60, 0.0, 0.0, 2e-3),
+    "four_cells": (-3.0, 5.0, 4, 1.0, 0.8, None),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 3, 10**9])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_cached_stencil_matches_parent_step(case, stride):
+    """Each term alone, neither term, and the smallest grid, every one with
+    a remainder step: the cached stencil steps bit for bit as the parent."""
+    v_min, v_max, n_cells, eta, d_v, dt = _ORACLE_CASES[case]
+    grid = gaussian_grid(v_min, v_max, n_cells, mean=0.5, var=0.6)
+    if dt is None:
+        dt = 0.7 * _parent_stability_bound(grid, eta, d_v)
+    t_final = 40.5 * dt
+    traj = fp_solve(grid, eta, d_v, t_final, dt, sample_stride=stride)
+    _assert_same_trajectory(
+        traj, _reference_fp_solve(grid, eta, d_v, t_final, dt, stride))
+    assert traj.steps == 41
+
+
+def test_interleaved_coefficients_and_grids_each_match_parent_step():
+    """Stencils of other coefficients or another geometry, cached in
+    between, never leak into a step."""
+    one = gaussian_grid(-6.0, 6.0, 50, mean=0.5, var=0.6)
+    other = gaussian_grid(-5.0, 7.0, 64, mean=-0.3, var=0.9)
+    pairs = [(1.0, 0.8), (1.3, 0.0), (0.0, 1.2), (2.0, 0.3)]
+    dt = 0.5 * min(_parent_stability_bound(grid, eta, d_v)
+                   for grid in (one, other) for eta, d_v in pairs)
+    for i in range(24):
+        eta, d_v = pairs[i % len(pairs)]
+        stepped = fp_step(one, eta, d_v, dt)
+        expected = _parent_fp_step(one, eta, d_v, dt)
+        assert np.array_equal(stepped.p_values, expected.p_values), i
+        assert grid_moments(stepped) == _parent_grid_moments(expected), i
+        # one pair on the second geometry, between the first's steps
+        stepped_other = fp_step(other, 1.0, 0.8, dt)
+        expected_other = _parent_fp_step(other, 1.0, 0.8, dt)
+        assert np.array_equal(stepped_other.p_values, expected_other.p_values), i
+        assert grid_moments(stepped_other) == _parent_grid_moments(expected_other), i
+        one, other = stepped, stepped_other
+
+
+def test_cached_arrays_are_read_only():
+    grid = gaussian_grid(-6.0, 6.0, 50)
+    stability_bound(grid, 1.0, 0.8)
+    _, _, *arrays = _stencil(grid.v_min, grid.v_max, grid.n_cells, 1.0, 0.8)
+    for array in (*arrays, grid.centers):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_non_finite_inputs_refused_before_the_stencil():
+    """NaN fails every sign check, so the checks are written to refuse it:
+    a NaN d_v would otherwise run pure advection, and a NaN eta fail later
+    as a non-finite density."""
+    grid = gaussian_grid(-6.0, 6.0, 100)
+    before = _stencil.cache_info()
+    nan, inf = float("nan"), float("inf")
+    for eta, d_v in ((nan, 1.0), (1.0, nan), (nan, nan), (inf, 1.0), (1.0, inf)):
+        with pytest.raises(ValueError, match="eta and d_v must be finite and nonnegative"):
+            stability_bound(grid, eta, d_v)
+        with pytest.raises(ValueError, match="eta and d_v must be finite and nonnegative"):
+            fp_step(grid, eta, d_v, 1e-4)
+        with pytest.raises(ValueError, match="eta and d_v must be finite and nonnegative"):
+            fp_solve(grid, eta, d_v, 1.0, 1e-4)
+    for dt in (nan, inf, -inf, 0.0, -1e-4):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            fp_step(grid, 1.0, 1.0, dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            fp_solve(grid, 1.0, 1.0, 1.0, dt)
+    for t_final in (nan, inf, 0.0):
+        with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            fp_solve(grid, 1.0, 1.0, t_final, 1e-4)
+    assert _stencil.cache_info() == before
+
+
+def test_grid_refusals_name_their_check():
+    ok = dict(v_min=-6.0, v_max=6.0, n_cells=100, p_values=np.full(100, 1.0 / 12.0))
+    negative = ok["p_values"].copy()
+    negative[3] = -1e-3
+    nonfinite = ok["p_values"].copy()
+    nonfinite[7] = np.nan
+    for changes, message in (
+            (dict(v_min=1.0), "need v_min < 0 < v_max"),
+            (dict(v_max=0.0), "need v_min < 0 < v_max"),
+            (dict(n_cells=3, p_values=np.full(3, 1.0 / 12.0)),
+             "n_cells must be at least 4"),
+            (dict(p_values=np.full(99, 1.0 / 12.0)),
+             r"p_values must have shape \(n_cells,\)"),
+            (dict(p_values=nonfinite), "p_values must be finite"),
+            (dict(p_values=negative),
+             r"p_values must be nonnegative \(min -1\.000e-03\)"),
+            (dict(p_values=np.ones(100)),
+             "density must integrate to 1, got 12$")):
+        with pytest.raises(ValueError, match=message):
+            FPGrid(**{**ok, **changes})
 
 
 def test_sampling_grid():
