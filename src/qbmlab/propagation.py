@@ -35,11 +35,11 @@ stationary_state solves L vec(rho) = 0 by a bordered LU solve, banded where
 that is cheap and dense otherwise; its docstring states the path rules.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import (
     build_momentum,
@@ -374,24 +374,38 @@ def stationary_state(l_matrix):
     and no equation is lost.  The Hermitian part of the solution, divided
     by its trace, is the state.
 
-    The trace-row check comes first: max|vec(I)^T L| must stay within
-    1e-10 * max|L|.  A generator that fails it is not trace-preserving and
-    has no trace-one state to find, and the solve raises
-    DegenerateStationaryState, as it does for a zero L.
+    L is read in one scan for the (row, column, value) triplets of its
+    nonzero entries; a NaN or infinite entry counts as nonzero and -0.0 as
+    zero.  max|L| and its finiteness, the band, the equilibration, the band
+    storage and the banded path's residual come from the triplets.  The
+    band only widens as rows are read, and one row shows a dense L's width:
+    when the last row of the checkerboard order (below) alone makes the
+    band too wide, L is not scanned, and max|L| and the residual are taken
+    over all of L.  max|L| is checked first, for finiteness and for zero.
+    Then the trace row: max|vec(I)^T L|, a sum of d rows of L, must stay
+    within 1e-10 * max|L|.  A generator that fails it is not
+    trace-preserving and has no trace-one state to find, and the solve
+    raises DegenerateStationaryState, as it does for a zero L.
 
-    Banded path.  The band kl, ku is read from the nonzero pattern of L
-    below row 0.  When the banded LU, about 2 n kl (kl + ku) flops, does at
-    most a quarter of the dense LU's 2 n^3 / 3, the border row is e_0^T
-    (rho_00 = 1; the trace row would span the whole width and break the
-    band), and LAPACK gbtrf, gbcon and gbtrs factor, test and solve B in
-    band storage.  Every bilinear-family generator (x and p tridiagonal,
-    kl = ku = 2d) takes it from dim 10 up; collision generators are dense
-    and never do.  By Sherman-Morrison the e_0 bordering gives the trace
-    bordering's state whenever both are nonsingular, but it is singular
-    also when the state has rho_00 = 0.  So the banded path only hands
-    over: at a zero row or column, an exactly zero pivot, a reciprocal
-    1-norm condition number of the equilibrated B below 1e-8, or a
-    traceless candidate, the dense path runs and its verdict stands.
+    Banded path.  vec(rho) is taken in checkerboard order: the entries with
+    i + j even first, then those with i + j odd, each set in Fortran order,
+    so rho_00 stays first.  Every bilinear-family generator keeps the parity
+    of i + j (K moves i or j by 0 or +-2, a jump sandwich moves both by
+    +-1), so in this order L is two diagonal blocks, and a move of j by 2
+    is one of d places: the band read from the nonzero pattern below row 0
+    is kl = ku = d, half the 2d of the Fortran order.  When the banded LU,
+    about 2 n kl (kl + ku) flops, does at most a quarter of the dense LU's
+    2 n^3 / 3, the border row is e_0^T (rho_00 = 1; the trace row would
+    span the whole width and break the band), and LAPACK gbtrf, gbcon and
+    gbtrs factor, test and solve the whole bordered B, both blocks at once,
+    in band storage.  Every bilinear-family generator takes it from dim 5
+    up; collision generators, and any generator that mixes parities, read a
+    wide band and never do.  By Sherman-Morrison the e_0 bordering gives
+    the trace bordering's state whenever both are nonsingular, but it is
+    singular also when the state has rho_00 = 0.  So the banded path only
+    hands over: at a zero row or column, an exactly zero pivot, a
+    reciprocal 1-norm condition number of the equilibrated B below 1e-8, or
+    a traceless candidate, the dense path runs and its verdict stands.
 
     Dense path.  The border row is the trace functional vec(I)^T, and
     getrf and gecon factor and test B.  B is nonsingular exactly when the
@@ -411,13 +425,16 @@ def stationary_state(l_matrix):
         raise TypeError("expected the matrixified generator; pass "
                         "superoperator_matrix(liouvillian), not the "
                         "generator itself")
-    l_matrix = np.asarray(l_matrix, dtype=complex)
+    l_matrix = np.ascontiguousarray(l_matrix, dtype=complex)
     n = l_matrix.shape[0]
     d = int(round(np.sqrt(n)))
     if d * d != n or l_matrix.shape != (n, n):
         raise ValueError("expected a square matrix acting on vectorized states")
-    magnitude = np.abs(l_matrix)
-    scale = magnitude.max()
+    triplets = _nonzeros(l_matrix, d)
+    # the banded path reads L's nonzero entries, the dense path all of them
+    values = l_matrix.ravel() if triplets is None else triplets[2]
+    magnitude = np.abs(values)
+    scale = magnitude.max(initial=0.0)
     if not np.isfinite(scale):
         raise NumericalFailure("generator matrix has non-finite entries")
     if scale == 0.0:
@@ -429,14 +446,59 @@ def stationary_state(l_matrix):
             "generator is not trace-preserving: max|vec(I)^T L| = %.3e "
             "exceeds %.1e * max|L|, so there is no trace-one kernel "
             "element to border for" % (leak, _TRACE_LEAK_TOL))
-    rho = _banded_stationary(l_matrix, magnitude)
+    rho = None if triplets is None else _banded_stationary(d, *triplets, magnitude)
     if rho is None:
         rho = _dense_stationary(l_matrix)
-    residual = np.max(np.abs(l_matrix @ rho.flatten(order="F")))
+        product = l_matrix @ rho.flatten(order="F")
+    else:
+        rows, cols, _ = triplets
+        terms = values * rho.flatten(order="F").take(cols)
+        product = np.bincount(rows, terms.real, n) + 1j * np.bincount(rows, terms.imag, n)
+    residual = np.abs(product).max()
     if residual > _RESIDUAL_TOL:
         raise NumericalFailure(
             "stationary residual %.3e exceeds %.1e" % (residual, _RESIDUAL_TOL))
     return rho
+
+
+def _nonzero(a):
+    """Mask of the entries of a C-contiguous complex array whose real or
+    imaginary part is nonzero: NaN counts, -0.0 does not."""
+    # the two float64 flags of each entry, read as one uint16
+    return (a.view(np.float64) != 0.0).view(np.uint16) != 0
+
+
+def _band_pays(kl, ku, n):
+    """stationary_state's size rule for the banded path."""
+    return 3 * kl * (kl + ku) <= _BAND_FLOP_SHARE * n * n
+
+
+@functools.lru_cache(maxsize=16)
+def _checkerboard(d):
+    """(order, position), read-only: order[k] is the Fortran-order index of
+    the k-th entry of vec(rho) in checkerboard order, position its inverse."""
+    j, i = np.divmod(np.arange(d * d), d)
+    order = np.argsort((i + j) % 2, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(d * d)
+    order.flags.writeable = False
+    position.flags.writeable = False
+    return order, position
+
+
+def _nonzeros(l_matrix, d):
+    """(rows, cols, values) of the nonzero entries of L at dim d, in
+    row-major order, from one scan; None, without the scan, when the last
+    row of the checkerboard order alone makes the band too wide."""
+    n = d * d
+    order, position = _checkerboard(d)
+    # kl only grows as rows are read, and one row shows a dense L's width
+    kl = n - 1 - position[_nonzero(l_matrix[order[-1]])].min(initial=n - 1)
+    if not _band_pays(kl, 0, n):
+        return None
+    flat = np.flatnonzero(_nonzero(l_matrix))
+    rows = flat // n
+    return rows, flat - rows * n, l_matrix.ravel().take(flat)
 
 
 def _unit_trace(vec):
@@ -456,51 +518,56 @@ def _power_of_two_scale(maxima):
     return np.ldexp(1.0, -np.frexp(maxima)[1])
 
 
-def _banded_stationary(l_matrix, magnitude):
-    """stationary_state's banded path on L and |L|: the unit-trace state, or
-    None when the band is too wide or the solve hands over."""
-    n = l_matrix.shape[0]
+def _banded_stationary(d, rows, cols, values, magnitude):
+    """stationary_state's banded path on the nonzero triplets of L at dim d,
+    in row-major order, and their magnitudes: the unit-trace state, or None
+    when the band is too wide or the solve hands over."""
+    n = d * d
     # row 0 becomes the border e_0^T: only the other rows set the band
-    row_max = magnitude.max(axis=1)
+    first = np.searchsorted(rows, 1)
+    rows, cols, values, magnitude = (
+        rows[first:], cols[first:], values[first:], magnitude[first:])
+    order, position = _checkerboard(d)
+    band_cols = position.take(cols)
+    offset = position.take(rows) - band_cols  # i - j in checkerboard order
+    kl, ku = int(offset.max(initial=0)), -int(offset.min(initial=0))
+    if not _band_pays(kl, ku, n):
+        return None
+    row_max = np.zeros(n)
+    np.maximum.at(row_max, rows, magnitude)
     row_max[0] = 1.0
     if not row_max.all():  # a zero row
         return None
-    nonzero = magnitude[1:] != 0.0
-    rows = np.arange(1, n)
-    kl = max(int((rows - nonzero.argmax(axis=1)).max()), 0)
-    ku = max(int((n - 1 - nonzero[:, ::-1].argmax(axis=1) - rows).max()), 0)
-    if 3 * kl * (kl + ku) > _BAND_FLOP_SHARE * n * n:
-        return None
-    # LAPACK band storage: A[i, j] sits in row kl + ku + i - j of column j;
-    # gbtrf takes the first kl rows for fill-in
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
-    band = ab[kl:]
-    for off in range(-ku, kl + 1):  # off = i - j
-        band[ku + off, max(-off, 0):n - max(off, 0)] = l_matrix.diagonal(-off)
-    top = np.arange(ku + 1)
-    band[ku - top, top] = 0.0  # row 0, entry (0, j) at band row ku - j
-    band[ku, 0] = 1.0
-    # [ku + off, j] = row_scale[j + off], zero outside the matrix
     row_scale = _power_of_two_scale(row_max)
-    band *= sliding_window_view(np.pad(row_scale, (ku, kl)), n)
-    band_magnitude = np.abs(band)
-    col_max = band_magnitude.max(axis=0)
+    entry_scale = row_scale.take(rows)
+    col_max = np.zeros(n)
+    col_max[0] = row_scale[0]  # the border's entry (0, 0)
+    np.maximum.at(col_max, cols, entry_scale * magnitude)
     if not col_max.all():  # a zero column
         return None
     col_scale = _power_of_two_scale(col_max)
-    band *= col_scale
-    anorm = (band_magnitude * col_scale).sum(axis=0).max()
+    entry_scale *= col_scale.take(cols)  # powers of two: exact
+    corner = row_scale[0] * col_scale[0]
+    col_sums = np.bincount(cols, entry_scale * magnitude, n)
+    col_sums[0] += corner
+    # LAPACK band storage: A[i, j] sits in row kl + ku + i - j of column j;
+    # gbtrf takes the first kl rows for fill-in
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+    ab.ravel()[(kl + ku + offset) * n + band_cols] = entry_scale * values
+    ab[kl + ku, 0] = corner
     gbtrf, gbcon, gbtrs = scipy.linalg.get_lapack_funcs(
         ("gbtrf", "gbcon", "gbtrs"), (ab,))
     lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
     if info != 0:  # info > 0: an exactly zero pivot
         return None
-    rcond, _ = gbcon(kl, ku, lu, piv, anorm, norm="1")
+    rcond, _ = gbcon(kl, ku, lu, piv, col_sums.max(), norm="1")
     if not rcond >= _DEGENERACY_TOL:  # NaN too: only a sound solve answers
         return None
     rhs = np.zeros((n, 1), dtype=complex)
     rhs[0] = row_scale[0]
-    return _unit_trace(col_scale * gbtrs(lu, kl, ku, rhs, piv)[0][:, 0])
+    vec = np.empty(n, dtype=complex)
+    vec[order] = gbtrs(lu, kl, ku, rhs, piv)[0][:, 0]
+    return _unit_trace(col_scale * vec)
 
 
 def _dense_stationary(l_matrix):

@@ -427,7 +427,19 @@ def test_matches_quantum_momentum_variance():
 
 def test_flux_weight_series_branch_is_accurate():
     # both branches around the switch agree with a higher-order reference
-    for w in (5e-5, 9.99e-5, 1.01e-4, 2e-4, 1e-3, -1.01e-4, -9.99e-5):
+    for w in (5e-5, 9.99e-5, 1.01e-4, 2e-4, 1e-3, -1.01e-4, -9.99e-5,
+              0.0999, 0.1001, -0.0999, -0.1001):
         reference = 0.5 - w / 12.0 + w**3 / 720.0 - w**5 / 30240.0
         got = float(_cc_delta(np.array([w]))[0])
         assert abs(got - reference) < 1e-11
+
+
+def test_flux_weight_symmetry_holds_to_1e_14():
+    """delta(w) + delta(-w) = 1 to 1e-14 on both sides of the series switch:
+    at w = 1.2592499011750515e-4, where the direct form, 1/w - 1/expm1(w)
+    with both terms near 1e4, once left 1.8e-12, and on a log grid of w
+    over [1e-8, 60]."""
+    w = 1.2592499011750515e-4
+    assert abs(_cc_delta(np.array([w]))[0] + _cc_delta(np.array([-w]))[0] - 1.0) < 1e-14
+    grid = np.logspace(-8.0, np.log10(60.0), 20001)
+    assert np.abs(_cc_delta(grid) + _cc_delta(-grid) - 1.0).max() < 1e-14

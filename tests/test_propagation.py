@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import qbmlab.propagation as propagation
 from conftest import random_density
@@ -575,6 +576,76 @@ def _svd_stationary_state(l_matrix, degeneracy_tol=1e-8, residual_tol=1e-8):
     return rho
 
 
+def _parent_banded_stationary(l_matrix, magnitude):
+    """Reference banded solve, the banded path as it was in natural
+    (Fortran) order: the band, kl = ku = 2d for the bilinear family, is
+    read from L's zero pattern by dense passes and filled by diagonal
+    extraction.  The unit-trace state, or None when the band is too wide or
+    the solve hands over."""
+    n = l_matrix.shape[0]
+    # row 0 becomes the border e_0^T: only the other rows set the band
+    row_max = magnitude.max(axis=1)
+    row_max[0] = 1.0
+    if not row_max.all():  # a zero row
+        return None
+    nonzero = magnitude[1:] != 0.0
+    rows = np.arange(1, n)
+    kl = max(int((rows - nonzero.argmax(axis=1)).max()), 0)
+    ku = max(int((n - 1 - nonzero[:, ::-1].argmax(axis=1) - rows).max()), 0)
+    if 3 * kl * (kl + ku) > propagation._BAND_FLOP_SHARE * n * n:
+        return None
+    # LAPACK band storage: A[i, j] sits in row kl + ku + i - j of column j;
+    # gbtrf takes the first kl rows for fill-in
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=complex)
+    band = ab[kl:]
+    for off in range(-ku, kl + 1):  # off = i - j
+        band[ku + off, max(-off, 0):n - max(off, 0)] = l_matrix.diagonal(-off)
+    top = np.arange(ku + 1)
+    band[ku - top, top] = 0.0  # row 0, entry (0, j) at band row ku - j
+    band[ku, 0] = 1.0
+    # [ku + off, j] = row_scale[j + off], zero outside the matrix
+    row_scale = propagation._power_of_two_scale(row_max)
+    band *= sliding_window_view(np.pad(row_scale, (ku, kl)), n)
+    band_magnitude = np.abs(band)
+    col_max = band_magnitude.max(axis=0)
+    if not col_max.all():  # a zero column
+        return None
+    col_scale = propagation._power_of_two_scale(col_max)
+    band *= col_scale
+    anorm = (band_magnitude * col_scale).sum(axis=0).max()
+    gbtrf, gbcon, gbtrs = scipy.linalg.get_lapack_funcs(
+        ("gbtrf", "gbcon", "gbtrs"), (ab,))
+    lu, piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
+    if info != 0:  # info > 0: an exactly zero pivot
+        return None
+    rcond, _ = gbcon(kl, ku, lu, piv, anorm, norm="1")
+    if not rcond >= propagation._DEGENERACY_TOL:  # NaN too: only a sound solve answers
+        return None
+    rhs = np.zeros((n, 1), dtype=complex)
+    rhs[0] = row_scale[0]
+    return propagation._unit_trace(col_scale * gbtrs(lu, kl, ku, rhs, piv)[0][:, 0])
+
+
+def _banded(l_matrix):
+    """stationary_state's banded path on every nonzero entry of l_matrix,
+    without the scan's early refusal of a wide last row."""
+    rows, cols = np.nonzero(l_matrix)
+    values = l_matrix[rows, cols]
+    dim = int(round(np.sqrt(l_matrix.shape[0])))
+    return propagation._banded_stationary(dim, rows, cols, values, np.abs(values))
+
+
+def _checkerboard_band(l_matrix):
+    """(kl, ku) of l_matrix below row 0, in stationary_state's checkerboard
+    order of vec(rho): the entries with i + j even first."""
+    dim = int(round(np.sqrt(l_matrix.shape[0])))
+    j, i = np.divmod(np.arange(dim * dim), dim)
+    position = np.argsort(np.argsort((i + j) % 2, kind="stable"))
+    rows, cols = np.nonzero(l_matrix[1:])
+    offset = position[rows + 1] - position[cols]
+    return max(int(offset.max()), 0), max(int(-offset.min()), 0)
+
+
 def _stationary_generator(kind, dim, beta, d_pp, fugacity_z, omega_trap, d_xp,
                           cp_margin, q_max):
     cfg = HilbertConfig(dim=dim)
@@ -605,6 +676,7 @@ def _stationary_generator(kind, dim, beta, d_pp, fugacity_z, omega_trap, d_xp,
 
 
 @given(kind_dim=st.one_of(
+           # dense below dim 5, banded from dim 5 on but for collision
            st.tuples(st.sampled_from([MINIMAL_QBM, BILINEAR, BOLTZMANN_COLLISION]),
                      st.integers(min_value=3, max_value=9)),
            # banded inputs, solved on stationary_state's banded path
@@ -672,16 +744,91 @@ def test_singular_bordered_matrix_raises_without_warning(l_matrix):
 
 
 @pytest.mark.parametrize("kind", [MINIMAL_QBM, BILINEAR, CALDEIRA_LEGGETT])
-@pytest.mark.parametrize("dim", [12, 17, 25])
+@pytest.mark.parametrize("dim", range(5, 26))
 def test_bilinear_family_takes_the_banded_path(kind, dim):
-    """The banded solve accepts every bilinear-family generator at dim 12-25,
-    without handing over, and agrees with the dense trace-bordered solve."""
+    """The banded solve accepts every bilinear-family generator at dim 5-25,
+    without handing over, and agrees with the parent's natural-order banded
+    solve from dim 10 up; below dim 10 the parent's band, 2d wide, is too
+    wide and the dense trace-bordered solve is the reference.  At dims 12,
+    17 and 25 it also agrees with the dense solve."""
     l_matrix = superoperator_matrix(_stationary_generator(
         kind, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8, omega_trap=1.1, d_xp=0.1,
         cp_margin=0.1, q_max=None))
-    rho = propagation._banded_stationary(l_matrix, np.abs(l_matrix))
+    rho = _banded(l_matrix)
     assert rho is not None
-    assert np.abs(rho - propagation._dense_stationary(l_matrix)).max() < 1e-12
+    parent = _parent_banded_stationary(l_matrix, np.abs(l_matrix))
+    assert (parent is None) == (dim < 10)
+    if parent is None:
+        parent = propagation._dense_stationary(l_matrix)
+    assert np.abs(rho - parent).max() < 1e-12
+    if dim in (12, 17, 25):
+        assert np.abs(rho - propagation._dense_stationary(l_matrix)).max() < 1e-12
+    assert np.array_equal(stationary_state(l_matrix), rho)
+
+
+@pytest.mark.parametrize("kind", [MINIMAL_QBM, BILINEAR, CALDEIRA_LEGGETT])
+def test_smallest_banded_dim_is_5(kind):
+    """With kl = ku = d the banded LU, 4 d^4 flops, is at most a quarter of
+    the dense 2 d^6 / 3 from d^2 >= 24 on: dim 4 takes the dense path and
+    dim 5 the banded one, as stationary_state's docstring says."""
+    def l_matrix(dim):
+        return superoperator_matrix(_stationary_generator(
+            kind, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8, omega_trap=1.1, d_xp=0.1,
+            cp_margin=0.1, q_max=None))
+    assert _banded(l_matrix(4)) is None
+    assert _banded(l_matrix(5)) is not None
+
+
+_FAMILY_SPECS = {
+    "minimal-double-commutator": lambda h, w: LiouvillianSpec(
+        kind=MINIMAL_QBM, hamiltonian_kind=h, omega_trap=w, beta=2.0,
+        coeffs=BilinearCoefficients(d_pp=0.3, fugacity_z=0.8)),
+    "minimal-single-generator": lambda h, w: LiouvillianSpec(
+        kind=MINIMAL_QBM, hamiltonian_kind=h, omega_trap=w, beta=2.0,
+        coeffs=BilinearCoefficients(d_pp=0.3, fugacity_z=0.8), assembly=SINGLE_GENERATOR),
+    "bilinear": lambda h, w: LiouvillianSpec(
+        kind=BILINEAR, hamiltonian_kind=h, omega_trap=w,
+        coeffs=BilinearCoefficients(gamma=0.2, d_pp=0.4, d_xx=0.3, d_xp=0.1, mu=0.05,
+                                    fugacity_z=0.9)),
+    "caldeira-leggett": lambda h, w: LiouvillianSpec(
+        kind=CALDEIRA_LEGGETT, hamiltonian_kind=h, omega_trap=w, beta=2.0,
+        coeffs=BilinearCoefficients(gamma=0.3)),
+}
+
+
+@pytest.mark.parametrize("dim", [5, 12, 24])
+@pytest.mark.parametrize("hamiltonian", [("harmonic", 1.1), ("free", None)])
+@pytest.mark.parametrize("name", list(_FAMILY_SPECS))
+def test_bilinear_family_band_is_half_wide_in_checkerboard_order(name, hamiltonian, dim):
+    """Every library bilinear-family generator keeps the parity of i + j:
+    in checkerboard order its band is kl = ku = d, against 2d in Fortran
+    order."""
+    l_matrix = superoperator_matrix(build_liouvillian(
+        HilbertConfig(dim=dim), _FAMILY_SPECS[name](*hamiltonian)))
+    assert _checkerboard_band(l_matrix) == (dim, dim)
+    rows, cols = np.nonzero(l_matrix[1:])
+    assert np.abs(rows + 1 - cols).max() == 2 * dim
+
+
+def test_parity_mixing_generator_takes_the_dense_path():
+    """A trace-preserving generator whose Hamiltonian gains a linear term
+    f x couples i + j even to odd: it reads a wide band, takes the dense
+    path, and matches the SVD reference."""
+    dim = 12
+    cfg = HilbertConfig(dim=dim)
+    liouv = _stationary_generator(MINIMAL_QBM, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8,
+                                  omega_trap=1.1, d_xp=None, cp_margin=None, q_max=None)
+    x, eye = build_position(cfg), np.eye(dim)
+    # -(i/hbar) [f x, rho] on Fortran-order vec(rho)
+    l_matrix = superoperator_matrix(liouv) - (1j * 0.4 / cfg.hbar) * (
+        np.kron(eye, x) - np.kron(x.T, eye))
+    assert _checkerboard_band(l_matrix)[0] > dim
+    assert _banded(l_matrix) is None
+    assert propagation._nonzeros(l_matrix, dim) is None
+    rho = stationary_state(l_matrix)
+    assert np.abs(rho - _svd_stationary_state(l_matrix)).max() < 1e-10
+    # the linear term displaces the state: a different one is found
+    assert np.abs(rho - stationary_state(superoperator_matrix(liouv))).max() > 1e-3
 
 
 def test_band_comes_from_the_zero_pattern():
@@ -692,13 +839,70 @@ def test_band_comes_from_the_zero_pattern():
                                   omega_trap=1.1, d_xp=None, cp_margin=None, q_max=None)
     probed = superoperator_matrix(Liouvillian(cfg, "probed", liouv.apply))
     assert np.array_equal(probed != 0, superoperator_matrix(liouv) != 0)
-    assert propagation._banded_stationary(probed, np.abs(probed)) is not None
+    assert _banded(probed) is not None
     collision = superoperator_matrix(_stationary_generator(
         BOLTZMANN_COLLISION, 12, beta=2.0, d_pp=None, fugacity_z=0.8, omega_trap=1.1,
         d_xp=None, cp_margin=None, q_max=0.5))
-    assert propagation._banded_stationary(collision, np.abs(collision)) is None
+    assert _banded(collision) is None
+    assert propagation._nonzeros(collision, 12) is None
     reference = _svd_stationary_state(collision)
     assert np.abs(stationary_state(collision) - reference).max() < 1e-10
+
+
+def _nonfinite_cases():
+    dim = 12
+    n = dim * dim
+    last = int(propagation._checkerboard(dim)[0][-1])
+    # far outside the band: in the last row of the checkerboard order, which
+    # the scan reads first, and in rows it reads only in the full count
+    for row, col in [(last, 0), (1, n - 1), (n - 1, 1)]:
+        for bad in (np.nan, np.inf, -np.inf):
+            yield pytest.param(dim, row, col, bad, id="%s-%d-%d" % (bad, row, col))
+
+
+@pytest.mark.parametrize("dim, row, col, bad", _nonfinite_cases())
+def test_nonfinite_entry_outside_the_band_raises_before_lapack(monkeypatch, dim, row,
+                                                                col, bad):
+    """One NaN or infinite entry, anywhere outside the band, is found by the
+    scan and raises NumericalFailure before any LAPACK routine is fetched."""
+    l_matrix = superoperator_matrix(_stationary_generator(
+        MINIMAL_QBM, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8, omega_trap=1.1,
+        d_xp=None, cp_margin=None, q_max=None))
+    l_matrix[row, col] = bad
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", no_lapack)
+    with pytest.raises(NumericalFailure, match="generator matrix has non-finite entries") as exc:
+        stationary_state(l_matrix)
+    assert not isinstance(exc.value, DegenerateStationaryState)
+
+
+def test_negative_zero_entries_count_as_zero():
+    """-0.0 entries outside the band, real or imaginary, leave the scan's
+    triplets, and so the band and the state, as they were; an all-zero
+    matrix at a banded size is still identically zero."""
+    dim = 12
+    n = dim * dim
+    l_matrix = superoperator_matrix(_stationary_generator(
+        MINIMAL_QBM, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8, omega_trap=1.1,
+        d_xp=None, cp_margin=None, q_max=None))
+    signed = l_matrix.copy()
+    last = int(propagation._checkerboard(dim)[0][-1])
+    for row, col in [(last, 0), (1, n - 1), (n - 1, 1)]:
+        signed[row, col] = complex(-0.0, -0.0)
+    signed[2, n - 2] = complex(0.0, -0.0)
+    assert np.signbit(signed[1, n - 1].real) and np.signbit(signed[2, n - 2].imag)
+    clean, zeros = propagation._nonzeros(l_matrix, dim), propagation._nonzeros(signed, dim)
+    assert zeros is not None
+    for a, b in zip(clean, zeros):
+        assert np.array_equal(a, b)
+    assert np.array_equal(stationary_state(signed), stationary_state(l_matrix))
+    with pytest.raises(DegenerateStationaryState, match="identically zero"):
+        stationary_state(np.zeros((n, n), dtype=complex))
+    with pytest.raises(DegenerateStationaryState, match="identically zero"):
+        stationary_state(np.full((n, n), complex(-0.0, -0.0)))
 
 
 def test_stationary_state_with_empty_ground_level():
@@ -717,7 +921,9 @@ def test_stationary_state_with_empty_ground_level():
     eye = np.eye(dim)
     l_matrix = sum(np.kron(j.conj(), j) - 0.5 * (np.kron(eye, j.T @ j) + np.kron(j.T @ j, eye))
                    for j in jumps).astype(complex)
-    assert propagation._banded_stationary(l_matrix, np.abs(l_matrix)) is None
-    rho = stationary_state(l_matrix)
+    assert _banded(l_matrix) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = stationary_state(l_matrix)
     assert np.abs(rho - _svd_stationary_state(l_matrix)).max() < 1e-10
     assert np.abs(rho - unit(1, 1)).max() < 1e-10
