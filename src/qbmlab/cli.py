@@ -27,6 +27,7 @@ which defaults to ./qbmlab_out.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import os
 import sys
@@ -87,12 +88,19 @@ _COMPARE_SUBSTEPS = 20
 
 
 def _write_csv(out_dir, basename, header, rows, formats=None):
+    """The table as CSV, one format per header column; a row of another
+    width raises TypeError."""
+    width = len(header.split(","))
     if formats is None:
-        formats = ["%.16e"] * len(header.split(","))
+        formats = ["%.16e"] * width
+    elif len(formats) != width:
+        raise TypeError("%d column formats for the %d columns of %r"
+                        % (len(formats), width, header))
+    template = ",".join(formats) + "\n"
     with open(os.path.join(out_dir, basename + ".csv"), "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(f % v for f, v in zip(formats, row)) + "\n")
+            fh.write(template % tuple(row))
 
 
 def _write_sidecar(out_dir, basename, rc, command, summary):
@@ -390,7 +398,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; main only reads it."""
     parser = argparse.ArgumentParser(
         prog="qbmlab",
         description="Quantum Brownian motion laboratory: generators, "

@@ -22,13 +22,20 @@ fp_step is the one step.  Everything it reads that depends only on the
 grid and the coefficients (eta, d_v) -- the stability bound, the edge
 drift and the Chang-Cooper weights -- is its stencil, computed once per
 grid and coefficients and shared read-only; the cell centres are
-computed once per grid.  A step then does only the flux arithmetic.
+computed once per grid.  A step then does only the flux arithmetic and
+builds the new grid, whose validation reads the density's minimum and sum
+and scans it for non-finite entries only when the sum is not finite.
 
 fp_solve steps and samples like the RK4 propagator (see propagation), so
-the quantum and classical series of a comparison share one time grid.
+the quantum and classical series of a comparison share one time grid.  It
+keeps each sampled density as it is and reduces them to moments
+_MOMENT_BLOCK at a time, by grid_moments' arithmetic over the stacked
+block's last axis, so a run holds at most _MOMENT_BLOCK densities besides
+its moment series.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +43,8 @@ import numpy as np
 from .propagation import Sampler, check_stride, fixed_steps
 
 _CFL_FRACTION = 0.4
+# the most sampled densities fp_solve holds and reduces to moments at once
+_MOMENT_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,13 +70,19 @@ class FPGrid:
         if p.shape != (self.n_cells,):
             raise ValueError("p_values must have shape (n_cells,)")
         # array methods: fp_step builds a grid every step, and numpy's
-        # np.* wrappers cost more per call than the reductions themselves
-        if not np.isfinite(p).all():
-            raise ValueError("p_values must be finite")
+        # np.* wrappers cost more per call than the reductions themselves.
+        # The minimum is NaN or -inf when such an entry exists, and the sum
+        # is then skipped, so it never adds inf to -inf; an inf entry
+        # otherwise makes the sum inf.  Only a non-finite sum has the
+        # entries scanned: finite entries whose sum overflows pass on to
+        # the mass check.
         p_min = p.min()
+        total = p.sum() if p_min > -math.inf else math.nan
+        if not math.isfinite(total) and not np.isfinite(p).all():
+            raise ValueError("p_values must be finite")
         if p_min < -1e-15:
             raise ValueError("p_values must be nonnegative (min %.3e)" % p_min)
-        mass = p.sum() * self.dv
+        mass = total * self.dv
         if abs(mass - 1.0) > 1e-12:
             raise ValueError("density must integrate to 1, got %.16g" % mass)
 
@@ -133,11 +148,17 @@ def maxwell_grid(v_min, v_max, n_cells, eta, d_v):
 
 def grid_moments(grid):
     """(mass, mean, variance) of the density by midpoint quadrature."""
-    v = grid.centers
-    weights = grid.p_values * grid.dv
-    mass = weights.sum()
-    mean = (v * weights).sum() / mass
-    var = ((v - mean) ** 2 * weights).sum() / mass
+    return _moments(grid.centers, grid.dv, grid.p_values)
+
+
+def _moments(v, dv, p):
+    """grid_moments of the densities along p's last axis, on centres v and
+    cell width dv.  Each row of a C-contiguous stack is summed as the one
+    density alone is, so its moments are the same bit for bit."""
+    weights = p * dv
+    mass = weights.sum(axis=-1)
+    mean = (v * weights).sum(axis=-1) / mass
+    var = ((v - mean[..., None]) ** 2 * weights).sum(axis=-1) / mass
     return mass, mean, var
 
 
@@ -217,17 +238,19 @@ class FPTrajectory:
 
 def fp_solve(grid, eta, d_v, t_final, dt, sample_stride=1):
     """fp_step on propagation.fixed_steps to t_final, sampling mass, mean and
-    variance by propagation's sampling rule with stride sample_stride."""
+    variance by propagation's sampling rule with stride sample_stride; the
+    moments are grid_moments' bit for bit."""
     if not 0.0 < t_final < np.inf:
         raise ValueError("t_final must be positive and finite")
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     check_stride("sample_stride", sample_stride)
-    sampler = Sampler(grid_moments, sample_stride, grid)
+    sampler = Sampler(functools.partial(_moments, grid.centers, grid.dv),
+                      sample_stride, grid.p_values, block=_MOMENT_BLOCK)
     current = grid
     for t, h in fixed_steps(t_final, dt):
         current = fp_step(current, eta, d_v, h)
-        sampler.accept(t, current)
-    times, mass, mean_v, var_v = sampler.columns(t_final, current)
+        sampler.accept(t, current.p_values)
+    times, mass, mean_v, var_v = sampler.columns(t_final, current.p_values)
     return FPTrajectory(times=times, mass=mass, mean_v=mean_v, var_v=var_v,
                         final_grid=current, steps=sampler.accepted)

@@ -222,8 +222,11 @@ def min_eigenvalue(rho: np.ndarray) -> float:
     eigenvalues and no vectors it and scipy.linalg.eigvalsh's default evr
     both reduce to tridiagonal form and call sterf, and they gave the same
     values wherever compared; numpy's call costs less at the propagation
-    monitors' dims, and asking evr for the smallest eigenvalue alone is no
-    faster.  Non-finite input raises ValueError before LAPACK sees it.
+    monitors' dims.  Asking evr for the smallest eigenvalue alone is no
+    faster through scipy.linalg.eigh (subset_by_index), but a direct heevr
+    call with range="I", il=iu=1 is: 74/121-146 us against numpy's
+    110/171-221 us at dims 38/42 (one BLAS thread, 2 vCPU, best of 9).
+    Non-finite input raises ValueError before LAPACK sees it.
     """
     if not np.isfinite(rho).all():
         raise ValueError("non-finite entries; eigensolver would fail")

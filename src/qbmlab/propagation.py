@@ -9,9 +9,11 @@ are diagnostics of the generator and must stay visible.
 The sampling rule, kept by Sampler for both integrators and for
 fokker_planck.fp_solve: a sample at t = 0, one after every stride-th
 accepted step, and one at the final time if the last step was not sampled.
-RK4 and fp_solve also share one step schedule, fixed_steps.  The monitors
-are trace, hermiticity drift, minimum eigenvalue, purity, and the first and
-second moments of position and momentum.
+The integrators measure each sample as it is taken; fp_solve keeps its
+sampled densities and reduces them in blocks.  RK4 and fp_solve also share
+one step schedule, fixed_steps, which takes at least one step.  The
+monitors are trace, hermiticity drift, minimum eigenvalue, purity, and the
+first and second moments of position and momentum.
 
 The five traces tr(rho A) for A in (I, x, p, x^2, p^2) come from one small
 product.  In the number basis I is diagonal, x and p are tridiagonal with
@@ -164,10 +166,12 @@ class TrajectoryRecord:
 
 def fixed_steps(t_final, dt):
     """(t after the step, h): floor(t_final/dt + 1e-12) steps of dt, then the
-    remainder if it exceeds 1e-12*dt; the last step ends exactly at t_final."""
+    remainder if it exceeds 1e-12*dt, or one step of t_final when that leaves
+    no step at all; the last step ends exactly at t_final."""
     n_full = int(np.floor(t_final / dt + 1e-12))
     remainder = t_final - n_full * dt
-    n_steps = n_full + (remainder > 1e-12 * dt)
+    # with no full step the remainder is t_final itself
+    n_steps = max(n_full + (remainder > 1e-12 * dt), 1)
     t = 0.0
     for i in range(1, n_steps + 1):
         h = dt if i <= n_full else remainder
@@ -176,24 +180,52 @@ def fixed_steps(t_final, dt):
 
 
 class Sampler:
-    """Rows (t, *measure(state)) by the sampling rule; counts accepted steps."""
+    """Samples (t, *values) by the sampling rule; counts accepted steps.
 
-    def __init__(self, measure, stride, state):
+    Without block, measure(state) gives one sample's values as the sample is
+    taken.  With block, the sampled states are kept as they are and measure
+    reduces a stack of them, one state per row, to one array per value,
+    block states at a time: at most block states are held.
+    """
+
+    def __init__(self, measure, stride, state, block=None):
         self.measure = measure
         self.stride = stride
+        self.block = block
         self.accepted = 0
-        self.rows = [(0.0, *measure(state))]
+        # the row (t, *values) of each sample, or with block the columns
+        # (t, *values) of each reduced block and the (t, state) not yet reduced
+        self.samples = []
+        self.pending = []
+        self._take(0.0, state)
+
+    def _take(self, t, state):
+        if self.block is None:
+            self.samples.append((t, *self.measure(state)))
+            return
+        self.pending.append((t, state))
+        if len(self.pending) == self.block:
+            self._reduce()
+
+    def _reduce(self):
+        if self.pending:
+            times, states = zip(*self.pending)
+            self.samples.append(np.vstack([times, *self.measure(np.stack(states))]))
+            self.pending = []
 
     def accept(self, t, state):
         self.accepted += 1
         if self.accepted % self.stride == 0:
-            self.rows.append((t, *self.measure(state)))
+            self._take(t, state)
 
     def columns(self, t_final, state):
         """One array per column, time first, after any final sample."""
         if self.accepted % self.stride != 0:
-            self.rows.append((t_final, *self.measure(state)))
-        return np.array(self.rows, dtype=float).T
+            self._take(t_final, state)
+        if self.block is None:
+            return np.array(self.samples, dtype=float).T
+        self._reduce()
+        return np.concatenate(self.samples, axis=1)
 
 
 def _monitors(cfg):

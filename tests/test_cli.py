@@ -482,6 +482,76 @@ def _preset_command(path):
     return "coeffs"
 
 
+def _parent_write_csv(path, header, rows, formats=None):
+    """_write_csv's per-cell join: the oracle for its row template."""
+    if formats is None:
+        formats = ["%.16e"] * len(header.split(","))
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(f % v for f, v in zip(formats, row)) + "\n")
+
+
+def test_csv_row_template_writes_the_per_cell_bytes(tmp_path):
+    """The coeffs table's mixed formats, a default-format table and an
+    empty one give the bytes of the per-cell join."""
+    header, rows, _, formats = cli.build(
+        "coeffs", load_config(PRESETS / "03_dpp_closed_form.ini"))[0]()
+    dsf_header, dsf_rows, _ = cli.build(
+        "dsf", load_config(PRESETS / "04_dsf_grid.ini"))[0]()
+    for name, table in (("coeffs", (header, rows, formats)),
+                        ("dsf", (dsf_header, dsf_rows)),
+                        ("empty", (header, [], formats)),
+                        ("empty_default", (dsf_header, []))):
+        cli._write_csv(str(tmp_path), name, *table)
+        _parent_write_csv(tmp_path / (name + ".expected"), *table)
+        assert (tmp_path / (name + ".csv")).read_bytes() == \
+            (tmp_path / (name + ".expected")).read_bytes(), name
+    assert "%.14e" in formats and "%.16e" in formats
+
+
+def test_csv_width_mismatch_raises(tmp_path):
+    """A format list or a row whose width differs from the header's is an
+    error, never a silently truncated line."""
+    with pytest.raises(TypeError, match="2 column formats for the 3 columns"):
+        cli._write_csv(str(tmp_path), "t", "a,b,c", [(1.0, 2.0, 3.0)], ["%.16e"] * 2)
+    with pytest.raises(TypeError, match="4 column formats for the 3 columns"):
+        cli._write_csv(str(tmp_path), "t", "a,b,c", [(1.0, 2.0, 3.0)], ["%.16e"] * 4)
+    for row in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
+        with pytest.raises(TypeError):
+            cli._write_csv(str(tmp_path), "t", "a,b,c", [(1.0, 2.0, 3.0), row])
+
+
+def test_repeated_main_calls_in_one_process_give_the_same_bytes(
+        tmp_path, monkeypatch, capsys):
+    """Every coeffs, dsf, fp and compare preset run twice in one process
+    writes the same CSVs and prints the same summary; a command the parser
+    does not know exits 2 before and after every successful call."""
+
+    def unknown_command_exits_two():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["nosuch", str(PRESETS / "03_dpp_closed_form.ini")])
+        assert exc.value.code == 2
+
+    unknown_command_exits_two()
+    commands = set()
+    for path in sorted(PRESETS.glob("*.ini")):
+        command = _preset_command(path)
+        if command == "evolve":
+            continue
+        commands.add(command)
+        runs = []
+        for out in (tmp_path / path.stem / "first", tmp_path / path.stem / "second"):
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(out))
+            assert cli.main([command, str(path)]) == 0, path.name
+            runs.append((capsys.readouterr().out,
+                         {f.name: f.read_bytes() for f in out.glob("*.csv")}))
+            unknown_command_exits_two()
+        assert runs[1] == runs[0], path.name
+        assert runs[0][1], path.name
+    assert commands == {"coeffs", "dsf", "fp", "compare"}
+
+
 def test_all_presets_parse():
     # parsing and building pass for every preset, the unread-key check included
     paths = sorted(glob.glob(str(PRESETS / "*.ini")))

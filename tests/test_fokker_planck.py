@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,18 +250,51 @@ def _assert_same_trajectory(traj, reference):
                               getattr(reference.final_grid, name)), name
 
 
-@pytest.mark.parametrize("stride", [1, 3, 10**9])
-def test_shared_schedule_and_sampler_match_reference_loop(stride):
+@pytest.mark.parametrize("n_full", [40, 600])
+@pytest.mark.parametrize("n_cells", [40, 50, 60, 80, 200])
+@pytest.mark.parametrize("stride", [1, 2, 3, 10**9])
+def test_shared_schedule_and_sampler_match_reference_loop(stride, n_cells, n_full):
     """fp_solve on the propagator's fixed_steps and Sampler gives every
-    field bit for bit as the loop with its own schedule and sampling."""
-    grid = gaussian_grid(-6.0, 6.0, 60, mean=0.5, var=0.6)
+    field bit for bit as the loop with its own schedule and per-sample
+    moments.  600 full steps and a half step take 602 samples at stride 1,
+    three blocks of moments, and 302 at stride 2, two blocks that end on
+    the off-stride final sample."""
+    grid = gaussian_grid(-6.0, 6.0, n_cells, mean=0.5, var=0.6)
     dt = 0.7 * stability_bound(grid, 1.0, 0.8)
-    t_final = 40.5 * dt  # 40 full steps and a half step
+    t_final = (n_full + 0.5) * dt
     traj = fp_solve(grid, 1.0, 0.8, t_final, dt, sample_stride=stride)
     reference = _reference_fp_solve(grid, 1.0, 0.8, t_final, dt, stride)
     _assert_same_trajectory(traj, reference)
     assert traj.times[-1] == t_final
-    assert traj.steps == 41
+    assert traj.steps == n_full + 1
+
+
+def test_sampled_densities_are_held_a_block_at_a_time():
+    """A 20 000-step stride-1 run at 200 cells samples 32 MB of densities;
+    reduced a block at a time, the run's peak stays under an eighth of it."""
+    grid = gaussian_grid(-6.0, 6.0, 200, mean=0.5, var=0.6)
+    dt = 0.9 * stability_bound(grid, 1.0, 0.8)
+    tracemalloc.start()
+    try:
+        traj = fp_solve(grid, 1.0, 0.8, 20000 * dt, dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.steps == 20000 and traj.times.size == 20001
+    assert peak < 20000 * 200 * 8 / 8
+
+
+def test_a_final_time_below_the_step_threshold_takes_one_step():
+    """t_final at or below 1e-12 * dt is one step of t_final, sampled."""
+    grid = gaussian_grid(-6.0, 6.0, 60, mean=0.5, var=0.6)
+    for t_final in (1e-20, 1e-14):
+        traj = fp_solve(grid, 1.0, 0.8, t_final, 0.01)
+        assert traj.steps == 1
+        assert traj.times.tolist() == [0.0, t_final]
+        stepped = _parent_fp_step(grid, 1.0, 0.8, t_final)
+        assert np.array_equal(traj.final_grid.p_values, stepped.p_values)
+        assert (traj.mass[-1], traj.mean_v[-1], traj.var_v[-1]) == \
+            _parent_grid_moments(stepped)
 
 
 # (v_min, v_max, n_cells, eta, d_v, dt); dt None is 0.7 of the bound
@@ -348,8 +383,16 @@ def test_grid_refusals_name_their_check():
     ok = dict(v_min=-6.0, v_max=6.0, n_cells=100, p_values=np.full(100, 1.0 / 12.0))
     negative = ok["p_values"].copy()
     negative[3] = -1e-3
-    nonfinite = ok["p_values"].copy()
-    nonfinite[7] = np.nan
+    nonfinite = [ok["p_values"].copy() for _ in range(5)]
+    for p, bad in zip(nonfinite, (np.nan, np.inf, -np.inf)):
+        p[7] = bad
+    # both infinities, and an inf with a negative entry: finiteness first
+    nonfinite[3][[7, 9]] = np.inf, -np.inf
+    nonfinite[4][[7, 9]] = np.inf, -1e-3
+    # finite entries whose sum overflows, with and without a negative one
+    overflow = np.full(100, 1e307)
+    negative_overflow = overflow.copy()
+    negative_overflow[3] = -1e-3
     for changes, message in (
             (dict(v_min=1.0), "need v_min < 0 < v_max"),
             (dict(v_max=0.0), "need v_min < 0 < v_max"),
@@ -357,12 +400,16 @@ def test_grid_refusals_name_their_check():
              "n_cells must be at least 4"),
             (dict(p_values=np.full(99, 1.0 / 12.0)),
              r"p_values must have shape \(n_cells,\)"),
-            (dict(p_values=nonfinite), "p_values must be finite"),
+            *((dict(p_values=p), "p_values must be finite") for p in nonfinite),
             (dict(p_values=negative),
              r"p_values must be nonnegative \(min -1\.000e-03\)"),
+            (dict(p_values=negative_overflow),
+             r"p_values must be nonnegative \(min -1\.000e-03\)"),
             (dict(p_values=np.ones(100)),
-             "density must integrate to 1, got 12$")):
-        with pytest.raises(ValueError, match=message):
+             "density must integrate to 1, got 12$"),
+            (dict(p_values=overflow), "density must integrate to 1, got inf$")):
+        # an overflowing sum warns; no other refusal may warn at all
+        with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
             FPGrid(**{**ok, **changes})
 
 

@@ -381,6 +381,24 @@ def test_shared_schedule_and_sampler_match_reference_loops(method, stride):
     assert record.times[-1] == 0.5
 
 
+def test_a_final_time_below_the_step_threshold_takes_one_step():
+    """With no full step and a remainder at or below 1e-12 * dt, fixed_steps
+    takes one step of t_final, and RK4 steps and samples it."""
+    assert list(propagation.fixed_steps(2.5, 1.0)) == [
+        (1.0, 1.0), (2.0, 1.0), (2.5, 0.5)]
+    for t_final in (1e-20, 1e-12):
+        assert list(propagation.fixed_steps(t_final, 1.0)) == [(t_final, t_final)]
+    cfg = HilbertConfig(dim=10)
+    liouv = _damped_oscillator(cfg)
+    rho0 = coherent_state(cfg, 0.8 + 0.3j)
+    record = propagate(rho0, liouv, IntegratorConfig(t_final=1e-20, dt=0.01))
+    assert record.accepted_steps == 1
+    assert record.generator_calls == 4
+    assert record.times.tolist() == [0.0, 1e-20]
+    assert np.array_equal(record.final_state, propagation._rk4_step(
+        liouv.apply, np.array(rho0, dtype=complex), 1e-20))
+
+
 _FAMILY = {
     "caldeira_leggett": dict(kind=CALDEIRA_LEGGETT, beta=10.0,
                              coeffs=BilinearCoefficients(gamma=0.5)),
