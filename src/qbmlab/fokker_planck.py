@@ -75,9 +75,14 @@ class FPGrid:
         # is then skipped, so it never adds inf to -inf; an inf entry
         # otherwise makes the sum inf.  Only a non-finite sum has the
         # entries scanned: finite entries whose sum overflows pass on to
-        # the mass check.
+        # the mass check.  Their sum's overflow warning, raised as an error
+        # under warnings-as-errors (or numpy's over="raise"), is that same
+        # infinite sum; the try costs nothing when nothing is raised.
         p_min = p.min()
-        total = p.sum() if p_min > -math.inf else math.nan
+        try:
+            total = p.sum() if p_min > -math.inf else math.nan
+        except (RuntimeWarning, FloatingPointError):
+            total = math.inf
         if not math.isfinite(total) and not np.isfinite(p).all():
             raise ValueError("p_values must be finite")
         if p_min < -1e-15:

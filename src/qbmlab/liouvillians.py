@@ -21,9 +21,13 @@ into one Lindblad normal form
     L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag,
 
 kept on the Liouvillian as data (its normal_form).  The normal form is
-compiled once more, into the entries (row, column, value) of its
-superoperator: apply is one sparse mat-vec over them, and
-superoperator_matrix scatters the same entries into the dense matrix.
+compiled once more, into the entries of its superoperator, one compact
+(positions, values) pair per term: the jump term is the positions where
+any J_k is nonzero and the block of their weighted products, never a d^4
+index list.  superoperator_matrix adds the entries into the dense matrix.
+apply compiles them, on its first call, into CSR arrays by scipy's own
+kernels, and is then one direct call of scipy's CSR mat-vec kernel per
+application.
 
 For the bilinear family the double commutators expand to
 
@@ -63,7 +67,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
+# scipy's own CSR kernels, called without csr_array's per-call dispatch
+from scipy.sparse._sparsetools import (coo_tocsr, csr_has_sorted_indices,
+                                       csr_matvec, csr_sort_indices,
+                                       csr_sum_duplicates)
 
 from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           kossakowski_weights, saturating_coefficients,
@@ -189,8 +196,9 @@ class NormalForm:
 
     k is the (d, d) matrix K, weights the n real s_k, and jumps the J_k
     stacked as an (n, d, d) array.  entries is its superoperator, compiled
-    on first use; apply multiplies by it as a CSR matrix, built on the
-    first call, so a generator that is only matrixified never builds one.
+    on first use; apply is one call of scipy's CSR mat-vec kernel on the
+    compiled CSR arrays, built from the entries on the first call, so a
+    generator that is only matrixified never builds them.
     """
 
     k: np.ndarray
@@ -198,56 +206,83 @@ class NormalForm:
     jumps: np.ndarray
 
     @cached_property
-    def entries(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    def entries(self) -> tuple[tuple[tuple[np.ndarray, ...], np.ndarray], ...]:
         """The superoperator on Fortran-order vec(rho), where rho[i, j] sits
-        at i + d j: one group (rows, cols, values) for each of its terms
+        at i + d j, as one (index, values) pair for each of its terms
 
             sum_k s_k conj(J_k) kron J_k,   I kron K,   conj(K) kron I.
 
-        No (row, col) pair repeats within a group; the groups overlap.  The
-        jump group is one (m x n)(n x m) product over the m positions where
-        any J_k is nonzero: 2d - 2 for the bilinear family, whose x and p
-        are tridiagonal, but all d^2 for the dense collision jumps.  So a
-        collision form holds d^4 entries, as many as its dense superoperator:
-        38k at dim 14 (the benchmark, the presets and the demos stay at dim
-        24 or below), but 2.6M, 41 MB of values, at dim 40, and as many
-        again in its CSR once applied.  Each K group repeats K's nonzeros d
-        times.
+        index is four integer arrays (j, i, l, k) that broadcast, with
+        values, to the positions M[i + d j, k + d l] of the matrix M.  No
+        position repeats within a term; the terms overlap.  Each term is kept
+        compact.  The jump term is the m positions where any J_k is nonzero,
+        2d - 2 for the bilinear family, whose x and p are tridiagonal, but
+        all d^2 for the dense collision jumps, and the (m x m) block of
+        their products: a collision form holds d^4 values, as many as its
+        dense superoperator, but no d^4 index array.  The positions are
+        expanded only where they are used, transiently by
+        superoperator_matrix and once by the CSR compile.  The K terms are
+        K's nonzeros, broadcast along the identity's d positions.
         """
         d = self.k.shape[0]
         flat = self.jumps.reshape(-1, d * d)
         pos = np.flatnonzero((flat != 0.0).any(axis=0))
         row, col = np.divmod(pos, d)
-        # (J rho J^dag)[i, j] = J[i, k] rho[k, l] conj(J[j, l]): J's position
-        # (i, k) runs along the product's columns, conj(J)'s (j, l) down its rows
-        jump = flat[:, pos].conj().T @ (self.weights[:, None] * flat[:, pos])
         k_row, k_col = np.nonzero(self.k)
         k_val = self.k[k_row, k_col]
         other = np.arange(d)[:, None]
         return (
-            ((row + d * row[:, None]).ravel(), (col + d * col[:, None]).ravel(),
-             jump.ravel()),
+            # (J rho J^dag)[i, j] = J[i, k] rho[k, l] conj(J[j, l]): J's position
+            # (i, k) runs along the block's columns, conj(J)'s (j, l) down its rows
+            ((row[:, None], row, col[:, None], col),
+             flat[:, pos].conj().T @ (self.weights[:, None] * flat[:, pos])),
             # (K rho)[i, j] = K[i, k] rho[k, j]
-            ((k_row + d * other).ravel(), (k_col + d * other).ravel(),
-             np.tile(k_val, d)),
+            ((other, k_row, other, k_col), k_val),
             # (rho K^dag)[i, j] = rho[i, l] conj(K[j, l])
-            ((other + d * k_row).ravel(), (other + d * k_col).ravel(),
-             np.tile(k_val.conj(), d)),
+            ((k_row, other, k_col, other), k_val.conj()),
         )
 
     @cached_property
-    def _csr(self):
-        """entries as CSR on row-major vec(rho): index i + d j moves to i d + j."""
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """entries as the CSR arrays (indptr, indices, data) on row-major
+        vec(rho), where rho[i, j] sits at i d + j.
+
+        The arrays of scipy.sparse.csr_array((data, (rows, cols))), from the
+        kernels its constructor runs, without its Python checks: coo_tocsr,
+        then csr_sort_indices unless the rows are already sorted, then
+        csr_sum_duplicates, which adds the overlapping terms.
+        """
         d = self.k.shape[0]
-        rows, cols, values = (np.concatenate(part) for part in zip(*self.entries))
-        return scipy.sparse.csr_array(
-            (values, (rows % d * d + rows // d, cols % d * d + cols // d)),
-            shape=(d * d, d * d))
+        n = d * d
+        triplets = [np.broadcast_arrays(i * d + j, k * d + l, values)
+                    for (j, i, l, k), values in self.entries]
+        rows, cols, values = (np.concatenate([a.ravel() for a in part])
+                              for part in zip(*triplets))
+        # numpy's intp indices, as the constructor keeps them: the mat-vec
+        # ran 15-20% faster with them than with int32 at dims 38-42
+        indptr = np.empty(n + 1, dtype=rows.dtype)
+        indices = np.empty_like(rows)
+        data = np.empty_like(values)
+        coo_tocsr(n, n, rows.size, rows, cols, values, indptr, indices, data)
+        if not csr_has_sorted_indices(n, indptr, indices):
+            csr_sort_indices(n, indptr, indices, data)
+        csr_sum_duplicates(n, n, indptr, indices, data)
+        return indptr, indices[:indptr[-1]], data[:indptr[-1]]
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L[rho] as one CSR mat-vec on row-major vec(rho): reshaping a
-        C-contiguous rho copies nothing, and the result is C-contiguous."""
-        return (self._csr @ rho.reshape(-1)).reshape(rho.shape)
+        """L[rho] as one CSR mat-vec on row-major vec(rho), written into a
+        new zeroed C-contiguous array: the kernel and the buffer of
+        csr_array @ vec(rho), so the same bits.  Reshaping a C-contiguous
+        rho copies nothing."""
+        indptr, indices, data = self._csr
+        n = indptr.size - 1
+        # the kernel reads n entries of its input whatever its length
+        if rho.size != n:
+            raise ValueError(f"state of shape {rho.shape} does not match "
+                             f"the generator's {n} entries")
+        out = np.zeros(rho.shape, dtype=complex)
+        csr_matvec(n, n, indptr, indices, data, rho.reshape(-1), out.reshape(-1))
+        return out
 
 
 class Liouvillian:
@@ -452,8 +487,9 @@ def superoperator_matrix(liouv) -> np.ndarray:
 
     The matrix acts on Fortran-order (column-stacked) vec(rho), so
     matrix @ vec(rho) reproduces L[rho] for every rho.  A generator that
-    carries its normal form scatters the form's entries into a zeroed
-    matrix, term after term; apply reads the same entries.  Any other
+    carries its normal form adds the form's entries into a zeroed matrix,
+    term after term, each at the flat positions its index broadcasts to;
+    apply reads the same entries.  Any other
     callable, such as a Liouvillian built from a custom apply function, is
     probed one column at a time: column j is vec(L[E_j]) for the j-th
     Fortran-order unit matrix E_j.  d = liouv.cfg.dim; d^2 <= 10^4 is guarded.
@@ -465,8 +501,9 @@ def superoperator_matrix(liouv) -> np.ndarray:
     nf = getattr(liouv, "normal_form", None)
     if nf is not None:
         mat = np.zeros(n * n, dtype=complex)
-        for rows, cols, values in nf.entries:
-            mat[rows * n + cols] += values
+        for (j, i, l, k), values in nf.entries:
+            # M[i + d j, k + d l]; the j, l and i, k parts broadcast once
+            mat[(j * (d * n) + l * d) + (i * n + k)] += values
         return mat.reshape(n, n)
     mat = np.zeros((n, n), dtype=complex)
     basis = np.zeros((d, d), dtype=complex)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -408,9 +409,20 @@ def test_grid_refusals_name_their_check():
             (dict(p_values=np.ones(100)),
              "density must integrate to 1, got 12$"),
             (dict(p_values=overflow), "density must integrate to 1, got inf$")):
-        # an overflowing sum warns; no other refusal may warn at all
-        with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+        # pytest raises every RuntimeWarning: no refusal may surface as the
+        # overflowing sum's warning
+        with pytest.raises(ValueError, match=message):
             FPGrid(**{**ok, **changes})
+    # the overflow refusals when numpy raises on overflow, and when its
+    # warning is ignored
+    for p, message in ((overflow, "density must integrate to 1, got inf$"),
+                       (negative_overflow,
+                        r"p_values must be nonnegative \(min -1\.000e-03\)")):
+        with pytest.raises(ValueError, match=message), np.errstate(over="raise"):
+            FPGrid(**{**ok, "p_values": p})
+        with pytest.raises(ValueError, match=message), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            FPGrid(**{**ok, "p_values": p})
 
 
 def test_sampling_grid():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_density
@@ -177,6 +178,46 @@ def _realigned_superoperator(nf):
     blocks[diag, :, diag, :] += nf.k
     blocks[:, diag, :, diag] += nf.k.conj()
     return blocks.reshape(d * d, d * d)
+
+
+def _flat_entries(nf):
+    """The superoperator's entries as flat (rows, cols, values) groups on
+    Fortran-order vec(rho), each jump position pair expanded, in the order
+    the CSR compile reads them: the oracle of the compact entries."""
+    d = nf.k.shape[0]
+    flat = nf.jumps.reshape(-1, d * d)
+    pos = np.flatnonzero((flat != 0.0).any(axis=0))
+    row, col = np.divmod(pos, d)
+    jump = flat[:, pos].conj().T @ (nf.weights[:, None] * flat[:, pos])
+    k_row, k_col = np.nonzero(nf.k)
+    k_val = nf.k[k_row, k_col]
+    other = np.arange(d)[:, None]
+    return (
+        ((row + d * row[:, None]).ravel(), (col + d * col[:, None]).ravel(),
+         jump.ravel()),
+        ((k_row + d * other).ravel(), (k_col + d * other).ravel(),
+         np.tile(k_val, d)),
+        ((other + d * k_row).ravel(), (other + d * k_col).ravel(),
+         np.tile(k_val.conj(), d)),
+    )
+
+
+def _flat_scatter(nf):
+    """The flat groups scattered into a zeroed matrix, group after group."""
+    n = nf.k.shape[0] ** 2
+    mat = np.zeros(n * n, dtype=complex)
+    for rows, cols, values in _flat_entries(nf):
+        mat[rows * n + cols] += values
+    return mat.reshape(n, n)
+
+
+def _constructor_csr(nf):
+    """scipy.sparse.csr_array of the flat groups on row-major vec(rho)."""
+    d = nf.k.shape[0]
+    rows, cols, values = (np.concatenate(part) for part in zip(*_flat_entries(nf)))
+    return scipy.sparse.csr_array(
+        (values, (rows % d * d + rows // d, cols % d * d + cols // d)),
+        shape=(d * d, d * d))
 
 
 def _assert_matches_reference(liouv, reference, seed):
@@ -643,22 +684,36 @@ def test_superoperator_matrix_consistency(rng):
     assert np.abs(direct - via_matrix).max() < 1e-13 * np.abs(direct).max()
 
 
+def _generators_of_every_kind(cfg):
+    """Caldeira-Leggett (a negative weight), bilinear, minimal in both
+    assemblies, the jump-free minimal generator, and at dims up to 14 the
+    collision generator and its jump-free zero-fugacity twin."""
+    cl, bil, mini, col = _all_generators(cfg, 1.0)
+    single, closed = (build_liouvillian(cfg, LiouvillianSpec(
+        kind=MINIMAL_QBM, beta=2.0, assembly=SINGLE_GENERATOR,
+        coeffs=BilinearCoefficients(d_pp=0.7, fugacity_z=z))) for z in (0.8, 0.0))
+    gens = [cl, bil, mini, single, closed]
+    if cfg.dim <= 14:
+        gens += [col, build_liouvillian(cfg, LiouvillianSpec(
+            kind=BOLTZMANN_COLLISION,
+            collision=_collision_params(1.0, fugacity_z=0.0)))]
+    return gens
+
+
 @pytest.mark.parametrize("dim", [2, 7, 12])
 def test_kronecker_superoperator_matches_column_loop(dim):
     """The superoperator assembled from the normal form equals the one probed
     column by column through apply, for every kind: Caldeira-Leggett with
     its negative Kossakowski weight, bilinear, the rank-one minimal generator
-    in both assemblies, a jump-free generator and the 120-jump collision
-    generator."""
+    in both assemblies, a jump-free generator, the 120-jump collision
+    generator and its jump-free twin."""
     cfg = HilbertConfig(dim=dim)
-    cl, bil, mini, col = _all_generators(cfg, 1.0)
-    single, closed = (build_liouvillian(cfg, LiouvillianSpec(
-        kind=MINIMAL_QBM, beta=2.0, assembly=SINGLE_GENERATOR,
-        coeffs=BilinearCoefficients(d_pp=0.7, fugacity_z=z))) for z in (0.8, 0.0))
+    generators = _generators_of_every_kind(cfg)
+    cl, bil, mini, single, closed, col, col_closed = generators
     assert cl.normal_form.weights.min() < 0.0
-    assert [g.normal_form.weights.size for g in (mini, single, closed, col)] == \
-        [1, 1, 0, 120]
-    for liouv in (cl, bil, mini, single, closed, col):
+    assert [g.normal_form.weights.size
+            for g in (mini, single, closed, col, col_closed)] == [1, 1, 0, 120, 0]
+    for liouv in generators:
         kron = superoperator_matrix(liouv)
         loop = superoperator_matrix(Liouvillian(cfg, "probed", liouv.apply))
         assert kron.shape == loop.shape == (dim * dim, dim * dim)
@@ -694,6 +749,65 @@ def test_entries_match_stacked_and_realigned_oracles(dim, rng):
             assert out.shape == (dim, dim) and out.flags.c_contiguous
             assert np.abs(out - oracle(rho)).max() <= 1e-14 * np.abs(nf.k).max(), \
                 liouv.kind
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("dim", [2, 7, 12, 14])
+def test_compact_entries_scatter_to_the_flat_scatter_bit_for_bit(dim):
+    """The superoperator placed from the compact entries equals the scatter
+    of the expanded flat groups bit for bit, signed zeros included, for
+    every kind; its jump term holds no d^4 index array."""
+    cfg = HilbertConfig(dim=dim)
+    for liouv in _generators_of_every_kind(cfg):
+        nf = liouv.normal_form
+        assert np.array_equal(_bits(superoperator_matrix(liouv)),
+                              _bits(_flat_scatter(nf))), liouv.kind
+        (j, i, l, k), block = nf.entries[0]
+        m = block.shape[0]
+        assert block.shape == (m, m)
+        assert all(a.size == m for a in (j, i, l, k))
+
+
+@pytest.mark.parametrize("dim", [2, 7, 12, 38, 42])
+def test_apply_is_the_constructor_csr_matvec_bit_for_bit(dim, rng):
+    """apply equals csr_array(...) @ vec(rho) bit for bit, on density
+    matrices, a general matrix, its Fortran-ordered copy and a real matrix:
+    the bilinear-family kinds at every dim, the collision generators up to
+    dim 12.  Its CSR arrays are the constructor's.  The result is a new
+    C-contiguous array and the input is left as it was."""
+    cfg = HilbertConfig(dim=dim)
+    general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    inputs = (random_density(dim, rng), general, np.asfortranarray(general),
+              general.real.copy())
+    for liouv in _generators_of_every_kind(cfg):
+        nf = liouv.normal_form
+        oracle = _constructor_csr(nf)
+        for rho in inputs:
+            before = rho.copy(order="K")
+            out = liouv.apply(rho)
+            expected = (oracle @ rho.reshape(-1)).reshape(dim, dim)
+            assert out.dtype == expected.dtype and out.shape == (dim, dim)
+            assert np.array_equal(_bits(out), _bits(expected)), liouv.kind
+            assert out.flags.c_contiguous and out.flags.owndata
+            assert not np.shares_memory(out, rho)
+            assert np.array_equal(_bits(rho), _bits(before))
+        indptr, indices, data = nf._csr
+        assert np.array_equal(indptr, oracle.indptr)
+        assert np.array_equal(indices, oracle.indices)
+        assert np.array_equal(_bits(data), _bits(oracle.data))
+
+
+def test_apply_refuses_a_state_of_the_wrong_size():
+    """The kernel reads d^2 entries whatever it is given: a state of another
+    size is refused before it runs."""
+    liouv = _all_generators(HilbertConfig(dim=6), 1.0)[1]
+    liouv.apply(np.eye(6, dtype=complex))
+    for shape in ((5, 5), (6, 7), (35,), (7, 7)):
+        with pytest.raises(ValueError, match="does not match"):
+            liouv.apply(np.ones(shape, dtype=complex))
 
 
 def test_superoperator_two_level_spectrum():

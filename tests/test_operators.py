@@ -237,17 +237,23 @@ def _hermitian_cases(dim, rng):
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 24, 38, 40, 42])
 def test_min_eigenvalue_matches_scipy_driver(dim):
-    """numpy's heevd driver gives scipy.linalg.eigvalsh's (evr) smallest
-    eigenvalue of the symmetrized matrix to 1e-14 * max(||rho||_2, 1), for
-    random Hermitian, rank-deficient and negative matrices, whether or not
-    the input is exactly Hermitian."""
+    """The heevr (syevr) smallest eigenvalue of the symmetrized matrix
+    matches both numpy's heevd and scipy.linalg.eigvalsh's full evr to
+    1e-14 * max(||rho||_2, 1), for random Hermitian, rank-deficient and
+    negative matrices, whether or not the input is exactly Hermitian, and
+    for their real parts; the input is left as it was."""
     rng = np.random.default_rng([20261018, dim])
     for rho in _hermitian_cases(dim, rng):
         noisy = rho + 1e-13 * rng.normal(size=(dim, dim))
-        for case in (rho, noisy):
-            oracle = scipy.linalg.eigvalsh(0.5 * (case + case.conj().T))
+        for case in (rho, noisy, rho.real.copy(), noisy.real.copy()):
+            before = case.copy()
+            sym = 0.5 * (case + case.conj().T)
+            oracle = scipy.linalg.eigvalsh(sym)
             scale = max(np.abs(oracle).max(), 1.0)
-            assert abs(min_eigenvalue(case) - oracle[0]) <= 1e-14 * scale
+            low = min_eigenvalue(case)
+            assert abs(low - oracle[0]) <= 1e-14 * scale
+            assert abs(low - np.linalg.eigvalsh(sym)[0]) <= 1e-14 * scale
+            assert np.array_equal(case, before)
 
 
 def test_min_eigenvalue_rejects_non_finite():
@@ -257,6 +263,32 @@ def test_min_eigenvalue_rejects_non_finite():
         corrupt[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             min_eigenvalue(corrupt)
+
+
+def test_min_eigenvalue_refuses_an_overflowing_symmetrization():
+    """Finite entries whose symmetrized sum overflows give LAPACK an inf,
+    for which heevr reports a NaN and no error: that is refused, as numpy's
+    heevd refused it, not returned."""
+    huge = np.full((4, 4), 1.5e308, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(np.linalg.LinAlgError):
+        min_eigenvalue(huge)
+
+
+def test_min_eigenvalue_looks_its_lapack_routine_up_once_per_dtype():
+    from qbmlab.operators import _smallest_eigenvalue_routine
+
+    rho = thermal_state(HilbertConfig(dim=6), 0.5)
+    min_eigenvalue(rho)
+    min_eigenvalue(rho.real.copy())
+    before = _smallest_eigenvalue_routine.cache_info()
+    for _ in range(3):
+        min_eigenvalue(rho)
+        min_eigenvalue(rho.real.copy())
+    after = _smallest_eigenvalue_routine.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 6
+    assert _smallest_eigenvalue_routine(rho.dtype).typecode == "z"
+    assert _smallest_eigenvalue_routine(np.dtype(float)).typecode == "d"
 
 
 def test_basis_frequency_is_gauge():

@@ -103,6 +103,28 @@ def test_monitor_sampling_grid():
     assert record.rejected_steps == 0
 
 
+@pytest.mark.parametrize("method", [RK4_FIXED, RK45_ADAPTIVE])
+def test_min_eigenvalue_is_looked_up_once_per_monitor_sample(monkeypatch, method):
+    """The monitors call propagation's min_eigenvalue, looked up at call
+    time, once per sample and nowhere else: a rebinding of that name sees
+    every sample and changes no value."""
+    cfg = HilbertConfig(dim=12)
+    liouv = _damped_oscillator(cfg)
+    icfg = IntegratorConfig(method=method, t_final=0.5, dt=1e-2, dt_init=1e-2,
+                            monitor_stride=7)
+    reference = propagate(coherent_state(cfg, 1.0), liouv, icfg)
+    seen = []
+
+    def counted(rho):
+        seen.append(rho.shape)
+        return min_eigenvalue(rho)
+
+    monkeypatch.setattr(propagation, "min_eigenvalue", counted)
+    record = propagate(coherent_state(cfg, 1.0), liouv, icfg)
+    assert len(seen) == len(record.times) > 2
+    assert np.array_equal(record.min_eig, reference.min_eig)
+
+
 def test_momentum_mean_decay_rate():
     """<p> decays at twice the fugacity-scaled friction rate."""
     cfg = HilbertConfig(dim=30)
