@@ -26,8 +26,8 @@ compiled once more, into the entries of its superoperator, one compact
 any J_k is nonzero and the block of their weighted products, never a d^4
 index list.  superoperator_matrix adds the entries into the dense matrix.
 apply compiles them, on its first call, into CSR arrays by scipy's own
-kernels, and is then one direct call of scipy's CSR mat-vec kernel per
-application.
+kernels, in sector order (i + j even first), and is then one direct call
+of scipy's CSR mat-vec kernel per application.
 
 For the bilinear family the double commutators expand to
 
@@ -63,6 +63,7 @@ maps to Hermitian L[rho].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -196,9 +197,13 @@ class NormalForm:
 
     k is the (d, d) matrix K, weights the n real s_k, and jumps the J_k
     stacked as an (n, d, d) array.  entries is its superoperator, compiled
-    on first use; apply is one call of scipy's CSR mat-vec kernel on the
-    compiled CSR arrays, built from the entries on the first call, so a
-    generator that is only matrixified never builds them.
+    on first use.  _csr compiles the entries, on the first apply or matvec,
+    into one CSR matrix in sector order (sector_order: i + j even first),
+    so a generator that is only matrixified never builds it.  matvec is one
+    call of scipy's CSR mat-vec kernel on a state vector in that order,
+    either all of it or its leading closed block alone (closed_length), the
+    even sector of every bilinear-family generator; propagate integrates
+    that vector.  apply takes and returns rho in its natural layout.
     """
 
     k: np.ndarray
@@ -243,17 +248,32 @@ class NormalForm:
         )
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """entries as the CSR arrays (indptr, indices, data) on row-major
-        vec(rho), where rho[i, j] sits at i d + j.
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """entries as the CSR arrays (indptr, indices, data) on vec(rho) in
+        sector order, and the length of its leading block closed under L.
 
-        The arrays of scipy.sparse.csr_array((data, (rows, cols))), from the
-        kernels its constructor runs, without its Python checks: coo_tocsr,
-        then csr_sort_indices unless the rows are already sorted, then
-        csr_sum_duplicates, which adds the overlapping terms.
+        Sector order (sector_order) takes the entries of row-major vec(rho)
+        with i + j even first, then those with i + j odd.  The arrays are
+        those of scipy.sparse.csr_array((data, (rows, cols))) on row-major
+        vec(rho), from the kernels its constructor runs, without its Python
+        checks (coo_tocsr, then csr_sort_indices unless the rows are
+        already sorted, then csr_sum_duplicates, which adds the overlapping
+        terms), with the rows and column labels carried into sector order:
+        each row keeps its entries in their row-major order, so each row sum
+        is the row-major CSR's, term for term.
+
+        The closed length is the even sector's size when no entry of L
+        couples an even entry to an odd one and every entry is finite, and
+        otherwise all d^2 entries: only then does a state whose odd entries
+        are zero keep them zero, as L's zeros and finite products give.
+        Every bilinear-family generator keeps the parity of i + j with a
+        free or harmonic Hamiltonian; the collision jumps mix it.
         """
         d = self.k.shape[0]
         n = d * d
+        order, n_even = sector_order(d)
+        position = np.empty_like(order)
+        position[order] = np.arange(n)
         triplets = [np.broadcast_arrays(i * d + j, k * d + l, values)
                     for (j, i, l, k), values in self.entries]
         rows, cols, values = (np.concatenate([a.ravel() for a in part])
@@ -263,26 +283,67 @@ class NormalForm:
         indptr = np.empty(n + 1, dtype=rows.dtype)
         indices = np.empty_like(rows)
         data = np.empty_like(values)
-        coo_tocsr(n, n, rows.size, rows, cols, values, indptr, indices, data)
+        # coo_tocsr keeps each row's entries in input order, whatever the
+        # row's label, and the sort and the sum read only the columns
+        coo_tocsr(n, n, rows.size, position.take(rows), cols, values,
+                  indptr, indices, data)
         if not csr_has_sorted_indices(n, indptr, indices):
             csr_sort_indices(n, indptr, indices, data)
         csr_sum_duplicates(n, n, indptr, indices, data)
-        return indptr, indices[:indptr[-1]], data[:indptr[-1]]
+        nnz = indptr[-1]
+        indices, data = position.take(indices[:nnz]), data[:nnz]
+        split = indptr[n_even]
+        closed = (indices[:split].max(initial=0) < n_even
+                  and indices[split:].min(initial=n) >= n_even
+                  and np.isfinite(data).all())
+        return indptr, indices, data, n_even if closed else n
+
+    @property
+    def closed_length(self) -> int:
+        """The length of the leading sector block that L maps into itself
+        (_csr): the even sector's size, or d^2 when L mixes the sectors."""
+        return self._csr[3]
+
+    def matvec(self, vec: np.ndarray) -> np.ndarray:
+        """L on a state in sector order, as one CSR mat-vec into a new
+        zeroed array: vec is all d^2 entries, or the leading closed block
+        alone (closed_length), the rest taken as zero."""
+        indptr, indices, data, closed = self._csr
+        m = vec.size
+        # the kernel reads every column its rows name, whatever the length
+        if m != indptr.size - 1 and m != closed:
+            raise ValueError(f"state of shape {vec.shape} does not match "
+                             f"the generator's {indptr.size - 1} entries or "
+                             f"its closed block of {closed}")
+        out = np.zeros(m, dtype=complex)
+        csr_matvec(m, m, indptr, indices, data, vec, out)
+        return out
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L[rho] as one CSR mat-vec on row-major vec(rho), written into a
-        new zeroed C-contiguous array: the kernel and the buffer of
-        csr_array @ vec(rho), so the same bits.  Reshaping a C-contiguous
-        rho copies nothing."""
-        indptr, indices, data = self._csr
-        n = indptr.size - 1
-        # the kernel reads n entries of its input whatever its length
-        if rho.size != n:
+        """L[rho] for rho of d^2 entries, read in row-major order: rho is
+        gathered into sector order, mapped by matvec and scattered back
+        into a new C-contiguous array of rho's shape.  Each entry is the
+        row sum of the row-major CSR mat-vec, csr_array @ vec(rho), term for
+        term, so the same bits."""
+        order, _ = sector_order(self.k.shape[0])
+        if rho.size != order.size:
             raise ValueError(f"state of shape {rho.shape} does not match "
-                             f"the generator's {n} entries")
-        out = np.zeros(rho.shape, dtype=complex)
-        csr_matvec(n, n, indptr, indices, data, rho.reshape(-1), out.reshape(-1))
+                             f"the generator's {order.size} entries")
+        out = np.empty(rho.shape, dtype=complex)
+        out.reshape(-1)[order] = self.matvec(rho.take(order))
         return out
+
+
+@functools.lru_cache(maxsize=16)
+def sector_order(d: int) -> tuple[np.ndarray, int]:
+    """(order, n_even) at dim d: order[k], read-only, is the row-major index
+    of the k-th entry of vec(rho) in sector order, the n_even entries with
+    i + j even first, then the odd ones, each in row-major order.  The even
+    sector holds the diagonal."""
+    i, j = np.divmod(np.arange(d * d), d)
+    order = np.argsort((i + j) % 2, kind="stable")
+    order.flags.writeable = False
+    return order, (d * d + 1) // 2
 
 
 class Liouvillian:

@@ -24,6 +24,34 @@ stacked, transposed A at the same positions.  The variances are the second
 moments minus the squared means.  Purity is one contraction of rho with
 itself, and the minimum eigenvalue is operators.min_eigenvalue's.
 
+What is integrated.  A generator with a normal form (every library
+generator) is integrated as one flat vector in its sector order
+(liouvillians.sector_order: the entries of row-major rho with i + j even,
+then the odd ones), each stage one CSR mat-vec, NormalForm.matvec.  The
+live-sector rule: the vector is the even sector alone when L maps that
+sector into itself (NormalForm.closed_length: no entry of L couples an
+even entry to an odd one, and every entry is finite) and every odd entry
+of rho0 is exactly zero; otherwise it is all d^2 entries.  Every
+bilinear-family generator with a free or harmonic Hamiltonian keeps the
+parity of i + j, so squeezed vacua, thermal and number states take the
+even sector alone, about half the entries; coherent states, and every
+state under a collision generator, whose jumps mix the parities, take the
+whole vector.  The even sector holds the diagonal, so it is always live.
+Any other generator, such as one built from a custom callable, is
+integrated on (d, d) arrays through its apply.
+
+Why the bits are unchanged.  Each row of the sector-ordered CSR keeps its
+entries in row-major order, so each entry of L[rho] is summed as the
+row-major mat-vec sums it.  Off the even sector the full-state integration
+only ever holds exact zeros: L's rows there read odd entries alone, and a
+finite entry times zero is zero.  The stage arithmetic is elementwise, so
+it gives every live entry the same bits in either layout.  The monitors,
+the final state and the adaptive error norm, the one reduction over
+entries, read the state scattered back into its row-major (d, d) layout
+with zeros off the live entries, so every sample, every step size and
+the final state are the full-state integration's bit for bit; the sample
+at t = 0 reads rho0 itself.
+
 Both integrators form each stage input and each combination of stages by
 in-place ufuncs in arrays allocated once per step, one of which becomes
 the new state, with the operations of the plain array expressions in
@@ -31,7 +59,7 @@ their order: the states are those of the expressions bit for bit, up to
 the sign of a zero.  The adaptive error norm works in three real buffers
 kept for the whole integration, and |rho| carries over from the accepted
 attempt.  Nothing is written into an array the generator returned or into
-an accepted state.
+an accepted state.  The monitors are built once per basis.
 
 stationary_state solves L vec(rho) = 0 by a bordered LU solve, banded where
 that is cheap and dense otherwise; its docstring states the path rules.
@@ -43,6 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .liouvillians import sector_order
 from .operators import (
     build_momentum,
     build_position,
@@ -228,15 +257,19 @@ class Sampler:
         return np.concatenate(self.samples, axis=1)
 
 
+@functools.lru_cache(maxsize=16)
 def _monitors(cfg):
     """The eight monitors of a state, in TrajectoryRecord's field order; the
-    moments by one band contraction (module docstring)."""
+    moments by one band contraction (module docstring).  Built once per
+    basis; its arrays are read-only."""
     x, p = build_position(cfg), build_momentum(cfg)
     ops = np.stack([np.eye(cfg.dim), x, p, x @ x, p @ p])
     # rho_ij pairs with A_ji: the band is the transposed union pattern
     cols, rows = np.nonzero(np.any(ops != 0.0, axis=0))
     band = rows * cfg.dim + cols  # positions in row-major rho
     weights = ops[:, cols, rows]
+    band.flags.writeable = False
+    weights.flags.writeable = False
 
     def measure(rho):
         # near-overflow states may push monitors to inf; record that honestly
@@ -305,7 +338,7 @@ def _dp_combine(out, rho, dt, coeffs, k, tmp):
     return np.add(rho, out, out=out)
 
 
-def _propagate_rk45(rho, apply_fn, icfg, sampler):
+def _propagate_rk45(rho, apply_fn, icfg, sampler, spread):
     t = 0.0
     dt = min(icfg.dt_init, icfg.t_final)
     rejected = 0
@@ -321,14 +354,16 @@ def _propagate_rk45(rho, apply_fn, icfg, sampler):
                 "step size underflow at t=%.6g (dt=%.3g)" % (t, dt))
         rho5, rho4, k7 = _dp_attempt(apply_fn, rho, k1, dt)
         # atol + rtol * max(|rho|, |rho5|), then the RMS of
-        # |(rho5 - rho4) / scale|, formed in scale and rho4
+        # |(rho5 - rho4) / scale|, formed in scale and rho4 and summed over
+        # the row-major d x d layout
         np.maximum(abs_rho, np.abs(rho5, out=abs_rho5), out=scale)
         np.multiply(icfg.rtol, scale, out=scale)
         np.add(icfg.atol, scale, out=scale)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             np.subtract(rho5, rho4, out=rho4)
             np.divide(rho4, scale, out=rho4)
-            err = np.sqrt(np.mean(np.square(np.abs(rho4, out=scale), out=scale)))
+            np.square(np.abs(rho4, out=scale), out=scale)
+            err = np.sqrt(np.mean(spread(scale)))
         if not np.isfinite(err):
             # divergent attempt: shrink hard and retry
             rejected += 1
@@ -359,9 +394,12 @@ def propagate(rho0, liouvillian, icfg):
 
     Returns a TrajectoryRecord.  The final state is returned exactly as
     the integrator produced it; any trace or positivity defect is left
-    for the caller to inspect.  liouvillian.apply must return a new array
-    and keep no reference to its argument, whose buffer the integrator
-    reuses for the next stage.
+    for the caller to inspect.  A generator with a normal form is
+    integrated on its sector-ordered vector, the leading closed block alone
+    when rho0 is zero outside it (module docstring); any other is
+    integrated on (d, d) arrays through liouvillian.apply, which must
+    return a new array and keep no reference to its argument, whose buffer
+    the integrator reuses for the next stage.
     """
     dim = liouvillian.cfg.dim
     if np.shape(rho0) != (dim, dim):
@@ -369,19 +407,44 @@ def propagate(rho0, liouvillian, icfg):
                          "on dim %d" % (np.shape(rho0), dim))
     validate_density_matrix(rho0)
     rho = np.array(rho0, dtype=complex)
-    sampler = Sampler(_monitors(liouvillian.cfg), icfg.monitor_stride, rho)
+    # a proxy that forwards only apply carries no normal form
+    nf = getattr(liouvillian, "normal_form", None)
+    if nf is None:
+        state, step_fn = rho, liouvillian.apply
+    else:
+        order, _ = sector_order(dim)
+        closed = nf.closed_length
+        if rho.take(order[closed:]).any():
+            closed = order.size
+        live = order[:closed]
+        state, step_fn = rho.take(live), nf.matvec
+
+    def spread(s):
+        """s in the row-major (d, d) layout: a state vector is scattered
+        into zeros, a (d, d) array is its own."""
+        if s.ndim == 2:
+            return s
+        full = np.zeros((dim, dim), dtype=s.dtype)
+        full.reshape(-1)[live] = s
+        return full
+
+    monitors = _monitors(liouvillian.cfg)
+    # the first sample reads rho0 itself, signed zeros and all
+    sampler = Sampler(lambda s: monitors(spread(s)), icfg.monitor_stride, rho)
     calls = 0
 
-    def apply_fn(state):
+    def apply_fn(s):
         nonlocal calls
         calls += 1
-        return liouvillian.apply(state)
+        return step_fn(s)
 
-    integrate = _propagate_rk4 if icfg.method == RK4_FIXED else _propagate_rk45
-    rho, rejected = integrate(rho, apply_fn, icfg, sampler)
-    return TrajectoryRecord(*sampler.columns(icfg.t_final, rho), final_state=rho,
-                            accepted_steps=sampler.accepted, rejected_steps=rejected,
-                            generator_calls=calls)
+    if icfg.method == RK4_FIXED:
+        state, rejected = _propagate_rk4(state, apply_fn, icfg, sampler)
+    else:
+        state, rejected = _propagate_rk45(state, apply_fn, icfg, sampler, spread)
+    return TrajectoryRecord(*sampler.columns(icfg.t_final, state),
+                            final_state=spread(state), accepted_steps=sampler.accepted,
+                            rejected_steps=rejected, generator_calls=calls)
 
 
 def positivity_breach_time(record, threshold=-1e-10):

@@ -34,6 +34,7 @@ from qbmlab import (
     s_mb,
     superoperator_matrix,
 )
+from qbmlab.liouvillians import sector_order
 from qbmlab.microcoeffs import thermal_kernel
 
 CFG = HilbertConfig(dim=12)
@@ -794,10 +795,15 @@ def test_apply_is_the_constructor_csr_matvec_bit_for_bit(dim, rng):
             assert out.flags.c_contiguous and out.flags.owndata
             assert not np.shares_memory(out, rho)
             assert np.array_equal(_bits(rho), _bits(before))
-        indptr, indices, data = nf._csr
-        assert np.array_equal(indptr, oracle.indptr)
-        assert np.array_equal(indices, oracle.indices)
-        assert np.array_equal(_bits(data), _bits(oracle.data))
+        # row k of the sector-ordered CSR is the constructor's row order[k],
+        # its entries in the constructor's order, with sector column labels
+        indptr, indices, data, _ = nf._csr
+        order, _ = sector_order(dim)
+        assert np.array_equal(np.diff(indptr), np.diff(oracle.indptr)[order])
+        take = np.concatenate([np.arange(oracle.indptr[row], oracle.indptr[row + 1])
+                               for row in order])
+        assert np.array_equal(order[indices], oracle.indices[take])
+        assert np.array_equal(_bits(data), _bits(oracle.data[take]))
 
 
 def test_apply_refuses_a_state_of_the_wrong_size():

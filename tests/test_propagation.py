@@ -125,6 +125,24 @@ def test_min_eigenvalue_is_looked_up_once_per_monitor_sample(monkeypatch, method
     assert np.array_equal(record.min_eig, reference.min_eig)
 
 
+def test_monitors_are_built_once_per_basis():
+    """A second propagate on the same basis reuses the monitors built for
+    the first, and their arrays are read-only."""
+    cfg = HilbertConfig(dim=11)
+    liouv = _damped_oscillator(cfg)
+    icfg = IntegratorConfig(t_final=0.05, dt=1e-2)
+    propagate(vacuum_state(cfg), liouv, icfg)
+    measure = propagation._monitors(cfg)
+    before = propagation._monitors.cache_info()
+    propagate(coherent_state(cfg, 0.5), liouv, icfg)
+    after = propagation._monitors.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert propagation._monitors(HilbertConfig(dim=11)) is measure
+    arrays = [cell.cell_contents for cell in measure.__closure__
+              if isinstance(cell.cell_contents, np.ndarray)]
+    assert len(arrays) == 2 and not any(a.flags.writeable for a in arrays)
+
+
 def test_momentum_mean_decay_rate():
     """<p> decays at twice the fugacity-scaled friction rate."""
     cfg = HilbertConfig(dim=30)
