@@ -44,8 +44,8 @@ for q_max in (2.0, 1.0, 0.5, 0.25):
         kind=MINIMAL_QBM, beta=2.0,
         coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=0.8)))
 
-    ref = quadratic(rho)
-    diff = np.abs(collision(rho) - ref).max() / np.abs(ref).max()
+    ref = quadratic.apply(rho)
+    diff = np.abs(collision.apply(rho) - ref).max() / np.abs(ref).max()
     print("%-8.2f   %.6e      %.3e" % (q_max, d_pp, diff))
 
 print()

@@ -18,6 +18,7 @@ from .liouvillians import (
     MINIMAL_QBM,
     SINGLE_GENERATOR,
 )
+from .operators import HAMILTONIAN_KINDS
 from .propagation import RK4_FIXED, RK45_ADAPTIVE
 from .structure_factor import BOSE, FERMI, MAXWELL_BOLTZMANN
 
@@ -67,7 +68,7 @@ _SCHEMA = {
     "generator": {
         "kind": _choice(CALDEIRA_LEGGETT, BILINEAR, MINIMAL_QBM,
                         BOLTZMANN_COLLISION),
-        "hamiltonian": _choice("free", "harmonic"),
+        "hamiltonian": _choice(*HAMILTONIAN_KINDS),
         "omega_trap": _float,
         "beta": _float,
         "gamma": _float,

@@ -20,14 +20,17 @@ into one Lindblad normal form
 
     L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag,
 
-kept on the Liouvillian as data (its normal_form).  The normal form is
-compiled once more, into the entries of its superoperator, one compact
-(positions, values) pair per term: the jump term is the positions where
-any J_k is nonzero and the block of their weighted products, never a d^4
-index list.  superoperator_matrix adds the entries into the dense matrix.
-apply compiles them, on its first call, into CSR arrays by scipy's own
-kernels, in sector order (i + j even first), and is then one direct call
-of scipy's CSR mat-vec kernel per application.
+and the Liouvillian it returns is that normal form: one frozen object that
+holds K, the weights s_k and the jumps J_k as data.  It is compiled once
+more, into the entries of its superoperator, one compact (positions,
+values) pair per term: the jump term is the positions where any J_k is
+nonzero and the block of their weighted products, never a d^4 index list.
+superoperator_matrix adds the entries into the dense matrix.  apply
+compiles them, on its first call, into CSR arrays by scipy's own kernels,
+in sector order (i + j even first), and is then one direct call of scipy's
+CSR mat-vec kernel per application.  propagate and superoperator_matrix
+also take any other object with cfg and apply alone, such as a proxy that
+forwards apply, and reach it through apply.
 
 For the bilinear family the double commutators expand to
 
@@ -76,8 +79,8 @@ from scipy.sparse._sparsetools import (coo_tocsr, csr_has_sorted_indices,
 from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           kossakowski_weights, saturating_coefficients,
                           thermal_kernel)
-from .operators import (HilbertConfig, build_annihilator, build_hamiltonian,
-                        build_momentum, build_position)
+from .operators import (HAMILTONIAN_KINDS, HilbertConfig, build_annihilator,
+                        build_hamiltonian, build_momentum, build_position)
 from .quadrature import legendre_rule
 from .structure_factor import brownian_weight
 
@@ -157,6 +160,11 @@ class LiouvillianSpec:
         kind, c = self.kind, self.coeffs
         if kind not in _COMPILERS:
             raise ValueError(f"unknown generator kind {kind!r}")
+        if self.hamiltonian_kind not in HAMILTONIAN_KINDS:
+            raise ValueError(f"unknown hamiltonian kind {self.hamiltonian_kind!r}")
+        if self.hamiltonian_kind != "harmonic" and self.omega_trap is not None:
+            raise ValueError(f"a {self.hamiltonian_kind} Hamiltonian does not "
+                             "read omega_trap")
         if kind == BOLTZMANN_COLLISION and self.collision is None:
             raise ValueError("boltzmann_collision requires CollisionParameters")
         if kind == BILINEAR and c is None:
@@ -192,23 +200,32 @@ class LiouvillianSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class NormalForm:
-    """A generator compiled to L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag.
+class Liouvillian:
+    """A generator as its Lindblad normal form,
+    L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag.
 
-    k is the (d, d) matrix K, weights the n real s_k, and jumps the J_k
-    stacked as an (n, d, d) array.  entries is its superoperator, compiled
-    on first use.  _csr compiles the entries, on the first apply or matvec,
-    into one CSR matrix in sector order (sector_order: i + j even first),
-    so a generator that is only matrixified never builds it.  matvec is one
+    kind is the generator kind it was compiled from, k the (d, d) matrix K,
+    weights the n real s_k and jumps the J_k stacked as an (n, d, d) array;
+    coeffs and collision are the physics of the bilinear-family and the
+    collision kinds.  entries is its superoperator, compiled on first use.
+    _csr compiles the entries, on the first apply or matvec, into one CSR
+    matrix in sector order (sector_order: i + j even first), so a
+    generator that is only matrixified never builds it.  matvec is one
     call of scipy's CSR mat-vec kernel on a state vector in that order,
     either all of it or its leading closed block alone (closed_length), the
     even sector of every bilinear-family generator; propagate integrates
-    that vector.  apply takes and returns rho in its natural layout.
+    that vector.  apply takes and returns rho in its natural layout.  The
+    compiled entries and CSR belong to the instance: dataclasses.replace
+    gives a generator that compiles its own.
     """
 
+    cfg: HilbertConfig
+    kind: str
     k: np.ndarray
     weights: np.ndarray
     jumps: np.ndarray
+    coeffs: BilinearCoefficients | None = None
+    collision: CollisionParameters | None = None
 
     @cached_property
     def entries(self) -> tuple[tuple[tuple[np.ndarray, ...], np.ndarray], ...]:
@@ -271,9 +288,7 @@ class NormalForm:
         """
         d = self.k.shape[0]
         n = d * d
-        order, n_even = sector_order(d)
-        position = np.empty_like(order)
-        position[order] = np.arange(n)
+        _, position, n_even = sector_order(d)
         triplets = [np.broadcast_arrays(i * d + j, k * d + l, values)
                     for (j, i, l, k), values in self.entries]
         rows, cols, values = (np.concatenate([a.ravel() for a in part])
@@ -325,7 +340,7 @@ class NormalForm:
         into a new C-contiguous array of rho's shape.  Each entry is the
         row sum of the row-major CSR mat-vec, csr_array @ vec(rho), term for
         term, so the same bits."""
-        order, _ = sector_order(self.k.shape[0])
+        order, _, _ = sector_order(self.k.shape[0])
         if rho.size != order.size:
             raise ValueError(f"state of shape {rho.shape} does not match "
                              f"the generator's {order.size} entries")
@@ -335,54 +350,24 @@ class NormalForm:
 
 
 @functools.lru_cache(maxsize=16)
-def sector_order(d: int) -> tuple[np.ndarray, int]:
-    """(order, n_even) at dim d: order[k], read-only, is the row-major index
-    of the k-th entry of vec(rho) in sector order, the n_even entries with
-    i + j even first, then the odd ones, each in row-major order.  The even
-    sector holds the diagonal."""
+def sector_order(d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(order, position, n_even) at dim d, the arrays read-only: order[k] is
+    the row-major index of the k-th entry of vec(rho) in sector order, the
+    n_even entries with i + j even first, then the odd ones, each in
+    row-major order, and position is its inverse.  i + j is symmetric, so
+    the same permutation takes Fortran-order vec(rho) into its checkerboard
+    order (stationary_state).  The even sector holds the diagonal."""
     i, j = np.divmod(np.arange(d * d), d)
     order = np.argsort((i + j) % 2, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(d * d)
     order.flags.writeable = False
-    return order, (d * d + 1) // 2
+    position.flags.writeable = False
+    return order, position, (d * d + 1) // 2
 
 
-class Liouvillian:
-    """Immutable superoperator: callable on a density matrix.
-
-    Generators from build_liouvillian carry their compiled normal_form, which
-    applies them; a Liouvillian made from a custom callable has normal_form
-    None.
-    """
-
-    def __init__(self, cfg: HilbertConfig, kind: str, apply_fn,
-                 coeffs: BilinearCoefficients | None = None,
-                 collision: CollisionParameters | None = None,
-                 normal_form: NormalForm | None = None):
-        self.cfg = cfg
-        self.kind = kind
-        self.coeffs = coeffs
-        self.collision = collision
-        self.normal_form = normal_form
-        self._apply = apply_fn
-
-    def __call__(self, rho: np.ndarray) -> np.ndarray:
-        return self._apply(rho)
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return self._apply(rho)
-
-
-def _compiled(cfg: HilbertConfig, kind: str, k: np.ndarray, jumps,
-              **attrs) -> Liouvillian:
-    """Liouvillian of the normal form with K = k and jumps a sequence of (s_k, J_k)."""
-    d = k.shape[0]
-    nf = NormalForm(k=k, weights=np.array([s for s, _ in jumps], dtype=float),
-                    jumps=np.array([j for _, j in jumps], dtype=complex).reshape(-1, d, d))
-    return Liouvillian(cfg, kind, nf.apply, normal_form=nf, **attrs)
-
-
-def _bilinear_normal_form(cfg: HilbertConfig, spec: LiouvillianSpec,
-                          coeffs: BilinearCoefficients | None = None):
+def _bilinear(cfg: HilbertConfig, spec: LiouvillianSpec,
+              coeffs: BilinearCoefficients | None = None):
     """K, the Kossakowski (s_k, J_k) and the attributes of the bilinear terms
     of coeffs: spec.coeffs for the bilinear kind, derived ones for the others."""
     coeffs = spec.coeffs if coeffs is None else coeffs
@@ -413,7 +398,7 @@ def _caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec):
     derived = BilinearCoefficients(
         gamma=c.gamma, d_pp=2.0 * cfg.mass * c.gamma / spec.beta,
         fugacity_z=c.fugacity_z)
-    return _bilinear_normal_form(cfg, spec, derived)
+    return _bilinear(cfg, spec, derived)
 
 
 def minimal_coefficients(cfg: HilbertConfig, d_pp: float, beta: float,
@@ -447,7 +432,7 @@ def _minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec):
     c = spec.coeffs
     derived = minimal_coefficients(cfg, c.d_pp, spec.beta, c.fugacity_z)
     if spec.assembly == DOUBLE_COMMUTATOR:
-        return _bilinear_normal_form(cfg, spec, derived)
+        return _bilinear(cfg, spec, derived)
 
     z_gamma = derived.fugacity_z * derived.gamma
     x = build_position(cfg)
@@ -527,7 +512,7 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
 # the one list of generator kinds, each with its compile function
 _COMPILERS = {
     CALDEIRA_LEGGETT: _caldeira_leggett,
-    BILINEAR: _bilinear_normal_form,
+    BILINEAR: _bilinear,
     MINIMAL_QBM: _minimal_qbm,
     BOLTZMANN_COLLISION: _boltzmann_collision,
 }
@@ -537,32 +522,33 @@ def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     """Compile the generator spec names: the one way to build a generator.
 
     The spec has validated itself; the compile function of spec.kind
-    returns K, the jumps (s_k, J_k) and the attributes to attach.
+    returns K, the jumps (s_k, J_k) and the physics to attach.
     """
     k, jumps, attrs = _COMPILERS[spec.kind](cfg, spec)
-    return _compiled(cfg, spec.kind, k, jumps, **attrs)
+    return Liouvillian(
+        cfg, spec.kind, k, weights=np.array([s for s, _ in jumps], dtype=float),
+        jumps=np.array([j for _, j in jumps], dtype=complex).reshape(-1, cfg.dim, cfg.dim),
+        **attrs)
 
 
 def superoperator_matrix(liouv) -> np.ndarray:
     """Dense column-stacked matrix of a superoperator.
 
     The matrix acts on Fortran-order (column-stacked) vec(rho), so
-    matrix @ vec(rho) reproduces L[rho] for every rho.  A generator that
-    carries its normal form adds the form's entries into a zeroed matrix,
-    term after term, each at the flat positions its index broadcasts to;
-    apply reads the same entries.  Any other
-    callable, such as a Liouvillian built from a custom apply function, is
-    probed one column at a time: column j is vec(L[E_j]) for the j-th
-    Fortran-order unit matrix E_j.  d = liouv.cfg.dim; d^2 <= 10^4 is guarded.
+    matrix @ vec(rho) reproduces L[rho] for every rho.  A Liouvillian adds
+    its entries into a zeroed matrix, term after term, each at the flat
+    positions its index broadcasts to; apply reads the same entries.  Any
+    other generator, an object with cfg and apply alone, is probed one
+    column at a time: column j is vec(L[E_j]) for the j-th Fortran-order
+    unit matrix E_j.  d = liouv.cfg.dim; d^2 <= 10^4 is guarded.
     """
     d = liouv.cfg.dim
     n = d * d
     if n > 10_000:
         raise ValueError(f"superoperator matrix would be {n}x{n}; guard is 10^4")
-    nf = getattr(liouv, "normal_form", None)
-    if nf is not None:
+    if isinstance(liouv, Liouvillian):
         mat = np.zeros(n * n, dtype=complex)
-        for (j, i, l, k), values in nf.entries:
+        for (j, i, l, k), values in liouv.entries:
             # M[i + d j, k + d l]; the j, l and i, k parts broadcast once
             mat[(j * (d * n) + l * d) + (i * n + k)] += values
         return mat.reshape(n, n)
@@ -572,5 +558,5 @@ def superoperator_matrix(liouv) -> np.ndarray:
         basis.flat[:] = 0.0
         # Fortran-order unit matrix: entry (j % d, j // d)
         basis[j % d, j // d] = 1.0
-        mat[:, j] = liouv(basis).flatten(order="F")
+        mat[:, j] = liouv.apply(basis).flatten(order="F")
     return mat

@@ -19,6 +19,11 @@ import numpy as np
 import scipy.linalg
 
 
+def is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class HilbertConfig:
     """Truncation size and physical constants of the test particle."""
@@ -29,6 +34,8 @@ class HilbertConfig:
     omega_basis: float = 1.0
 
     def __post_init__(self):
+        if not is_integer(self.dim):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         for name in ("hbar", "mass", "omega_basis"):
@@ -59,6 +66,9 @@ def build_momentum(cfg: HilbertConfig) -> np.ndarray:
     """Momentum operator, Hermitian with imaginary tridiagonal entries."""
     a = build_ladder(cfg)
     return 1j * cfg.momentum_scale / np.sqrt(2.0) * (a.conj().T - a)
+
+
+HAMILTONIAN_KINDS = ("free", "harmonic")
 
 
 def build_hamiltonian(cfg: HilbertConfig, kind: str = "free",
@@ -114,6 +124,8 @@ def parity_operator(cfg: HilbertConfig) -> np.ndarray:
 
 def number_state(cfg: HilbertConfig, n: int) -> np.ndarray:
     """Density matrix |n><n|."""
+    if not is_integer(n):
+        raise ValueError(f"level must be an integer, got {n!r}")
     if not 0 <= n < cfg.dim:
         raise ValueError(f"level {n} outside basis of size {cfg.dim}")
     rho = np.zeros((cfg.dim, cfg.dim), dtype=complex)
@@ -155,8 +167,8 @@ def squeezed_state(cfg: HilbertConfig, r: float, alpha: complex = 0.0) -> np.nda
 
 def thermal_state(cfg: HilbertConfig, nbar: float) -> np.ndarray:
     """Geometric-population mixed state with mean occupation nbar, renormalized."""
-    if nbar < 0:
-        raise ValueError(f"nbar must be nonnegative, got {nbar}")
+    if not (nbar >= 0 and math.isfinite(nbar)):
+        raise ValueError(f"nbar must be nonnegative and finite, got {nbar}")
     if nbar == 0.0:
         return vacuum_state(cfg)
     n = np.arange(cfg.dim)
@@ -176,8 +188,9 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     Only a construction-time gate, passed when max|rho - rho^dag| <= 1e-12,
     |tr rho - 1| <= 1e-12 and the smallest eigenvalue is >= -1e-10:
     evolution is allowed to drive states negative, and that negativity is
-    a measured result, never an error.
+    a measured result, never an error.  rho may be any array-like.
     """
+    rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):

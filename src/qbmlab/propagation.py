@@ -24,21 +24,23 @@ stacked, transposed A at the same positions.  The variances are the second
 moments minus the squared means.  Purity is one contraction of rho with
 itself, and the minimum eigenvalue is operators.min_eigenvalue's.
 
-What is integrated.  A generator with a normal form (every library
-generator) is integrated as one flat vector in its sector order
-(liouvillians.sector_order: the entries of row-major rho with i + j even,
-then the odd ones), each stage one CSR mat-vec, NormalForm.matvec.  The
-live-sector rule: the vector is the even sector alone when L maps that
-sector into itself (NormalForm.closed_length: no entry of L couples an
-even entry to an odd one, and every entry is finite) and every odd entry
-of rho0 is exactly zero; otherwise it is all d^2 entries.  Every
-bilinear-family generator with a free or harmonic Hamiltonian keeps the
-parity of i + j, so squeezed vacua, thermal and number states take the
-even sector alone, about half the entries; coherent states, and every
-state under a collision generator, whose jumps mix the parities, take the
-whole vector.  The even sector holds the diagonal, so it is always live.
-Any other generator, such as one built from a custom callable, is
-integrated on (d, d) arrays through its apply.
+What is integrated.  Every generator is integrated as one flat vector over
+its live entries, in one layout for both integrators.  A Liouvillian (every
+library generator) steps its sector order (liouvillians.sector_order: the
+entries of row-major rho with i + j even, then the odd ones), each stage
+one CSR mat-vec, Liouvillian.matvec.  The live-sector rule: the vector is
+the even sector alone when L maps that sector into itself
+(Liouvillian.closed_length: no entry of L couples an even entry to an odd
+one, and every entry is finite) and every odd entry of rho0 is exactly
+zero; otherwise it is all d^2 entries.  Every bilinear-family generator
+with a free or harmonic Hamiltonian keeps the parity of i + j, so squeezed
+vacua, thermal and number states take the even sector alone, about half
+the entries; coherent states, and every state under a collision generator,
+whose jumps mix the parities, take the whole vector.  The even sector holds
+the diagonal, so it is always live.  Any other object with cfg and apply,
+such as a proxy that forwards only apply, steps all d^2 entries in
+row-major order, each stage one call of its apply on a (d, d) view of the
+vector.
 
 Why the bits are unchanged.  Each row of the sector-ordered CSR keeps its
 entries in row-major order, so each entry of L[rho] is summed as the
@@ -71,10 +73,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .liouvillians import sector_order
+from .liouvillians import Liouvillian, sector_order
 from .operators import (
     build_momentum,
     build_position,
+    is_integer,
     min_eigenvalue,
     purity,
     validate_density_matrix,
@@ -124,8 +127,7 @@ _FACTOR_MAX = 5.0
 def check_stride(name, stride):
     """The sampling rule's stride: an integer >= 1 (bool refused), else a
     ValueError naming the field."""
-    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) \
-            or stride < 1:
+    if not is_integer(stride) or stride < 1:
         raise ValueError("%s must be an integer >= 1, got %r" % (name, stride))
 
 
@@ -394,12 +396,14 @@ def propagate(rho0, liouvillian, icfg):
 
     Returns a TrajectoryRecord.  The final state is returned exactly as
     the integrator produced it; any trace or positivity defect is left
-    for the caller to inspect.  A generator with a normal form is
-    integrated on its sector-ordered vector, the leading closed block alone
-    when rho0 is zero outside it (module docstring); any other is
-    integrated on (d, d) arrays through liouvillian.apply, which must
-    return a new array and keep no reference to its argument, whose buffer
-    the integrator reuses for the next stage.
+    for the caller to inspect.  Every generator is integrated as one flat
+    vector over its live entries (module docstring).  A Liouvillian's is
+    its sector-ordered vector, the leading closed block alone when rho0 is
+    zero outside it.  Any other generator, an object with cfg and apply,
+    steps all d^2 entries in row-major order, each stage one call of apply
+    on a (d, d) view of the vector; apply must return a new array and keep
+    no reference to its argument, whose buffer the integrator reuses for
+    the next stage.
     """
     dim = liouvillian.cfg.dim
     if np.shape(rho0) != (dim, dim):
@@ -407,30 +411,31 @@ def propagate(rho0, liouvillian, icfg):
                          "on dim %d" % (np.shape(rho0), dim))
     validate_density_matrix(rho0)
     rho = np.array(rho0, dtype=complex)
-    # a proxy that forwards only apply carries no normal form
-    nf = getattr(liouvillian, "normal_form", None)
-    if nf is None:
-        state, step_fn = rho, liouvillian.apply
-    else:
-        order, _ = sector_order(dim)
-        closed = nf.closed_length
+    if isinstance(liouvillian, Liouvillian):
+        order, _, _ = sector_order(dim)
+        closed = liouvillian.closed_length
         if rho.take(order[closed:]).any():
             closed = order.size
-        live = order[:closed]
-        state, step_fn = rho.take(live), nf.matvec
+        live, step_fn = order[:closed], liouvillian.matvec
+    else:
+        live = np.arange(dim * dim)
+
+        def step_fn(s):
+            return liouvillian.apply(s.reshape(dim, dim)).reshape(-1)
+
+    state = rho.take(live)
 
     def spread(s):
-        """s in the row-major (d, d) layout: a state vector is scattered
-        into zeros, a (d, d) array is its own."""
-        if s.ndim == 2:
-            return s
-        full = np.zeros((dim, dim), dtype=s.dtype)
-        full.reshape(-1)[live] = s
-        return full
+        """The state vector s scattered into zeros in the row-major (d, d)
+        layout."""
+        full = np.zeros(dim * dim, dtype=s.dtype)
+        full[live] = s
+        return full.reshape(dim, dim)
 
     monitors = _monitors(liouvillian.cfg)
     # the first sample reads rho0 itself, signed zeros and all
-    sampler = Sampler(lambda s: monitors(spread(s)), icfg.monitor_stride, rho)
+    sampler = Sampler(lambda s: monitors(s if s.ndim == 2 else spread(s)),
+                      icfg.monitor_stride, rho)
     calls = 0
 
     def apply_fn(s):
@@ -484,7 +489,8 @@ def stationary_state(l_matrix):
 
     Banded path.  vec(rho) is taken in checkerboard order: the entries with
     i + j even first, then those with i + j odd, each set in Fortran order,
-    so rho_00 stays first.  Every bilinear-family generator keeps the parity
+    so rho_00 stays first.  It is liouvillians.sector_order's permutation,
+    as i + j is symmetric.  Every bilinear-family generator keeps the parity
     of i + j (K moves i or j by 0 or +-2, a jump sandwich moves both by
     +-1), so in this order L is two diagonal blocks, and a move of j by 2
     is one of d places: the band read from the nonzero pattern below row 0
@@ -568,25 +574,12 @@ def _band_pays(kl, ku, n):
     return 3 * kl * (kl + ku) <= _BAND_FLOP_SHARE * n * n
 
 
-@functools.lru_cache(maxsize=16)
-def _checkerboard(d):
-    """(order, position), read-only: order[k] is the Fortran-order index of
-    the k-th entry of vec(rho) in checkerboard order, position its inverse."""
-    j, i = np.divmod(np.arange(d * d), d)
-    order = np.argsort((i + j) % 2, kind="stable")
-    position = np.empty_like(order)
-    position[order] = np.arange(d * d)
-    order.flags.writeable = False
-    position.flags.writeable = False
-    return order, position
-
-
 def _nonzeros(l_matrix, d):
     """(rows, cols, values) of the nonzero entries of L at dim d, in
     row-major order, from one scan; None, without the scan, when the last
     row of the checkerboard order alone makes the band too wide."""
     n = d * d
-    order, position = _checkerboard(d)
+    order, position, _ = sector_order(d)
     # kl only grows as rows are read, and one row shows a dense L's width
     kl = n - 1 - position[_nonzero(l_matrix[order[-1]])].min(initial=n - 1)
     if not _band_pays(kl, 0, n):
@@ -622,7 +615,7 @@ def _banded_stationary(d, rows, cols, values, magnitude):
     first = np.searchsorted(rows, 1)
     rows, cols, values, magnitude = (
         rows[first:], cols[first:], values[first:], magnitude[first:])
-    order, position = _checkerboard(d)
+    order, position, _ = sector_order(d)
     band_cols = position.take(cols)
     offset = position.take(rows) - band_cols  # i - j in checkerboard order
     kl, ku = int(offset.max(initial=0)), -int(offset.min(initial=0))

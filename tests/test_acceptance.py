@@ -221,7 +221,7 @@ def test_criterion_7_generator_equivalences(rng):
         kind=BILINEAR,
         coeffs=BilinearCoefficients(gamma=gamma, d_pp=2.0 * cfg.mass * gamma / beta)))
     states = [random_density(cfg.dim, rng) for _ in range(20)]
-    assert all(np.array_equal(cl(rho), bil(rho)) for rho in states)
+    assert all(np.array_equal(cl.apply(rho), bil.apply(rho)) for rho in states)
 
     # (b) double-commutator and single-generator assemblies agree
     base = dict(kind=MINIMAL_QBM, beta=beta,
@@ -230,7 +230,7 @@ def test_criterion_7_generator_equivalences(rng):
     single = build_liouvillian(cfg, LiouvillianSpec(assembly=SINGLE_GENERATOR, **base))
     worst_ab = 0.0
     for rho in states:
-        a, b = double(rho), single(rho)
+        a, b = double.apply(rho), single.apply(rho)
         worst_ab = max(worst_ab, np.abs(a - b).max() / np.abs(a).max())
     assert worst_ab < 1e-10
 
@@ -250,8 +250,8 @@ def test_criterion_7_generator_equivalences(rng):
             kind=MINIMAL_QBM, beta=beta,
             coeffs=BilinearCoefficients(d_pp=collision_dpp(params, cfg.hbar),
                                         fugacity_z=0.8)))
-        ref = mini(rho)
-        discrepancies.append(np.abs(col(rho) - ref).max() / np.abs(ref).max())
+        ref = mini.apply(rho)
+        discrepancies.append(np.abs(col.apply(rho) - ref).max() / np.abs(ref).max())
     assert discrepancies[0] > discrepancies[1] > discrepancies[2]
     print("criterion 7 PASS: (a) bitwise, (b) assembly gap %.2e (tol 1e-10), "
           "(c) collision->minimal discrepancies %.3g > %.3g > %.3g"

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_density
+from conftest import CallableGenerator, random_density
 from qbmlab import (
     BILINEAR,
     BOLTZMANN_COLLISION,
@@ -16,7 +18,6 @@ from qbmlab import (
     CollisionParameters,
     GasThermodynamics,
     HilbertConfig,
-    Liouvillian,
     LiouvillianSpec,
     TMatrixModel,
     build_hamiltonian,
@@ -146,15 +147,15 @@ def _expm_collision_normal_form(cfg, spec):
     return k, jumps
 
 
-def _stacked_product_apply(nf):
+def _stacked_product_apply(liouv):
     """Apply by stacked products: Y = [s_1 J_1; ...; s_n J_n] rho, then its n
     blocks side by side times [J_1^dag; ...; J_n^dag]: the oracle for the
     sparse apply."""
-    k = nf.k
+    k = liouv.k
     d = k.shape[0]
     kdag = k.conj().T.copy()
-    left = (nf.weights[:, None, None] * nf.jumps).reshape(-1, d)
-    right = nf.jumps.conj().transpose(0, 2, 1).reshape(-1, d)
+    left = (liouv.weights[:, None, None] * liouv.jumps).reshape(-1, d)
+    right = liouv.jumps.conj().transpose(0, 2, 1).reshape(-1, d)
 
     def apply(rho):
         out = k @ rho
@@ -166,32 +167,32 @@ def _stacked_product_apply(nf):
     return apply
 
 
-def _realigned_superoperator(nf):
+def _realigned_superoperator(liouv):
     """I kron K + conj(K) kron I + sum_k s_k conj(J_k) kron J_k by one dense
     (d^2 x n)(n x d^2) product over the realigned pairs and a four-index
     transpose: the oracle for the scatter of the normal form's entries."""
-    d = nf.k.shape[0]
+    d = liouv.k.shape[0]
     # (conj(J) kron J)[(a, i), (b, j)] = conj(J)[a, b] J[i, j]
-    flat = nf.jumps.reshape(-1, d * d)
-    realigned = flat.conj().T @ (nf.weights[:, None] * flat)
+    flat = liouv.jumps.reshape(-1, d * d)
+    realigned = flat.conj().T @ (liouv.weights[:, None] * flat)
     blocks = realigned.reshape(d, d, d, d).transpose(0, 2, 1, 3).copy()
     diag = np.arange(d)
-    blocks[diag, :, diag, :] += nf.k
-    blocks[:, diag, :, diag] += nf.k.conj()
+    blocks[diag, :, diag, :] += liouv.k
+    blocks[:, diag, :, diag] += liouv.k.conj()
     return blocks.reshape(d * d, d * d)
 
 
-def _flat_entries(nf):
+def _flat_entries(liouv):
     """The superoperator's entries as flat (rows, cols, values) groups on
     Fortran-order vec(rho), each jump position pair expanded, in the order
     the CSR compile reads them: the oracle of the compact entries."""
-    d = nf.k.shape[0]
-    flat = nf.jumps.reshape(-1, d * d)
+    d = liouv.k.shape[0]
+    flat = liouv.jumps.reshape(-1, d * d)
     pos = np.flatnonzero((flat != 0.0).any(axis=0))
     row, col = np.divmod(pos, d)
-    jump = flat[:, pos].conj().T @ (nf.weights[:, None] * flat[:, pos])
-    k_row, k_col = np.nonzero(nf.k)
-    k_val = nf.k[k_row, k_col]
+    jump = flat[:, pos].conj().T @ (liouv.weights[:, None] * flat[:, pos])
+    k_row, k_col = np.nonzero(liouv.k)
+    k_val = liouv.k[k_row, k_col]
     other = np.arange(d)[:, None]
     return (
         ((row + d * row[:, None]).ravel(), (col + d * col[:, None]).ravel(),
@@ -203,19 +204,19 @@ def _flat_entries(nf):
     )
 
 
-def _flat_scatter(nf):
+def _flat_scatter(liouv):
     """The flat groups scattered into a zeroed matrix, group after group."""
-    n = nf.k.shape[0] ** 2
+    n = liouv.k.shape[0] ** 2
     mat = np.zeros(n * n, dtype=complex)
-    for rows, cols, values in _flat_entries(nf):
+    for rows, cols, values in _flat_entries(liouv):
         mat[rows * n + cols] += values
     return mat.reshape(n, n)
 
 
-def _constructor_csr(nf):
+def _constructor_csr(liouv):
     """scipy.sparse.csr_array of the flat groups on row-major vec(rho)."""
-    d = nf.k.shape[0]
-    rows, cols, values = (np.concatenate(part) for part in zip(*_flat_entries(nf)))
+    d = liouv.k.shape[0]
+    rows, cols, values = (np.concatenate(part) for part in zip(*_flat_entries(liouv)))
     return scipy.sparse.csr_array(
         (values, (rows % d * d + rows // d, cols % d * d + cols // d)),
         shape=(d * d, d * d))
@@ -228,7 +229,7 @@ def _assert_matches_reference(liouv, reference, seed):
     general = rng.normal(size=(CFG.dim, CFG.dim)) + 1j * rng.normal(size=(CFG.dim, CFG.dim))
     for rho in (random_density(CFG.dim, rng), random_density(CFG.dim, rng), general):
         ref = reference(rho)
-        assert np.abs(liouv(rho) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(liouv.apply(rho) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 fugacity = st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=2.0))
@@ -317,7 +318,7 @@ def test_trace_and_hermiticity_preservation(rng):
         for liouv in _all_generators(cfg, q_max):
             for _ in range(3):
                 rho = random_density(cfg.dim, rng)
-                out = liouv(rho)
+                out = liouv.apply(rho)
                 scale = np.abs(out).max()
                 assert abs(np.trace(out)) < 1e-13 * max(scale, 1.0)
                 assert np.abs(out - out.conj().T).max() < 1e-13 * max(scale, 1.0)
@@ -341,7 +342,7 @@ def test_cp_check_decides_the_compiled_weights(fugacity_z, gamma, d_xp, log10_d_
                              fugacity_z=fugacity_z)
     liouv = build_liouvillian(HilbertConfig(dim=3), LiouvillianSpec(kind=BILINEAR,
                                                                     coeffs=c))
-    assert cp_check(c)[0] == (liouv.normal_form.weights.min() >= 0.0)
+    assert cp_check(c)[0] == (liouv.weights.min() >= 0.0)
 
 
 def test_unresolved_negative_weight_is_kept():
@@ -352,8 +353,7 @@ def test_unresolved_negative_weight_is_kept():
                              d_xx=(gamma / 2.0) ** 2 / d_pp * (1.0 - 1e-8))
     ok, margin = cp_check(c)
     assert ok is False and abs(margin / -2.5e-13 - 1.0) < 1e-6
-    weights = build_liouvillian(CFG, LiouvillianSpec(kind=BILINEAR, coeffs=c)) \
-        .normal_form.weights
+    weights = build_liouvillian(CFG, LiouvillianSpec(kind=BILINEAR, coeffs=c)).weights
     assert weights.size == 2
     assert abs(weights.min() / -5.0e-14 - 1.0) < 1e-6
     assert abs(weights.sum() - 2.0 * (d_pp + c.d_xx)) < 1e-12 * d_pp
@@ -370,8 +370,8 @@ def test_cp_check_on_the_edges(coeffs, completely_positive):
     """Where a diffusion vanishes, GKSL needs only C's nonnegative diagonal
     and det C >= 0: cp_check's verdict is still "no compiled weight is
     negative"."""
-    weights = build_liouvillian(CFG, LiouvillianSpec(kind=BILINEAR, coeffs=coeffs)) \
-        .normal_form.weights
+    weights = build_liouvillian(
+        CFG, LiouvillianSpec(kind=BILINEAR, coeffs=coeffs)).weights
     assert cp_check(coeffs)[0] is completely_positive
     assert bool(np.all(weights >= 0.0)) is completely_positive
 
@@ -390,13 +390,13 @@ def test_positivity_dichotomy_in_the_weights(d_pp, beta, mass, hbar, fugacity_z)
         weights = build_liouvillian(cfg, LiouvillianSpec(
             kind=MINIMAL_QBM, beta=beta, assembly=assembly,
             coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=fugacity_z))
-        ).normal_form.weights
+        ).weights
         assert weights.size == 1 and weights[0] > 0.0, assembly
     cl = build_liouvillian(cfg, LiouvillianSpec(
         kind=CALDEIRA_LEGGETT, beta=beta,
         coeffs=BilinearCoefficients(gamma=beta * d_pp / (2.0 * mass),
                                     fugacity_z=fugacity_z)))
-    assert cl.normal_form.weights.size == 2 and cl.normal_form.weights.min() < 0.0
+    assert cl.weights.size == 2 and cl.weights.min() < 0.0
 
 
 def test_single_generator_rate_is_twice_z_gamma():
@@ -411,7 +411,7 @@ def test_single_generator_rate_is_twice_z_gamma():
         liouv = build_liouvillian(cfg, LiouvillianSpec(
             kind=MINIMAL_QBM, beta=beta, assembly=SINGLE_GENERATOR,
             coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z)))
-        assert liouv.normal_form.weights[0] == 2 * z * liouv.coeffs.gamma
+        assert liouv.weights[0] == 2 * z * liouv.coeffs.gamma
 
 
 def test_caldeira_leggett_equals_bilinear_bitwise(rng):
@@ -425,7 +425,7 @@ def test_caldeira_leggett_equals_bilinear_bitwise(rng):
                                     d_pp=2.0 * CFG.mass * gamma / beta)))
     for _ in range(5):
         rho = random_density(CFG.dim, rng)
-        assert np.array_equal(cl(rho), bil(rho))
+        assert np.array_equal(cl.apply(rho), bil.apply(rho))
 
 
 def test_minimal_coefficients_derivation():
@@ -452,8 +452,8 @@ def test_minimal_assemblies_agree(rng):
     single = build_liouvillian(CFG, spec_s)
     for _ in range(20):
         rho = random_density(CFG.dim, rng)
-        a = double(rho)
-        b = single(rho)
+        a = double.apply(rho)
+        b = single.apply(rho)
         assert np.abs(a - b).max() < 1e-10 * max(np.abs(a).max(), 1.0)
 
 
@@ -480,7 +480,7 @@ def test_zero_fugacity_reduces_to_hamiltonian_flow(rng):
     h = build_hamiltonian(CFG, "free")
     rho = random_density(CFG.dim, rng)
     expected = -1j / CFG.hbar * (h @ rho - rho @ h)
-    assert np.abs(liouv(rho) - expected).max() < 1e-15
+    assert np.abs(liouv.apply(rho) - expected).max() < 1e-15
 
 
 def test_builder_kind_crosschecks():
@@ -535,6 +535,17 @@ def test_spec_rules_raise_at_construction(fields):
         LiouvillianSpec(**fields)
 
 
+def test_spec_refuses_a_hamiltonian_field_it_would_drop():
+    """omega_trap is read by the harmonic Hamiltonian alone, and the
+    Hamiltonian kind is checked when the spec is made, not at the build."""
+    fields = dict(kind=MINIMAL_QBM, beta=2.0, coeffs=BilinearCoefficients(d_pp=0.7))
+    with pytest.raises(ValueError, match="free Hamiltonian does not read omega_trap"):
+        LiouvillianSpec(omega_trap=2.0, **fields)
+    with pytest.raises(ValueError, match="unknown hamiltonian kind 'harmonik'"):
+        LiouvillianSpec(hamiltonian_kind="harmonik", **fields)
+    LiouvillianSpec(hamiltonian_kind="harmonic", omega_trap=2.0, **fields)
+
+
 def test_collision_parameters_validation():
     nodes, weights = radial_grid(2.0, 20)
     good = dict(gas_mass=1.0, beta=2.0, fugacity_z=0.8, tmatrix=TMAT,
@@ -570,8 +581,8 @@ def test_collision_parity_covariance(rng):
         kind=BOLTZMANN_COLLISION, collision=_collision_params(2.0)))
     par = parity_operator(CFG)
     rho = random_density(CFG.dim, rng)
-    direct = liouv(rho)
-    conjugated = par @ liouv(par @ rho @ par) @ par
+    direct = liouv.apply(rho)
+    conjugated = par @ liouv.apply(par @ rho @ par) @ par
     assert np.abs(direct - conjugated).max() < 1e-13 * np.abs(direct).max()
 
 
@@ -588,8 +599,8 @@ def test_collision_approaches_minimal_at_small_momentum_transfer(rng):
         mini = build_liouvillian(CFG, LiouvillianSpec(
             kind=MINIMAL_QBM, beta=2.0,
             coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=0.8)))
-        ref = mini(rho)
-        discrepancies.append(np.abs(col(rho) - ref).max() / np.abs(ref).max())
+        ref = mini.apply(rho)
+        discrepancies.append(np.abs(col.apply(rho) - ref).max() / np.abs(ref).max())
     assert discrepancies[0] > discrepancies[1] > discrepancies[2]
     assert discrepancies[2] < 0.02
 
@@ -608,13 +619,13 @@ def test_collision_weight_is_brownian_limit_of_structure_factor():
     liouv = build_liouvillian(cfg, LiouvillianSpec(kind=BOLTZMANN_COLLISION,
                                                    collision=par))
     signed = [sq for q in par.q_nodes for sq in (q, -q)]
-    assert liouv.normal_form.jumps.shape[0] == len(signed)
+    assert liouv.jumps.shape[0] == len(signed)
     lam, vecs = np.linalg.eigh(build_momentum(cfg))
     gaps = []
     for mass_ratio in (0.05, 0.005, 0.0005):
         gas = GasThermodynamics(beta=par.beta, gas_mass=mass_ratio * cfg.mass)
         gap = 0.0
-        for sq, jump in zip(signed, liouv.normal_form.jumps):
+        for sq, jump in zip(signed, liouv.jumps):
             g2 = jump.conj().T @ jump
             on_p = np.einsum("ik,ij,jk->k", vecs.conj(), g2, vecs).real
             # equal to the spectrum only if the p eigenbasis diagonalizes G^2
@@ -651,19 +662,19 @@ def test_collision_normal_form_matches_expm_build(dim, beta, gas_mass, fugacity_
         collision=CollisionParameters(gas_mass=gas_mass, beta=beta,
                                       fugacity_z=fugacity_z, tmatrix=TMAT,
                                       q_nodes=nodes, q_weights=weights, q_max=q_max))
-    nf = build_liouvillian(cfg, spec).normal_form
+    liouv = build_liouvillian(cfg, spec)
     k_ref, jumps_ref = _expm_collision_normal_form(cfg, spec)
-    assert np.array_equal(nf.weights, [s for s, _ in jumps_ref])
-    assert nf.jumps.shape == (len(jumps_ref), dim, dim)
+    assert np.array_equal(liouv.weights, [s for s, _ in jumps_ref])
+    assert liouv.jumps.shape == (len(jumps_ref), dim, dim)
     assert len(jumps_ref) == (0 if fugacity_z == 0.0 else 80)
-    for jump, (_, ref) in zip(nf.jumps, jumps_ref):
+    for jump, (_, ref) in zip(liouv.jumps, jumps_ref):
         assert np.abs(jump - ref).max() <= 1e-13 * np.abs(ref).max()
     # relative to the dissipative part of K, which H would otherwise swamp
     dissipative = k_ref + (1j / cfg.hbar) * build_hamiltonian(cfg, "harmonic", 1.1)
-    assert np.abs(nf.k - k_ref).max() <= 1e-13 * np.abs(dissipative).max()
-    trace_op = nf.k + nf.k.conj().T + np.einsum(
-        "n,nji,njk->ik", nf.weights, nf.jumps.conj(), nf.jumps)
-    assert np.abs(trace_op).max() <= 1e-14 * np.abs(nf.k).max()
+    assert np.abs(liouv.k - k_ref).max() <= 1e-13 * np.abs(dissipative).max()
+    trace_op = liouv.k + liouv.k.conj().T + np.einsum(
+        "n,nji,njk->ik", liouv.weights, liouv.jumps.conj(), liouv.jumps)
+    assert np.abs(trace_op).max() <= 1e-14 * np.abs(liouv.k).max()
 
 
 def test_collision_exponent_guard():
@@ -680,7 +691,7 @@ def test_superoperator_matrix_consistency(rng):
         coeffs=BilinearCoefficients(d_pp=0.7, fugacity_z=0.8)))
     mat = superoperator_matrix(liouv)
     rho = random_density(CFG.dim, rng)
-    direct = liouv(rho)
+    direct = liouv.apply(rho)
     via_matrix = (mat @ rho.flatten(order="F")).reshape(CFG.dim, CFG.dim, order="F")
     assert np.abs(direct - via_matrix).max() < 1e-13 * np.abs(direct).max()
 
@@ -711,12 +722,12 @@ def test_kronecker_superoperator_matches_column_loop(dim):
     cfg = HilbertConfig(dim=dim)
     generators = _generators_of_every_kind(cfg)
     cl, bil, mini, single, closed, col, col_closed = generators
-    assert cl.normal_form.weights.min() < 0.0
-    assert [g.normal_form.weights.size
+    assert cl.weights.min() < 0.0
+    assert [g.weights.size
             for g in (mini, single, closed, col, col_closed)] == [1, 1, 0, 120, 0]
     for liouv in generators:
         kron = superoperator_matrix(liouv)
-        loop = superoperator_matrix(Liouvillian(cfg, "probed", liouv.apply))
+        loop = superoperator_matrix(CallableGenerator(cfg, liouv.apply))
         assert kron.shape == loop.shape == (dim * dim, dim * dim)
         assert np.abs(kron - loop).max() <= 1e-14 * np.abs(loop).max(), liouv.kind
 
@@ -732,23 +743,22 @@ def test_entries_match_stacked_and_realigned_oracles(dim, rng):
     cfg = HilbertConfig(dim=dim)
     closed = build_liouvillian(cfg, LiouvillianSpec(
         kind=BOLTZMANN_COLLISION, collision=_collision_params(1.0, fugacity_z=0.0)))
-    assert closed.normal_form.weights.size == 0
+    assert closed.weights.size == 0
     general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     for liouv in _all_generators(cfg, 1.0) + [closed]:
-        nf = liouv.normal_form
         mat = superoperator_matrix(liouv)
-        ref = _realigned_superoperator(nf)
+        ref = _realigned_superoperator(liouv)
         if liouv.kind == BILINEAR:
             assert np.all(np.abs(mat - ref) <= np.finfo(float).eps * np.abs(ref))
         else:
             assert np.array_equal(mat, ref), liouv.kind
         # matrixifying compiles the entries but builds no CSR
-        assert "_csr" not in vars(nf)
-        oracle = _stacked_product_apply(nf)
+        assert "_csr" not in vars(liouv)
+        oracle = _stacked_product_apply(liouv)
         for rho in (random_density(dim, rng), general):
             out = liouv.apply(rho)
             assert out.shape == (dim, dim) and out.flags.c_contiguous
-            assert np.abs(out - oracle(rho)).max() <= 1e-14 * np.abs(nf.k).max(), \
+            assert np.abs(out - oracle(rho)).max() <= 1e-14 * np.abs(liouv.k).max(), \
                 liouv.kind
 
 
@@ -763,10 +773,9 @@ def test_compact_entries_scatter_to_the_flat_scatter_bit_for_bit(dim):
     every kind; its jump term holds no d^4 index array."""
     cfg = HilbertConfig(dim=dim)
     for liouv in _generators_of_every_kind(cfg):
-        nf = liouv.normal_form
         assert np.array_equal(_bits(superoperator_matrix(liouv)),
-                              _bits(_flat_scatter(nf))), liouv.kind
-        (j, i, l, k), block = nf.entries[0]
+                              _bits(_flat_scatter(liouv))), liouv.kind
+        (j, i, l, k), block = liouv.entries[0]
         m = block.shape[0]
         assert block.shape == (m, m)
         assert all(a.size == m for a in (j, i, l, k))
@@ -784,8 +793,7 @@ def test_apply_is_the_constructor_csr_matvec_bit_for_bit(dim, rng):
     inputs = (random_density(dim, rng), general, np.asfortranarray(general),
               general.real.copy())
     for liouv in _generators_of_every_kind(cfg):
-        nf = liouv.normal_form
-        oracle = _constructor_csr(nf)
+        oracle = _constructor_csr(liouv)
         for rho in inputs:
             before = rho.copy(order="K")
             out = liouv.apply(rho)
@@ -797,13 +805,40 @@ def test_apply_is_the_constructor_csr_matvec_bit_for_bit(dim, rng):
             assert np.array_equal(_bits(rho), _bits(before))
         # row k of the sector-ordered CSR is the constructor's row order[k],
         # its entries in the constructor's order, with sector column labels
-        indptr, indices, data, _ = nf._csr
-        order, _ = sector_order(dim)
+        indptr, indices, data, _ = liouv._csr
+        order, _, _ = sector_order(dim)
         assert np.array_equal(np.diff(indptr), np.diff(oracle.indptr)[order])
         take = np.concatenate([np.arange(oracle.indptr[row], oracle.indptr[row + 1])
                                for row in order])
         assert np.array_equal(order[indices], oracle.indices[take])
         assert np.array_equal(_bits(data), _bits(oracle.data[take]))
+
+
+def test_sector_order_is_the_checkerboard_permutation():
+    """sector_order(d)'s order is the stable sort by the parity of i + j of
+    Fortran-order vec(rho) as well as of row-major vec(rho), position is its
+    inverse, and neither can be written."""
+    for dim in range(2, 50):
+        order, position, n_even = sector_order(dim)
+        j, i = np.divmod(np.arange(dim * dim), dim)  # Fortran order
+        assert np.array_equal(order, np.argsort((i + j) % 2, kind="stable"))
+        assert np.array_equal(position[order], np.arange(dim * dim))
+        assert n_even == np.count_nonzero((i + j) % 2 == 0)
+        for a in (order, position):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+
+def test_replace_compiles_a_fresh_csr():
+    """dataclasses.replace on a compiled generator gives one that compiles
+    its own entries and CSR from its own fields."""
+    liouv = _all_generators(HilbertConfig(dim=6), 1.0)[1]
+    rho = np.eye(6, dtype=complex) / 6
+    before = liouv.apply(rho)  # compiles liouv's CSR
+    twice = dataclasses.replace(liouv, k=2.0 * liouv.k, weights=2.0 * liouv.weights)
+    assert "entries" not in vars(twice) and "_csr" not in vars(twice)
+    assert np.array_equal(twice.apply(rho), 2.0 * before)
+    assert np.array_equal(twice._csr[2], 2.0 * liouv._csr[2])
 
 
 def test_apply_refuses_a_state_of_the_wrong_size():
@@ -825,7 +860,7 @@ def test_superoperator_two_level_spectrum():
     def apply(rho):
         return -1j / cfg2.hbar * (ham @ rho - rho @ ham)
 
-    liouv = Liouvillian(cfg2, "two_level", apply)
+    liouv = CallableGenerator(cfg2, apply)
     eig = np.linalg.eigvals(superoperator_matrix(liouv))
     eig = eig[np.argsort(eig.imag)]
     expected = np.array([-1j * gap, 0.0, 0.0, 1j * gap])

@@ -41,6 +41,15 @@ def test_config_validation():
         HilbertConfig(dim=8, omega_basis=-2.0)
 
 
+@pytest.mark.parametrize("dim", [2.5, 6.0, True, "6"])
+def test_dim_must_be_an_integer(dim):
+    """A non-integer dim would build operators of another size, or fail
+    later; it is refused by name.  numpy integers are integers."""
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        HilbertConfig(dim=dim)
+    assert HilbertConfig(dim=np.int64(6)).dim == 6
+
+
 def test_two_level_matrices():
     # smallest admissible space, unit scales: all entries known in closed form
     cfg = HilbertConfig(dim=2)
@@ -201,6 +210,16 @@ def test_thermal_state_occupation():
     assert np.abs(thermal_state(CFG, 0.0) - vacuum_state(CFG)).max() < 1e-15
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: thermal_state(CFG, np.nan), "nbar"),
+    (lambda: thermal_state(CFG, np.inf), "nbar"),
+    (lambda: number_state(CFG, 1.5), "level must be an integer"),
+], ids=["thermal-nan", "thermal-inf", "number-fractional"])
+def test_state_constructors_refuse_what_they_cannot_build(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_validate_density_matrix_rejections():
     good = vacuum_state(CFG)
     validate_density_matrix(good)
@@ -215,6 +234,10 @@ def test_validate_density_matrix_rejections():
         validate_density_matrix(neg)
     with pytest.raises(ValueError):
         validate_density_matrix(np.eye(3, 4))
+    # any array-like is read as an array
+    validate_density_matrix(good.tolist())
+    with pytest.raises(ValueError, match="not Hermitian"):
+        validate_density_matrix(bad.tolist())
 
 
 def test_scalar_helpers():

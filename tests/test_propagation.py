@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import qbmlab.propagation as propagation
-from conftest import random_density
+from conftest import CallableGenerator, random_density
 from qbmlab import (
     BILINEAR,
     BOLTZMANN_COLLISION,
@@ -23,7 +23,6 @@ from qbmlab import (
     DegenerateStationaryState,
     HilbertConfig,
     IntegratorConfig,
-    Liouvillian,
     LiouvillianSpec,
     NumericalFailure,
     TMatrixModel,
@@ -45,6 +44,7 @@ from qbmlab import (
     vacuum_state,
     variance,
 )
+from qbmlab.liouvillians import sector_order
 
 CFG = HilbertConfig(dim=16)
 
@@ -254,10 +254,10 @@ def test_adaptive_first_same_as_last(monkeypatch, dt_init, rtol, atol):
 
         def counted(rho):
             count[0] += 1
-            return liouv(rho)
+            return liouv.apply(rho)
 
         records.append(propagate(coherent_state(cfg, 1.0),
-                                 Liouvillian(cfg, "counted", counted), icfg))
+                                 CallableGenerator(cfg, counted), icfg))
         calls.append(count[0])
     fsal, reference = records
     attempts = fsal.accepted_steps + fsal.rejected_steps
@@ -514,7 +514,7 @@ def test_positivity_breach_none_for_healthy_run():
 
 def test_unstable_generator_raises():
     cfg = HilbertConfig(dim=4)
-    blowup = Liouvillian(cfg, "runaway", lambda rho: 1e80 * rho)
+    blowup = CallableGenerator(cfg, lambda rho: 1e80 * rho)
     with pytest.raises(NumericalFailure):
         propagate(vacuum_state(cfg), blowup,
                   IntegratorConfig(t_final=1.0, dt=0.5, monitor_stride=1))
@@ -522,7 +522,7 @@ def test_unstable_generator_raises():
 
 def test_adaptive_step_underflow_raises():
     cfg = HilbertConfig(dim=4)
-    nan_gen = Liouvillian(cfg, "invalid", lambda rho: np.full_like(rho, np.nan))
+    nan_gen = CallableGenerator(cfg, lambda rho: np.full_like(rho, np.nan))
     with pytest.raises(NumericalFailure):
         propagate(vacuum_state(cfg), nan_gen, IntegratorConfig(
             method=RK45_ADAPTIVE, t_final=1.0, dt_init=1e-4, monitor_stride=1))
@@ -541,13 +541,25 @@ def test_initial_state_dimension_must_match_generator():
 
     def counted(rho):
         calls[0] += 1
-        return liouv(rho)
+        return liouv.apply(rho)
 
     small = vacuum_state(HilbertConfig(dim=CFG.dim - 2))
     with pytest.raises(ValueError, match=r"\(14, 14\).*dim 16"):
-        propagate(small, Liouvillian(CFG, "counted", counted),
+        propagate(small, CallableGenerator(CFG, counted),
                   IntegratorConfig(t_final=1.0, dt=1e-3))
     assert calls == [0]
+
+
+def test_array_like_initial_state():
+    """A nested-list rho0 is validated and integrated as its array."""
+    liouv = _damped_oscillator(CFG)
+    rho0 = coherent_state(CFG, 0.5)
+    icfg = IntegratorConfig(t_final=0.05, dt=1e-2)
+    record = propagate(rho0.tolist(), liouv, icfg)
+    reference = propagate(rho0, liouv, icfg)
+    for field in dataclasses.fields(TrajectoryRecord):
+        assert np.array_equal(getattr(record, field.name),
+                              getattr(reference, field.name)), field.name
 
 
 def test_stationary_state_of_damped_oscillator():
@@ -895,7 +907,7 @@ def test_band_comes_from_the_zero_pattern():
     cfg = HilbertConfig(dim=14)
     liouv = _stationary_generator(MINIMAL_QBM, 14, beta=2.0, d_pp=0.3, fugacity_z=0.8,
                                   omega_trap=1.1, d_xp=None, cp_margin=None, q_max=None)
-    probed = superoperator_matrix(Liouvillian(cfg, "probed", liouv.apply))
+    probed = superoperator_matrix(CallableGenerator(cfg, liouv.apply))
     assert np.array_equal(probed != 0, superoperator_matrix(liouv) != 0)
     assert _banded(probed) is not None
     collision = superoperator_matrix(_stationary_generator(
@@ -910,7 +922,7 @@ def test_band_comes_from_the_zero_pattern():
 def _nonfinite_cases():
     dim = 12
     n = dim * dim
-    last = int(propagation._checkerboard(dim)[0][-1])
+    last = int(sector_order(dim)[0][-1])
     # far outside the band: in the last row of the checkerboard order, which
     # the scan reads first, and in rows it reads only in the full count
     for row, col in [(last, 0), (1, n - 1), (n - 1, 1)]:
@@ -947,7 +959,7 @@ def test_negative_zero_entries_count_as_zero():
         MINIMAL_QBM, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8, omega_trap=1.1,
         d_xp=None, cp_margin=None, q_max=None))
     signed = l_matrix.copy()
-    last = int(propagation._checkerboard(dim)[0][-1])
+    last = int(sector_order(dim)[0][-1])
     for row, col in [(last, 0), (1, n - 1), (n - 1, 1)]:
         signed[row, col] = complex(-0.0, -0.0)
     signed[2, n - 2] = complex(0.0, -0.0)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qbmlab.propagation as propagation
+from conftest import CallableGenerator
 from qbmlab import (
     BILINEAR,
     BOLTZMANN_COLLISION,
@@ -44,7 +45,7 @@ from qbmlab import (
     thermal_state,
     validate_density_matrix,
 )
-from qbmlab.liouvillians import NormalForm, sector_order
+from qbmlab.liouvillians import sector_order
 
 
 def _parent_rk4(rho, apply_fn, icfg, sampler):
@@ -183,18 +184,18 @@ def test_sector_path_matches_the_full_state_oracle(monkeypatch, name, method):
     the even sector alone; coherent states, and every state under the
     parity-mixing collision generator, the whole vector."""
     sizes = []
-    matvec = NormalForm.matvec
+    matvec = Liouvillian.matvec
 
     def spy(self, vec):
         sizes.append(vec.size)
         return matvec(self, vec)
 
-    monkeypatch.setattr(NormalForm, "matvec", spy)
+    monkeypatch.setattr(Liouvillian, "matvec", spy)
     dims = _COLLISION_DIMS if name == "collision" else _BILINEAR_DIMS
     for dim in dims:
         cfg = HilbertConfig(dim=dim)
         liouv = _generator(name, cfg)
-        _, n_even = sector_order(dim)
+        _, _, n_even = sector_order(dim)
         for state_name, rho0 in _states(cfg).items():
             for stride in (1, 3, 10):
                 icfg = _icfg(method, stride)
@@ -210,8 +211,8 @@ def test_sector_path_matches_the_full_state_oracle(monkeypatch, name, method):
 @pytest.mark.parametrize("method", [RK4_FIXED, RK45_ADAPTIVE])
 @pytest.mark.parametrize("dim", [7, 40])
 def test_custom_callable_matches_the_full_state_oracle(monkeypatch, method, dim):
-    """A Liouvillian from a custom callable carries no normal form, so it is
-    integrated on (d, d) arrays through its apply, bit for bit as before."""
+    """A generator that is not a Liouvillian, cfg and apply alone, steps all
+    d^2 entries through its apply on (d, d) views, bit for bit as before."""
     cfg = HilbertConfig(dim=dim)
     inner = _generator("minimal_double", cfg)
     shapes = []
@@ -220,7 +221,7 @@ def test_custom_callable_matches_the_full_state_oracle(monkeypatch, method, dim)
         shapes.append(rho.shape)
         return inner.apply(rho)
 
-    liouv = Liouvillian(cfg, "custom", custom)
+    liouv = CallableGenerator(cfg, custom)
     for state_name, rho0 in _states(cfg).items():
         for stride in (1, 3, 10):
             icfg = _icfg(method, stride)
@@ -254,8 +255,8 @@ def _couples_sectors(matrix, cfg):
     return bool(np.any(matrix[np.ix_(odd, ~odd)]) or np.any(matrix[np.ix_(~odd, odd)]))
 
 
-def _csr_couples_sectors(nf, n_even):
-    indptr, indices, _, _ = nf._csr
+def _csr_couples_sectors(liouv, n_even):
+    indptr, indices, _, _ = liouv._csr
     split = indptr[n_even]
     return bool((indices[:split] >= n_even).any() or (indices[split:] < n_even).any())
 
@@ -281,10 +282,10 @@ def test_bilinear_family_keeps_the_parity_of_i_plus_j(name, hamiltonian_kind, ga
     liouv = build_liouvillian(cfg, LiouvillianSpec(
         hamiltonian_kind=hamiltonian_kind,
         omega_trap=0.9 if hamiltonian_kind == "harmonic" else None, **fields))
-    _, n_even = sector_order(dim)
+    _, _, n_even = sector_order(dim)
     assert not _couples_sectors(superoperator_matrix(liouv), cfg)
-    assert not _csr_couples_sectors(liouv.normal_form, n_even)
-    assert liouv.normal_form.closed_length == n_even
+    assert not _csr_couples_sectors(liouv, n_even)
+    assert liouv.closed_length == n_even
 
 
 @pytest.mark.parametrize("hamiltonian_kind", ["free", "harmonic"])
@@ -293,28 +294,28 @@ def test_collision_generator_mixes_the_sectors(hamiltonian_kind):
     all d^2 entries; with no jump left (zero fugacity) K alone keeps it."""
     cfg = HilbertConfig(dim=8)
     liouv = _generator("collision", cfg, hamiltonian_kind)
-    _, n_even = sector_order(cfg.dim)
+    _, _, n_even = sector_order(cfg.dim)
     assert _couples_sectors(superoperator_matrix(liouv), cfg)
-    assert _csr_couples_sectors(liouv.normal_form, n_even)
-    assert liouv.normal_form.closed_length == cfg.dim ** 2
+    assert _csr_couples_sectors(liouv, n_even)
+    assert liouv.closed_length == cfg.dim ** 2
     closed = build_liouvillian(cfg, LiouvillianSpec(
         hamiltonian_kind=hamiltonian_kind,
         omega_trap=1.1 if hamiltonian_kind == "harmonic" else None,
         **_collision(fugacity_z=0.0)))
-    assert closed.normal_form.closed_length == n_even
+    assert closed.closed_length == n_even
 
 
 def test_a_non_finite_entry_keeps_the_whole_vector():
     """A non-finite entry of L would turn the full state's odd zeros into
     NaN, so a generator with one integrates the whole vector."""
     cfg = HilbertConfig(dim=6)
-    nf = _generator("bilinear", cfg).normal_form
-    jumps = nf.jumps.copy()
+    liouv = _generator("bilinear", cfg)
+    jumps = liouv.jumps.copy()
     jumps[0, 1, 0] = np.inf
-    broken = NormalForm(k=nf.k, weights=nf.weights, jumps=jumps)
+    broken = dataclasses.replace(liouv, jumps=jumps)
     with np.errstate(invalid="ignore"):  # inf * 0 in the jump products
         broken._csr
-    assert nf.closed_length == sector_order(cfg.dim)[1]
+    assert liouv.closed_length == sector_order(cfg.dim)[2]
     assert broken.closed_length == cfg.dim ** 2
 
 
@@ -348,10 +349,10 @@ def test_matvec_refuses_a_length_the_kernel_would_overrun():
     length: matvec takes all d^2 entries or the closed block, nothing else,
     so the even sector alone is refused where L mixes the sectors."""
     cfg = HilbertConfig(dim=6)
-    _, n_even = sector_order(cfg.dim)
-    mixing = _generator("collision", cfg).normal_form
-    keeping = _generator("bilinear", cfg).normal_form
+    _, _, n_even = sector_order(cfg.dim)
+    mixing = _generator("collision", cfg)
+    keeping = _generator("bilinear", cfg)
     assert keeping.matvec(np.ones(n_even, dtype=complex)).shape == (n_even,)
-    for nf, size in ((mixing, n_even), (keeping, n_even - 1), (keeping, 37)):
+    for liouv, size in ((mixing, n_even), (keeping, n_even - 1), (keeping, 37)):
         with pytest.raises(ValueError, match="does not match"):
-            nf.matvec(np.ones(size, dtype=complex))
+            liouv.matvec(np.ones(size, dtype=complex))
