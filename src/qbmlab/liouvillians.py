@@ -21,10 +21,12 @@ into one Lindblad normal form
     L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag,
 
 and the Liouvillian it returns is that normal form: one frozen object that
-holds K, the weights s_k and the jumps J_k as data.  It is compiled once
-more, into the entries of its superoperator, one compact (positions,
-values) pair per term: the jump term is the positions where any J_k is
-nonzero and the block of their weighted products, never a d^4 index list.
+holds K, the weights s_k and the jumps J_k as read-only data.  A
+bilinear-family generator is compiled once per basis and spec, and equal
+(cfg, spec) pairs share it.  It is compiled once more, into the entries
+of its superoperator, one compact (positions, values) pair per term: the
+jump term is the positions where any J_k is nonzero and the block of
+their weighted products, never a d^4 index list.
 superoperator_matrix adds the entries into the dense matrix.  apply
 compiles them, on its first call, into CSR arrays by scipy's own kernels,
 in sector order (i + j even first), and is then one direct call of scipy's
@@ -96,13 +98,17 @@ SINGLE_GENERATOR = "single_generator"
 _COLLISION_EXPONENT_CAP = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollisionParameters:
     """Gas and quadrature data for the collision generator.
 
     q_nodes/q_weights discretize the radial momentum-transfer integral on
     (0, q_max]; the weights carry the 3D radial measure q^2, as produced by
     radial_grid().  The generator sums each node with both signs of q.
+    Both are kept as read-only copies, so the caller's arrays can change
+    without changing parameters already checked.  Two sets are equal when
+    every field is, the arrays by value; the arrays have no value hash, so
+    the class has none.
     """
 
     gas_mass: float
@@ -114,8 +120,10 @@ class CollisionParameters:
     q_max: float
 
     def __post_init__(self):
-        object.__setattr__(self, "q_nodes", np.asarray(self.q_nodes, dtype=float))
-        object.__setattr__(self, "q_weights", np.asarray(self.q_weights, dtype=float))
+        for name in ("q_nodes", "q_weights"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         if not self.gas_mass > 0 or not self.beta > 0:
             raise ValueError("gas_mass and beta must be positive")
         if not self.fugacity_z >= 0:
@@ -128,6 +136,14 @@ class CollisionParameters:
             raise ValueError("q_nodes must lie in (0, q_max]")
         if np.any(self.q_weights <= 0):
             raise ValueError("q_weights must be positive")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        scalars = ("gas_mass", "beta", "fugacity_z", "tmatrix", "q_max")
+        return (all(getattr(self, name) == getattr(other, name) for name in scalars)
+                and np.array_equal(self.q_nodes, other.q_nodes)
+                and np.array_equal(self.q_weights, other.q_weights))
 
 
 def radial_grid(q_max: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,7 +232,9 @@ class Liouvillian:
     even sector of every bilinear-family generator; propagate integrates
     that vector.  apply takes and returns rho in its natural layout.  The
     compiled entries and CSR belong to the instance: dataclasses.replace
-    gives a generator that compiles its own.
+    gives a generator that compiles its own.  build_liouvillian hands k,
+    weights and jumps over read-only, since it may hand the same instance
+    to every caller of an equal spec.
     """
 
     cfg: HilbertConfig
@@ -522,13 +540,31 @@ def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     """Compile the generator spec names: the one way to build a generator.
 
     The spec has validated itself; the compile function of spec.kind
-    returns K, the jumps (s_k, J_k) and the physics to attach.
+    returns K, the jumps (s_k, J_k) and the physics to attach, and k,
+    weights and jumps are handed over read-only.
+
+    A bilinear-family generator is compiled once per basis and spec: a
+    bounded cache of the 16 latest hands equal (cfg, spec) pairs the same
+    Liouvillian, so its entries and CSR are compiled once per run too.  A
+    compile that raises is not cached.  A collision spec is compiled on
+    every call: its q-grid arrays have no value hash, and its generator
+    holds d^4 values.
     """
+    if spec.kind == BOLTZMANN_COLLISION:
+        return _compile(cfg, spec)
+    return _cached_compile(cfg, spec)
+
+
+def _compile(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     k, jumps, attrs = _COMPILERS[spec.kind](cfg, spec)
-    return Liouvillian(
-        cfg, spec.kind, k, weights=np.array([s for s, _ in jumps], dtype=float),
-        jumps=np.array([j for _, j in jumps], dtype=complex).reshape(-1, cfg.dim, cfg.dim),
-        **attrs)
+    weights = np.array([s for s, _ in jumps], dtype=float)
+    jumps = np.array([j for _, j in jumps], dtype=complex).reshape(-1, cfg.dim, cfg.dim)
+    for a in (k, weights, jumps):
+        a.flags.writeable = False
+    return Liouvillian(cfg, spec.kind, k, weights, jumps, **attrs)
+
+
+_cached_compile = functools.lru_cache(maxsize=16)(_compile)
 
 
 def superoperator_matrix(liouv) -> np.ndarray:

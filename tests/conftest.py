@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from qbmlab import HilbertConfig
+from qbmlab.liouvillians import _cached_compile
+
+
+@pytest.fixture(autouse=True)
+def cold_compile_cache():
+    """Each test starts without compiled generators, so what it checks about
+    a compile (which caches exist, what it raises) is its own."""
+    _cached_compile.cache_clear()
 
 
 @pytest.fixture

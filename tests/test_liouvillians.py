@@ -35,7 +35,8 @@ from qbmlab import (
     s_mb,
     superoperator_matrix,
 )
-from qbmlab.liouvillians import sector_order
+from qbmlab import liouvillians
+from qbmlab.liouvillians import _cached_compile, sector_order
 from qbmlab.microcoeffs import thermal_kernel
 
 CFG = HilbertConfig(dim=12)
@@ -839,6 +840,113 @@ def test_replace_compiles_a_fresh_csr():
     assert "entries" not in vars(twice) and "_csr" not in vars(twice)
     assert np.array_equal(twice.apply(rho), 2.0 * before)
     assert np.array_equal(twice._csr[2], 2.0 * liouv._csr[2])
+    # the compiled generator is untouched and still the one its spec gets
+    assert _all_generators(HilbertConfig(dim=6), 1.0)[1] is liouv
+    assert np.array_equal(liouv.apply(rho), before)
+
+
+def _minimal_spec(d_pp, omega_trap=1.1):
+    return LiouvillianSpec(kind=MINIMAL_QBM, beta=2.0, hamiltonian_kind="harmonic",
+                           omega_trap=omega_trap,
+                           coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=0.8))
+
+
+def test_bilinear_family_is_compiled_once_per_basis_and_spec():
+    """Equal (cfg, spec) pairs, each built afresh, get the same generator,
+    whose CSR is compiled once; another spec or basis gets its own.  A
+    collision spec is compiled on every call and never enters the cache."""
+    cfg = HilbertConfig(dim=6)
+    first = _all_generators(cfg, 1.0)
+    first[2].apply(np.eye(6, dtype=complex))
+    again = _all_generators(HilbertConfig(dim=6), 1.0)
+    for old, new in zip(first[:3], again[:3]):
+        assert new is old
+    assert "_csr" in vars(again[2])
+    assert again[3] is not first[3] and again[3].collision == first[3].collision
+    assert np.array_equal(again[3].jumps, first[3].jumps)
+    assert _cached_compile.cache_info().currsize == 3
+    base = build_liouvillian(cfg, _minimal_spec(0.4))
+    for other in (build_liouvillian(cfg, _minimal_spec(0.5)),
+                  build_liouvillian(cfg, _minimal_spec(0.4, omega_trap=1.2)),
+                  build_liouvillian(HilbertConfig(dim=7), _minimal_spec(0.4)),
+                  build_liouvillian(HilbertConfig(dim=6, mass=2.0), _minimal_spec(0.4))):
+        assert other is not base
+    assert build_liouvillian(cfg, _minimal_spec(0.4)) is base
+
+
+def test_compiled_generators_cannot_be_written():
+    """A generator the cache may hand out again refuses in-place writes to
+    its k, weights and jumps, for every kind."""
+    for liouv in _all_generators(HilbertConfig(dim=5), 1.0):
+        for name in ("k", "weights", "jumps"):
+            values = getattr(liouv, name)
+            with pytest.raises(ValueError, match="read-only"):
+                values[...] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                values *= 2.0
+
+
+def test_compile_cache_is_bounded():
+    cfg = HilbertConfig(dim=3)
+    for i in range(40):
+        build_liouvillian(cfg, _minimal_spec(0.1 + 0.01 * i))
+        assert _cached_compile.cache_info().currsize <= 16
+    info = _cached_compile.cache_info()
+    assert info.currsize == 16 and info.misses == 40 and info.hits == 0
+
+
+def test_a_compile_that_raises_is_not_cached(monkeypatch):
+    """A failed compile leaves nothing behind: the same spec compiles again,
+    and fails or succeeds on its own."""
+    cfg = HilbertConfig(dim=4)
+    negative_trap = _minimal_spec(0.4, omega_trap=-1.0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="omega_trap must be positive"):
+            build_liouvillian(cfg, negative_trap)
+    spec = _minimal_spec(0.4)
+
+    def failing(cfg, spec):
+        raise ArithmeticError("compile failed")
+
+    monkeypatch.setitem(liouvillians._COMPILERS, MINIMAL_QBM, failing)
+    with pytest.raises(ArithmeticError, match="compile failed"):
+        build_liouvillian(cfg, spec)
+    assert _cached_compile.cache_info().currsize == 0
+    monkeypatch.undo()
+    liouv = build_liouvillian(cfg, spec)
+    assert liouv.kind == MINIMAL_QBM and build_liouvillian(cfg, spec) is liouv
+    assert _cached_compile.cache_info().currsize == 1
+
+
+def test_collision_parameters_compare_by_value_and_keep_their_own_arrays():
+    """Two parameter sets with equal values are equal, and so are specs that
+    hold them, whatever arrays the caller passed; the sets keep read-only
+    copies of the q grid and have no hash."""
+    nodes, weights = radial_grid(0.5, 8)
+    params = CollisionParameters(gas_mass=1.0, beta=2.0, fugacity_z=0.8, tmatrix=TMAT,
+                                 q_nodes=nodes, q_weights=weights, q_max=0.5)
+    twin = CollisionParameters(gas_mass=1.0, beta=2.0, fugacity_z=0.8, tmatrix=TMAT,
+                               q_nodes=nodes.copy(), q_weights=list(weights), q_max=0.5)
+    assert params == twin and not params != twin and params != "params"
+    spec = LiouvillianSpec(kind=BOLTZMANN_COLLISION, collision=params)
+    assert spec == LiouvillianSpec(kind=BOLTZMANN_COLLISION, collision=twin)
+    assert spec != LiouvillianSpec(kind=BOLTZMANN_COLLISION,
+                                   collision=dataclasses.replace(twin, beta=2.5))
+    nodes[0] *= 0.5
+    assert params.q_nodes[0] == 2.0 * nodes[0]
+    assert params != dataclasses.replace(params, q_nodes=nodes)
+    for values in (params.q_nodes, params.q_weights):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+    for unhashable in (params, spec):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(unhashable)
+    cfg = HilbertConfig(dim=5)
+    first = build_liouvillian(cfg, spec)
+    second = build_liouvillian(cfg, LiouvillianSpec(kind=BOLTZMANN_COLLISION,
+                                                    collision=twin))
+    assert second is not first and np.array_equal(second.k, first.k)
+    assert _cached_compile.cache_info().currsize == 0
 
 
 def test_apply_refuses_a_state_of_the_wrong_size():

@@ -41,6 +41,15 @@ def test_config_validation():
         HilbertConfig(dim=8, omega_basis=-2.0)
 
 
+@pytest.mark.parametrize("name", ["hbar", "mass", "omega_basis"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
+def test_config_refuses_non_finite_constants(name, value):
+    """A non-finite constant would build inf and nan matrix entries; it is
+    refused by name, as a non-positive one is."""
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        HilbertConfig(dim=4, **{name: value})
+
+
 @pytest.mark.parametrize("dim", [2.5, 6.0, True, "6"])
 def test_dim_must_be_an_integer(dim):
     """A non-integer dim would build operators of another size, or fail
@@ -214,7 +223,13 @@ def test_thermal_state_occupation():
     (lambda: thermal_state(CFG, np.nan), "nbar"),
     (lambda: thermal_state(CFG, np.inf), "nbar"),
     (lambda: number_state(CFG, 1.5), "level must be an integer"),
-], ids=["thermal-nan", "thermal-inf", "number-fractional"])
+    (lambda: coherent_state(CFG, complex("nan")), "alpha must be finite"),
+    (lambda: coherent_state(CFG, complex(0.5, np.inf)), "alpha must be finite"),
+    (lambda: squeezed_state(CFG, np.inf), "r must be finite"),
+    (lambda: squeezed_state(CFG, np.nan), "r must be finite"),
+    (lambda: squeezed_state(CFG, 0.5, complex(np.nan, 0.0)), "alpha must be finite"),
+], ids=["thermal-nan", "thermal-inf", "number-fractional", "coherent-nan",
+        "coherent-inf", "squeezed-inf", "squeezed-nan", "squeezed-alpha-nan"])
 def test_state_constructors_refuse_what_they_cannot_build(build, match):
     with pytest.raises(ValueError, match=match):
         build()
@@ -279,6 +294,101 @@ def test_min_eigenvalue_matches_scipy_driver(dim):
             assert np.array_equal(case, before)
 
 
+def _whole_matrix_min_eigenvalue(rho):
+    """The oracle for the parity split: heevr's smallest eigenvalue of the
+    whole symmetrized matrix, as min_eigenvalue computed it for every matrix
+    before it split those of definite parity."""
+    sym = 0.5 * (rho + rho.conj().T)
+    routine = scipy.linalg.get_lapack_funcs(
+        "heevr" if np.iscomplexobj(rho) else "syevr", dtype=rho.dtype)
+    w, _, _, _, info = routine(sym.T, compute_v=0, range="I", il=1, iu=1)
+    assert info == 0
+    return float(w[0])
+
+
+def _parity_definite(dim, rng, kind, real):
+    """A Hermitian dim x dim matrix with no entry of i + j odd: a general
+    one, or a density matrix pushed a little negative, as the
+    Caldeira-Leggett generator pushes a squeezed state."""
+    a = rng.normal(size=(dim, dim))
+    if not real:
+        a = a + 1j * rng.normal(size=(dim, dim))
+    if kind == "hermitian":
+        rho = 0.5 * (a + a.conj().T)
+    else:
+        rho = a @ a.conj().T
+        rho = rho / np.trace(rho).real
+        noise = rng.normal(size=(dim, dim))
+        rho = rho + 1e-3 * (noise + noise.T)
+    i, j = np.indices((dim, dim))
+    rho[(i + j) % 2 == 1] = 0.0
+    return rho
+
+
+def _heevr_shapes(monkeypatch):
+    """The shapes of the matrices min_eigenvalue hands LAPACK, in order."""
+    from qbmlab import operators
+
+    shapes, lookup = [], operators._smallest_eigenvalue_routine
+
+    def recording(dtype):
+        routine = lookup(dtype)
+
+        def call(a, **kwargs):
+            shapes.append(a.shape)
+            return routine(a, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(operators, "_smallest_eigenvalue_routine", recording)
+    return shapes
+
+
+@given(dim=st.integers(min_value=2, max_value=49),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       kind=st.sampled_from(["hermitian", "breached_density"]),
+       real=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_parity_split_matches_the_whole_matrix_oracle(dim, seed, kind, real):
+    """A matrix of definite parity takes its smallest eigenvalue from its
+    even-n and odd-n blocks, within 1e-14 max(|lambda|, 1) of heevr on the
+    whole matrix, negative eigenvalues included; the input is left as it
+    was."""
+    rho = _parity_definite(dim, np.random.default_rng(seed), kind, real)
+    before = rho.copy()
+    scale = max(np.abs(np.linalg.eigvalsh(rho)).max(), 1.0)
+    low = min_eigenvalue(rho)
+    assert abs(low - _whole_matrix_min_eigenvalue(rho)) <= 1e-14 * scale
+    assert np.array_equal(rho, before)
+
+
+@pytest.mark.parametrize("dim", [2, 7, 40])
+def test_only_exact_zeros_split_the_matrix(monkeypatch, dim):
+    """Odd entries of -0.0 still split the matrix into its two blocks; a
+    single odd entry of 1e-300, in either odd quadrant, sends it whole to
+    LAPACK, as does a state of no definite parity."""
+    rho = _parity_definite(dim, np.random.default_rng(dim), "breached_density", False)
+    half = ((dim + 1) // 2,) * 2, (dim // 2,) * 2
+    shapes = _heevr_shapes(monkeypatch)
+    negative_zero = rho.copy()
+    i, j = np.indices((dim, dim))
+    negative_zero[(i + j) % 2 == 1] = complex(-0.0, -0.0)
+    for split in (rho, negative_zero, thermal_state(HilbertConfig(dim=dim), 0.5)):
+        shapes.clear()
+        low = min_eigenvalue(split)
+        assert shapes == list(half)
+        assert low == min_eigenvalue(split.copy())
+    for row, col in ((0, 1), (dim - 1, dim - 2), (dim - 2, dim - 1)):
+        tiny = rho.copy()
+        tiny[row, col] = 1e-300
+        shapes.clear()
+        assert min_eigenvalue(tiny) == _whole_matrix_min_eigenvalue(tiny)
+        assert shapes == [(dim, dim)]
+    shapes.clear()
+    min_eigenvalue(coherent_state(HilbertConfig(dim=dim), 0.3 + 0.2j))
+    assert shapes == [(dim, dim)]
+
+
 def test_min_eigenvalue_rejects_non_finite():
     rho = vacuum_state(HilbertConfig(dim=4))
     for bad in (np.nan, np.inf, complex(0.0, np.inf)):
@@ -301,16 +411,21 @@ def test_min_eigenvalue_refuses_an_overflowing_symmetrization():
 def test_min_eigenvalue_looks_its_lapack_routine_up_once_per_dtype():
     from qbmlab.operators import _smallest_eigenvalue_routine
 
-    rho = thermal_state(HilbertConfig(dim=6), 0.5)
-    min_eigenvalue(rho)
-    min_eigenvalue(rho.real.copy())
-    before = _smallest_eigenvalue_routine.cache_info()
-    for _ in range(3):
+    # one LAPACK call for a state of no definite parity, one per block for
+    # a state of definite parity
+    cfg = HilbertConfig(dim=6)
+    states = (coherent_state(cfg, 0.5), thermal_state(cfg, 0.5))
+    for rho in states:
         min_eigenvalue(rho)
         min_eigenvalue(rho.real.copy())
+    before = _smallest_eigenvalue_routine.cache_info()
+    for _ in range(3):
+        for rho in states:
+            min_eigenvalue(rho)
+            min_eigenvalue(rho.real.copy())
     after = _smallest_eigenvalue_routine.cache_info()
-    assert after.misses == before.misses and after.hits == before.hits + 6
-    assert _smallest_eigenvalue_routine(rho.dtype).typecode == "z"
+    assert after.misses == before.misses and after.hits == before.hits + 6 + 12
+    assert _smallest_eigenvalue_routine(np.dtype(complex)).typecode == "z"
     assert _smallest_eigenvalue_routine(np.dtype(float)).typecode == "d"
 
 
