@@ -13,7 +13,8 @@ checks its own fields on construction, into one of four kinds of generator:
   operator at rate 2 z gamma);
 * gas-collision generator built from exponential shift/weight sandwiches over
   a signed momentum-transfer quadrature grid, all taken from one
-  eigendecomposition of x and one of p.
+  eigendecomposition of x and one of p, and compiled as jumps of definite
+  parity.
 
 The compile function of each kind turns its physics, once, at build time,
 into one Lindblad normal form
@@ -26,7 +27,9 @@ bilinear-family generator is compiled once per basis and spec, and equal
 (cfg, spec) pairs share it.  It is compiled once more, into the entries
 of its superoperator, one compact (positions, values) pair per term: the
 jump term is the positions where any J_k is nonzero and the block of
-their weighted products, never a d^4 index list.
+their weighted products, never a d^4 index list, and it is one such
+block per parity class of positions (i + k even or odd) when every J_k
+is nonzero in one class alone.
 superoperator_matrix adds the entries into the dense matrix.  apply
 compiles them, on its first call, into CSR arrays by scipy's own kernels,
 in sector order (i + j even first), and is then one direct call of scipy's
@@ -57,13 +60,18 @@ saturates the bound, so its C has rank one and it has a single jump.
 
 Trace and Hermiticity are preserved, and never renormalized: tr L[rho] =
 tr((K + K^dag + sum_k s_k J_k^dag J_k) rho), and that operator sum cancels
-identically as a sum of products of the same truncated matrices (for the
-collision generator, up to the unitarity of the computed momentum shift
-V_x e^{i theta} V_x^dag and of p's computed eigenvectors V_p, on which
-both G(q)^2 in K and each J_k^dag J_k rest), so the trace is annihilated
-at any truncation up to round-off.  With real weights the two K terms are
-each other's adjoints and every sandwich is self-adjoint, so Hermitian rho
-maps to Hermitian L[rho].
+identically as a sum of products of the same truncated matrices (the
+collision generator's K is formed from its own jumps to keep it so), so
+the trace is annihilated at any truncation up to round-off.  With real
+weights the two K terms are each other's adjoints and every sandwich is
+self-adjoint, so Hermitian rho maps to Hermitian L[rho].
+
+Parity.  In the number basis x and p have nonzero entries only where
+i + k is odd and H (free or harmonic) only where i + k is even.  Every
+bilinear-family jump is odd and its K even; the collision jumps are even
+or odd and its K even, by construction.  So every library generator maps
+the i + j even entries of rho to even ones and the odd to odd, exactly:
+no entry of its superoperator couples the two sectors.
 """
 
 from __future__ import annotations
@@ -82,7 +90,8 @@ from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           kossakowski_weights, saturating_coefficients,
                           thermal_kernel)
 from .operators import (HAMILTONIAN_KINDS, HilbertConfig, build_annihilator,
-                        build_hamiltonian, build_momentum, build_position)
+                        build_hamiltonian, build_momentum, build_position,
+                        is_integer)
 from .quadrature import legendre_rule
 from .structure_factor import brownian_weight
 
@@ -106,9 +115,10 @@ class CollisionParameters:
     (0, q_max]; the weights carry the 3D radial measure q^2, as produced by
     radial_grid().  The generator sums each node with both signs of q.
     Both are kept as read-only copies, so the caller's arrays can change
-    without changing parameters already checked.  Two sets are equal when
-    every field is, the arrays by value; the arrays have no value hash, so
-    the class has none.
+    without changing parameters already checked.  Every check is written
+    so that NaN fails it, and each refusal is a ValueError naming its
+    field.  Two sets are equal when every field is, the arrays by value;
+    the arrays have no value hash, so the class has none.
     """
 
     gas_mass: float
@@ -124,18 +134,21 @@ class CollisionParameters:
             values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        if not self.gas_mass > 0 or not self.beta > 0:
-            raise ValueError("gas_mass and beta must be positive")
+        for name in ("gas_mass", "beta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.fugacity_z >= 0:
-            raise ValueError("fugacity_z must be nonnegative")
+            raise ValueError(f"fugacity_z must be nonnegative, got {self.fugacity_z}")
+        if not 0 < self.q_max < np.inf:
+            raise ValueError(f"q_max must be positive and finite, got {self.q_max}")
         if self.q_nodes.size == 0:
-            raise ValueError("empty momentum-transfer grid")
+            raise ValueError("empty momentum-transfer grid: q_nodes has no node")
         if self.q_nodes.shape != self.q_weights.shape:
             raise ValueError("q_nodes and q_weights must have matching shapes")
-        if np.any(self.q_nodes <= 0) or np.any(self.q_nodes > self.q_max):
+        if not np.all((self.q_nodes > 0) & (self.q_nodes <= self.q_max)):
             raise ValueError("q_nodes must lie in (0, q_max]")
-        if np.any(self.q_weights <= 0):
-            raise ValueError("q_weights must be positive")
+        if not np.all((self.q_weights > 0) & (self.q_weights < np.inf)):
+            raise ValueError("q_weights must be positive and finite")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -147,9 +160,14 @@ class CollisionParameters:
 
 
 def radial_grid(q_max: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on (0, q_max) with the radial q^2 measure folded in."""
-    if not q_max > 0 or n_nodes < 1:
-        raise ValueError("q_max must be positive and n_nodes >= 1")
+    """Gauss-Legendre nodes on (0, q_max) with the radial q^2 measure folded in.
+
+    q_max must be positive and finite and n_nodes an integer >= 1 (bool
+    refused), else a ValueError names the field."""
+    if not 0 < q_max < np.inf:
+        raise ValueError(f"q_max must be positive and finite, got {q_max!r}")
+    if not is_integer(n_nodes) or n_nodes < 1:
+        raise ValueError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
     t, w = legendre_rule(n_nodes)
     nodes = 0.5 * q_max * (t + 1.0)
     weights = 0.5 * q_max * w * nodes**2
@@ -250,32 +268,42 @@ class Liouvillian:
         """The superoperator on Fortran-order vec(rho), where rho[i, j] sits
         at i + d j, as one (index, values) pair for each of its terms
 
-            sum_k s_k conj(J_k) kron J_k,   I kron K,   conj(K) kron I.
+            sum_k s_k conj(J_k) kron J_k,   I kron K,   conj(K) kron I,
 
-        index is four integer arrays (j, i, l, k) that broadcast, with
-        values, to the positions M[i + d j, k + d l] of the matrix M.  No
-        position repeats within a term; the terms overlap.  Each term is kept
-        compact.  The jump term is the m positions where any J_k is nonzero,
-        2d - 2 for the bilinear family, whose x and p are tridiagonal, but
-        all d^2 for the dense collision jumps, and the (m x m) block of
-        their products: a collision form holds d^4 values, as many as its
-        dense superoperator, but no d^4 index array.  The positions are
-        expanded only where they are used, transiently by
-        superoperator_matrix and once by the CSR compile.  The K terms are
-        K's nonzeros, broadcast along the identity's d positions.
+        the jump term first, as one pair or as two.  index is four integer
+        arrays (j, i, l, k) that broadcast, with values, to the positions
+        M[i + d j, k + d l] of the matrix M.  No position repeats within a
+        term; the terms overlap.  Each term is kept compact.  The jump term
+        is the m positions where any J_k is nonzero and the (m x m) block
+        of their products, never a d^4 index array.  When every J_k is
+        nonzero in one parity class of positions alone (i + k even, or
+        odd), it is one such pair per class, over that class's jumps and
+        positions (_parity_classes).  So the bilinear family, whose jumps
+        x and p are odd and tridiagonal, keeps one block over 2d - 2
+        positions, and the collision generator, whose jumps are even and
+        odd halves of dense matrices, two blocks over d^2/2 positions
+        each: its form holds d^4/2 values, half its dense superoperator.
+        The positions are expanded only where they are used, transiently
+        by superoperator_matrix and once by the CSR compile.  The K terms
+        are K's nonzeros, broadcast along the identity's d positions.
         """
         d = self.k.shape[0]
         flat = self.jumps.reshape(-1, d * d)
-        pos = np.flatnonzero((flat != 0.0).any(axis=0))
-        row, col = np.divmod(pos, d)
+        nonzero = flat != 0.0
+        terms = []
+        for group in _parity_classes(nonzero, d):
+            pos = np.flatnonzero(nonzero[group].any(axis=0))
+            row, col = np.divmod(pos, d)
+            sub = flat[group][:, pos]
+            # (J rho J^dag)[i, j] = J[i, k] rho[k, l] conj(J[j, l]): J's position
+            # (i, k) runs along the block's columns, conj(J)'s (j, l) down its rows
+            terms.append(((row[:, None], row, col[:, None], col),
+                          sub.conj().T @ (self.weights[group][:, None] * sub)))
         k_row, k_col = np.nonzero(self.k)
         k_val = self.k[k_row, k_col]
         other = np.arange(d)[:, None]
         return (
-            # (J rho J^dag)[i, j] = J[i, k] rho[k, l] conj(J[j, l]): J's position
-            # (i, k) runs along the block's columns, conj(J)'s (j, l) down its rows
-            ((row[:, None], row, col[:, None], col),
-             flat[:, pos].conj().T @ (self.weights[:, None] * flat[:, pos])),
+            *terms,
             # (K rho)[i, j] = K[i, k] rho[k, j]
             ((other, k_row, other, k_col), k_val),
             # (rho K^dag)[i, j] = rho[i, l] conj(K[j, l])
@@ -301,8 +329,8 @@ class Liouvillian:
         couples an even entry to an odd one and every entry is finite, and
         otherwise all d^2 entries: only then does a state whose odd entries
         are zero keep them zero, as L's zeros and finite products give.
-        Every bilinear-family generator keeps the parity of i + j with a
-        free or harmonic Hamiltonian; the collision jumps mix it.
+        Every library generator keeps the parity of i + j with a free or
+        harmonic Hamiltonian (module docstring).
         """
         d = self.k.shape[0]
         n = d * d
@@ -384,10 +412,32 @@ def sector_order(d: int) -> tuple[np.ndarray, np.ndarray, int]:
     return order, position, (d * d + 1) // 2
 
 
+@functools.lru_cache(maxsize=16)
+def _odd_positions(d: int) -> np.ndarray:
+    """The (d, d) mask of the positions (i, k) with i + k odd, read-only."""
+    odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
+    odd.flags.writeable = False
+    return odd
+
+
+def _parity_classes(nonzero: np.ndarray, d: int) -> list:
+    """The jump groups of Liouvillian.entries, from the (n, d^2) nonzero
+    mask of the flattened jumps: the jumps nonzero at no odd position, then
+    those nonzero at no even one, when each jump is one or the other and
+    both groups hold some; otherwise all jumps as one group (a slice, so the
+    block is formed from the jumps themselves)."""
+    odd = _odd_positions(d).ravel()
+    in_odd = (nonzero & odd).any(axis=1)
+    if in_odd.all() or not in_odd.any() or (in_odd & (nonzero & ~odd).any(axis=1)).any():
+        return [slice(None)]
+    return [~in_odd, in_odd]
+
+
 def _bilinear(cfg: HilbertConfig, spec: LiouvillianSpec,
               coeffs: BilinearCoefficients | None = None):
-    """K, the Kossakowski (s_k, J_k) and the attributes of the bilinear terms
-    of coeffs: spec.coeffs for the bilinear kind, derived ones for the others."""
+    """K, the Kossakowski weights s_k and jumps J_k, and the attributes of
+    the bilinear terms of coeffs: spec.coeffs for the bilinear kind, derived
+    ones for the others."""
     coeffs = spec.coeffs if coeffs is None else coeffs
     hbar = cfg.hbar
     h = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap)
@@ -402,8 +452,8 @@ def _bilinear(cfg: HilbertConfig, spec: LiouvillianSpec,
         (1j * mu / hbar) * xp_anti - (1j * gamma / hbar) * xp
         - (d_pp * (x @ x) + d_xx * (p @ p) - d_xp * xp_anti) / hbar**2)
     weights, vecs = kossakowski_weights(coeffs, hbar)
-    jumps = [(s, u[0] * x + u[1] * p) for s, u in zip(weights, vecs.T)]
-    return k, jumps, {"coeffs": coeffs}
+    jumps = [u[0] * x + u[1] * p for u in vecs.T]
+    return k, weights, jumps, {"coeffs": coeffs}
 
 
 def _caldeira_leggett(cfg: HilbertConfig, spec: LiouvillianSpec):
@@ -460,7 +510,8 @@ def _minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec):
     jump = build_annihilator(cfg, spec.beta)
     rate = 2.0 * z_gamma
     k = (-1j / cfg.hbar) * h_eff - (0.5 * rate) * (jump.conj().T @ jump)
-    return k, [(rate, jump)] if rate != 0.0 else [], {"coeffs": derived}
+    live = [rate] if rate != 0.0 else []
+    return k, live, [jump] * len(live), {"coeffs": derived}
 
 
 def collision_dpp(params: CollisionParameters, hbar: float) -> float:
@@ -476,7 +527,8 @@ def collision_dpp(params: CollisionParameters, hbar: float) -> float:
 
 
 def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
-    """Collision generator: momentum-kick sandwiches over the signed q grid.
+    """Collision generator: momentum-kick sandwiches over the signed q grid,
+    compiled as two jumps of definite parity per node.
 
     Each node contributes, for both signs of q,
         U(q) G(q) rho G(q) U(q)^dag - (1/2){G(q)^2, rho}
@@ -487,19 +539,31 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
 
         J(q) = U(q) G(q) = V_x diag(e^{i q l_x/hbar}) (V_x^dag V_p) diag(w_q) V_p^dag,
 
-    w_q = brownian_weight(q, l_p), for all signed nodes as one stacked
-    product, and every -(1/2){G(q)^2, rho} is folded into K as
-    -(1/2) V_p diag(sum_q s_q w_q^2) V_p^dag.
+    w_q = brownian_weight(q, l_p), for the positive nodes as one stacked
+    product.  In the truncated basis Pi x Pi = -x and Pi p Pi = -p exactly,
+    Pi = diag((-1)^n), so J(-q) = Pi J(q) Pi = J_e - J_o, where J_e and J_o
+    hold J(q)'s entries with i + k even and odd, J(q) = J_e + J_o.  The
+    cross terms cancel between the signs:
+
+        s [J(q) rho J(q)^dag + J(-q) rho J(-q)^dag] = 2 s [J_e rho J_e^dag + J_o rho J_o^dag],
+
+    so each node of rate s emits J_e and J_o, in that order, each with
+    weight 2 s.  K = -(i/hbar) H - (1/2) sum_k s_k J_k^dag J_k is formed from
+    those jumps: J_e^dag J_e + J_o^dag J_o is the even part of J(q)^dag J(q),
+    so K = -(i/hbar) H - even(sum_q s_q J(q)^dag J(q)), parity-even by
+    construction.  Every jump and K therefore has a definite parity, and
+    the superoperator couples no i + j even entry to an odd one.
     """
     par = spec.collision
     hbar = cfg.hbar
+    d = cfg.dim
     x = build_position(cfg)
     p = build_momentum(cfg)
     h = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap)
 
     lam_p, v_p = np.linalg.eigh(p)  # ||p|| = max |lam_p|
     exponent = par.beta * par.q_max * np.abs(lam_p).max() / (4.0 * cfg.mass)
-    if exponent > _COLLISION_EXPONENT_CAP:
+    if not exponent <= _COLLISION_EXPONENT_CAP:
         raise ValueError(
             f"collision weight exponent beta*q_max*||p||/(4M) = {exponent:.2f} "
             f"exceeds {_COLLISION_EXPONENT_CAP}; lower q_max, beta, or dim "
@@ -509,22 +573,26 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
     rates = par.fugacity_z * prefactor * thermal_kernel(
         par.tmatrix, par.beta, par.gas_mass, par.q_nodes, par.q_weights / par.q_nodes)
 
-    # signed nodes (q_1, -q_1, q_2, -q_2, ...), skipping those of rate 0
+    # the positive nodes, skipping those of rate 0
     live = rates != 0.0
-    signed = np.stack([par.q_nodes[live], -par.q_nodes[live]], axis=1).ravel()
-    signed_rates = np.repeat(rates[live], 2)
+    q, rates = par.q_nodes[live], rates[live]
     lam_x, v_x = np.linalg.eigh(x)
-    phase = np.exp((1j / hbar) * signed[:, None] * lam_x)
-    weight = brownian_weight(signed[:, None], lam_p, par.beta, cfg.mass)
+    phase = np.exp((1j / hbar) * q[:, None] * lam_x)
+    weight = brownian_weight(q[:, None], lam_p, par.beta, cfg.mass)
     if not (np.isfinite(phase).all() and np.isfinite(weight).all()):
         raise ArithmeticError(
             "non-finite momentum shift or thermal weight on the collision grid "
             f"of {par.q_nodes.size} nodes up to q_max={par.q_max}")
 
-    v_p_dag = v_p.conj().T
-    jumps = v_x @ (phase[:, :, None] * (v_x.conj().T @ v_p) * weight[:, None, :]) @ v_p_dag
-    k = (-1j / hbar) * h - (0.5 * v_p * (signed_rates @ weight**2)) @ v_p_dag
-    return k, list(zip(signed_rates, jumps)), {"collision": par}
+    kicks = v_x @ (phase[:, :, None] * (v_x.conj().T @ v_p) * weight[:, None, :]) \
+        @ v_p.conj().T
+    odd = _odd_positions(d)
+    # sum_q s_q J(q)^dag J(q), as one product over the stacked rows of all J(q)
+    stacked = kicks.reshape(-1, d)
+    gram = stacked.conj().T @ (np.repeat(rates, d)[:, None] * stacked)
+    k = (-1j / hbar) * h - np.where(odd, 0.0, gram)
+    jumps = np.stack([np.where(odd, 0.0, kicks), np.where(odd, kicks, 0.0)], axis=1)
+    return k, np.repeat(2.0 * rates, 2), jumps.reshape(-1, d, d), {"collision": par}
 
 
 # the one list of generator kinds, each with its compile function
@@ -540,15 +608,16 @@ def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     """Compile the generator spec names: the one way to build a generator.
 
     The spec has validated itself; the compile function of spec.kind
-    returns K, the jumps (s_k, J_k) and the physics to attach, and k,
-    weights and jumps are handed over read-only.
+    returns K, the weights s_k, the jumps J_k (a stacked array, or a list
+    of matrices) and the physics to attach, and k, weights and jumps are
+    handed over read-only.
 
     A bilinear-family generator is compiled once per basis and spec: a
     bounded cache of the 16 latest hands equal (cfg, spec) pairs the same
     Liouvillian, so its entries and CSR are compiled once per run too.  A
     compile that raises is not cached.  A collision spec is compiled on
     every call: its q-grid arrays have no value hash, and its generator
-    holds d^4 values.
+    holds d^4/2 values.
     """
     if spec.kind == BOLTZMANN_COLLISION:
         return _compile(cfg, spec)
@@ -556,9 +625,9 @@ def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
 
 
 def _compile(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
-    k, jumps, attrs = _COMPILERS[spec.kind](cfg, spec)
-    weights = np.array([s for s, _ in jumps], dtype=float)
-    jumps = np.array([j for _, j in jumps], dtype=complex).reshape(-1, cfg.dim, cfg.dim)
+    k, weights, jumps, attrs = _COMPILERS[spec.kind](cfg, spec)
+    weights = np.array(weights, dtype=float)
+    jumps = np.asarray(jumps, dtype=complex).reshape(-1, cfg.dim, cfg.dim)
     for a in (k, weights, jumps):
         a.flags.writeable = False
     return Liouvillian(cfg, spec.kind, k, weights, jumps, **attrs)

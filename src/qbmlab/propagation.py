@@ -32,15 +32,15 @@ one CSR mat-vec, Liouvillian.matvec.  The live-sector rule: the vector is
 the even sector alone when L maps that sector into itself
 (Liouvillian.closed_length: no entry of L couples an even entry to an odd
 one, and every entry is finite) and every odd entry of rho0 is exactly
-zero; otherwise it is all d^2 entries.  Every bilinear-family generator
-with a free or harmonic Hamiltonian keeps the parity of i + j, so squeezed
-vacua, thermal and number states take the even sector alone, about half
-the entries; coherent states, and every state under a collision generator,
-whose jumps mix the parities, take the whole vector.  The even sector holds
-the diagonal, so it is always live.  Any other object with cfg and apply,
-such as a proxy that forwards only apply, steps all d^2 entries in
-row-major order, each stage one call of its apply on a (d, d) view of the
-vector.
+zero; otherwise it is all d^2 entries.  Every library generator with a
+free or harmonic Hamiltonian keeps the parity of i + j: the bilinear family
+by its odd jumps, the collision generator by its even and odd jump halves
+(liouvillians).  So squeezed vacua, thermal and number states take the even
+sector alone, about half the entries; coherent states take the whole
+vector.  The even sector holds the diagonal, so it is always live.  Any
+other object with cfg and apply, such as a proxy that forwards only apply,
+steps all d^2 entries in row-major order, each stage one call of its apply
+on a (d, d) view of the vector.
 
 Why the bits are unchanged.  Each row of the sector-ordered CSR keeps its
 entries in row-major order, so each entry of L[rho] is summed as the
@@ -500,23 +500,35 @@ def stationary_state(l_matrix):
     span the whole width and break the band), and LAPACK gbtrf, gbcon and
     gbtrs factor, test and solve the whole bordered B, both blocks at once,
     in band storage.  Every bilinear-family generator takes it from dim 5
-    up; collision generators, and any generator that mixes parities, read a
-    wide band and never do.  By Sherman-Morrison the e_0 bordering gives
-    the trace bordering's state whenever both are nonsingular, but it is
-    singular also when the state has rho_00 = 0.  So the banded path only
+    up; collision generators, whose dense jumps fill each sector, and any
+    generator that mixes parities, read a wide band and never do.  By
+    Sherman-Morrison the e_0 bordering gives the trace bordering's state
+    whenever both are nonsingular, but it is singular also when the state
+    has rho_00 = 0.  So the banded path only
     hands over: at a zero row or column, an exactly zero pivot, a
     reciprocal 1-norm condition number of the equilibrated B below 1e-8, or
     a traceless candidate, the dense path runs and its verdict stands.
 
-    Dense path.  The border row is the trace functional vec(I)^T, and
-    getrf and gecon factor and test B.  B is nonsingular exactly when the
-    kernel of L is one-dimensional and its element has nonzero trace.  The
-    reciprocal 1-norm condition number of the equilibrated B must reach
-    1e-8; below it, or at an exactly zero pivot, the kernel counts as more
-    than one-dimensional (or traceless) at working precision and
-    DegenerateStationaryState is raised.  So 1e-8 bounds the conditioning
-    of the e_0-bordered band on the banded path, and that of the
-    trace-bordered matrix, the one that decides, on the dense path.
+    Dense path.  The border row is the trace functional vec(I)^T.  B is
+    nonsingular exactly when the kernel of L is one-dimensional and its
+    element has nonzero trace.  When no entry of L couples an i + j even
+    entry to an odd one (exact zeros, -0.0 included; every library
+    generator with a free or harmonic Hamiltonian), B is block-diagonal
+    over the two sectors: the trace-bordered even block, which holds
+    rho_00 and the diagonal, and the odd block, L's own.  Each block is
+    gathered from L directly, equilibrated by geequb (a block's scalings
+    are the whole matrix's, as its rows and columns hold no other
+    nonzero), factored by getrf and tested by gecon; a matrix that
+    couples the sectors is one block, all of B.  Both blocks are tested:
+    the reciprocal 1-norm condition number of the equilibrated B,
+    1 / (max_b ||B_b||_1 max_b ||B_b^-1||_1), must reach 1e-8; below it,
+    or at an exactly zero row, column or pivot of any block, the kernel
+    counts as more than one-dimensional (or traceless) at working precision
+    and DegenerateStationaryState is raised.  The right-hand side lies in
+    the first block, so getrs solves it alone; with two blocks, the odd
+    entries of the state are zero.  So 1e-8 bounds the conditioning of the e_0-bordered
+    band on the banded path, and that of the trace-bordered matrix, the
+    one that decides, on the dense path.
 
     NumericalFailure is raised for non-finite entries, a traceless
     candidate from the dense path, or a failed residual check
@@ -658,35 +670,73 @@ def _banded_stationary(d, rows, cols, values, magnitude):
     return _unit_trace(col_scale * vec)
 
 
+def _sector_blocks(l_matrix, d):
+    """The index sets of the dense path's blocks: the even and the odd
+    sector (sector_order) when no entry of L couples them, with -0.0 as
+    zero, else None, all of L as one block."""
+    order, position, n_even = sector_order(d)
+    odd = position >= n_even
+    if (_nonzero(l_matrix) & (odd[:, None] != odd)).any():
+        return [None]
+    return [order[:n_even], order[n_even:]]
+
+
+def _fortran_block(l_matrix, index):
+    """The rows and columns index of L (all of L for None) as a new
+    Fortran-ordered array, gathered from L without a permuted copy of it."""
+    if index is None:
+        return np.array(l_matrix, order="F")
+    return np.asfortranarray(l_matrix.take(index, axis=0).take(index, axis=1))
+
+
 def _dense_stationary(l_matrix):
     """stationary_state's dense path: the unit-trace state, or an error."""
     n = l_matrix.shape[0]
     d = int(round(np.sqrt(n)))
-    bordered = np.array(l_matrix, order="F")
-    bordered[0] = 0.0
-    bordered[0, np.arange(d) * (d + 1)] = 1.0
+    _, position, _ = sector_order(d)
+    diagonal = np.arange(d) * (d + 1)
+    blocks = _sector_blocks(l_matrix, d)
     geequb, getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
-        ("geequb", "getrf", "gecon", "getrs"), (bordered,))
-    # exact power-of-two row and column scalings bring the trace row and
-    # slowly relaxing rows to the scale of the rest
-    row_scale, col_scale, _, _, _, info = geequb(bordered)
-    rcond = 0.0
-    if info == 0:  # info > 0: an exactly zero row or column
-        bordered *= row_scale[:, None]
-        bordered *= col_scale
-        anorm = np.abs(bordered).sum(axis=0).max()
-        lu, piv, info = getrf(bordered, overwrite_a=True)
-        if info == 0:  # info > 0: an exactly zero pivot
-            rcond = gecon(lu, anorm, norm="1")[0]
+        ("geequb", "getrf", "gecon", "getrs"), (l_matrix,))
+    # per block: ||B_b||_1 and rcond_b ||B_b||_1 = 1 / ||B_b^-1||_1
+    norms, inverse_floors, factors = [], [], []
+    for index in blocks:
+        block = _fortran_block(l_matrix, index)
+        if not factors:
+            # the first block holds rho_00, at its position 0, and the
+            # diagonal: its row 0 becomes the trace functional
+            block[0] = 0.0
+            block[0, diagonal if index is None else position[diagonal]] = 1.0
+        # exact power-of-two row and column scalings bring the trace row and
+        # slowly relaxing rows to the scale of the rest
+        row_scale, col_scale, _, _, _, info = geequb(block)
+        if info != 0:  # info > 0: an exactly zero row or column
+            break
+        block *= row_scale[:, None]
+        block *= col_scale
+        anorm = np.abs(block).sum(axis=0).max()
+        lu, piv, info = getrf(block, overwrite_a=True)
+        if info != 0:  # info > 0: an exactly zero pivot
+            break
+        norms.append(anorm)
+        inverse_floors.append(gecon(lu, anorm, norm="1")[0] * anorm)
+        factors.append((index, lu, piv, row_scale, col_scale))
+    # 1 / (max_b ||B_b||_1 max_b ||B_b^-1||_1), the 1-norm rcond of B itself
+    rcond = (min(inverse_floors) / max(norms)
+             if len(factors) == len(blocks) else 0.0)
     if rcond < _DEGENERACY_TOL:
         raise DegenerateStationaryState(
             "bordered generator is singular at working precision: "
             "reciprocal condition number %.3e below %.1e, so the kernel is "
             "not one-dimensional or its element is traceless"
             % (rcond, _DEGENERACY_TOL))
-    rhs = np.zeros(n, dtype=complex)
+    # the right-hand side e_0 lies in the first block: the others solve to 0
+    index, lu, piv, row_scale, col_scale = factors[0]
+    rhs = np.zeros(lu.shape[0], dtype=complex)
     rhs[0] = row_scale[0]
-    rho = _unit_trace(col_scale * getrs(lu, piv, rhs)[0])
+    vec = np.zeros(n, dtype=complex)
+    vec[slice(None) if index is None else index] = col_scale * getrs(lu, piv, rhs)[0]
+    rho = _unit_trace(vec)
     if rho is None:
         raise NumericalFailure("stationary candidate is traceless")
     return rho

@@ -369,6 +369,19 @@ def test_collision_q_max_is_required(tmp_path, monkeypatch, capsys):
     assert "q_max" in err and "[generator]" in err
 
 
+@pytest.mark.parametrize("line", ["q_max = nan", "q_max = inf", "q_max = -0.2",
+                                  "q_max = 0"])
+def test_collision_refuses_a_bad_cutoff_by_name(tmp_path, monkeypatch, capsys, line):
+    """A non-finite cutoff is refused by the parser, a nonpositive one by the
+    library's grid; either way a configuration error naming q_max."""
+    code, out = run(tmp_path, monkeypatch, COLLISION_QUICK.replace("q_max = 0.2", line),
+                    "evolve", "bad_q_max")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "[generator]" in err and "q_max" in err
+    assert not out.exists()
+
+
 def test_default_output_dir(tmp_path, monkeypatch):
     monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path)

@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
-from conftest import CallableGenerator, random_density
+from conftest import (BENCH_BOX, CallableGenerator, bench_collision_spec, random_density,
+                      signed_collision_normal_form)
 from qbmlab import (
     BILINEAR,
     BOLTZMANN_COLLISION,
@@ -18,6 +19,7 @@ from qbmlab import (
     CollisionParameters,
     GasThermodynamics,
     HilbertConfig,
+    Liouvillian,
     LiouvillianSpec,
     TMatrixModel,
     build_hamiltonian,
@@ -148,6 +150,15 @@ def _expm_collision_normal_form(cfg, spec):
     return k, jumps
 
 
+def _signed_pairs(liouv):
+    """J(q) = J_e + J_o and J(-q) = J_e - J_o from the definite-parity jumps,
+    in the signed compile's order, and each node's rate, half the pair's
+    weight."""
+    even, odd = liouv.jumps[0::2], liouv.jumps[1::2]
+    signed = np.stack([even + odd, even - odd], axis=1).reshape(liouv.jumps.shape)
+    return signed, np.repeat(0.5 * liouv.weights[0::2], 2)
+
+
 def _stacked_product_apply(liouv):
     """Apply by stacked products: Y = [s_1 J_1; ...; s_n J_n] rho, then its n
     blocks side by side times [J_1^dag; ...; J_n^dag]: the oracle for the
@@ -183,21 +194,40 @@ def _realigned_superoperator(liouv):
     return blocks.reshape(d * d, d * d)
 
 
-def _flat_entries(liouv):
-    """The superoperator's entries as flat (rows, cols, values) groups on
-    Fortran-order vec(rho), each jump position pair expanded, in the order
-    the CSR compile reads them: the oracle of the compact entries."""
+def _jump_groups(liouv):
+    """The jumps as (weights, flat jumps) groups by the rule of
+    Liouvillian.entries: the jumps with no nonzero entry at an odd position
+    (i + k odd), then those with none at an even one, when every jump is
+    one or the other and both groups hold some; otherwise one group."""
     d = liouv.k.shape[0]
     flat = liouv.jumps.reshape(-1, d * d)
-    pos = np.flatnonzero((flat != 0.0).any(axis=0))
-    row, col = np.divmod(pos, d)
-    jump = flat[:, pos].conj().T @ (liouv.weights[:, None] * flat[:, pos])
+    i, k = np.divmod(np.arange(d * d), d)
+    odd = (i + k) % 2 == 1
+    at_odd = (flat[:, odd] != 0.0).any(axis=1)
+    at_even = (flat[:, ~odd] != 0.0).any(axis=1)
+    if at_odd.all() or not at_odd.any() or (at_odd & at_even).any():
+        return [(liouv.weights, flat)]
+    return [(liouv.weights[~at_odd], flat[~at_odd]), (liouv.weights[at_odd], flat[at_odd])]
+
+
+def _flat_entries(liouv):
+    """The superoperator's entries as flat (rows, cols, values) groups on
+    Fortran-order vec(rho), each jump position pair of each jump group
+    expanded, in the order the CSR compile reads them: the oracle of the
+    compact entries."""
+    d = liouv.k.shape[0]
+    groups = []
+    for weights, flat in _jump_groups(liouv):
+        pos = np.flatnonzero((flat != 0.0).any(axis=0))
+        row, col = np.divmod(pos, d)
+        jump = flat[:, pos].conj().T @ (weights[:, None] * flat[:, pos])
+        groups.append(((row + d * row[:, None]).ravel(),
+                       (col + d * col[:, None]).ravel(), jump.ravel()))
     k_row, k_col = np.nonzero(liouv.k)
     k_val = liouv.k[k_row, k_col]
     other = np.arange(d)[:, None]
     return (
-        ((row + d * row[:, None]).ravel(), (col + d * col[:, None]).ravel(),
-         jump.ravel()),
+        *groups,
         ((k_row + d * other).ravel(), (k_col + d * other).ravel(),
          np.tile(k_val, d)),
         ((other + d * k_row).ravel(), (other + d * k_col).ravel(),
@@ -548,18 +578,62 @@ def test_spec_refuses_a_hamiltonian_field_it_would_drop():
 
 
 def test_collision_parameters_validation():
+    """Every refusal is a ValueError naming its field, NaN included: each
+    check holds for the values it accepts, so NaN fails it."""
     nodes, weights = radial_grid(2.0, 20)
     good = dict(gas_mass=1.0, beta=2.0, fugacity_z=0.8, tmatrix=TMAT,
                 q_nodes=nodes, q_weights=weights, q_max=2.0)
     CollisionParameters(**good)
-    for bad in (dict(gas_mass=-1.0), dict(fugacity_z=-0.1),
-                dict(q_weights=weights[:-1]),
-                dict(q_nodes=nodes[:0], q_weights=weights[:0]),  # empty grid
-                dict(q_max=1.0),  # nodes beyond q_max
-                dict(q_nodes=-nodes),  # nodes below zero
-                dict(q_weights=np.where(nodes > 1.0, 0.0, weights))):
-        with pytest.raises(ValueError):
+    nan = float("nan")
+    for bad, field in (
+            (dict(gas_mass=-1.0), "gas_mass"), (dict(gas_mass=nan), "gas_mass"),
+            (dict(beta=0.0), "beta"), (dict(beta=nan), "beta"),
+            (dict(fugacity_z=-0.1), "fugacity_z"), (dict(fugacity_z=nan), "fugacity_z"),
+            (dict(q_weights=weights[:-1]), "q_weights"),
+            (dict(q_nodes=nodes[:0], q_weights=weights[:0]), "q_nodes"),  # empty grid
+            (dict(q_max=1.0), "q_nodes"),  # nodes beyond q_max
+            (dict(q_nodes=-nodes), "q_nodes"),  # nodes below zero
+            (dict(q_weights=np.where(nodes > 1.0, 0.0, weights)), "q_weights"),
+            (dict(q_max=nan), "q_max"), (dict(q_max=np.inf), "q_max"),
+            (dict(q_max=-2.0), "q_max"),
+            (dict(q_nodes=np.append(nodes[:-1], nan)), "q_nodes"),
+            (dict(q_weights=np.append(weights[:-1], nan)), "q_weights"),
+            (dict(q_nodes=np.append(nodes[:-1], nan),
+                  q_weights=np.append(weights[:-1], nan)), "q_nodes"),
+            (dict(q_weights=np.append(weights[:-1], np.inf)), "q_weights")):
+        with pytest.raises(ValueError, match=field):
             CollisionParameters(**{**good, **bad})
+
+
+def test_a_nan_exponent_is_refused_by_the_cap(monkeypatch):
+    """The weight exponent's cap holds for the exponents it accepts, so a
+    NaN exponent is refused like one above it, as a ValueError that names
+    it, before any jump is formed."""
+    cfg = HilbertConfig(dim=6)
+    spec = LiouvillianSpec(kind=BOLTZMANN_COLLISION, collision=_collision_params(0.25))
+    build_liouvillian(cfg, spec)
+    eigh = np.linalg.eigh
+
+    def nan_spectrum(a):
+        lam, vecs = eigh(a)
+        return np.full_like(lam, np.nan), vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_spectrum)
+    with pytest.raises(ValueError, match="collision weight exponent .* = nan exceeds"):
+        build_liouvillian(cfg, spec)
+
+
+@pytest.mark.parametrize("q_max, n_nodes, field", [
+    (0.2, True, "n_nodes"), (0.2, 2.5, "n_nodes"), (0.2, 0, "n_nodes"),
+    (0.2, -3, "n_nodes"), (0.2, "4", "n_nodes"), (float("nan"), 4, "q_max"),
+    (np.inf, 4, "q_max"), (0.0, 4, "q_max")])
+def test_radial_grid_refuses_what_it_cannot_build(q_max, n_nodes, field):
+    """n_nodes is an integer >= 1, a bool not counting as one, and q_max
+    positive and finite; anything else is a ValueError naming its field."""
+    with pytest.raises(ValueError, match=field):
+        radial_grid(q_max, n_nodes)
+    nodes, _ = radial_grid(0.2, np.int64(3))
+    assert nodes.shape == (3,)
 
 
 def test_collision_prefactor_value():
@@ -621,12 +695,14 @@ def test_collision_weight_is_brownian_limit_of_structure_factor():
                                                    collision=par))
     signed = [sq for q in par.q_nodes for sq in (q, -q)]
     assert liouv.jumps.shape[0] == len(signed)
+    # J(q) and J(-q), rebuilt from each node's even and odd halves
+    kicks, _ = _signed_pairs(liouv)
     lam, vecs = np.linalg.eigh(build_momentum(cfg))
     gaps = []
     for mass_ratio in (0.05, 0.005, 0.0005):
         gas = GasThermodynamics(beta=par.beta, gas_mass=mass_ratio * cfg.mass)
         gap = 0.0
-        for sq, jump in zip(signed, liouv.jumps):
+        for sq, jump in zip(signed, kicks):
             g2 = jump.conj().T @ jump
             on_p = np.einsum("ik,ij,jk->k", vecs.conj(), g2, vecs).real
             # equal to the spectrum only if the p eigenbasis diagonalizes G^2
@@ -648,12 +724,13 @@ def test_collision_weight_is_brownian_limit_of_structure_factor():
 @pytest.mark.parametrize("exponent", [None, 4.95])
 def test_collision_normal_form_matches_expm_build(dim, beta, gas_mass, fugacity_z,
                                                   exponent):
-    """Every jump and K agree with the build by one expm per shift and weight,
-    at the benchmark's sizes (40 nodes, q_max 0.25) and with the weight
-    exponent beta q_max ||p||/4M just under its cap; the jumps come in the
-    same order, two per node of nonzero rate (none at zero fugacity), and
-    K + K^dag + sum_k s_k J_k^dag J_k, the operator the trace sees, cancels
-    to round-off."""
+    """Every jump pair and K agree with the build by one expm per shift and
+    weight, at the benchmark's sizes (40 nodes, q_max 0.25) and with the
+    weight exponent beta q_max ||p||/4M just under its cap.  Each node of
+    nonzero rate s (none at zero fugacity) has two jumps of weight 2 s, its
+    even and odd halves J_e and J_o: J_e + J_o is the expm J(q) and
+    J_e - J_o the expm J(-q).  K + K^dag + sum_k s_k J_k^dag J_k, the
+    operator the trace sees, cancels to round-off."""
     cfg = HilbertConfig(dim=dim)
     q_max = 0.25 if exponent is None else (
         exponent * 4.0 * cfg.mass / (beta * np.linalg.norm(build_momentum(cfg), 2)))
@@ -665,17 +742,57 @@ def test_collision_normal_form_matches_expm_build(dim, beta, gas_mass, fugacity_
                                       q_nodes=nodes, q_weights=weights, q_max=q_max))
     liouv = build_liouvillian(cfg, spec)
     k_ref, jumps_ref = _expm_collision_normal_form(cfg, spec)
-    assert np.array_equal(liouv.weights, [s for s, _ in jumps_ref])
     assert liouv.jumps.shape == (len(jumps_ref), dim, dim)
     assert len(jumps_ref) == (0 if fugacity_z == 0.0 else 80)
-    for jump, (_, ref) in zip(liouv.jumps, jumps_ref):
+    kicks, rates = _signed_pairs(liouv)
+    assert np.array_equal(rates, [s for s, _ in jumps_ref])
+    assert np.array_equal(liouv.weights[0::2], liouv.weights[1::2])
+    odd = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1
+    assert not liouv.jumps[0::2][:, odd].any() and not liouv.jumps[1::2][:, ~odd].any()
+    for jump, (_, ref) in zip(kicks, jumps_ref):
         assert np.abs(jump - ref).max() <= 1e-13 * np.abs(ref).max()
     # relative to the dissipative part of K, which H would otherwise swamp
     dissipative = k_ref + (1j / cfg.hbar) * build_hamiltonian(cfg, "harmonic", 1.1)
     assert np.abs(liouv.k - k_ref).max() <= 1e-13 * np.abs(dissipative).max()
+    assert not liouv.k[odd].any()
     trace_op = liouv.k + liouv.k.conj().T + np.einsum(
         "n,nji,njk->ik", liouv.weights, liouv.jumps.conj(), liouv.jumps)
     assert np.abs(trace_op).max() <= 1e-14 * np.abs(liouv.k).max()
+
+
+def _assert_matches_the_signed_compile(cfg, spec):
+    signed = Liouvillian(cfg, BOLTZMANN_COLLISION, *signed_collision_normal_form(cfg, spec))
+    reference = _realigned_superoperator(signed)
+    mat = superoperator_matrix(build_liouvillian(cfg, spec))
+    assert np.abs(mat - reference).max() <= 1e-14 * np.abs(reference).max()
+    order, _, n_even = sector_order(cfg.dim)
+    even, odd = np.sort(order[:n_even]), np.sort(order[n_even:])
+    assert not mat[np.ix_(even, odd)].any() and not mat[np.ix_(odd, even)].any()
+
+
+@given(dim=st.integers(min_value=5, max_value=24), **BENCH_BOX)
+@settings(max_examples=30, deadline=None)
+def test_definite_parity_compile_matches_the_signed_compile(dim, **box):
+    """The superoperator of the definite-parity compile agrees with that of
+    the signed compile it replaced (conftest; realigned from its 80 jumps,
+    which mix the parities to round-off) within 1e-14 max|L|, at dims 5-24
+    over the benchmark's parameter box, and couples no even entry to an
+    odd one, exactly."""
+    cfg = HilbertConfig(dim=dim)
+    _assert_matches_the_signed_compile(cfg, bench_collision_spec(cfg, **box))
+
+
+@pytest.mark.parametrize("sigma_q", [None, 1.0])
+@pytest.mark.parametrize("dim", [5, 12, 13, 14, 24])
+def test_definite_parity_compile_matches_the_signed_compile_at_the_cap(dim, sigma_q):
+    """The same at the middle of the box with the weight exponent just under
+    its cap, where G(q)^2 reaches e^9.9: the two compiles differ there by
+    the signed compile's own mismatch between K, taken from p's
+    eigenbasis, and its jumps' J^dag J, up to 6.4e-15 max|L| at dim 24."""
+    cfg = HilbertConfig(dim=dim)
+    _assert_matches_the_signed_compile(cfg, bench_collision_spec(
+        cfg, q_max=0.225, beta=2.25, gas_mass=1.25, fugacity_z=0.75, t0=0.055,
+        sigma_q=sigma_q, omega_trap=1.05, at_cap=True))
 
 
 def test_collision_exponent_guard():
@@ -771,15 +888,28 @@ def _bits(a):
 def test_compact_entries_scatter_to_the_flat_scatter_bit_for_bit(dim):
     """The superoperator placed from the compact entries equals the scatter
     of the expanded flat groups bit for bit, signed zeros included, for
-    every kind; its jump term holds no d^4 index array."""
+    every kind; its jump term holds no d^4 index array.  The bilinear
+    family's odd jumps give one block over 2d - 2 positions; the collision
+    generator's even and odd halves give one block per class, over the
+    d^2/2 positions of each, half the values of one block over all d^2."""
     cfg = HilbertConfig(dim=dim)
+    n_even = sector_order(dim)[2]
     for liouv in _generators_of_every_kind(cfg):
         assert np.array_equal(_bits(superoperator_matrix(liouv)),
                               _bits(_flat_scatter(liouv))), liouv.kind
-        (j, i, l, k), block = liouv.entries[0]
-        m = block.shape[0]
-        assert block.shape == (m, m)
-        assert all(a.size == m for a in (j, i, l, k))
+        jump_terms = liouv.entries[:-2]
+        sizes = []
+        for (j, i, l, k), block in jump_terms:
+            m = block.shape[0]
+            assert block.shape == (m, m)
+            assert all(a.size == m for a in (j, i, l, k))
+            sizes.append(m)
+        if liouv.weights.size == 0:
+            assert sizes == [0]
+        elif liouv.kind == BOLTZMANN_COLLISION:
+            assert sizes == [n_even, dim * dim - n_even]
+        else:
+            assert sizes == [2 * dim - 2]
 
 
 @pytest.mark.parametrize("dim", [2, 7, 12, 38, 42])

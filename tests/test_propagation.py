@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 import qbmlab.propagation as propagation
-from conftest import CallableGenerator, random_density
+from conftest import (BENCH_BOX, CallableGenerator, bench_collision_spec, random_density,
+                      signed_collision_normal_form)
 from qbmlab import (
     BILINEAR,
     BOLTZMANN_COLLISION,
@@ -23,6 +24,7 @@ from qbmlab import (
     DegenerateStationaryState,
     HilbertConfig,
     IntegratorConfig,
+    Liouvillian,
     LiouvillianSpec,
     NumericalFailure,
     TMatrixModel,
@@ -646,6 +648,40 @@ def _svd_stationary_state(l_matrix, degeneracy_tol=1e-8, residual_tol=1e-8):
     return rho
 
 
+def _whole_dense_stationary(l_matrix):
+    """stationary_state's dense path as it was before the sector blocks: the
+    whole trace-bordered matrix, copied, equilibrated, factored, tested and
+    solved as one.  The oracle of the block solve."""
+    n = l_matrix.shape[0]
+    d = int(round(np.sqrt(n)))
+    bordered = np.array(l_matrix, order="F")
+    bordered[0] = 0.0
+    bordered[0, np.arange(d) * (d + 1)] = 1.0
+    geequb, getrf, gecon, getrs = scipy.linalg.get_lapack_funcs(
+        ("geequb", "getrf", "gecon", "getrs"), (bordered,))
+    row_scale, col_scale, _, _, _, info = geequb(bordered)
+    rcond = 0.0
+    if info == 0:
+        bordered *= row_scale[:, None]
+        bordered *= col_scale
+        anorm = np.abs(bordered).sum(axis=0).max()
+        lu, piv, info = getrf(bordered, overwrite_a=True)
+        if info == 0:
+            rcond = gecon(lu, anorm, norm="1")[0]
+    if rcond < propagation._DEGENERACY_TOL:
+        raise DegenerateStationaryState(
+            "bordered generator is singular at working precision: "
+            "reciprocal condition number %.3e below %.1e, so the kernel is "
+            "not one-dimensional or its element is traceless"
+            % (rcond, propagation._DEGENERACY_TOL))
+    rhs = np.zeros(n, dtype=complex)
+    rhs[0] = row_scale[0]
+    rho = propagation._unit_trace(col_scale * getrs(lu, piv, rhs)[0])
+    if rho is None:
+        raise NumericalFailure("stationary candidate is traceless")
+    return rho
+
+
 def _parent_banded_stationary(l_matrix, magnitude):
     """Reference banded solve, the banded path as it was in natural
     (Fortran) order: the band, kl = ku = 2d for the bilinear family, is
@@ -829,9 +865,10 @@ def test_bilinear_family_takes_the_banded_path(kind, dim):
     parent = _parent_banded_stationary(l_matrix, np.abs(l_matrix))
     assert (parent is None) == (dim < 10)
     if parent is None:
-        parent = propagation._dense_stationary(l_matrix)
+        parent = _whole_dense_stationary(l_matrix)
     assert np.abs(rho - parent).max() < 1e-12
     if dim in (12, 17, 25):
+        assert np.abs(rho - _whole_dense_stationary(l_matrix)).max() < 1e-12
         assert np.abs(rho - propagation._dense_stationary(l_matrix)).max() < 1e-12
     assert np.array_equal(stationary_state(l_matrix), rho)
 
@@ -997,3 +1034,167 @@ def test_stationary_state_with_empty_ground_level():
         rho = stationary_state(l_matrix)
     assert np.abs(rho - _svd_stationary_state(l_matrix)).max() < 1e-10
     assert np.abs(rho - unit(1, 1)).max() < 1e-10
+
+
+def _is_odd_vec(dim):
+    """Which entries of Fortran-order vec(rho) have i + j odd."""
+    j, i = np.divmod(np.arange(dim * dim), dim)
+    return (i + j) % 2 == 1
+
+
+@given(dim=st.integers(min_value=5, max_value=24), **BENCH_BOX)
+@settings(max_examples=25, deadline=None)
+def test_collision_stationary_state_matches_the_whole_signed_solve(dim, **box):
+    """Over the benchmark's parameter box at dims 5-24, the stationary state
+    of the definite-parity compile, solved in sector blocks, is within
+    1e-12 of the signed compile's solved whole (both oracles) and of its
+    own matrix solved whole, and its odd entries are exactly zero."""
+    cfg = HilbertConfig(dim=dim)
+    spec = bench_collision_spec(cfg, **box)
+    l_matrix = superoperator_matrix(build_liouvillian(cfg, spec))
+    signed = superoperator_matrix(Liouvillian(
+        cfg, BOLTZMANN_COLLISION, *signed_collision_normal_form(cfg, spec)))
+    assert propagation._sector_blocks(l_matrix, dim)[0] is not None
+    assert propagation._sector_blocks(signed, dim) == [None]
+    rho = stationary_state(l_matrix)
+    assert np.abs(rho - _whole_dense_stationary(signed)).max() < 1e-12
+    assert np.abs(rho - _whole_dense_stationary(l_matrix)).max() < 1e-12
+    assert not rho.ravel(order="F")[_is_odd_vec(dim)].any()
+
+
+@pytest.mark.parametrize("dim", [5, 12, 14, 24])
+def test_collision_stationary_state_matches_the_whole_signed_solve_at_the_cap(dim):
+    """The same with the weight exponent just under its cap."""
+    cfg = HilbertConfig(dim=dim)
+    spec = bench_collision_spec(cfg, q_max=None, beta=2.25, gas_mass=1.25,
+                                fugacity_z=0.75, t0=0.055, sigma_q=1.0,
+                                omega_trap=1.05, at_cap=True)
+    signed = superoperator_matrix(Liouvillian(
+        cfg, BOLTZMANN_COLLISION, *signed_collision_normal_form(cfg, spec)))
+    rho = stationary_state(superoperator_matrix(build_liouvillian(cfg, spec)))
+    assert np.abs(rho - _whole_dense_stationary(signed)).max() < 1e-12
+
+
+def _parity_mixing_matrix(dim):
+    """A trace-preserving minimal generator plus -(i/hbar)[f x, rho]: the
+    linear term couples i + j even to odd."""
+    cfg = HilbertConfig(dim=dim)
+    liouv = _stationary_generator(MINIMAL_QBM, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8,
+                                  omega_trap=1.1, d_xp=None, cp_margin=None, q_max=None)
+    x, eye = build_position(cfg), np.eye(dim)
+    return superoperator_matrix(liouv) - (1j * 0.4 / cfg.hbar) * (
+        np.kron(eye, x) - np.kron(x.T, eye))
+
+
+@pytest.mark.parametrize("kind", [MINIMAL_QBM, BILINEAR, CALDEIRA_LEGGETT])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_dense_bilinear_blocks_match_the_whole_solve(kind, dim):
+    """Below dim 5 the bilinear family takes the dense path, in two sector
+    blocks, within 1e-12 of the whole solve, or with its verdict and
+    message where it has no state (Caldeira-Leggett at dim 2); a
+    parity-mixing matrix is one block, and its state is the whole solve's
+    bit for bit."""
+    l_matrix = superoperator_matrix(_stationary_generator(
+        kind, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8, omega_trap=1.1, d_xp=0.1,
+        cp_margin=0.1, q_max=None))
+    assert len(propagation._sector_blocks(l_matrix, dim)) == 2
+    try:
+        reference = _whole_dense_stationary(l_matrix)
+    except DegenerateStationaryState as exc:
+        with pytest.raises(DegenerateStationaryState) as blocks:
+            stationary_state(l_matrix)
+        assert str(blocks.value) == str(exc)
+    else:
+        assert np.abs(stationary_state(l_matrix) - reference).max() < 1e-12
+    mixing = _parity_mixing_matrix(dim)
+    assert propagation._sector_blocks(mixing, dim) == [None]
+    assert np.array_equal(stationary_state(mixing), _whole_dense_stationary(mixing))
+
+
+def test_only_exact_zeros_split_the_dense_solve():
+    """The blocks rest on exact zeros: -0.0 between the sectors keeps them,
+    one coupling entry of 1e-300 makes the matrix one block."""
+    dim = 12
+    l_matrix = superoperator_matrix(_stationary_generator(
+        BOLTZMANN_COLLISION, dim, beta=2.0, d_pp=None, fugacity_z=0.8, omega_trap=1.1,
+        d_xp=None, cp_margin=None, q_max=0.5))
+    odd = _is_odd_vec(dim)
+    row, col = np.flatnonzero(odd)[3], np.flatnonzero(~odd)[5]
+    for value, blocks in ((complex(-0.0, -0.0), 2), (complex(0.0, -0.0), 2),
+                          (1e-300, 1), (1e-300j, 1)):
+        for r, c in ((row, col), (col, row)):
+            touched = l_matrix.copy()
+            touched[r, c] = value
+            assert len(propagation._sector_blocks(touched, dim)) == blocks
+            assert np.abs(stationary_state(touched) - stationary_state(l_matrix)).max() \
+                < 1e-12
+
+
+def _odd_row_cases():
+    def bilinear(dim):
+        return superoperator_matrix(_stationary_generator(
+            BILINEAR, dim, beta=2.0, d_pp=0.3, fugacity_z=0.8, omega_trap=1.1, d_xp=0.1,
+            cp_margin=0.1, q_max=None))
+    collision = superoperator_matrix(_stationary_generator(
+        BOLTZMANN_COLLISION, 12, beta=2.0, d_pp=None, fugacity_z=0.8, omega_trap=1.1,
+        d_xp=None, cp_margin=None, q_max=0.5))
+    return [pytest.param(bilinear(12), id="bilinear-banded"),
+            pytest.param(bilinear(4), id="bilinear-dense"),
+            pytest.param(collision, id="collision")]
+
+
+@pytest.mark.parametrize("l_matrix", _odd_row_cases())
+def test_the_odd_block_is_tested(l_matrix):
+    """A defect in the odd sector alone, which the solve never needs for
+    the state, still decides the verdict as in the whole solve: an odd row
+    zeroed, or made to within 1e-12 of another odd row, raises
+    DegenerateStationaryState on both.  An odd row scaled by 1e-12 keeps
+    the kernel, and the equilibration undoes the scale: both find the
+    unscaled state."""
+    dim = int(round(np.sqrt(l_matrix.shape[0])))
+    order, _, n_even = sector_order(dim)
+    a, b = order[n_even], order[n_even + 1]
+    zeroed, dependent, scaled = (l_matrix.copy() for _ in range(3))
+    zeroed[a] = 0.0
+    dependent[a] = dependent[b] + 1e-12 * dependent[a]
+    scaled[a] *= 1e-12
+    for broken in (zeroed, dependent):
+        with pytest.raises(DegenerateStationaryState) as whole:
+            _whole_dense_stationary(broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateStationaryState) as blocks:
+                stationary_state(broken)
+        assert str(blocks.value).split(":")[0] == str(whole.value).split(":")[0]
+    rho = stationary_state(l_matrix)
+    assert np.abs(stationary_state(scaled) - rho).max() < 1e-12
+    assert np.abs(_whole_dense_stationary(scaled) - rho).max() < 1e-12
+
+
+@pytest.mark.parametrize("l_matrix", _odd_row_cases())
+def test_block_scalings_are_the_whole_matrix_scalings(l_matrix):
+    """geequb on each gathered sector block, the even one trace-bordered,
+    gives the whole bordered matrix's row and column scalings at the
+    block's rows and columns, bit for bit: no row or column of a
+    block-diagonal matrix holds a nonzero outside its block."""
+    dim = int(round(np.sqrt(l_matrix.shape[0])))
+    diagonal = np.arange(dim) * (dim + 1)
+    _, position, _ = sector_order(dim)
+    whole = np.array(l_matrix, order="F")
+    whole[0] = 0.0
+    whole[0, diagonal] = 1.0
+    geequb = scipy.linalg.get_lapack_funcs("geequb", (whole,))
+    row_scale, col_scale = geequb(whole)[:2]
+    blocks = propagation._sector_blocks(l_matrix, dim)
+    assert len(blocks) == 2
+    for first, index in zip((True, False), blocks):
+        block = propagation._fortran_block(l_matrix, index)
+        assert block.flags.f_contiguous
+        assert np.array_equal(block, l_matrix[np.ix_(index, index)])
+        if first:
+            block[0] = 0.0
+            block[0, position[diagonal]] = 1.0
+        rows, cols = geequb(block)[:2]
+        assert np.array_equal(rows, row_scale[index])
+        assert np.array_equal(cols, col_scale[index])
+

@@ -1,12 +1,13 @@
 """The sector path of propagate against the full-state propagate it replaced.
 
-Every generator of the bilinear family keeps the parity of i + j with a free
-or harmonic Hamiltonian, so a state with no odd entry keeps none, and
-propagate integrates the even sector alone.  The oracle below is the
-full-state propagate as it was before the sector path: every stage on the
-(d, d) state through liouvillian.apply, whose bits are the row-major CSR
-mat-vec's (test_liouvillians), and the adaptive error norm over all d^2
-entries.  The sector path must reproduce it bit for bit.
+Every library generator, the bilinear family and the collision generator,
+keeps the parity of i + j with a free or harmonic Hamiltonian, so a state
+with no odd entry keeps none, and propagate integrates the even sector
+alone.  The oracle below is the full-state propagate as it was before the
+sector path: every stage on the (d, d) state through liouvillian.apply,
+whose bits are the row-major CSR mat-vec's (test_liouvillians), and the
+adaptive error norm over all d^2 entries.  The sector path must reproduce
+it bit for bit.
 """
 
 import dataclasses
@@ -36,6 +37,7 @@ from qbmlab import (
     TMatrixModel,
     TrajectoryRecord,
     build_liouvillian,
+    build_position,
     coherent_state,
     number_state,
     propagate,
@@ -180,9 +182,8 @@ def test_sector_path_matches_the_full_state_oracle(monkeypatch, name, method):
     """The final state, all eight monitor series and the accepted, rejected
     and generator-call counts equal the full-state oracle's, from squeezed,
     thermal, number and coherent states, at strides 1, 3 and 10, at odd and
-    even dims.  Parity-definite states under the bilinear family integrate
-    the even sector alone; coherent states, and every state under the
-    parity-mixing collision generator, the whole vector."""
+    even dims.  Parity-definite states integrate the even sector alone,
+    under the collision generator too; coherent states the whole vector."""
     sizes = []
     matvec = Liouvillian.matvec
 
@@ -201,7 +202,7 @@ def test_sector_path_matches_the_full_state_oracle(monkeypatch, name, method):
                 icfg = _icfg(method, stride)
                 sizes.clear()
                 record = propagate(rho0, liouv, icfg)
-                whole = name == "collision" or state_name == "coherent"
+                whole = state_name == "coherent"
                 assert sizes == [dim * dim if whole else n_even] * \
                     record.generator_calls, (dim, state_name)
                 reference = _parent_propagate(rho0, liouv, icfg)
@@ -288,21 +289,27 @@ def test_bilinear_family_keeps_the_parity_of_i_plus_j(name, hamiltonian_kind, ga
     assert liouv.closed_length == n_even
 
 
+@pytest.mark.parametrize("fugacity_z", [0.0, 0.8])
 @pytest.mark.parametrize("hamiltonian_kind", ["free", "harmonic"])
-def test_collision_generator_mixes_the_sectors(hamiltonian_kind):
-    """The collision jumps mix the parity of i + j, so the closed block is
-    all d^2 entries; with no jump left (zero fugacity) K alone keeps it."""
-    cfg = HilbertConfig(dim=8)
-    liouv = _generator("collision", cfg, hamiltonian_kind)
-    _, _, n_even = sector_order(cfg.dim)
-    assert _couples_sectors(superoperator_matrix(liouv), cfg)
-    assert _csr_couples_sectors(liouv, n_even)
-    assert liouv.closed_length == cfg.dim ** 2
-    closed = build_liouvillian(cfg, LiouvillianSpec(
-        hamiltonian_kind=hamiltonian_kind,
-        omega_trap=1.1 if hamiltonian_kind == "harmonic" else None,
-        **_collision(fugacity_z=0.0)))
-    assert closed.closed_length == n_even
+@pytest.mark.parametrize("dim", [2, 5, 8, 13])
+def test_every_library_kind_keeps_the_sectors_apart(dim, hamiltonian_kind, fugacity_z):
+    """No library generator has a superoperator entry coupling an i + j even
+    entry to an odd one, exactly: every bilinear-family kind, and the
+    collision generator, whose jumps are each node's even and odd halves,
+    with and without jumps (zero fugacity).  So each CSR is closed on the
+    even sector."""
+    cfg = HilbertConfig(dim=dim)
+    _, _, n_even = sector_order(dim)
+    omega = 1.1 if hamiltonian_kind == "harmonic" else None
+    generators = [build_liouvillian(cfg, LiouvillianSpec(
+        hamiltonian_kind=hamiltonian_kind, omega_trap=omega,
+        **_collision(fugacity_z=fugacity_z)))]
+    if fugacity_z:
+        generators += [_generator(name, cfg, hamiltonian_kind) for name in _KINDS]
+    for liouv in generators:
+        assert not _couples_sectors(superoperator_matrix(liouv), cfg), liouv.kind
+        assert not _csr_couples_sectors(liouv, n_even)
+        assert liouv.closed_length == n_even
 
 
 def test_a_non_finite_entry_keeps_the_whole_vector():
@@ -319,7 +326,7 @@ def test_a_non_finite_entry_keeps_the_whole_vector():
     assert broken.closed_length == cfg.dim ** 2
 
 
-@pytest.mark.parametrize("name", list(_KINDS))
+@pytest.mark.parametrize("name", list(_KINDS) + ["collision"])
 @pytest.mark.parametrize("state_name", ["squeezed", "thermal", "number"])
 @pytest.mark.parametrize("hamiltonian_kind", ["free", "harmonic"])
 def test_full_propagation_keeps_odd_entries_exactly_zero(name, state_name,
@@ -344,14 +351,26 @@ def test_full_propagation_keeps_odd_entries_exactly_zero(name, state_name,
     assert len(largest) > 50 and max(largest) == 0.0
 
 
+def _parity_mixing(cfg):
+    """A trace-preserving normal form that truly mixes the parities: the
+    jump x + x^2 moves n by 1 and by 0 or 2 at once, and K is -J^dag J / 2."""
+    x = build_position(cfg)
+    jump = x + x @ x
+    k = -0.5 * (jump.conj().T @ jump).astype(complex)
+    return Liouvillian(cfg, "custom", k, np.array([1.0]), jump[None].astype(complex))
+
+
 def test_matvec_refuses_a_length_the_kernel_would_overrun():
     """The kernel reads every column its rows name, whatever the input's
     length: matvec takes all d^2 entries or the closed block, nothing else,
     so the even sector alone is refused where L mixes the sectors."""
     cfg = HilbertConfig(dim=6)
     _, _, n_even = sector_order(cfg.dim)
-    mixing = _generator("collision", cfg)
+    mixing = _parity_mixing(cfg)
     keeping = _generator("bilinear", cfg)
+    assert mixing.closed_length == cfg.dim ** 2
+    assert _couples_sectors(superoperator_matrix(mixing), cfg)
+    assert mixing.matvec(np.ones(cfg.dim ** 2, dtype=complex)).shape == (cfg.dim ** 2,)
     assert keeping.matvec(np.ones(n_even, dtype=complex)).shape == (n_even,)
     for liouv, size in ((mixing, n_even), (keeping, n_even - 1), (keeping, 37)):
         with pytest.raises(ValueError, match="does not match"):
