@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import check_finite
 from .propagation import Sampler, check_stride, fixed_steps
 
 _CFL_FRACTION = 0.4
@@ -137,8 +138,8 @@ def _stencil(v_min, v_max, n_cells, eta, d_v):
 
 def gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=1.0):
     """Normalized Gaussian initial condition sampled at cell centers."""
-    if not var > 0.0:  # NaN too
-        raise ValueError("var must be positive")
+    check_finite("mean", mean)
+    check_finite("var", var, "positive")
     p = np.exp(-0.5 * (_centers(v_min, v_max, n_cells) - mean) ** 2 / var)
     p /= np.sum(p) * ((v_max - v_min) / n_cells)
     return FPGrid(v_min=v_min, v_max=v_max, n_cells=n_cells, p_values=p)
@@ -146,8 +147,8 @@ def gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=1.0):
 
 def maxwell_grid(v_min, v_max, n_cells, eta, d_v):
     """Stationary distribution of the drift-diffusion pair (eta, d_v)."""
-    if not (eta > 0.0 and d_v > 0.0):  # NaN too
-        raise ValueError("maxwell_grid needs eta > 0 and d_v > 0")
+    check_finite("eta", eta, "positive")
+    check_finite("d_v", d_v, "positive")
     return gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=d_v / eta)
 
 
@@ -168,7 +169,11 @@ def _moments(v, dv, p):
 
 
 def _check_coefficients(eta, d_v):
-    # the chained comparisons refuse NaN as well as inf and negatives
+    # the chained comparisons refuse NaN as well as inf and negatives.  They,
+    # fp_step's dt check and FPGrid's v_min < 0 < v_max are the scalar
+    # checks left outside operators.check_finite: every step runs them, and
+    # three check_finite calls cost 0.45 us more per step, about 2% of
+    # fp_solve at 60 cells (in-process, 1 BLAS thread)
     if not (0.0 <= eta < np.inf and 0.0 <= d_v < np.inf):
         raise ValueError("eta and d_v must be finite and nonnegative")
 
@@ -245,10 +250,8 @@ def fp_solve(grid, eta, d_v, t_final, dt, sample_stride=1):
     """fp_step on propagation.fixed_steps to t_final, sampling mass, mean and
     variance by propagation's sampling rule with stride sample_stride; the
     moments are grid_moments' bit for bit."""
-    if not 0.0 < t_final < np.inf:
-        raise ValueError("t_final must be positive and finite")
-    if not 0.0 < dt < np.inf:
-        raise ValueError("dt must be positive and finite")
+    check_finite("t_final", t_final, "positive")
+    check_finite("dt", dt, "positive")
     check_stride("sample_stride", sample_stride)
     sampler = Sampler(functools.partial(_moments, grid.centers, grid.dv),
                       sample_stride, grid.p_values, block=_MOMENT_BLOCK)

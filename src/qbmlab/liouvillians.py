@@ -31,7 +31,7 @@ their weighted products, never a d^4 index list, and it is one such
 block per parity class of positions (i + k even or odd) when every J_k
 is nonzero in one class alone.
 superoperator_matrix adds the entries into the dense matrix.  apply
-compiles them, on its first call, into CSR arrays by scipy's own kernels,
+compiles them, on its first call, into CSR arrays by scipy.sparse.csr_array,
 in sector order (i + j even first), and is then one direct call of scipy's
 CSR mat-vec kernel per application.  propagate and superoperator_matrix
 also take any other object with cfg and apply alone, such as a proxy that
@@ -81,17 +81,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# scipy's own CSR kernels, called without csr_array's per-call dispatch
-from scipy.sparse._sparsetools import (coo_tocsr, csr_has_sorted_indices,
-                                       csr_matvec, csr_sort_indices,
-                                       csr_sum_duplicates)
+import scipy.sparse
+# scipy's own CSR mat-vec kernel, called without csr_array's per-call dispatch
+from scipy.sparse._sparsetools import csr_matvec
 
 from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           kossakowski_weights, saturating_coefficients,
                           thermal_kernel)
 from .operators import (HAMILTONIAN_KINDS, HilbertConfig, build_annihilator,
                         build_hamiltonian, build_momentum, build_position,
-                        is_integer)
+                        check_finite, is_integer)
 from .quadrature import legendre_rule
 from .structure_factor import brownian_weight
 
@@ -134,13 +133,9 @@ class CollisionParameters:
             values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        for name in ("gas_mass", "beta"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.fugacity_z >= 0:
-            raise ValueError(f"fugacity_z must be nonnegative, got {self.fugacity_z}")
-        if not 0 < self.q_max < np.inf:
-            raise ValueError(f"q_max must be positive and finite, got {self.q_max}")
+        for name in ("gas_mass", "beta", "q_max"):
+            check_finite(name, getattr(self, name), "positive")
+        check_finite("fugacity_z", self.fugacity_z, "nonnegative")
         if self.q_nodes.size == 0:
             raise ValueError("empty momentum-transfer grid: q_nodes has no node")
         if self.q_nodes.shape != self.q_weights.shape:
@@ -164,8 +159,7 @@ def radial_grid(q_max: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
     q_max must be positive and finite and n_nodes an integer >= 1 (bool
     refused), else a ValueError names the field."""
-    if not 0 < q_max < np.inf:
-        raise ValueError(f"q_max must be positive and finite, got {q_max!r}")
+    check_finite("q_max", q_max, "positive")
     if not is_integer(n_nodes) or n_nodes < 1:
         raise ValueError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
     t, w = legendre_rule(n_nodes)
@@ -196,9 +190,11 @@ class LiouvillianSpec:
             raise ValueError(f"unknown generator kind {kind!r}")
         if self.hamiltonian_kind not in HAMILTONIAN_KINDS:
             raise ValueError(f"unknown hamiltonian kind {self.hamiltonian_kind!r}")
-        if self.hamiltonian_kind != "harmonic" and self.omega_trap is not None:
-            raise ValueError(f"a {self.hamiltonian_kind} Hamiltonian does not "
-                             "read omega_trap")
+        if self.omega_trap is not None:
+            if self.hamiltonian_kind != "harmonic":
+                raise ValueError(f"a {self.hamiltonian_kind} Hamiltonian does not "
+                                 "read omega_trap")
+            check_finite("omega_trap", self.omega_trap, "positive")
         if kind == BOLTZMANN_COLLISION and self.collision is None:
             raise ValueError("boltzmann_collision requires CollisionParameters")
         if kind == BILINEAR and c is None:
@@ -220,10 +216,8 @@ class LiouvillianSpec:
                           else ("d_pp", "gamma and d_xx"))
         if c is None or self.beta is None:
             raise ValueError(f"{kind} requires coeffs.{given} and beta")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if c.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        check_finite("beta", self.beta, "positive")
+        check_finite("gamma", c.gamma, "nonnegative")
         if any(getattr(c, name) != 0.0
                for name in ("gamma", "d_pp", "d_xx", "d_xp", "mu") if name != given):
             raise ValueError(f"{kind} takes only {given} (+ fugacity_z); "
@@ -318,12 +312,10 @@ class Liouvillian:
         Sector order (sector_order) takes the entries of row-major vec(rho)
         with i + j even first, then those with i + j odd.  The arrays are
         those of scipy.sparse.csr_array((data, (rows, cols))) on row-major
-        vec(rho), from the kernels its constructor runs, without its Python
-        checks (coo_tocsr, then csr_sort_indices unless the rows are
-        already sorted, then csr_sum_duplicates, which adds the overlapping
-        terms), with the rows and column labels carried into sector order:
-        each row keeps its entries in their row-major order, so each row sum
-        is the row-major CSR's, term for term.
+        vec(rho), which adds the overlapping terms, with the rows and column
+        labels carried into sector order: each row keeps its entries in
+        their row-major order, so each row sum is the row-major CSR's, term
+        for term.
 
         The closed length is the even sector's size when no entry of L
         couples an even entry to an odd one and every entry is finite, and
@@ -339,20 +331,12 @@ class Liouvillian:
                     for (j, i, l, k), values in self.entries]
         rows, cols, values = (np.concatenate([a.ravel() for a in part])
                               for part in zip(*triplets))
-        # numpy's intp indices, as the constructor keeps them: the mat-vec
-        # ran 15-20% faster with them than with int32 at dims 38-42
-        indptr = np.empty(n + 1, dtype=rows.dtype)
-        indices = np.empty_like(rows)
-        data = np.empty_like(values)
-        # coo_tocsr keeps each row's entries in input order, whatever the
-        # row's label, and the sort and the sum read only the columns
-        coo_tocsr(n, n, rows.size, position.take(rows), cols, values,
-                  indptr, indices, data)
-        if not csr_has_sorted_indices(n, indptr, indices):
-            csr_sort_indices(n, indptr, indices, data)
-        csr_sum_duplicates(n, n, indptr, indices, data)
-        nnz = indptr[-1]
-        indices, data = position.take(indices[:nnz]), data[:nnz]
+        # the constructor keeps each row's entries in input order, whatever
+        # the row's label, and its sort and sum read only the columns; it
+        # keeps numpy's intp indices, with which the mat-vec ran 15-20%
+        # faster than with int32 at dims 38-42
+        csr = scipy.sparse.csr_array((values, (position.take(rows), cols)), shape=(n, n))
+        indptr, indices, data = csr.indptr, position.take(csr.indices), csr.data
         split = indptr[n_even]
         closed = (indices[:split].max(initial=0) < n_even
                   and indices[split:].min(initial=n) >= n_even
@@ -412,21 +396,14 @@ def sector_order(d: int) -> tuple[np.ndarray, np.ndarray, int]:
     return order, position, (d * d + 1) // 2
 
 
-@functools.lru_cache(maxsize=16)
-def _odd_positions(d: int) -> np.ndarray:
-    """The (d, d) mask of the positions (i, k) with i + k odd, read-only."""
-    odd = np.add.outer(np.arange(d), np.arange(d)) % 2 == 1
-    odd.flags.writeable = False
-    return odd
-
-
 def _parity_classes(nonzero: np.ndarray, d: int) -> list:
     """The jump groups of Liouvillian.entries, from the (n, d^2) nonzero
     mask of the flattened jumps: the jumps nonzero at no odd position, then
     those nonzero at no even one, when each jump is one or the other and
     both groups hold some; otherwise all jumps as one group (a slice, so the
     block is formed from the jumps themselves)."""
-    odd = _odd_positions(d).ravel()
+    _, position, n_even = sector_order(d)
+    odd = position >= n_even
     in_odd = (nonzero & odd).any(axis=1)
     if in_odd.all() or not in_odd.any() or (in_odd & (nonzero & ~odd).any(axis=1)).any():
         return [slice(None)]
@@ -479,8 +456,7 @@ def minimal_coefficients(cfg: HilbertConfig, d_pp: float, beta: float,
     the single-generator assembly reduces to.  BilinearCoefficients
     rejects a negative d_pp.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_finite("beta", beta, "positive")
     gamma, d_xx = saturating_coefficients(d_pp, beta, cfg.mass, cfg.hbar)
     return BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx,
                                 fugacity_z=fugacity_z)
@@ -586,7 +562,8 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
 
     kicks = v_x @ (phase[:, :, None] * (v_x.conj().T @ v_p) * weight[:, None, :]) \
         @ v_p.conj().T
-    odd = _odd_positions(d)
+    _, position, n_even = sector_order(d)
+    odd = (position >= n_even).reshape(d, d)
     # sum_q s_q J(q)^dag J(q), as one product over the stacked rows of all J(q)
     stacked = kicks.reshape(-1, d)
     gram = stacked.conj().T @ (np.repeat(rates, d)[:, None] * stacked)

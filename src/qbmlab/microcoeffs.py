@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import check_finite
 from .quadrature import integrate
 from .structure_factor import BOSE, MAXWELL_BOLTZMANN, GasThermodynamics
 
@@ -54,12 +55,15 @@ class TMatrixModel:
     def __post_init__(self):
         if self.kind not in ("constant", "gaussian"):
             raise ValueError(f"unknown t-matrix kind {self.kind!r}")
-        if self.kind == "gaussian" and not (self.sigma_q or 0) > 0:
-            raise ValueError("gaussian t-matrix requires sigma_q > 0")
+        check_finite("t0", self.t0)
+        if self.kind == "gaussian":
+            if self.sigma_q is None:
+                raise ValueError("gaussian t-matrix requires sigma_q")
+            check_finite("sigma_q", self.sigma_q, "positive")
 
     def squared(self, q):
         q = np.asarray(q, dtype=float)
-        if np.any(q < 0):
+        if not np.all(q >= 0):  # NaN too
             raise ValueError("momentum transfer must be nonnegative")
         if self.kind == "constant":
             out = np.full_like(q, self.t0**2)
@@ -85,13 +89,10 @@ class BilinearCoefficients:
     provenance: str = USER
 
     def __post_init__(self):
-        vals = (self.gamma, self.d_pp, self.d_xx, self.d_xp, self.mu, self.fugacity_z)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"coefficients must be finite, got {vals}")
-        if self.d_pp < 0 or self.d_xx < 0:
-            raise ValueError("diffusion coefficients d_pp, d_xx must be nonnegative")
-        if self.fugacity_z < 0:
-            raise ValueError("fugacity_z must be nonnegative")
+        for name in ("gamma", "d_xp", "mu"):
+            check_finite(name, getattr(self, name))
+        for name in ("d_pp", "d_xx", "fugacity_z"):
+            check_finite(name, getattr(self, name), "nonnegative")
 
 
 def cutoff_momentum(gas: GasThermodynamics) -> float:
@@ -142,8 +143,8 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
     anticommutator term.  fugacity_z is 1 because the quadrature gives d_pp
     per unit fugacity.
     """
-    if not mass_test > 0 or not hbar > 0:
-        raise ValueError("test mass and hbar must be positive")
+    check_finite("mass_test", mass_test, "positive")
+    check_finite("hbar", hbar, "positive")
     a = gas.beta / (8.0 * gas.gas_mass)
     if tmat.kind == "gaussian":
         a += 0.5 / tmat.sigma_q**2

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,22 @@ import scipy.linalg
 def is_integer(value) -> bool:
     """Whether value is a Python or numpy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# check_finite's sign rules, each the comparison with zero a valid value passes
+_SIGN_RULES = {"positive": operator.gt, "nonnegative": operator.ge,
+               "negative": operator.lt}
+
+
+def check_finite(name: str, value, sign: str | None = None) -> None:
+    """The one rule for a scalar physical input: value is finite (a complex
+    value too, when sign is None) and, when sign names a rule ("positive",
+    "nonnegative" or "negative"), of that sign.  NaN and +-inf are refused
+    whatever the sign, by a ValueError naming the field:
+    "<name> must be [<sign> and ]finite, got <value>"."""
+    if not (cmath.isfinite(value) and (sign is None or _SIGN_RULES[sign](value, 0))):
+        rule = "finite" if sign is None else f"{sign} and finite"
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +57,7 @@ class HilbertConfig:
         if self.dim < 2:
             raise ValueError(f"dim must be >= 2, got {self.dim}")
         for name in ("hbar", "mass", "omega_basis"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            check_finite(name, getattr(self, name), "positive")
 
     @property
     def length_scale(self) -> float:
@@ -87,8 +102,7 @@ def build_hamiltonian(cfg: HilbertConfig, kind: str = "free",
         return h
     if kind == "harmonic":
         w = cfg.omega_basis if omega_trap is None else float(omega_trap)
-        if not w > 0:
-            raise ValueError(f"omega_trap must be positive, got {w}")
+        check_finite("omega_trap", w, "positive")
         x = build_position(cfg)
         return h + 0.5 * cfg.mass * w**2 * (x @ x)
     raise ValueError(f"unknown hamiltonian kind {kind!r}")
@@ -102,8 +116,7 @@ def build_annihilator(cfg: HilbertConfig, beta: float) -> np.ndarray:
     [a_th, a_th^dagger] = 1 on the leading block for any beta; it coincides
     with the basis ladder operator only when lam = 2*sqrt(hbar/(mass*omega_basis)).
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_finite("beta", beta, "positive")
     lam = thermal_wavelength(cfg, beta)
     x = build_position(cfg)
     p = build_momentum(cfg)
@@ -144,14 +157,9 @@ def _displacement(a: np.ndarray, alpha: complex) -> np.ndarray:
     return scipy.linalg.expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
-def _check_finite(name: str, value) -> None:
-    if not cmath.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-
-
 def coherent_state(cfg: HilbertConfig, alpha: complex) -> np.ndarray:
     """Displaced vacuum as a pure density matrix, normalized after truncation."""
-    _check_finite("alpha", alpha)
+    check_finite("alpha", alpha)
     psi = _displacement(build_ladder(cfg), alpha)[:, 0]
     psi = psi / np.linalg.norm(psi)
     return np.outer(psi, psi.conj())
@@ -164,8 +172,8 @@ def squeezed_state(cfg: HilbertConfig, r: float, alpha: complex = 0.0) -> np.nda
     variance by e^{+2r} relative to the basis vacuum.  Built by exponentiating
     the truncated quadratic generator, then renormalized.
     """
-    _check_finite("r", r)
-    _check_finite("alpha", alpha)
+    check_finite("r", r)
+    check_finite("alpha", alpha)
     a = build_ladder(cfg)
     s = scipy.linalg.expm(0.5 * r * (a @ a - a.conj().T @ a.conj().T))
     psi = s[:, 0]
@@ -177,8 +185,7 @@ def squeezed_state(cfg: HilbertConfig, r: float, alpha: complex = 0.0) -> np.nda
 
 def thermal_state(cfg: HilbertConfig, nbar: float) -> np.ndarray:
     """Geometric-population mixed state with mean occupation nbar, renormalized."""
-    if not (nbar >= 0 and math.isfinite(nbar)):
-        raise ValueError(f"nbar must be nonnegative and finite, got {nbar}")
+    check_finite("nbar", nbar, "nonnegative")
     if nbar == 0.0:
         return vacuum_state(cfg)
     n = np.arange(cfg.dim)

@@ -77,6 +77,7 @@ from .liouvillians import Liouvillian, sector_order
 from .operators import (
     build_momentum,
     build_position,
+    check_finite,
     is_integer,
     min_eigenvalue,
     purity,
@@ -162,12 +163,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in (RK4_FIXED, RK45_ADAPTIVE):
             raise ValueError("unknown method %r" % (self.method,))
-        if not (self.t_final > 0.0 and np.isfinite(self.t_final)):
-            raise ValueError("t_final must be positive and finite")
-        for name in ("dt", "dt_init", "rtol", "atol"):
-            val = getattr(self, name)
-            if not (val > 0.0 and np.isfinite(val)):
-                raise ValueError("%s must be positive and finite" % name)
+        for name in ("t_final", "dt", "dt_init", "rtol", "atol"):
+            check_finite(name, getattr(self, name), "positive")
         check_stride("monitor_stride", self.monitor_stride)
 
 
@@ -453,9 +450,9 @@ def propagate(rho0, liouvillian, icfg):
 
 
 def positivity_breach_time(record, threshold=-1e-10):
-    """First sampled time where min_eig dips below threshold, else None."""
-    if threshold >= 0.0:
-        raise ValueError("threshold must be negative")
+    """First sampled time where min_eig dips below threshold, which must be
+    negative and finite, else None."""
+    check_finite("threshold", threshold, "negative")
     idx = np.nonzero(record.min_eig < threshold)[0]
     if idx.size == 0:
         return None

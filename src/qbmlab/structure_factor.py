@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import check_finite
 from .quadrature import integrate
 
 MAXWELL_BOLTZMANN = "maxwell_boltzmann"
@@ -30,12 +31,8 @@ class GasThermodynamics:
     statistics: str = MAXWELL_BOLTZMANN
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.gas_mass > 0:
-            raise ValueError(f"gas_mass must be positive, got {self.gas_mass}")
-        if not self.fugacity > 0:
-            raise ValueError(f"fugacity must be positive, got {self.fugacity}")
+        for name in ("beta", "gas_mass", "fugacity"):
+            check_finite(name, getattr(self, name), "positive")
         if self.statistics not in _STATISTICS:
             raise ValueError(
                 f"statistics must be one of {_STATISTICS}, got {self.statistics!r}")
@@ -50,8 +47,7 @@ def s_mb(q: float, energy, gas: GasThermodynamics):
     Unit zeroth moment; first moment equals the recoil energy q^2/2m.
     Accepts scalar or array energy.
     """
-    if not q > 0:
-        raise ValueError(f"momentum transfer q must be positive, got {q}")
+    check_finite("q", q, "positive")
     if gas.statistics != MAXWELL_BOLTZMANN:
         raise ValueError("closed form implemented for the Maxwell-Boltzmann gas only")
     beta, m = gas.beta, gas.gas_mass
@@ -81,8 +77,7 @@ def _energy_moment(q: float, gas: GasThermodynamics, power: int) -> float:
     Kept numerical on purpose: it cross-checks the closed form rather than
     restating it.
     """
-    if not q > 0:
-        raise ValueError(f"momentum transfer q must be positive, got {q}")
+    check_finite("q", q, "positive")
     recoil = q**2 / (2.0 * gas.gas_mass)
     width = q / np.sqrt(gas.beta * gas.gas_mass)
     val, err = integrate(lambda e: e**power * s_mb(q, e, gas),
@@ -103,7 +98,8 @@ def sum_rule_f(q: float, gas: GasThermodynamics) -> float:
 
 
 def statistics_prefactor(gas: GasThermodynamics) -> float:
-    """Fugacity factor scaling the scattering rate: z, z/(1-z), or z/(1+z)."""
+    """Fugacity factor of the scattering rate by statistics: z, z/(1-z), or
+    z/(1+z).  No generator reads it."""
     z = gas.fugacity
     if gas.statistics == MAXWELL_BOLTZMANN:
         return z

@@ -48,8 +48,8 @@ def test_maxwell_grid_requires_positive_coefficients():
     with pytest.raises(ValueError):
         maxwell_grid(-8.0, 8.0, 200, eta=1.0, d_v=-1.0)
     # NaN fails the sign check itself, not the density's later finiteness check
-    for eta, d_v in ((float("nan"), 1.0), (1.0, float("nan"))):
-        with pytest.raises(ValueError, match="maxwell_grid needs eta > 0 and d_v > 0"):
+    for eta, d_v, field in ((float("nan"), 1.0, "eta"), (1.0, float("nan"), "d_v")):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
             maxwell_grid(-8.0, 8.0, 200, eta=eta, d_v=d_v)
     with pytest.raises(ValueError, match="var must be positive"):
         gaussian_grid(-8.0, 8.0, 200, var=float("nan"))

@@ -917,8 +917,8 @@ def test_apply_is_the_constructor_csr_matvec_bit_for_bit(dim, rng):
     """apply equals csr_array(...) @ vec(rho) bit for bit, on density
     matrices, a general matrix, its Fortran-ordered copy and a real matrix:
     the bilinear-family kinds at every dim, the collision generators up to
-    dim 12.  Its CSR arrays are the constructor's.  The result is a new
-    C-contiguous array and the input is left as it was."""
+    dim 12.  Its CSR arrays are the constructor's, with intp indices.  The
+    result is a new C-contiguous array and the input is left as it was."""
     cfg = HilbertConfig(dim=dim)
     general = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     inputs = (random_density(dim, rng), general, np.asfortranarray(general),
@@ -937,6 +937,8 @@ def test_apply_is_the_constructor_csr_matvec_bit_for_bit(dim, rng):
         # row k of the sector-ordered CSR is the constructor's row order[k],
         # its entries in the constructor's order, with sector column labels
         indptr, indices, data, _ = liouv._csr
+        # intp, not int32, whatever the size: the mat-vec ran 15-20% faster
+        assert indptr.dtype == np.intp and indices.dtype == np.intp
         order, _, _ = sector_order(dim)
         assert np.array_equal(np.diff(indptr), np.diff(oracle.indptr)[order])
         take = np.concatenate([np.arange(oracle.indptr[row], oracle.indptr[row + 1])
@@ -1027,12 +1029,19 @@ def test_compile_cache_is_bounded():
 
 def test_a_compile_that_raises_is_not_cached(monkeypatch):
     """A failed compile leaves nothing behind: the same spec compiles again,
-    and fails or succeeds on its own."""
+    and fails or succeeds on its own.  A negative trap frequency is the
+    spec's own refusal; derived coefficients that overflow are the
+    compile's."""
     cfg = HilbertConfig(dim=4)
-    negative_trap = _minimal_spec(0.4, omega_trap=-1.0)
+    with pytest.raises(ValueError, match="omega_trap must be positive"):
+        _minimal_spec(0.4, omega_trap=-1.0)
+    # gamma = beta d_pp / 2M overflows to inf, which BilinearCoefficients refuses
+    overflowing = LiouvillianSpec(kind=MINIMAL_QBM, beta=1e150,
+                                  coeffs=BilinearCoefficients(d_pp=1e200))
     for _ in range(2):
-        with pytest.raises(ValueError, match="omega_trap must be positive"):
-            build_liouvillian(cfg, negative_trap)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            build_liouvillian(cfg, overflowing)
+    assert _cached_compile.cache_info().currsize == 0
     spec = _minimal_spec(0.4)
 
     def failing(cfg, spec):

@@ -37,6 +37,11 @@ def test_tmatrix_validation():
     assert tm.squared(1.5) < 4.0
     with pytest.raises(ValueError):
         tm.squared(-0.5)
+    # a NaN momentum fails the sign check; the constant kind would return t0^2
+    for model in (tm, TMatrixModel(kind="constant", t0=2.0)):
+        for q in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="momentum transfer must be nonnegative"):
+                model.squared(q)
 
 
 def test_coefficient_set_validation():
