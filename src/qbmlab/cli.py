@@ -1,22 +1,28 @@
 """Command-line front door: one config file, one experiment, one table.
 
-Each subcommand loads a fail-closed INI config and runs a single
-experiment.  A cmd_* function parses the config and builds every input,
-then returns the callable that runs the experiment and returns its table:
-(header, rows, summary lines[, column formats]).  build ends the build
-phase with one check: every key in the file must have been read, and a
-key is read only where the run uses it.  main is the one output path: it
-writes the CSV (17 significant digits unless a format says otherwise) as
-`<basename>.csv`, prints the summary to stdout in a machine-greppable
-key=value form, and writes the `<basename>.meta.txt` sidecar.  The
+Each subcommand loads an INI config and runs a single experiment.  A
+cmd_* function reads the config and builds every input, then returns the
+callable that runs the experiment and returns its table: (header, rows,
+summary lines[, column formats]).  Each read names its key's cast
+(config._float, _int_from, _float_list, _choice or str), so a value is
+checked where it is used.  build ends the build phase with the one
+fail-closed rule: every section and key in the file must have been read,
+and a key is read only where the run uses it.  A missing required key
+also names the keys no read had reached, so a misspelt key is named even
+when the run stops first on the key it misspells.  main is the one
+output path: it writes the CSV (17 significant digits unless a format
+says otherwise) as `<basename>.csv`, prints the summary to stdout in a
+machine-greppable key=value form, and writes the `<basename>.meta.txt`
+sidecar, whose config hash is of the bytes the run parsed.  The
 basename defaults to the command name.
 
 Exit codes: 0 success; 2 configuration error, a ConfigError or ValueError
-while parsing and building (the message names the offending keys, and a
-library ValueError is reported with the section being built); 3
-numerical failure, a NumericalFailure or ArithmeticError in either phase
-or a ValueError once the run has started (numpy.linalg.LinAlgError is a
-ValueError).  Making the output directory and writing belong to the run.
+while parsing and building (the message names the offending keys or
+sections, and a library ValueError is reported with the section being
+built); 3 numerical failure, a NumericalFailure or ArithmeticError in
+either phase or a ValueError once the run has started
+(numpy.linalg.LinAlgError is a ValueError).  Making the output directory
+and writing belong to the run.
 
 The data files contain no timestamps or hostnames, so identical configs
 produce byte-identical tables; run provenance (version, config hash,
@@ -28,7 +34,6 @@ which defaults to ./qbmlab_out.
 import argparse
 import contextlib
 import functools
-import hashlib
 import os
 import sys
 from datetime import datetime, timezone
@@ -36,7 +41,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, _choice, _float, _float_list, _int_from, load_config
 from .fokker_planck import fp_solve, gaussian_grid, maxwell_grid, stability_bound
 from .liouvillians import (
     BOLTZMANN_COLLISION,
@@ -44,6 +49,7 @@ from .liouvillians import (
     DOUBLE_COMMUTATOR,
     MINIMAL_QBM,
     BILINEAR,
+    SINGLE_GENERATOR,
     CollisionParameters,
     LiouvillianSpec,
     build_liouvillian,
@@ -58,7 +64,9 @@ from .microcoeffs import (
     friction_ratio,
 )
 from .operators import (
+    HAMILTONIAN_KINDS,
     HilbertConfig,
+    check_finite,
     coherent_state,
     number_state,
     squeezed_state,
@@ -67,12 +75,15 @@ from .operators import (
 )
 from .propagation import (
     RK4_FIXED,
+    RK45_ADAPTIVE,
     IntegratorConfig,
     NumericalFailure,
     positivity_breach_time,
     propagate,
 )
 from .structure_factor import (
+    BOSE,
+    FERMI,
     MAXWELL_BOLTZMANN,
     GasThermodynamics,
     s_mb,
@@ -104,13 +115,11 @@ def _write_csv(out_dir, basename, header, rows, formats=None):
 
 
 def _write_sidecar(out_dir, basename, rc, command, summary):
-    with open(rc.path, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
     lines = [
         "command=%s" % command,
         "package_version=%s" % __version__,
         "config_path=%s" % rc.path,
-        "config_sha256=%s" % digest,
+        "config_sha256=%s" % rc.sha256,
         "written_utc=%s" % datetime.now(timezone.utc).isoformat(),
     ]
     lines.extend(summary)
@@ -120,48 +129,51 @@ def _write_sidecar(out_dir, basename, rc, command, summary):
 
 @contextlib.contextmanager
 def _section(rc, section):
-    """Builds [section]'s objects; yields given(*keys), the keys set in the
-    file (one left out keeps the library default).  A ValueError, whose
-    message names the key, becomes a ConfigError naming the section too."""
+    """Builds [section]'s objects; yields given(**casts), the keys of casts
+    set in the file, each cast by its own (one left out keeps the library
+    default).  A ValueError, whose message names the key, becomes a
+    ConfigError naming the section too."""
     try:
-        yield lambda *keys: {key: value for key in keys
-                             if (value := rc.get(section, key)) is not None}
+        yield lambda **casts: {key: value for key, cast in casts.items()
+                               if (value := rc.get(section, key, cast, None)) is not None}
     except ValueError as exc:
         raise ConfigError("in section [%s]: %s" % (section, exc)) from exc
 
 
 def _gas_from(rc, *optional, maxwell_for=None):
     """The gas of [gas]; maxwell_for names a use that needs Maxwell-Boltzmann."""
+    casts = {"fugacity": _float, "statistics": _choice(MAXWELL_BOLTZMANN, BOSE, FERMI)}
     with _section(rc, "gas") as given:
-        keys = given(*optional)
+        keys = given(**{key: casts[key] for key in optional})
         # before the gas checks its fugacity, which such a use may not read
         if maxwell_for and keys.get("statistics", MAXWELL_BOLTZMANN) != MAXWELL_BOLTZMANN:
             raise ConfigError("key 'statistics' in section [gas] must be "
                               "maxwell_boltzmann for %s" % maxwell_for)
-        return GasThermodynamics(
-            beta=rc.require("gas", "beta"), gas_mass=rc.require("gas", "gas_mass"), **keys)
+        return GasThermodynamics(beta=rc.get("gas", "beta", _float),
+                                 gas_mass=rc.get("gas", "gas_mass", _float), **keys)
 
 
 def _tmatrix_from(rc):
-    kind = rc.require("tmatrix", "kind")
+    kind = rc.get("tmatrix", "kind", _choice("constant", "gaussian"))
     with _section(rc, "tmatrix"):
-        return TMatrixModel(kind=kind, t0=rc.require("tmatrix", "t0"), sigma_q=(
-            rc.get("tmatrix", "sigma_q") if kind == "gaussian" else None))
+        return TMatrixModel(kind=kind, t0=rc.get("tmatrix", "t0", _float), sigma_q=(
+            rc.get("tmatrix", "sigma_q", _float, None) if kind == "gaussian" else None))
 
 
 def _initial_state(rc, cfg):
-    kind = rc.get("generator", "initial_state", "vacuum")
+    kind = rc.get("generator", "initial_state",
+                  _choice("vacuum", "number", "coherent", "squeezed", "thermal"), "vacuum")
     if kind == "vacuum":
         return vacuum_state(cfg)
     if kind == "number":
-        return number_state(cfg, rc.require("generator", "initial_n"))
+        return number_state(cfg, rc.get("generator", "initial_n", _int_from(0)))
     if kind == "thermal":
-        return thermal_state(cfg, rc.require("generator", "initial_nbar"))
-    alpha = complex(rc.get("generator", "initial_alpha_re", 0.0),
-                    rc.get("generator", "initial_alpha_im", 0.0))
+        return thermal_state(cfg, rc.get("generator", "initial_nbar", _float))
+    alpha = complex(rc.get("generator", "initial_alpha_re", _float, 0.0),
+                    rc.get("generator", "initial_alpha_im", _float, 0.0))
     if kind == "coherent":
         return coherent_state(cfg, alpha)
-    return squeezed_state(cfg, rc.require("generator", "initial_r"), alpha)
+    return squeezed_state(cfg, rc.get("generator", "initial_r", _float), alpha)
 
 
 def _generator_from(rc, cfg):
@@ -170,37 +182,39 @@ def _generator_from(rc, cfg):
     The gas-driven ones, collision and microscopic minimal_qbm, take beta
     and the fugacity from [gas], whose statistics must be Maxwell-Boltzmann.
     """
-    kind = rc.require("generator", "kind")
-    hamiltonian = rc.get("generator", "hamiltonian", "free")
+    kind = rc.get("generator", "kind", _choice(
+        CALDEIRA_LEGGETT, BILINEAR, MINIMAL_QBM, BOLTZMANN_COLLISION))
+    hamiltonian = rc.get("generator", "hamiltonian", _choice(*HAMILTONIAN_KINDS), "free")
     common = dict(kind=kind, hamiltonian_kind=hamiltonian, omega_trap=(
-        rc.get("generator", "omega_trap") if hamiltonian == "harmonic" else None))
-    gas_driven = kind == BOLTZMANN_COLLISION or (
-        kind == MINIMAL_QBM and rc.get("generator", "coefficients", "user") == "microscopic")
+        rc.get("generator", "omega_trap", _float, None) if hamiltonian == "harmonic" else None))
+    gas_driven = kind == BOLTZMANN_COLLISION or (kind == MINIMAL_QBM and rc.get(
+        "generator", "coefficients", _choice("user", "microscopic"), "user") == "microscopic")
     gas = _gas_from(rc, "fugacity", "statistics",
                     maxwell_for="generator kind %r" % kind) if gas_driven else None
-    z = rc.get("generator", "fugacity_z", 1.0) if gas is None else gas.fugacity
+    z = rc.get("generator", "fugacity_z", _float, 1.0) if gas is None else gas.fugacity
 
     if kind == CALDEIRA_LEGGETT:
         spec = LiouvillianSpec(
-            beta=rc.require("generator", "beta"), coeffs=BilinearCoefficients(
-                gamma=rc.require("generator", "gamma"), fugacity_z=z), **common)
+            beta=rc.get("generator", "beta", _float), coeffs=BilinearCoefficients(
+                gamma=rc.get("generator", "gamma", _float), fugacity_z=z), **common)
     elif kind == BILINEAR:
         spec = LiouvillianSpec(coeffs=BilinearCoefficients(
-            fugacity_z=z, **{key: rc.get("generator", key, 0.0)
+            fugacity_z=z, **{key: rc.get("generator", key, _float, 0.0)
                              for key in ("gamma", "d_pp", "d_xx", "d_xp", "mu")}), **common)
     elif kind == MINIMAL_QBM:
         if gas is not None:
             d_pp = compute_dpp(_tmatrix_from(rc), gas, cfg.mass, cfg.hbar).d_pp
             beta = gas.beta
         else:
-            d_pp = rc.require("generator", "d_pp")
-            beta = rc.require("generator", "beta")
+            d_pp = rc.get("generator", "d_pp", _float)
+            beta = rc.get("generator", "beta", _float)
         spec = LiouvillianSpec(
             beta=beta, coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z),
-            assembly=rc.get("generator", "assembly", DOUBLE_COMMUTATOR), **common)
+            assembly=rc.get("generator", "assembly", _choice(
+                DOUBLE_COMMUTATOR, SINGLE_GENERATOR), DOUBLE_COMMUTATOR), **common)
     else:
-        q_max = rc.require("generator", "q_max")
-        nodes, weights = radial_grid(q_max, rc.get("generator", "n_nodes", 40))
+        q_max = rc.get("generator", "q_max", _float)
+        nodes, weights = radial_grid(q_max, rc.get("generator", "n_nodes", _int_from(1), 40))
         spec = LiouvillianSpec(collision=CollisionParameters(
             gas_mass=gas.gas_mass, beta=gas.beta, fugacity_z=z,
             tmatrix=_tmatrix_from(rc), q_nodes=nodes, q_weights=weights,
@@ -210,20 +224,20 @@ def _generator_from(rc, cfg):
 
 def cmd_evolve(rc):
     with _section(rc, "hilbert") as given:
-        cfg = HilbertConfig(**given("dim", "hbar", "mass", "omega_basis"))
+        cfg = HilbertConfig(**given(dim=_int_from(1), hbar=_float, mass=_float,
+                                    omega_basis=_float))
     with _section(rc, "generator"):
         liouv = _generator_from(rc, cfg)
         rho0 = _initial_state(rc, cfg)
-    method = rc.get("integrator", "method", RK4_FIXED)
+    method = rc.get("integrator", "method", _choice(RK4_FIXED, RK45_ADAPTIVE), RK4_FIXED)
     # the fixed scheme steps by dt, the adaptive one by dt_init, rtol and atol
     keys = ("dt",) if method == RK4_FIXED else ("dt_init", "rtol", "atol")
     with _section(rc, "integrator") as given:
-        icfg = IntegratorConfig(method=method, t_final=rc.require("integrator", "t_final"),
-                                **given(*keys, "monitor_stride"))
-    threshold = rc.get("integrator", "breach_threshold", -1e-10)
-    if not threshold < 0.0:
-        raise ConfigError(
-            "key 'breach_threshold' in section [integrator] must be negative")
+        icfg = IntegratorConfig(method=method, t_final=rc.get("integrator", "t_final", _float),
+                                **given(**dict.fromkeys(keys, _float),
+                                        monitor_stride=_int_from(1)))
+        threshold = rc.get("integrator", "breach_threshold", _float, -1e-10)
+        check_finite("breach_threshold", threshold, "negative")
 
     def run():
         record = propagate(rho0, liouv, icfg)
@@ -244,8 +258,8 @@ def cmd_evolve(rc):
 
 
 def cmd_coeffs(rc):
-    mass = rc.get("hilbert", "mass", 1.0)
-    hbar = rc.get("hilbert", "hbar", 1.0)
+    mass = rc.get("hilbert", "mass", _float, 1.0)
+    hbar = rc.get("hilbert", "hbar", _float, 1.0)
     gas = _gas_from(rc, "fugacity", "statistics")
     with _section(rc, "hilbert"):
         coeffs = compute_dpp(_tmatrix_from(rc), gas, mass, hbar)
@@ -267,13 +281,13 @@ def cmd_coeffs(rc):
 def cmd_dsf(rc):
     # the closed form is Maxwell-Boltzmann's, which takes no fugacity
     gas = _gas_from(rc, "statistics", maxwell_for="dsf")
-    q_values = rc.get("dsf", "q_values", (0.2, 1.0, 5.0))
-    if any(q <= 0 for q in q_values):
-        raise ConfigError(
-            "key 'q_values' in section [dsf] must be positive momenta")
-    n_e = rc.get("dsf", "n_e", 41)
-    e_min = rc.get("dsf", "e_min")
-    e_max = rc.get("dsf", "e_max")
+    with _section(rc, "dsf"):
+        q_values = rc.get("dsf", "q_values", _float_list, (0.2, 1.0, 5.0))
+        for q in q_values:
+            check_finite("q_values", q, "positive")
+    n_e = rc.get("dsf", "n_e", _int_from(1), 41)
+    e_min = rc.get("dsf", "e_min", _float, None)
+    e_max = rc.get("dsf", "e_max", _float, None)
     rows = []
     summary = []
     for q in q_values:
@@ -292,24 +306,23 @@ def cmd_dsf(rc):
 
 
 def cmd_fp(rc):
-    eta = rc.require("fp", "eta")
-    d_v = rc.require("fp", "d_v")
-    v_min = rc.get("fp", "v_min", -8.0)
-    v_max = rc.get("fp", "v_max", 8.0)
-    n_cells = rc.get("fp", "n_cells", 200)
-    kind = rc.get("fp", "initial", "maxwell")
+    eta = rc.get("fp", "eta", _float)
+    d_v = rc.get("fp", "d_v", _float)
+    v_min = rc.get("fp", "v_min", _float, -8.0)
+    v_max = rc.get("fp", "v_max", _float, 8.0)
+    n_cells = rc.get("fp", "n_cells", _int_from(1), 200)
+    kind = rc.get("fp", "initial", _choice("maxwell", "gaussian"), "maxwell")
     with _section(rc, "fp"):
         if kind == "maxwell":
             grid = maxwell_grid(v_min, v_max, n_cells, eta, d_v)
         else:
             grid = gaussian_grid(v_min, v_max, n_cells,
-                                 mean=rc.get("fp", "initial_mean", 0.0),
-                                 var=rc.require("fp", "initial_var"))
+                                 mean=rc.get("fp", "initial_mean", _float, 0.0),
+                                 var=rc.get("fp", "initial_var", _float))
         bound = stability_bound(grid, eta, d_v)
-    t_final = rc.require("fp", "t_final")
-    if not t_final > 0.0:
-        raise ConfigError("key 't_final' in section [fp] must be positive")
-    dt = rc.get("fp", "dt")
+        t_final = rc.get("fp", "t_final", _float)
+        check_finite("t_final", t_final, "positive")
+    dt = rc.get("fp", "dt", _float, None)
     if dt is None:
         if not np.isfinite(bound):
             raise ConfigError(
@@ -318,7 +331,7 @@ def cmd_fp(rc):
     elif not 0.0 < dt <= bound:
         raise ConfigError("key 'dt' in section [fp] must lie in (0, %.6g], "
                           "the stability bound" % bound)
-    stride = rc.get("fp", "sample_stride")
+    stride = rc.get("fp", "sample_stride", _int_from(1), None)
     if stride is None:
         stride = max(1, int(np.ceil(t_final / dt / 500.0)))
 
@@ -335,18 +348,17 @@ def cmd_fp(rc):
 
 
 def cmd_compare(rc):
-    beta = rc.require("compare", "beta")
-    mass = rc.get("compare", "mass", 1.0)
-    d_pp = rc.require("compare", "d_pp")
-    z = rc.get("compare", "fugacity_z", 1.0)
-    t_final = rc.require("compare", "t_final")
-    n_samples = rc.get("compare", "n_samples", 50)
-    eta_scale = rc.get("compare", "eta_scale", 1.0)
-    if eta_scale < 0.0:
-        raise ConfigError("key 'eta_scale' in section [compare] must be nonnegative")
+    beta = rc.get("compare", "beta", _float)
+    mass = rc.get("compare", "mass", _float, 1.0)
+    d_pp = rc.get("compare", "d_pp", _float)
+    z = rc.get("compare", "fugacity_z", _float, 1.0)
+    t_final = rc.get("compare", "t_final", _float)
+    n_samples = rc.get("compare", "n_samples", _int_from(1), 50)
+    eta_scale = rc.get("compare", "eta_scale", _float, 1.0)
 
     with _section(rc, "compare"):
-        cfg = HilbertConfig(dim=rc.get("compare", "dim", 40), hbar=1.0,
+        check_finite("eta_scale", eta_scale, "nonnegative")
+        cfg = HilbertConfig(dim=rc.get("compare", "dim", _int_from(1), 40), hbar=1.0,
                             mass=mass, omega_basis=1.0)
         spec = LiouvillianSpec(kind=MINIMAL_QBM, hamiltonian_kind="free", beta=beta,
                                coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z))
@@ -362,8 +374,8 @@ def cmd_compare(rc):
         d_v = z * d_pp / mass**2
         var_v0 = cfg.hbar * cfg.omega_basis / (2.0 * mass)  # vacuum momentum spread
         var_ref = max(var_v0, d_v / eta) if eta > 0.0 else var_v0
-        v_max = rc.get("compare", "v_max", 8.0 * np.sqrt(var_ref))
-        grid = gaussian_grid(-v_max, v_max, rc.get("compare", "n_cells", 200),
+        v_max = rc.get("compare", "v_max", _float, 8.0 * np.sqrt(var_ref))
+        grid = gaussian_grid(-v_max, v_max, rc.get("compare", "n_cells", _int_from(1), 200),
                              mean=0.0, var=var_v0)
         if eta > 0.0 or d_v > 0.0:
             bound = stability_bound(grid, eta, d_v)
@@ -413,16 +425,16 @@ def build_parser():
 
 
 def build(command, rc):
-    """(run, output dir, basename); ConfigError names every key nothing read."""
+    """(run, output dir, basename); ConfigError names every section and key
+    nothing read."""
+    # read first, so a missing key's message does not list them as unread,
+    # and before the override, so a configured dir counts as read either way
+    out_dir = rc.get("output", "dir", str, "qbmlab_out")
+    basename = rc.get("output", "basename", str, command)
     run = _COMMANDS[command][0](rc)
-    # read before the override, so a configured dir counts as read either way
-    out_dir = rc.get("output", "dir", "qbmlab_out")
-    basename = rc.get("output", "basename", command)
     unread = rc.unread()
     if unread:
-        raise ConfigError("%s not read by this %s run" % (", ".join(
-            "key '%s' in section [%s]" % (key, section) for section, key in unread),
-            command))
+        raise ConfigError("%s not read by this %s run" % (", ".join(unread), command))
     return run, os.environ.get(OUTPUT_DIR_ENV) or out_dir, basename
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_finite
+from .operators import check_finite, is_integer
 from .propagation import Sampler, check_stride, fixed_steps
 
 _CFL_FRACTION = 0.4
@@ -138,6 +138,12 @@ def _stencil(v_min, v_max, n_cells, eta, d_v):
 
 def gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=1.0):
     """Normalized Gaussian initial condition sampled at cell centers."""
+    # the grid's geometry is checked here, where it enters, and not by
+    # FPGrid, which fp_step builds every step
+    check_finite("v_min", v_min)
+    check_finite("v_max", v_max)
+    if not is_integer(n_cells):
+        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
     check_finite("mean", mean)
     check_finite("var", var, "positive")
     p = np.exp(-0.5 * (_centers(v_min, v_max, n_cells) - mean) ** 2 / var)

@@ -364,12 +364,13 @@ class Liouvillian:
         csr_matvec(m, m, indptr, indices, data, vec, out)
         return out
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L[rho] for rho of d^2 entries, read in row-major order: rho is
-        gathered into sector order, mapped by matvec and scattered back
-        into a new C-contiguous array of rho's shape.  Each entry is the
-        row sum of the row-major CSR mat-vec, csr_array @ vec(rho), term for
-        term, so the same bits."""
+    def apply(self, rho) -> np.ndarray:
+        """L[rho] for rho, any array-like, of d^2 entries, read in row-major
+        order: rho is gathered into sector order, mapped by matvec and
+        scattered back into a new C-contiguous array of rho's shape.  Each
+        entry is the row sum of the row-major CSR mat-vec, csr_array @
+        vec(rho), term for term, so the same bits."""
+        rho = np.asarray(rho)
         order, _, _ = sector_order(self.k.shape[0])
         if rho.size != order.size:
             raise ValueError(f"state of shape {rho.shape} does not match "

@@ -1,5 +1,7 @@
 import glob
+import hashlib
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -160,9 +162,10 @@ def test_numerical_failure_while_building_exits_three(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize("state", ["initial_state = number\ninitial_n = 2",
+                                   "initial_state = number\ninitial_n = 0",
                                    "initial_state = coherent\ninitial_alpha_re = 0.5\n"
                                    "initial_alpha_im = -0.3"],
-                         ids=["number", "coherent"])
+                         ids=["number", "number-zero", "coherent"])
 def test_evolve_from_pure_initial_states(tmp_path, monkeypatch, state):
     text = EVOLVE_QUICK.replace("initial_state = thermal\ninitial_nbar = 0.3", state)
     code, out = run(tmp_path, monkeypatch, text, "evolve", "pure")
@@ -579,3 +582,105 @@ def test_quick_presets_run(tmp_path, monkeypatch):
     assert cli.main(["coeffs", str(PRESETS / "03_dpp_closed_form.ini")]) == 0
     assert cli.main(["dsf", str(PRESETS / "04_dsf_grid.ini")]) == 0
     assert cli.main(["coeffs", str(PRESETS / "05_statistics_bose.ini")]) == 0
+
+
+def _first_entry(text):
+    """(section, key, value) of the first key of the text's first section."""
+    match = re.search(r"^\[(\w+)\]\n(\w+) = (.*)$", text, re.M)
+    return match.groups()
+
+
+def _after_first_header(text, line):
+    section = _first_entry(text)[0]
+    return text.replace("[%s]\n" % section, "[%s]\n%s\n" % (section, line), 1)
+
+
+def _stray_key(text):
+    section = _first_entry(text)[0]
+    return _after_first_header(text, "stray = 1"), "key 'stray' in section [%s]" % section
+
+
+def _case_variant(text):
+    # Dim is a misspelling of dim, not an alias: the run reads dim and
+    # leaves Dim unread
+    section, key, value = _first_entry(text)
+    variant = key.capitalize()
+    return (_after_first_header(text, "%s = %s" % (variant, value)),
+            "key '%s' in section [%s]" % (variant, section))
+
+
+STRAYS = {
+    "stray-key": _stray_key,
+    "unknown-section": lambda text: (text + "\n[stray]\nkey = 1\n",
+                                     "key 'key' in section [stray]"),
+    "empty-unknown-section": lambda text: (text + "\n[stray]\n", "section [stray]"),
+    "case-variant": _case_variant,
+}
+
+
+@pytest.mark.parametrize("stray", STRAYS)
+@pytest.mark.parametrize("preset", sorted(PRESETS.glob("*.ini")), ids=lambda p: p.stem)
+def test_every_preset_refuses_what_it_does_not_read(tmp_path, monkeypatch, capsys,
+                                                    preset, stray):
+    """A stray key in the preset's own section, an unknown section with or
+    without keys, and a case variant of one of its keys each exit 2 before
+    anything is written, naming the key or section."""
+    text, named = STRAYS[stray](preset.read_text())
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "stray.ini").write_text(text)
+    assert cli.main([_preset_command(preset), "stray.ini"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err and "not read by this" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stray.ini"]
+
+
+@pytest.mark.parametrize("command, text, named", [
+    ("evolve", EVOLVE_QUICK.replace("dim = 8", "dim = 8\nmass = -Infinity"),
+     ["'mass'", "[hilbert]", "finite"]),
+    ("dsf", DSF_QUICK.replace("q_values = 0.5, 2.0", "q_values = 0.5, nan"),
+     ["'q_values'", "[dsf]", "finite"]),
+    ("dsf", DSF_QUICK.replace("gas_mass = 1.0", "gas_mass = 1.0\nstatistics = anyonic"),
+     ["'statistics'", "[gas]", "must be one of"]),
+    ("evolve", EVOLVE_QUICK.replace("dim = 8", "dim = twelve"), ["'dim'", "[hilbert]"]),
+    ("fp", FP_QUICK.replace("n_cells = 80", "n_cells = 0"), ["'n_cells'", "[fp]", ">= 1"]),
+    ("evolve", EVOLVE_QUICK.replace("initial_state = thermal\ninitial_nbar = 0.3",
+                                    "initial_state = number\ninitial_n = -1"),
+     ["'initial_n'", "[generator]", ">= 0"]),
+    ("coeffs", "[DEFAULT]\nmass = 2.0\n" + COEFFS_QUICK, ["[DEFAULT]", "mass"]),
+], ids=["non-finite", "list-nan", "choice", "not-an-integer",
+        "integer-floor", "initial_n-floor", "default-section"])
+def test_values_refused_where_read_exit_two(tmp_path, monkeypatch, capsys,
+                                            command, text, named):
+    code, out = run(tmp_path, monkeypatch, text, command, "bad")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and all(word in err for word in named)
+    assert not out.exists()
+
+
+def test_missing_key_names_its_misspelling(tmp_path, monkeypatch, capsys):
+    """The run stops on the missing t_final, and names the t_fnal it read
+    nowhere beside it."""
+    code, out = run(tmp_path, monkeypatch, FP_QUICK.replace("t_final", "t_fnal"), "fp", "typo")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "missing required key 't_final' in section [fp]" in err
+    assert "key 't_fnal' in section [fp]" in err
+    assert not out.exists()
+
+
+def test_sidecar_hashes_the_config_it_parsed(tmp_path, monkeypatch):
+    """A config edited while the run goes on does not change the recorded
+    hash: it is of the bytes the run was built from."""
+    solve = cli.fp_solve
+
+    def edit_then_solve(*args, **kwargs):
+        (tmp_path / "fpq.ini").write_text(FP_QUICK.replace("t_final = 0.2", "t_final = 0.3"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fp_solve", edit_then_solve)
+    code, out = run(tmp_path, monkeypatch, FP_QUICK, "fp", "fpq")
+    assert code == 0
+    lines = (out / "fpq.meta.txt").read_text().splitlines()
+    assert "config_sha256=%s" % hashlib.sha256(FP_QUICK.encode()).hexdigest() in lines

@@ -355,6 +355,18 @@ def test_trace_and_hermiticity_preservation(rng):
                 assert np.abs(out - out.conj().T).max() < 1e-13 * max(scale, 1.0)
 
 
+def test_apply_takes_any_array_like(rng):
+    """A nested list, a tuple of rows and a real array give the bits of the
+    complex array, as propagate and validate_density_matrix take them."""
+    cfg = HilbertConfig(dim=5)
+    rho = random_density(cfg.dim, rng)
+    for liouv in _all_generators(cfg, 1.0):
+        expected = liouv.apply(rho)
+        for given in (rho.tolist(), tuple(map(tuple, rho))):
+            assert np.array_equal(liouv.apply(given), expected)
+        assert np.array_equal(liouv.apply(rho.real.tolist()), liouv.apply(rho.real))
+
+
 @given(fugacity_z=st.floats(min_value=2.0**-20, max_value=2.0),
        gamma=st.floats(min_value=1e-3, max_value=1.0),
        d_xp=st.floats(min_value=-0.5, max_value=0.5),

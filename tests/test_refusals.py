@@ -104,6 +104,8 @@ ROWS = [
     ("gaussian_grid", lambda v: gaussian_grid(-6.0, 6.0, 40, var=v), "var", "positive",
      2.0),
     ("gaussian_grid", lambda v: gaussian_grid(-6.0, 6.0, 40, mean=v), "mean", None, -0.5),
+    ("gaussian_grid", lambda v: gaussian_grid(v, 6.0, 40), "v_min", None, -6.0),
+    ("gaussian_grid", lambda v: gaussian_grid(-6.0, v, 40), "v_max", None, 6.0),
     *(("maxwell_grid", lambda v, f=f: maxwell_grid(
         -6.0, 6.0, 40, **{**dict(eta=1.0, d_v=1.0), f: v}), f, "positive", 2.0)
       for f in ("eta", "d_v")),
@@ -137,3 +139,12 @@ def test_each_field_refuses_non_finite_and_wrong_signed_values(build, field, sig
     with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got "):
         build(value)
 
+
+
+@pytest.mark.parametrize("n_cells", [40.0, 40.5, "40", True])
+def test_grid_refuses_a_cell_count_that_is_not_an_integer(n_cells):
+    """A grid's cell count is an integer, as is_integer decides (a bool is
+    not one); a numpy integer builds."""
+    with pytest.raises(ValueError, match=r"^n_cells must be an integer, got "):
+        gaussian_grid(-6.0, 6.0, n_cells)
+    assert gaussian_grid(-6.0, 6.0, np.int64(40)).n_cells == 40
