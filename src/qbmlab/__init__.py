@@ -41,8 +41,6 @@ from .structure_factor import (
     sum_rule_zero,
 )
 from .microcoeffs import (
-    EQ_MICRO,
-    USER,
     BilinearCoefficients,
     TMatrixModel,
     chi_of,

@@ -286,16 +286,13 @@ def cmd_dsf(rc):
         for q in q_values:
             check_finite("q_values", q, "positive")
     n_e = rc.get("dsf", "n_e", _int_from(1), 41)
-    e_min = rc.get("dsf", "e_min", _float, None)
-    e_max = rc.get("dsf", "e_max", _float, None)
     rows = []
     summary = []
     for q in q_values:
+        # the recoil peak and 8 thermal widths on each side of it
         recoil = q**2 / (2.0 * gas.gas_mass)
         width = q / np.sqrt(gas.beta * gas.gas_mass)
-        lo = recoil - 8.0 * width if e_min is None else e_min
-        hi = recoil + 8.0 * width if e_max is None else e_max
-        energies = np.linspace(lo, hi, n_e)
+        energies = np.linspace(recoil - 8.0 * width, recoil + 8.0 * width, n_e)
         values = s_mb(q, energies, gas)
         rows.extend((q, e, s) for e, s in zip(energies, values))
         zeroth = sum_rule_zero(q, gas)

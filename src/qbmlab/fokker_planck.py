@@ -23,8 +23,9 @@ grid and the coefficients (eta, d_v) -- the stability bound, the edge
 drift and the Chang-Cooper weights -- is its stencil, computed once per
 grid and coefficients and shared read-only; the cell centres are
 computed once per grid.  A step then does only the flux arithmetic and
-builds the new grid, whose validation reads the density's minimum and sum
-and scans it for non-finite entries only when the sum is not finite.
+builds the new grid, whose validation checks the geometry's three scalars,
+reads the density's minimum and sum and scans it for non-finite entries
+only when the sum is not finite.
 
 fp_solve steps and samples like the RK4 propagator (see propagation), so
 the quantum and classical series of a comparison share one time grid.  It
@@ -62,10 +63,7 @@ class FPGrid:
     p_values: np.ndarray
 
     def __post_init__(self):
-        if not self.v_min < 0.0 < self.v_max:
-            raise ValueError("need v_min < 0 < v_max")
-        if self.n_cells < 4:
-            raise ValueError("n_cells must be at least 4")
+        _check_geometry(self.v_min, self.v_max, self.n_cells)
         p = np.asarray(self.p_values, dtype=float)
         object.__setattr__(self, "p_values", p)
         if p.shape != (self.n_cells,):
@@ -100,6 +98,17 @@ class FPGrid:
     def centers(self):
         """The cell midpoints, read-only, shared by every grid of this geometry."""
         return _centers(self.v_min, self.v_max, self.n_cells)
+
+
+def _check_geometry(v_min, v_max, n_cells):
+    """A grid's geometry: -inf < v_min < 0 < v_max < inf and an integer
+    n_cells >= 4 (a bool is not one), else a ValueError naming the field."""
+    check_finite("v_min", v_min, "negative")
+    check_finite("v_max", v_max, "positive")
+    if not is_integer(n_cells):
+        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
+    if n_cells < 4:
+        raise ValueError(f"n_cells must be at least 4, got {n_cells}")
 
 
 # Both caches are bounded: a run steps one grid with one coefficient pair,
@@ -138,12 +147,8 @@ def _stencil(v_min, v_max, n_cells, eta, d_v):
 
 def gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=1.0):
     """Normalized Gaussian initial condition sampled at cell centers."""
-    # the grid's geometry is checked here, where it enters, and not by
-    # FPGrid, which fp_step builds every step
-    check_finite("v_min", v_min)
-    check_finite("v_max", v_max)
-    if not is_integer(n_cells):
-        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
+    # FPGrid's rule, before the centres are computed from the geometry
+    _check_geometry(v_min, v_max, n_cells)
     check_finite("mean", mean)
     check_finite("var", var, "positive")
     p = np.exp(-0.5 * (_centers(v_min, v_max, n_cells) - mean) ** 2 / var)
@@ -175,11 +180,11 @@ def _moments(v, dv, p):
 
 
 def _check_coefficients(eta, d_v):
-    # the chained comparisons refuse NaN as well as inf and negatives.  They,
-    # fp_step's dt check and FPGrid's v_min < 0 < v_max are the scalar
-    # checks left outside operators.check_finite: every step runs them, and
-    # three check_finite calls cost 0.45 us more per step, about 2% of
-    # fp_solve at 60 cells (in-process, 1 BLAS thread)
+    # the chained comparisons refuse NaN as well as inf and negatives.  They
+    # and fp_step's dt check are the scalar checks left outside
+    # operators.check_finite: every step runs them, and three check_finite
+    # calls cost 0.45 us more per step, about 2% of fp_solve at 60 cells
+    # (in-process, 1 BLAS thread)
     if not (0.0 <= eta < np.inf and 0.0 <= d_v < np.inf):
         raise ValueError("eta and d_v must be finite and nonnegative")
 

@@ -1,7 +1,7 @@
 """Transport coefficients: the one coefficient type and its microscopic source.
 
-BilinearCoefficients (gamma, d_pp, d_xx, d_xp, mu, fugacity_z, provenance)
-is the coefficient type of every generator and coefficient report.
+BilinearCoefficients (gamma, d_pp, d_xx, d_xp, mu, fugacity_z) is the
+coefficient type of every generator and coefficient report.
 
 The momentum-diffusion coefficient of the weak-coupling Brownian limit is a
 radial quadrature of the squared scattering amplitude against the thermal
@@ -30,9 +30,6 @@ import numpy as np
 from .operators import check_finite
 from .quadrature import integrate
 from .structure_factor import BOSE, MAXWELL_BOLTZMANN, GasThermodynamics
-
-USER = "user"
-EQ_MICRO = "microscopic"
 
 # Relative round-off of a quantity that vanishes exactly on the CP boundary:
 # cp_margin of a saturated coefficient set, computed from terms a few
@@ -74,11 +71,7 @@ class TMatrixModel:
 
 @dataclass(frozen=True)
 class BilinearCoefficients:
-    """Coefficients of the bilinear generator; fugacity_z scales the dissipator.
-
-    provenance is USER for coefficients given by hand and EQ_MICRO for those
-    compute_dpp derives from a scattering model.
-    """
+    """Coefficients of the bilinear generator; fugacity_z scales the dissipator."""
 
     gamma: float = 0.0
     d_pp: float = 0.0
@@ -86,7 +79,6 @@ class BilinearCoefficients:
     d_xp: float = 0.0
     mu: float = 0.0
     fugacity_z: float = 1.0
-    provenance: str = USER
 
     def __post_init__(self):
         for name in ("gamma", "d_xp", "mu"):
@@ -154,8 +146,7 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
         raise ArithmeticError(f"radial quadrature did not converge: val={val}, err={err}")
     d_pp = dpp_prefactor(gas.gas_mass, gas.beta, hbar) * val
     gamma, d_xx = saturating_coefficients(d_pp, gas.beta, mass_test, hbar)
-    return BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx, mu=0.5 * gamma,
-                                provenance=EQ_MICRO)
+    return BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx, mu=0.5 * gamma)
 
 
 def dpp_constant_closed_form(t0: float, gas: GasThermodynamics, hbar: float = 1.0) -> float:

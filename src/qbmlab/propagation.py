@@ -6,6 +6,16 @@ control.  Neither integrator renormalizes the trace or projects onto the
 positive cone: trace drift, hermiticity drift and negative eigenvalues
 are diagnostics of the generator and must stay visible.
 
+One floating-point policy holds for a whole integration: propagate sets
+numpy's error state once, around the first sample, the integrator and the
+final record, to ignore overflow, invalid operations and division by zero,
+so numpy never warns inside an integration.  Two checks alone classify
+divergence, each by raising NumericalFailure: RK4 tests each new state for
+finiteness, and the adaptive scheme rejects an attempt whose error norm is
+not finite and shrinks its step until the step passes the floor of
+1e-14 t_final.  A finite state near overflow may still drive a monitor to
+inf, and the record keeps that value.
+
 The sampling rule, kept by Sampler for both integrators and for
 fokker_planck.fp_solve: a sample at t = 0, one after every stride-th
 accepted step, and one at the final time if the last step was not sampled.
@@ -271,12 +281,10 @@ def _monitors(cfg):
     weights.flags.writeable = False
 
     def measure(rho):
-        # near-overflow states may push monitors to inf; record that honestly
-        with np.errstate(over="ignore", invalid="ignore"):
-            tr, mean_x, mean_p, x2, p2 = (weights @ rho.take(band)).real
-            return (tr, np.max(np.abs(rho - rho.conj().T)),
-                    min_eigenvalue(rho), purity(rho), mean_x, mean_p,
-                    x2 - mean_x**2, p2 - mean_p**2)
+        tr, mean_x, mean_p, x2, p2 = (weights @ rho.take(band)).real
+        return (tr, np.max(np.abs(rho - rho.conj().T)),
+                min_eigenvalue(rho), purity(rho), mean_x, mean_p,
+                x2 - mean_x**2, p2 - mean_p**2)
 
     return measure
 
@@ -287,20 +295,18 @@ def _check_finite(rho, t):
 
 
 def _rk4_step(apply_fn, rho, dt):
-    # overflow here is caught by the finiteness check after the step
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1 = apply_fn(rho)
-        stage = np.multiply(0.5 * dt, k1)
-        k2 = apply_fn(np.add(rho, stage, out=stage))
-        k3 = apply_fn(np.add(rho, np.multiply(0.5 * dt, k2, out=stage), out=stage))
-        k4 = apply_fn(np.add(rho, np.multiply(dt, k3, out=stage), out=stage))
-        # rho + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4); out is the new state
-        out = np.multiply(2.0, k2)
-        np.add(k1, out, out=out)
-        np.add(out, np.multiply(2.0, k3, out=stage), out=out)
-        np.add(out, k4, out=out)
-        np.multiply(dt / 6.0, out, out=out)
-        return np.add(rho, out, out=out)
+    k1 = apply_fn(rho)
+    stage = np.multiply(0.5 * dt, k1)
+    k2 = apply_fn(np.add(rho, stage, out=stage))
+    k3 = apply_fn(np.add(rho, np.multiply(0.5 * dt, k2, out=stage), out=stage))
+    k4 = apply_fn(np.add(rho, np.multiply(dt, k3, out=stage), out=stage))
+    # rho + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4); out is the new state
+    out = np.multiply(2.0, k2)
+    np.add(k1, out, out=out)
+    np.add(out, np.multiply(2.0, k3, out=stage), out=out)
+    np.add(out, k4, out=out)
+    np.multiply(dt / 6.0, out, out=out)
+    return np.add(rho, out, out=out)
 
 
 def _propagate_rk4(rho, apply_fn, icfg, sampler):
@@ -358,11 +364,10 @@ def _propagate_rk45(rho, apply_fn, icfg, sampler, spread):
         np.maximum(abs_rho, np.abs(rho5, out=abs_rho5), out=scale)
         np.multiply(icfg.rtol, scale, out=scale)
         np.add(icfg.atol, scale, out=scale)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            np.subtract(rho5, rho4, out=rho4)
-            np.divide(rho4, scale, out=rho4)
-            np.square(np.abs(rho4, out=scale), out=scale)
-            err = np.sqrt(np.mean(spread(scale)))
+        np.subtract(rho5, rho4, out=rho4)
+        np.divide(rho4, scale, out=rho4)
+        np.square(np.abs(rho4, out=scale), out=scale)
+        err = np.sqrt(np.mean(spread(scale)))
         if not np.isfinite(err):
             # divergent attempt: shrink hard and retry
             rejected += 1
@@ -400,7 +405,8 @@ def propagate(rho0, liouvillian, icfg):
     steps all d^2 entries in row-major order, each stage one call of apply
     on a (d, d) view of the vector; apply must return a new array and keep
     no reference to its argument, whose buffer the integrator reuses for
-    the next stage.
+    the next stage.  A diverging run raises NumericalFailure and never a
+    numpy warning (module docstring).
     """
     dim = liouvillian.cfg.dim
     if np.shape(rho0) != (dim, dim):
@@ -430,9 +436,6 @@ def propagate(rho0, liouvillian, icfg):
         return full.reshape(dim, dim)
 
     monitors = _monitors(liouvillian.cfg)
-    # the first sample reads rho0 itself, signed zeros and all
-    sampler = Sampler(lambda s: monitors(s if s.ndim == 2 else spread(s)),
-                      icfg.monitor_stride, rho)
     calls = 0
 
     def apply_fn(s):
@@ -440,13 +443,18 @@ def propagate(rho0, liouvillian, icfg):
         calls += 1
         return step_fn(s)
 
-    if icfg.method == RK4_FIXED:
-        state, rejected = _propagate_rk4(state, apply_fn, icfg, sampler)
-    else:
-        state, rejected = _propagate_rk45(state, apply_fn, icfg, sampler, spread)
-    return TrajectoryRecord(*sampler.columns(icfg.t_final, state),
-                            final_state=spread(state), accepted_steps=sampler.accepted,
-                            rejected_steps=rejected, generator_calls=calls)
+    # the one floating-point policy of an integration (module docstring)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the first sample reads rho0 itself, signed zeros and all
+        sampler = Sampler(lambda s: monitors(s if s.ndim == 2 else spread(s)),
+                          icfg.monitor_stride, rho)
+        if icfg.method == RK4_FIXED:
+            state, rejected = _propagate_rk4(state, apply_fn, icfg, sampler)
+        else:
+            state, rejected = _propagate_rk45(state, apply_fn, icfg, sampler, spread)
+        return TrajectoryRecord(*sampler.columns(icfg.t_final, state),
+                                final_state=spread(state), accepted_steps=sampler.accepted,
+                                rejected_steps=rejected, generator_calls=calls)
 
 
 def positivity_breach_time(record, threshold=-1e-10):

@@ -137,6 +137,40 @@ dt = 1.0
     assert "non-finite" in capsys.readouterr().err
 
 
+DIVERGENT_CL = """
+[hilbert]
+dim = 6
+
+[generator]
+kind = caldeira_leggett
+beta = 1.0
+gamma = 1e100
+
+[integrator]
+method = rk45_adaptive
+t_final = 1
+dt_init = 0.1
+"""
+
+
+@pytest.mark.parametrize("method, message", [
+    ("rk45_adaptive", "step size underflow at t="),
+    ("rk4_fixed", "state became non-finite at t=")], ids=["rk45_adaptive", "rk4_fixed"])
+def test_diverging_run_exits_three_without_a_warning(tmp_path, monkeypatch, capsys,
+                                                     method, message):
+    """Under the suite's error::RuntimeWarning, a run whose states overflow
+    ends as a numerical failure, not as a numpy warning's traceback, and
+    writes nothing."""
+    text = DIVERGENT_CL.replace("rk45_adaptive", method)
+    if method == "rk4_fixed":
+        text = text.replace("dt_init", "dt")
+    code, out = run(tmp_path, monkeypatch, text, "evolve", "divergent")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: " + message) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_linalg_failure_during_run_exits_three(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError; mid-run it is numerical, not config
     def failing(*args, **kwargs):
@@ -307,6 +341,9 @@ COMPARE_QUICK = "[compare]\nbeta = 2.0\nd_pp = 0.3\nt_final = 0.1\ndim = 8\n"
      [("hilbert", "omega_basis")]),
     ("dsf", DSF_QUICK.replace("gas_mass = 1.0", "gas_mass = 1.0\nfugacity = 0.5"),
      [("gas", "fugacity")]),
+    # the energy window is the recoil peak +- 8 thermal widths, not a setting
+    ("dsf", DSF_QUICK.replace("n_e = 11", "n_e = 11\ne_min = 3.0\ne_max = -3.0"),
+     [("dsf", "e_min"), ("dsf", "e_max")]),
     ("evolve", COLLISION_QUICK.replace("n_nodes = 4", "n_nodes = 4\nfugacity_z = 0.5"),
      [("generator", "fugacity_z")]),
     ("evolve", COLLISION_QUICK.replace("gas_mass = 1.0", "gas_mass = 1.0\nstatistics = fermi"),
@@ -326,7 +363,7 @@ COMPARE_QUICK = "[compare]\nbeta = 2.0\nd_pp = 0.3\nt_final = 0.1\ndim = 8\n"
      "[tmatrix]\nkind = constant\nt0 = 0.05\n",
      [("gas", "beta"), ("gas", "gas_mass"), ("tmatrix", "kind"), ("tmatrix", "t0")]),
 ], ids=["rk4-dt_init-rtol-atol", "rk45-dt", "free-omega_trap",
-        "constant-sigma_q", "coeffs-omega_basis", "dsf-fugacity",
+        "constant-sigma_q", "coeffs-omega_basis", "dsf-fugacity", "dsf-e_min-e_max",
         "collision-fugacity_z", "collision-fermi", "microscopic-bose",
         "compare-hilbert-mass", "fp-maxwell-initial_var-integrator",
         "coeffs-dim-sigma_q", "cl-gas-tmatrix"])

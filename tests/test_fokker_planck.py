@@ -395,8 +395,8 @@ def test_grid_refusals_name_their_check():
     negative_overflow = overflow.copy()
     negative_overflow[3] = -1e-3
     for changes, message in (
-            (dict(v_min=1.0), "need v_min < 0 < v_max"),
-            (dict(v_max=0.0), "need v_min < 0 < v_max"),
+            (dict(v_min=1.0), "v_min must be negative and finite, got 1.0"),
+            (dict(v_max=0.0), "v_max must be positive and finite, got 0.0"),
             (dict(n_cells=3, p_values=np.full(3, 1.0 / 12.0)),
              "n_cells must be at least 4"),
             (dict(p_values=np.full(99, 1.0 / 12.0)),

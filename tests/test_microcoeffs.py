@@ -5,9 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qbmlab import (
     BOSE,
-    EQ_MICRO,
     FERMI,
-    USER,
     BilinearCoefficients,
     GasThermodynamics,
     HilbertConfig,
@@ -51,7 +49,6 @@ def test_coefficient_set_validation():
         with pytest.raises(ValueError):
             BilinearCoefficients(**bad)
     c = BilinearCoefficients(d_pp=1.0, gamma=0.1)
-    assert c.provenance == USER
     assert c.fugacity_z == 1.0
 
 
@@ -61,7 +58,6 @@ def test_closed_form_matches_quadrature():
     coeffs = compute_dpp(tm, gas, mass_test=2.0)
     exact = dpp_constant_closed_form(0.02, gas)
     assert abs(coeffs.d_pp - exact) < 1e-9 * exact
-    assert coeffs.provenance == EQ_MICRO
 
 
 @given(beta=st.floats(min_value=0.05, max_value=50.0), t0=scale,

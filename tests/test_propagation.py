@@ -530,6 +530,25 @@ def test_adaptive_step_underflow_raises():
             method=RK45_ADAPTIVE, t_final=1.0, dt_init=1e-4, monitor_stride=1))
 
 
+@pytest.mark.parametrize("method, message", [
+    (RK4_FIXED, "state became non-finite at t="),
+    (RK45_ADAPTIVE, "step size underflow at t=")], ids=[RK4_FIXED, RK45_ADAPTIVE])
+@pytest.mark.parametrize("generator", [
+    lambda cfg: CallableGenerator(cfg, lambda rho: 1e80 * rho),
+    lambda cfg: build_liouvillian(cfg, LiouvillianSpec(
+        kind=CALDEIRA_LEGGETT, beta=1.0, coeffs=BilinearCoefficients(gamma=1e100)))],
+    ids=["overflowing_apply", "caldeira_leggett"])
+def test_a_diverging_run_raises_numerical_failure_and_no_warning(generator, method, message):
+    """numpy never warns inside an integration, so under the suite's
+    error::RuntimeWarning an overflowing run ends as a NumericalFailure:
+    RK4's by its finiteness check, the adaptive scheme's by rejecting every
+    attempt whose error norm is not finite until the step passes its floor."""
+    cfg = HilbertConfig(dim=6)
+    with pytest.raises(NumericalFailure, match=message):
+        propagate(vacuum_state(cfg), generator(cfg), IntegratorConfig(
+            method=method, t_final=1.0, dt=0.1, dt_init=0.1))
+
+
 def test_initial_state_is_validated():
     liouv = _damped_oscillator(CFG)
     bad = np.eye(CFG.dim, dtype=complex)  # trace dim, not 1

@@ -18,6 +18,7 @@ from qbmlab import (
     MINIMAL_QBM,
     BilinearCoefficients,
     CollisionParameters,
+    FPGrid,
     GasThermodynamics,
     HilbertConfig,
     IntegratorConfig,
@@ -52,6 +53,12 @@ def _collision(**field):
     return CollisionParameters(**{**dict(
         gas_mass=1.0, beta=2.0, fugacity_z=0.8, tmatrix=TMAT, q_nodes=NODES,
         q_weights=WEIGHTS, q_max=0.3), **field})
+
+
+def _uniform_grid(v_min=-6.0, v_max=6.0, n_cells=40):
+    """FPGrid with a uniform density on [v_min, v_max], in 40 entries."""
+    return FPGrid(v_min=v_min, v_max=v_max, n_cells=n_cells,
+                  p_values=np.full(40, 1.0 / (v_max - v_min)))
 
 
 def _thermal_spec(kind, **field):
@@ -104,8 +111,10 @@ ROWS = [
     ("gaussian_grid", lambda v: gaussian_grid(-6.0, 6.0, 40, var=v), "var", "positive",
      2.0),
     ("gaussian_grid", lambda v: gaussian_grid(-6.0, 6.0, 40, mean=v), "mean", None, -0.5),
-    ("gaussian_grid", lambda v: gaussian_grid(v, 6.0, 40), "v_min", None, -6.0),
-    ("gaussian_grid", lambda v: gaussian_grid(-6.0, v, 40), "v_max", None, 6.0),
+    ("gaussian_grid", lambda v: gaussian_grid(v, 6.0, 40), "v_min", "negative", -6.0),
+    ("gaussian_grid", lambda v: gaussian_grid(-6.0, v, 40), "v_max", "positive", 6.0),
+    ("FPGrid", lambda v: _uniform_grid(v_min=v), "v_min", "negative", -6.0),
+    ("FPGrid", lambda v: _uniform_grid(v_max=v), "v_max", "positive", 6.0),
     *(("maxwell_grid", lambda v, f=f: maxwell_grid(
         -6.0, 6.0, 40, **{**dict(eta=1.0, d_v=1.0), f: v}), f, "positive", 2.0)
       for f in ("eta", "d_v")),
@@ -141,10 +150,25 @@ def test_each_field_refuses_non_finite_and_wrong_signed_values(build, field, sig
 
 
 
+@pytest.mark.parametrize("build", [lambda n: gaussian_grid(-6.0, 6.0, n),
+                                   lambda n: _uniform_grid(n_cells=n)],
+                         ids=["gaussian_grid", "FPGrid"])
 @pytest.mark.parametrize("n_cells", [40.0, 40.5, "40", True])
-def test_grid_refuses_a_cell_count_that_is_not_an_integer(n_cells):
+def test_grid_refuses_a_cell_count_that_is_not_an_integer(build, n_cells):
     """A grid's cell count is an integer, as is_integer decides (a bool is
     not one); a numpy integer builds."""
     with pytest.raises(ValueError, match=r"^n_cells must be an integer, got "):
-        gaussian_grid(-6.0, 6.0, n_cells)
-    assert gaussian_grid(-6.0, 6.0, np.int64(40)).n_cells == 40
+        build(n_cells)
+    assert build(np.int64(40)).n_cells == 40
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: gaussian_grid(-6.0, 6.0, n),
+    # the cell count is checked before the density's shape
+    lambda n: FPGrid(v_min=-6.0, v_max=6.0, n_cells=n, p_values=np.full(4, 1.0 / 12.0))],
+    ids=["gaussian_grid", "FPGrid"])
+@pytest.mark.parametrize("n_cells", [3, 0, -4])
+def test_grid_refuses_fewer_than_four_cells(build, n_cells):
+    with pytest.raises(ValueError, match=rf"^n_cells must be at least 4, got {n_cells}$"):
+        build(n_cells)
+    assert build(4).n_cells == 4

@@ -107,8 +107,6 @@ def _parent_propagate(rho0, liouvillian, icfg, apply=None):
     given, stands in for liouvillian.apply."""
     validate_density_matrix(rho0)
     rho = np.array(rho0, dtype=complex)
-    sampler = propagation.Sampler(propagation._monitors(liouvillian.cfg),
-                                  icfg.monitor_stride, rho)
     apply = liouvillian.apply if apply is None else apply
     calls = 0
 
@@ -118,10 +116,15 @@ def _parent_propagate(rho0, liouvillian, icfg, apply=None):
         return apply(state)
 
     integrate = _parent_rk4 if icfg.method == RK4_FIXED else _parent_rk45
-    rho, rejected = integrate(rho, apply_fn, icfg, sampler)
-    return TrajectoryRecord(*sampler.columns(icfg.t_final, rho), final_state=rho,
-                            accepted_steps=sampler.accepted, rejected_steps=rejected,
-                            generator_calls=calls)
+    # _rk4_step and the monitors set no error state of their own: propagate
+    # sets numpy's once per integration, and so does this oracle
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sampler = propagation.Sampler(propagation._monitors(liouvillian.cfg),
+                                      icfg.monitor_stride, rho)
+        rho, rejected = integrate(rho, apply_fn, icfg, sampler)
+        return TrajectoryRecord(*sampler.columns(icfg.t_final, rho), final_state=rho,
+                                accepted_steps=sampler.accepted, rejected_steps=rejected,
+                                generator_calls=calls)
 
 
 _COEFFS = BilinearCoefficients(gamma=0.25, d_pp=0.3, d_xx=0.2, d_xp=-0.05, mu=0.1)
