@@ -11,6 +11,7 @@ velocity-space Fokker-Planck solver.
 
 from .operators import (
     HilbertConfig,
+    NumericalFailure,
     build_annihilator,
     build_hamiltonian,
     build_ladder,
@@ -73,7 +74,6 @@ from .propagation import (
     RK45_ADAPTIVE,
     DegenerateStationaryState,
     IntegratorConfig,
-    NumericalFailure,
     TrajectoryRecord,
     positivity_breach_time,
     propagate,

@@ -19,9 +19,11 @@ basename defaults to the command name.
 Exit codes: 0 success; 2 configuration error, a ConfigError or ValueError
 while parsing and building (the message names the offending keys or
 sections, and a library ValueError is reported with the section being
-built); 3 numerical failure, a NumericalFailure or ArithmeticError in
-either phase or a ValueError once the run has started
-(numpy.linalg.LinAlgError is a ValueError).  Making the output directory
+built); 3 numerical failure, an ArithmeticError in either phase
+(NumericalFailure is one: a generator or coefficient set whose arithmetic
+overflows, a quadrature that did not converge, a diverging integration)
+or a ValueError once the run has started (numpy.linalg.LinAlgError is a
+ValueError).  Making the output directory
 and writing belong to the run.
 
 The data files contain no timestamps or hostnames, so identical configs
@@ -66,6 +68,7 @@ from .microcoeffs import (
 from .operators import (
     HAMILTONIAN_KINDS,
     HilbertConfig,
+    NumericalFailure,
     check_finite,
     coherent_state,
     number_state,
@@ -77,7 +80,6 @@ from .propagation import (
     RK4_FIXED,
     RK45_ADAPTIVE,
     IntegratorConfig,
-    NumericalFailure,
     positivity_breach_time,
     propagate,
 )
@@ -443,7 +445,7 @@ def main(argv=None):
     except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
-    except (NumericalFailure, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
     # past parsing and building, a ValueError is a numerical failure:
@@ -455,7 +457,7 @@ def main(argv=None):
         for line in summary:
             print(line)
         _write_sidecar(out_dir, basename, rc, args.command, summary)
-    except (NumericalFailure, ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3
     return 0

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_finite, is_integer
-from .propagation import Sampler, check_stride, fixed_steps
+from .operators import check_finite, check_integer
+from .propagation import Sampler, fixed_steps
 
 _CFL_FRACTION = 0.4
 # the most sampled densities fp_solve holds and reduces to moments at once
@@ -105,10 +105,7 @@ def _check_geometry(v_min, v_max, n_cells):
     n_cells >= 4 (a bool is not one), else a ValueError naming the field."""
     check_finite("v_min", v_min, "negative")
     check_finite("v_max", v_max, "positive")
-    if not is_integer(n_cells):
-        raise ValueError(f"n_cells must be an integer, got {n_cells!r}")
-    if n_cells < 4:
-        raise ValueError(f"n_cells must be at least 4, got {n_cells}")
+    check_integer("n_cells", n_cells, 4)
 
 
 # Both caches are bounded: a run steps one grid with one coefficient pair,
@@ -146,13 +143,20 @@ def _stencil(v_min, v_max, n_cells, eta, d_v):
 
 
 def gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=1.0):
-    """Normalized Gaussian initial condition sampled at cell centers."""
+    """Normalized Gaussian initial condition sampled at cell centers; one
+    that underflows at every centre is refused, naming mean and var."""
     # FPGrid's rule, before the centres are computed from the geometry
     _check_geometry(v_min, v_max, n_cells)
     check_finite("mean", mean)
     check_finite("var", var, "positive")
-    p = np.exp(-0.5 * (_centers(v_min, v_max, n_cells) - mean) ** 2 / var)
-    p /= np.sum(p) * ((v_max - v_min) / n_cells)
+    # an exponent that overflows is -inf, whose exp is the underflow below
+    with np.errstate(over="ignore"):
+        p = np.exp(-0.5 * (_centers(v_min, v_max, n_cells) - mean) ** 2 / var)
+    norm = np.sum(p) * ((v_max - v_min) / n_cells)
+    if not norm > 0.0:
+        raise ValueError(f"the Gaussian of mean {mean} and var {var} underflows "
+                         "to zero at every cell centre")
+    p /= norm
     return FPGrid(v_min=v_min, v_max=v_max, n_cells=n_cells, p_values=p)
 
 
@@ -263,7 +267,7 @@ def fp_solve(grid, eta, d_v, t_final, dt, sample_stride=1):
     moments are grid_moments' bit for bit."""
     check_finite("t_final", t_final, "positive")
     check_finite("dt", dt, "positive")
-    check_stride("sample_stride", sample_stride)
+    check_integer("sample_stride", sample_stride, 1)
     sampler = Sampler(functools.partial(_moments, grid.centers, grid.dv),
                       sample_stride, grid.p_values, block=_MOMENT_BLOCK)
     current = grid

@@ -22,7 +22,8 @@ into one Lindblad normal form
     L[rho] = K rho + rho K^dag + sum_k s_k J_k rho J_k^dag,
 
 and the Liouvillian it returns is that normal form: one frozen object that
-holds K, the weights s_k and the jumps J_k as read-only data.  A
+holds K, the weights s_k and the jumps J_k as read-only data.  A compile
+whose arithmetic overflows raises NumericalFailure (build_liouvillian).  A
 bilinear-family generator is compiled once per basis and spec, and equal
 (cfg, spec) pairs share it.  It is compiled once more, into the entries
 of its superoperator, one compact (positions, values) pair per term: the
@@ -90,7 +91,7 @@ from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           thermal_kernel)
 from .operators import (HAMILTONIAN_KINDS, HilbertConfig, build_annihilator,
                         build_hamiltonian, build_momentum, build_position,
-                        check_finite, is_integer)
+                        NumericalFailure, check_finite, check_integer)
 from .quadrature import legendre_rule
 from .structure_factor import brownian_weight
 
@@ -160,8 +161,7 @@ def radial_grid(q_max: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     q_max must be positive and finite and n_nodes an integer >= 1 (bool
     refused), else a ValueError names the field."""
     check_finite("q_max", q_max, "positive")
-    if not is_integer(n_nodes) or n_nodes < 1:
-        raise ValueError(f"n_nodes must be an integer >= 1, got {n_nodes!r}")
+    check_integer("n_nodes", n_nodes, 1)
     t, w = legendre_rule(n_nodes)
     nodes = 0.5 * q_max * (t + 1.0)
     weights = 0.5 * q_max * w * nodes**2
@@ -556,11 +556,6 @@ def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
     lam_x, v_x = np.linalg.eigh(x)
     phase = np.exp((1j / hbar) * q[:, None] * lam_x)
     weight = brownian_weight(q[:, None], lam_p, par.beta, cfg.mass)
-    if not (np.isfinite(phase).all() and np.isfinite(weight).all()):
-        raise ArithmeticError(
-            "non-finite momentum shift or thermal weight on the collision grid "
-            f"of {par.q_nodes.size} nodes up to q_max={par.q_max}")
-
     kicks = v_x @ (phase[:, :, None] * (v_x.conj().T @ v_p) * weight[:, None, :]) \
         @ v_p.conj().T
     _, position, n_even = sector_order(d)
@@ -588,7 +583,9 @@ def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     The spec has validated itself; the compile function of spec.kind
     returns K, the weights s_k, the jumps J_k (a stacked array, or a list
     of matrices) and the physics to attach, and k, weights and jumps are
-    handed over read-only.
+    handed over read-only.  It runs with numpy's warnings off, and a K,
+    weights or jumps not finite raise NumericalFailure naming the kind and
+    the part (bilinear coefficients whose CP terms overflow: cp_margin's).
 
     A bilinear-family generator is compiled once per basis and spec: a
     bounded cache of the 16 latest hands equal (cfg, spec) pairs the same
@@ -603,10 +600,15 @@ def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
 
 
 def _compile(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
-    k, weights, jumps, attrs = _COMPILERS[spec.kind](cfg, spec)
-    weights = np.array(weights, dtype=float)
-    jumps = np.asarray(jumps, dtype=complex).reshape(-1, cfg.dim, cfg.dim)
-    for a in (k, weights, jumps):
+    # one floating-point policy per compile: numpy never warns inside it, and
+    # an overflow is found by the finiteness check below (or cp_margin's)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k, weights, jumps, attrs = _COMPILERS[spec.kind](cfg, spec)
+        weights = np.array(weights, dtype=float)
+        jumps = np.asarray(jumps, dtype=complex).reshape(-1, cfg.dim, cfg.dim)
+    for part, a in (("K", k), ("weights", weights), ("jumps", jumps)):
+        if not np.isfinite(a).all():
+            raise NumericalFailure(f"{spec.kind} generator: {part} is not finite")
         a.flags.writeable = False
     return Liouvillian(cfg, spec.kind, k, weights, jumps, **attrs)
 

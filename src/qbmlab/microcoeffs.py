@@ -18,16 +18,19 @@ written once, in saturating_coefficients, for compute_dpp and the minimal
 generator alike.  They saturate the complete-positivity bound
 D_xx*D_pp - D_xp^2 >= (gamma hbar/2)^2 exactly, i.e.
 chi = D_xx*M/(beta hbar^2 gamma) = 1/8.  cp_check and kossakowski_weights
-decide that bound by one rule, with one round-off slack.
+decide that bound by one rule, with one round-off slack, and cp_margin,
+cp_check, kossakowski_weights and every bilinear-family compile refuse a
+set whose bound's terms overflow by one NumericalFailure, naming cp_margin.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_finite
+from .operators import NumericalFailure, check_finite
 from .quadrature import integrate
 from .structure_factor import BOSE, MAXWELL_BOLTZMANN, GasThermodynamics
 
@@ -125,8 +128,8 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
     [0, 12/sqrt(a)], where it has the same shape for every parameter set, so
     a narrow t-matrix is resolved as well as a wide one; for the constant
     kind the interval ends at cutoff_momentum.  Gauss-Legendre rules of two
-    orders give the value and its error estimate; an estimate above 1e-10
-    of the value raises ArithmeticError.
+    orders give the value and its error estimate; a value that is not
+    finite, or an estimate above 1e-10 of it, raises NumericalFailure.
 
     gamma and d_xx come from saturating_coefficients, so the set sits on the
     CP boundary (chi = 1/8).  mu = gamma/2 is the anticommutator correction
@@ -143,7 +146,7 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
     val, err = integrate(lambda q: thermal_kernel(tmat, gas.beta, gas.gas_mass, q, q**3),
                          0.0, 12.0 / np.sqrt(a))
     if not np.isfinite(val) or (val != 0.0 and err > 1e-10 * abs(val)):
-        raise ArithmeticError(f"radial quadrature did not converge: val={val}, err={err}")
+        raise NumericalFailure(f"radial quadrature did not converge: val={val}, err={err}")
     d_pp = dpp_prefactor(gas.gas_mass, gas.beta, hbar) * val
     gamma, d_xx = saturating_coefficients(d_pp, gas.beta, mass_test, hbar)
     return BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx, mu=0.5 * gamma)
@@ -154,12 +157,29 @@ def dpp_constant_closed_form(t0: float, gas: GasThermodynamics, hbar: float = 1.
     return 256.0 * np.pi**3 / 3.0 * gas.gas_mass**4 * t0**2 / (hbar * gas.beta**3)
 
 
+def _square(x: float) -> float:
+    """x**2, C's pow as numpy's is (x * x differs in the last bit for about
+    one x in a thousand), and inf where Python raises OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def _cp_terms(c: BilinearCoefficients, hbar: float) -> tuple[float, float, float]:
-    return c.d_xx * c.d_pp, c.d_xp**2, (c.gamma * hbar / 2.0) ** 2
+    """The terms of cp_margin in Python floats, which overflow to inf
+    without a numpy warning; a term that is not finite raises NumericalFailure."""
+    terms = (float(c.d_xx) * float(c.d_pp), _square(float(c.d_xp)),
+             _square(float(c.gamma) * float(hbar) / 2.0))
+    if not all(map(math.isfinite, terms)):
+        raise NumericalFailure(f"cp_margin: the CP bound's terms d_xx*d_pp, d_xp^2 "
+                               f"and (gamma*hbar/2)^2 = {terms} are not all finite")
+    return terms
 
 
 def cp_margin(c: BilinearCoefficients, hbar: float = 1.0) -> float:
-    """Signed slack of the complete-positivity bound; >= 0 iff satisfiable."""
+    """Signed slack of the complete-positivity bound; >= 0 iff satisfiable.
+    A coefficient set whose terms overflow has none: NumericalFailure."""
     det, xp2, bound = _cp_terms(c, hbar)
     return det - xp2 - bound
 

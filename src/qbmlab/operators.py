@@ -21,9 +21,19 @@ import numpy as np
 import scipy.linalg
 
 
-def is_integer(value) -> bool:
-    """Whether value is a Python or numpy integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+class NumericalFailure(ArithmeticError):
+    """A computation that has no answer: arithmetic that overflows, a
+    quadrature that does not converge, a diverging integration, a singular
+    solve.  The command line exits 3 on any ArithmeticError."""
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """The one rule for an integer input: a Python or numpy integer (a bool
+    is not one) of at least low, else a ValueError naming the field:
+    "<name> must be an integer >= <low>, got <value!r>"."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 # check_finite's sign rules, each the comparison with zero a valid value passes
@@ -52,10 +62,7 @@ class HilbertConfig:
     omega_basis: float = 1.0
 
     def __post_init__(self):
-        if not is_integer(self.dim):
-            raise ValueError(f"dim must be an integer, got {self.dim!r}")
-        if self.dim < 2:
-            raise ValueError(f"dim must be >= 2, got {self.dim}")
+        check_integer("dim", self.dim, 2)
         for name in ("hbar", "mass", "omega_basis"):
             check_finite(name, getattr(self, name), "positive")
 
@@ -139,9 +146,8 @@ def parity_operator(cfg: HilbertConfig) -> np.ndarray:
 
 def number_state(cfg: HilbertConfig, n: int) -> np.ndarray:
     """Density matrix |n><n|."""
-    if not is_integer(n):
-        raise ValueError(f"level must be an integer, got {n!r}")
-    if not 0 <= n < cfg.dim:
+    check_integer("level", n, 0)
+    if n >= cfg.dim:
         raise ValueError(f"level {n} outside basis of size {cfg.dim}")
     rho = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     rho[n, n] = 1.0

@@ -85,10 +85,11 @@ import scipy.linalg
 
 from .liouvillians import Liouvillian, sector_order
 from .operators import (
+    NumericalFailure,
     build_momentum,
     build_position,
     check_finite,
-    is_integer,
+    check_integer,
     min_eigenvalue,
     purity,
     validate_density_matrix,
@@ -135,17 +136,6 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 
 
-def check_stride(name, stride):
-    """The sampling rule's stride: an integer >= 1 (bool refused), else a
-    ValueError naming the field."""
-    if not is_integer(stride) or stride < 1:
-        raise ValueError("%s must be an integer >= 1, got %r" % (name, stride))
-
-
-class NumericalFailure(RuntimeError):
-    """Integration or linear algebra failed in a way that has no answer."""
-
-
 class DegenerateStationaryState(NumericalFailure):
     """The generator has no unique stationary state at working precision."""
 
@@ -175,7 +165,7 @@ class IntegratorConfig:
             raise ValueError("unknown method %r" % (self.method,))
         for name in ("t_final", "dt", "dt_init", "rtol", "atol"):
             check_finite(name, getattr(self, name), "positive")
-        check_stride("monitor_stride", self.monitor_stride)
+        check_integer("monitor_stride", self.monitor_stride, 1)
 
 
 @dataclass

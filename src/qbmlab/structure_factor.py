@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_finite
+from .operators import NumericalFailure, check_finite
 from .quadrature import integrate
 
 MAXWELL_BOLTZMANN = "maxwell_boltzmann"
@@ -83,7 +83,7 @@ def _energy_moment(q: float, gas: GasThermodynamics, power: int) -> float:
     val, err = integrate(lambda e: e**power * s_mb(q, e, gas),
                          recoil - 14.0 * width, recoil + 14.0 * width)
     if err > 1e-8 * max(abs(val), 1.0):
-        raise ArithmeticError(f"moment-{power} quadrature did not converge: err={err:.3e}")
+        raise NumericalFailure(f"moment-{power} quadrature did not converge: err={err:.3e}")
     return val
 
 

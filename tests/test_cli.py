@@ -171,6 +171,46 @@ def test_diverging_run_exits_three_without_a_warning(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+OVERFLOWING_GENERATORS = {
+    "bilinear": ("kind = bilinear\nd_pp = 1e308", "bilinear generator: K is not finite"),
+    "caldeira_leggett": ("kind = caldeira_leggett\nbeta = 1.0\ngamma = 1e200",
+                         "cp_margin: "),
+    "minimal_qbm": ("kind = minimal_qbm\nbeta = 1.0\nd_pp = 1e300", "cp_margin: "),
+}
+
+
+@pytest.mark.parametrize("command, text, message", [
+    *(pytest.param("evolve", "[hilbert]\ndim = 6\n\n[generator]\n%s\n\n[integrator]\n"
+                   "t_final = 1\ndt = 0.1\n" % generator, message, id="evolve-" + kind)
+      for kind, (generator, message) in OVERFLOWING_GENERATORS.items()),
+    pytest.param("coeffs", COEFFS_QUICK.replace("t0 = 0.02", "t0 = 1e100"), "cp_margin: ",
+                 id="coeffs-t0")])
+def test_build_whose_arithmetic_overflows_exits_three(tmp_path, monkeypatch, capsys,
+                                                      command, text, message):
+    """A generator or coefficient set whose arithmetic overflows is a
+    numerical failure of the build, named on one stderr line, with no
+    numpy warning under the suite's error::RuntimeWarning and nothing
+    written: coeffs writes no NaN cp_margin."""
+    code, out = run(tmp_path, monkeypatch, text, command, "overflow")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: " + message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gaussian_that_underflows_everywhere_exits_two(tmp_path, monkeypatch, capsys):
+    """A Gaussian initial density below the smallest float at every cell
+    centre is a configuration error naming its mean and var, not a
+    p_values the config never sets, nor a division warning."""
+    text = FP_QUICK.replace("initial = maxwell", "initial = gaussian\ninitial_var = 1e-300")
+    code, out = run(tmp_path, monkeypatch, text, "fp", "narrow")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: in section [fp]: the Gaussian of mean 0.0 "
+                          "and var 1e-300 underflows")
+    assert not out.exists()
+
+
 def test_linalg_failure_during_run_exits_three(tmp_path, monkeypatch, capsys):
     # LinAlgError subclasses ValueError; mid-run it is numerical, not config
     def failing(*args, **kwargs):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -380,6 +381,17 @@ def test_non_finite_inputs_refused_before_the_stencil():
     assert _stencil.cache_info() == before
 
 
+@pytest.mark.parametrize("mean, var", [(0.0, 1e-300), (1e3, 1.0), (1e200, 1.0), (0.0, 1e-308)],
+                         ids=["narrow", "off-grid", "square-overflows", "quotient-overflows"])
+def test_gaussian_grid_refuses_a_gaussian_that_underflows_everywhere(mean, var):
+    """Zero at every cell centre, the Gaussian has no normalisation: it is
+    refused by a ValueError naming mean and var before the division, and
+    an exponent that overflows on the way warns of nothing."""
+    message = f"the Gaussian of mean {mean!r} and var {var!r} underflows to zero at every"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)} cell centre$"):
+        gaussian_grid(-6.0, 6.0, 40, mean=mean, var=var)
+
+
 def test_grid_refusals_name_their_check():
     ok = dict(v_min=-6.0, v_max=6.0, n_cells=100, p_values=np.full(100, 1.0 / 12.0))
     negative = ok["p_values"].copy()
@@ -398,7 +410,7 @@ def test_grid_refusals_name_their_check():
             (dict(v_min=1.0), "v_min must be negative and finite, got 1.0"),
             (dict(v_max=0.0), "v_max must be positive and finite, got 0.0"),
             (dict(n_cells=3, p_values=np.full(3, 1.0 / 12.0)),
-             "n_cells must be at least 4"),
+             "^n_cells must be an integer >= 4, got 3$"),
             (dict(p_values=np.full(99, 1.0 / 12.0)),
              r"p_values must have shape \(n_cells,\)"),
             *((dict(p_values=p), "p_values must be finite") for p in nonfinite),

@@ -21,6 +21,7 @@ from qbmlab import (
     HilbertConfig,
     Liouvillian,
     LiouvillianSpec,
+    NumericalFailure,
     TMatrixModel,
     build_hamiltonian,
     build_momentum,
@@ -1067,6 +1068,41 @@ def test_a_compile_that_raises_is_not_cached(monkeypatch):
     liouv = build_liouvillian(cfg, spec)
     assert liouv.kind == MINIMAL_QBM and build_liouvillian(cfg, spec) is liouv
     assert _cached_compile.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("spec, message", [
+    # d_pp x^2 overflows in K; eigh then finds no weight in the inf matrix
+    (LiouvillianSpec(kind=BILINEAR, coeffs=BilinearCoefficients(d_pp=1e308)),
+     r"^bilinear generator: K is not finite$"),
+    # (gamma hbar/2)^2 overflows, which Python's ** raises as OverflowError
+    (LiouvillianSpec(kind=CALDEIRA_LEGGETT, beta=1.0,
+                     coeffs=BilinearCoefficients(gamma=1e200)), r"^cp_margin: "),
+    # the derived d_xx d_pp overflows
+    (LiouvillianSpec(kind=MINIMAL_QBM, beta=1.0, coeffs=BilinearCoefficients(d_pp=1e300)),
+     r"^cp_margin: "),
+], ids=["bilinear-d_pp", "caldeira_leggett-gamma", "minimal_qbm-d_pp"])
+def test_a_compile_whose_arithmetic_overflows_is_a_numerical_failure(spec, message):
+    """Under the suite's error::RuntimeWarning no numpy warning escapes a
+    compile: an overflow ends as one NumericalFailure, naming the kind and
+    the part that is not finite, or cp_margin, and nothing is cached."""
+    cfg = HilbertConfig(dim=6)
+    for _ in range(2):
+        with pytest.raises(NumericalFailure, match=message):
+            build_liouvillian(cfg, spec)
+    assert _cached_compile.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_collision_weight_fails_the_one_check(monkeypatch, bad):
+    """The collision kind has no guard of its own: a thermal weight that is
+    not finite reaches K, and the compile's finiteness check names it."""
+    monkeypatch.setattr(liouvillians, "brownian_weight",
+                        lambda q, momentum, beta, mass: np.full(
+                            np.broadcast_shapes(np.shape(q), np.shape(momentum)), bad))
+    spec = LiouvillianSpec(kind=BOLTZMANN_COLLISION, collision=_collision_params(0.3, 8))
+    with pytest.raises(NumericalFailure,
+                       match=r"^boltzmann_collision generator: K is not finite$"):
+        build_liouvillian(HilbertConfig(dim=6), spec)
 
 
 def test_collision_parameters_compare_by_value_and_keep_their_own_arrays():

@@ -9,6 +9,7 @@ from qbmlab import (
     BilinearCoefficients,
     GasThermodynamics,
     HilbertConfig,
+    NumericalFailure,
     TMatrixModel,
     chi_of,
     compute_dpp,
@@ -20,7 +21,7 @@ from qbmlab import (
     friction_ratio,
     minimal_coefficients,
 )
-from qbmlab.microcoeffs import thermal_kernel
+from qbmlab.microcoeffs import kossakowski_weights, thermal_kernel
 
 scale = st.floats(min_value=0.1, max_value=10.0)
 
@@ -204,6 +205,38 @@ def test_cp_check_slack_is_round_off_only():
     below = BilinearCoefficients(d_pp=1.3, d_xx=0.04 / 1.3 * (1.0 - 1e-12), gamma=0.4)
     ok, margin = cp_check(below)
     assert not ok and margin < 0.0
+
+
+def test_cp_margin_refuses_terms_that_overflow():
+    """compute_dpp at t0 = 1e100 gives finite numpy-float coefficients
+    whose d_xx d_pp and (gamma/2)^2 overflow: cp_margin, cp_check and
+    kossakowski_weights each raise the one NumericalFailure, naming
+    cp_margin, and never return a NaN or infinite margin, nor warn under
+    the suite's error::RuntimeWarning."""
+    gas = GasThermodynamics(beta=1.0, gas_mass=1.0)
+    coeffs = compute_dpp(TMatrixModel(kind="constant", t0=1e100), gas, mass_test=1.0)
+    assert isinstance(coeffs.d_pp, np.floating) and np.isfinite(coeffs.d_pp)
+    huge = BilinearCoefficients(gamma=1e200, d_pp=1.0, d_xx=1.0)
+    for refuse in (cp_margin, cp_check, kossakowski_weights):
+        for c in (coeffs, huge):
+            with pytest.raises(NumericalFailure, match=r"^cp_margin: .* not all finite$"):
+                refuse(c)
+
+
+def test_cp_margin_keeps_the_bits_of_its_formula(rng):
+    """The margin is d_xx d_pp - d_xp**2 - (gamma hbar/2)**2 bit for bit,
+    for Python and numpy floats alike: each square is x**2, never x * x,
+    which differs from it in the last bit for about one x in a thousand.
+    A set with d_xp or gamma alone has the one square as its margin."""
+    for row in rng.uniform(0.1, 10.0, size=(5000, 5)):
+        for to in (float, np.float64):
+            d_xx, d_pp, d_xp, gamma, hbar = map(to, row)
+            c = BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx, d_xp=d_xp)
+            expected = d_xx * d_pp - d_xp**2 - (gamma * hbar / 2.0) ** 2
+            assert cp_margin(c, hbar).hex() == float(expected).hex()
+            assert cp_margin(BilinearCoefficients(d_xp=d_xp)) == -(d_xp**2)
+            assert cp_margin(BilinearCoefficients(gamma=gamma), hbar) == \
+                -((gamma * hbar / 2.0) ** 2)
 
 
 def test_chi_requires_friction():

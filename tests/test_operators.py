@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+import qbmlab
+from conftest import CallableGenerator
 from qbmlab import (
     HilbertConfig,
     build_annihilator,
@@ -460,3 +462,50 @@ def test_basis_frequency_is_gauge():
     for field in ("mean_x", "mean_p", "var_x", "var_p"):
         diff = np.abs(getattr(ra, field) - getattr(rb, field)).max()
         assert diff < 1e-9, field
+
+
+def _overflowing_compile():
+    qbmlab.build_liouvillian(HilbertConfig(dim=4), qbmlab.LiouvillianSpec(
+        kind=qbmlab.BILINEAR, coeffs=qbmlab.BilinearCoefficients(d_pp=1e308)))
+
+
+def _diverging_run():
+    cfg = HilbertConfig(dim=4)
+    qbmlab.propagate(vacuum_state(cfg), CallableGenerator(cfg, lambda rho: 1e80 * rho),
+                     qbmlab.IntegratorConfig(method=qbmlab.RK4_FIXED, t_final=1.0, dt=0.1))
+
+
+def _unconverged(module, run):
+    def failing(monkeypatch):
+        monkeypatch.setattr(module, "integrate", lambda f, lo, hi: (1.0, 1.0))
+        run()
+    return failing
+
+
+GAS = qbmlab.GasThermodynamics(beta=1.0, gas_mass=1.0)
+
+# (where, what fails, taking pytest's monkeypatch)
+NUMERICAL_FAILURES = [
+    ("compute_dpp", _unconverged(qbmlab.microcoeffs, lambda: qbmlab.compute_dpp(
+        qbmlab.TMatrixModel(kind="constant", t0=0.1), GAS, 1.0))),
+    ("sum_rule_zero", _unconverged(qbmlab.structure_factor,
+                                   lambda: qbmlab.sum_rule_zero(0.5, GAS))),
+    ("cp_margin", lambda mp: qbmlab.cp_margin(qbmlab.BilinearCoefficients(gamma=1e200))),
+    ("build_liouvillian", lambda mp: _overflowing_compile()),
+    ("propagate", lambda mp: _diverging_run()),
+    ("stationary_state", lambda mp: qbmlab.stationary_state(np.full((4, 4), np.nan))),
+    ("stationary_state-degenerate", lambda mp: qbmlab.stationary_state(np.zeros((4, 4)))),
+]
+
+
+@pytest.mark.parametrize("fail", [row[1] for row in NUMERICAL_FAILURES],
+                         ids=[row[0] for row in NUMERICAL_FAILURES])
+def test_every_numerical_failure_is_one_arithmetic_error(monkeypatch, fail):
+    """The library has one numerical-failure type, defined here, exported by
+    propagation and qbmlab, and an ArithmeticError, which is what the
+    command line catches; no bare ArithmeticError is raised."""
+    failure = qbmlab.operators.NumericalFailure
+    assert qbmlab.NumericalFailure is failure is qbmlab.propagation.NumericalFailure
+    with pytest.raises(ArithmeticError) as exc:
+        fail(monkeypatch)
+    assert isinstance(exc.value, failure)

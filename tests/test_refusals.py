@@ -4,9 +4,13 @@ applies, of that sign, else a ValueError that names the field.
 Each row builds one input through its public constructor or function,
 with the field set to a given value; a valid value builds, and NaN, +-inf
 and each wrong-signed value are refused by operators.check_finite's
-message, "<field> must be [<sign> and ]finite, got <value>".
+message, "<field> must be [<sign> and ]finite, got <value>".  Integer
+inputs meet operators.check_integer in the same way: a bool, a float and
+the integer below the lowest valid one are each refused by
+"<field> must be an integer >= <low>, got <value!r>".
 """
 
+import re
 import types
 
 import numpy as np
@@ -32,6 +36,7 @@ from qbmlab import (
     gaussian_grid,
     maxwell_grid,
     minimal_coefficients,
+    number_state,
     positivity_breach_time,
     radial_grid,
     s_mb,
@@ -149,15 +154,44 @@ def test_each_field_refuses_non_finite_and_wrong_signed_values(build, field, sig
         build(value)
 
 
+# (where, build from the field's value, field, the lowest valid value)
+INTEGER_ROWS = [
+    ("HilbertConfig", lambda v: HilbertConfig(dim=v), "dim", 2),
+    ("number_state", lambda v: number_state(CFG, v), "level", 0),
+    ("IntegratorConfig", lambda v: IntegratorConfig(monitor_stride=v), "monitor_stride", 1),
+    ("fp_solve", lambda v: fp_solve(GRID, 1.0, 1.0, 0.01, 1e-3, sample_stride=v),
+     "sample_stride", 1),
+    ("radial_grid", lambda v: radial_grid(0.3, v), "n_nodes", 1),
+]
+
+
+@pytest.mark.parametrize("build, field, low", [
+    pytest.param(build, field, low, id=f"{where}-{field}")
+    for where, build, field, low in INTEGER_ROWS])
+def test_each_integer_field_builds_from_its_lowest_valid_value(build, field, low):
+    build(low)
+    build(np.int64(low))
+
+
+@pytest.mark.parametrize("build, field, low, value", [
+    pytest.param(build, field, low, value, id=f"{where}-{field}-{value!r}")
+    for where, build, field, low in INTEGER_ROWS
+    for value in (True, float(low), low - 1)])
+def test_each_integer_field_refuses_a_bool_a_float_and_one_below(build, field, low, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= {low}, "
+                                         rf"got {re.escape(repr(value))}$"):
+        build(value)
+
 
 @pytest.mark.parametrize("build", [lambda n: gaussian_grid(-6.0, 6.0, n),
                                    lambda n: _uniform_grid(n_cells=n)],
                          ids=["gaussian_grid", "FPGrid"])
 @pytest.mark.parametrize("n_cells", [40.0, 40.5, "40", True])
 def test_grid_refuses_a_cell_count_that_is_not_an_integer(build, n_cells):
-    """A grid's cell count is an integer, as is_integer decides (a bool is
-    not one); a numpy integer builds."""
-    with pytest.raises(ValueError, match=r"^n_cells must be an integer, got "):
+    """A grid's cell count is an integer, as operators.check_integer decides
+    (a bool is not one); a numpy integer builds."""
+    with pytest.raises(ValueError, match=rf"^n_cells must be an integer >= 4, "
+                                         rf"got {re.escape(repr(n_cells))}$"):
         build(n_cells)
     assert build(np.int64(40)).n_cells == 40
 
@@ -169,6 +203,6 @@ def test_grid_refuses_a_cell_count_that_is_not_an_integer(build, n_cells):
     ids=["gaussian_grid", "FPGrid"])
 @pytest.mark.parametrize("n_cells", [3, 0, -4])
 def test_grid_refuses_fewer_than_four_cells(build, n_cells):
-    with pytest.raises(ValueError, match=rf"^n_cells must be at least 4, got {n_cells}$"):
+    with pytest.raises(ValueError, match=rf"^n_cells must be an integer >= 4, got {n_cells}$"):
         build(n_cells)
     assert build(4).n_cells == 4
