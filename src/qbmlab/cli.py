@@ -48,10 +48,8 @@ from .fokker_planck import fp_solve, gaussian_grid, maxwell_grid, stability_boun
 from .liouvillians import (
     BOLTZMANN_COLLISION,
     CALDEIRA_LEGGETT,
-    DOUBLE_COMMUTATOR,
     MINIMAL_QBM,
     BILINEAR,
-    SINGLE_GENERATOR,
     CollisionParameters,
     LiouvillianSpec,
     build_liouvillian,
@@ -211,9 +209,7 @@ def _generator_from(rc, cfg):
             d_pp = rc.get("generator", "d_pp", _float)
             beta = rc.get("generator", "beta", _float)
         spec = LiouvillianSpec(
-            beta=beta, coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z),
-            assembly=rc.get("generator", "assembly", _choice(
-                DOUBLE_COMMUTATOR, SINGLE_GENERATOR), DOUBLE_COMMUTATOR), **common)
+            beta=beta, coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z), **common)
     else:
         q_max = rc.get("generator", "q_max", _float)
         nodes, weights = radial_grid(q_max, rc.get("generator", "n_nodes", _int_from(1), 40))

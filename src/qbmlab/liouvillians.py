@@ -8,9 +8,8 @@ checks its own fields on construction, into one of four kinds of generator:
 * general bilinear generator with friction, three diffusion coefficients and
   an anticommutator Hamiltonian correction, subject to the CP bound
   D_xx*D_pp - D_xp^2 >= (gamma*hbar/2)^2;
-* minimal completely positive generator, whose d_xx and gamma derive from the
-  user-supplied d_pp (equivalently assembled from a single thermal-scale jump
-  operator at rate 2 z gamma);
+* minimal completely positive generator, whose gamma and d_xx derive from
+  the user-supplied d_pp, with one construction: the bilinear one below;
 * gas-collision generator built from exponential shift/weight sandwiches over
   a signed momentum-transfer quadrature grid, all taken from one
   eigendecomposition of x and one of p, and compiled as jumps of definite
@@ -57,7 +56,9 @@ microcoeffs.kossakowski_weights decides which weights survive, by cp_check's
 rule: a saturated set's smaller weight is an exact zero and is dropped, and
 any other keeps the margin's sign.  The Caldeira-Leggett generator (d_xx = 0,
 gamma > 0) therefore keeps one negative weight, and the minimal generator
-saturates the bound, so its C has rank one and it has a single jump.
+saturates the bound, so its C has rank one and it has a single jump: the
+thermal annihilator (operators.build_annihilator) times a complex c, with
+s |c|^2 = 2 z gamma.
 
 Trace and Hermiticity are preserved, and never renormalized: tr L[rho] =
 tr((K + K^dag + sum_k s_k J_k^dag J_k) rho), and that operator sum cancels
@@ -89,9 +90,9 @@ from scipy.sparse._sparsetools import csr_matvec
 from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           kossakowski_weights, saturating_coefficients,
                           thermal_kernel)
-from .operators import (HAMILTONIAN_KINDS, HilbertConfig, build_annihilator,
-                        build_hamiltonian, build_momentum, build_position,
-                        NumericalFailure, check_finite, check_integer)
+from .operators import (HAMILTONIAN_KINDS, HilbertConfig, build_hamiltonian,
+                        build_momentum, build_position, NumericalFailure,
+                        check_finite, check_integer)
 from .quadrature import legendre_rule
 from .structure_factor import brownian_weight
 
@@ -174,6 +175,11 @@ class LiouvillianSpec:
 
     Checked on construction for every rule the spec alone decides; the
     compile functions check only what needs the Hilbert space.
+
+    assembly, DOUBLE_COMMUTATOR or SINGLE_GENERATOR (minimal_qbm only), is
+    checked and never read: both names denote the one minimal generator.
+    The benchmark's workloads still set it; the next change to bench/
+    deletes it and SINGLE_GENERATOR (ROADMAP.md, item 2).
     """
 
     kind: str
@@ -452,10 +458,8 @@ def minimal_coefficients(cfg: HilbertConfig, d_pp: float, beta: float,
     """Derive the completely positive coefficient set from d_pp alone.
 
     gamma = (beta/2M) d_pp and d_xx = (beta hbar/4M)^2 d_pp, from
-    saturating_coefficients, saturate the CP bound; the bilinear form
-    carries no anticommutator correction (mu = 0), which is exactly what
-    the single-generator assembly reduces to.  BilinearCoefficients
-    rejects a negative d_pp.
+    saturating_coefficients, saturate the CP bound, with no anticommutator
+    correction (mu = 0).  BilinearCoefficients rejects a negative d_pp.
     """
     check_finite("beta", beta, "positive")
     gamma, d_xx = saturating_coefficients(d_pp, beta, cfg.mass, cfg.hbar)
@@ -467,28 +471,13 @@ def _minimal_qbm(cfg: HilbertConfig, spec: LiouvillianSpec):
     """Completely positive Brownian generator from d_pp and fugacity_z only.
 
     gamma and d_xx come from minimal_coefficients, the one thermal
-    derivation.  assembly selects between the algebraically identical
-    routes: DOUBLE_COMMUTATOR compiles the three bilinear terms through the
-    Kossakowski matrix, whose one nonzero weight yields the jump;
-    SINGLE_GENERATOR takes the thermal-scale annihilator as the jump
-    directly, with rate 2*z*gamma, plus the anticommutator Hamiltonian
-    correction with coefficient z*gamma/2.
+    derivation, and compile through _bilinear: the one construction,
+    whatever the spec's assembly.  The one jump is the thermal annihilator
+    build_annihilator(cfg, beta) times a complex c, weight |c|^2 = 2 z gamma,
+    as the tests check.
     """
     c = spec.coeffs
-    derived = minimal_coefficients(cfg, c.d_pp, spec.beta, c.fugacity_z)
-    if spec.assembly == DOUBLE_COMMUTATOR:
-        return _bilinear(cfg, spec, derived)
-
-    z_gamma = derived.fugacity_z * derived.gamma
-    x = build_position(cfg)
-    p = build_momentum(cfg)
-    h_eff = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap) \
-        + (0.5 * z_gamma) * (x @ p + p @ x)
-    jump = build_annihilator(cfg, spec.beta)
-    rate = 2.0 * z_gamma
-    k = (-1j / cfg.hbar) * h_eff - (0.5 * rate) * (jump.conj().T @ jump)
-    live = [rate] if rate != 0.0 else []
-    return k, live, [jump] * len(live), {"coeffs": derived}
+    return _bilinear(cfg, spec, minimal_coefficients(cfg, c.d_pp, spec.beta, c.fugacity_z))
 
 
 def collision_dpp(params: CollisionParameters, hbar: float) -> float:

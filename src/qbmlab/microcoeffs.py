@@ -62,13 +62,18 @@ class TMatrixModel:
             check_finite("sigma_q", self.sigma_q, "positive")
 
     def squared(self, q):
+        """|t(q)|^2; a t0 whose square overflows raises NumericalFailure."""
         q = np.asarray(q, dtype=float)
         if not np.all(q >= 0):  # NaN too
             raise ValueError("momentum transfer must be nonnegative")
+        t0_squared = _square(float(self.t0))
+        if not math.isfinite(t0_squared):
+            raise NumericalFailure(f"t0: the squared amplitude t0^2 is not finite "
+                                   f"for t0 = {self.t0!r}")
         if self.kind == "constant":
-            out = np.full_like(q, self.t0**2)
+            out = np.full_like(q, t0_squared)
         else:
-            out = self.t0**2 * np.exp(-(q**2) / (2.0 * self.sigma_q**2))
+            out = t0_squared * np.exp(-(q**2) / (2.0 * self.sigma_q**2))
         return out if out.ndim else float(out)
 
 
@@ -133,10 +138,10 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
 
     gamma and d_xx come from saturating_coefficients, so the set sits on the
     CP boundary (chi = 1/8).  mu = gamma/2 is the anticommutator correction
-    that the single-generator assembly of the minimal generator carries; it
-    is reported, not an input for a bilinear spec, whose minimal form has no
-    anticommutator term.  fugacity_z is 1 because the quadrature gives d_pp
-    per unit fugacity.
+    that the minimal generator carries when written with the thermal
+    annihilator as its jump; it is reported, not an input for a bilinear
+    spec, whose minimal form has no anticommutator term.  fugacity_z is 1
+    because the quadrature gives d_pp per unit fugacity.
     """
     check_finite("mass_test", mass_test, "positive")
     check_finite("hbar", hbar, "positive")

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import strategies as st
 
 from qbmlab import (BOLTZMANN_COLLISION, CollisionParameters, HilbertConfig,
-                    LiouvillianSpec, TMatrixModel, build_hamiltonian, build_momentum,
-                    build_position, dpp_prefactor, radial_grid)
+                    LiouvillianSpec, TMatrixModel, build_annihilator, build_hamiltonian,
+                    build_momentum, build_position, dpp_prefactor, minimal_coefficients,
+                    radial_grid)
 from qbmlab.liouvillians import _cached_compile
 from qbmlab.microcoeffs import thermal_kernel
 from qbmlab.structure_factor import brownian_weight
@@ -65,6 +66,27 @@ def signed_collision_normal_form(cfg, spec):
     jumps = v_x @ (phase[:, :, None] * (v_x.conj().T @ v_p) * weight[:, None, :]) @ v_p_dag
     k = (-1j / hbar) * h - (0.5 * v_p * (signed_rates @ weight**2)) @ v_p_dag
     return k, signed_rates, jumps.reshape(-1, cfg.dim, cfg.dim)
+
+
+def single_jump_normal_form(cfg, spec):
+    """K, the weights and the jumps of a minimal_qbm spec's generator,
+    assembled by hand from its one jump: the thermal annihilator
+    build_annihilator(cfg, beta) at rate 2 z gamma, gamma from
+    minimal_coefficients, with the anticommutator Hamiltonian correction
+    (z gamma/2){x, p}; no weight and no jump when z gamma = 0.  The oracle
+    of the minimal generator's Kossakowski compile."""
+    c = spec.coeffs
+    derived = minimal_coefficients(cfg, c.d_pp, spec.beta, c.fugacity_z)
+    z_gamma = derived.fugacity_z * derived.gamma
+    x = build_position(cfg)
+    p = build_momentum(cfg)
+    h_eff = build_hamiltonian(cfg, spec.hamiltonian_kind, spec.omega_trap) \
+        + (0.5 * z_gamma) * (x @ p + p @ x)
+    jump = build_annihilator(cfg, spec.beta)
+    rate = 2.0 * z_gamma
+    k = (-1j / cfg.hbar) * h_eff - (0.5 * rate) * (jump.conj().T @ jump)
+    live = [rate] if rate != 0.0 else []
+    return k, np.array(live), np.array([jump] * len(live)).reshape(-1, cfg.dim, cfg.dim)
 
 
 BENCH_BOX = dict(

@@ -184,7 +184,12 @@ OVERFLOWING_GENERATORS = {
                    "t_final = 1\ndt = 0.1\n" % generator, message, id="evolve-" + kind)
       for kind, (generator, message) in OVERFLOWING_GENERATORS.items()),
     pytest.param("coeffs", COEFFS_QUICK.replace("t0 = 0.02", "t0 = 1e100"), "cp_margin: ",
-                 id="coeffs-t0")])
+                 id="coeffs-t0"),
+    # t0^2 itself overflows, for either kind of t-matrix
+    *(pytest.param("coeffs", COEFFS_QUICK.replace("kind = constant\nt0 = 0.02", tmatrix),
+                   "t0: ", id="coeffs-t0-squared-" + tmatrix.split()[2])
+      for tmatrix in ("kind = constant\nt0 = 1e160",
+                      "kind = gaussian\nt0 = 1e160\nsigma_q = 1.0"))])
 def test_build_whose_arithmetic_overflows_exits_three(tmp_path, monkeypatch, capsys,
                                                       command, text, message):
     """A generator or coefficient set whose arithmetic overflows is a
@@ -338,16 +343,21 @@ MICROSCOPIC_QUICK = COLLISION_QUICK.replace(
     (EVOLVE_QUICK.replace("kind = minimal_qbm\nbeta = 2.0",
                           "kind = bilinear\nassembly = single_generator"),
      ["assembly"]),
+    # the minimal generator has one construction: no run reads assembly
+    *((EVOLVE_QUICK.replace("d_pp = 0.4", "d_pp = 0.4\nassembly = " + assembly), ["assembly"])
+      for assembly in ("double_commutator", "single_generator")),
     (EVOLVE_QUICK.replace("initial_nbar = 0.3", "initial_nbar = 0.3\ninitial_n = 2"),
      ["initial_n"]),
 ], ids=["cl-d_pp-d_xx", "cl-zero-d_pp", "collision-beta-gamma-d_pp",
         "microscopic-beta", "microscopic-d_pp", "microscopic-fugacity_z",
-        "minimal-q_max", "bilinear-assembly", "thermal-initial_n"])
+        "minimal-q_max", "bilinear-assembly", "minimal-assembly-double_commutator",
+        "minimal-assembly-single_generator", "thermal-initial_n"])
 def test_unread_generator_keys_exit_two(tmp_path, monkeypatch, capsys, text, keys):
     code, out = run(tmp_path, monkeypatch, text, "evolve", "unread")
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error" in err and all("'%s'" % key in err for key in keys)
+    assert err.startswith("config error: ") and err.endswith(" not read by this evolve run\n")
+    assert all("key '%s' in section [generator]" % key in err for key in keys)
     assert not out.exists()
 
 

@@ -7,7 +7,7 @@ import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from conftest import (BENCH_BOX, CallableGenerator, bench_collision_spec, random_density,
-                      signed_collision_normal_form)
+                      signed_collision_normal_form, single_jump_normal_form)
 from qbmlab import (
     BILINEAR,
     BOLTZMANN_COLLISION,
@@ -23,6 +23,7 @@ from qbmlab import (
     LiouvillianSpec,
     NumericalFailure,
     TMatrixModel,
+    build_annihilator,
     build_hamiltonian,
     build_momentum,
     build_position,
@@ -444,18 +445,86 @@ def test_positivity_dichotomy_in_the_weights(d_pp, beta, mass, hbar, fugacity_z)
 
 
 def test_single_generator_rate_is_twice_z_gamma():
-    """The single-jump assembly takes gamma from minimal_coefficients, the
-    one thermal derivation, so its rate is 2 z gamma to the last bit."""
+    """The single-jump oracle takes gamma from minimal_coefficients, the
+    one thermal derivation the compile uses too, so its rate is 2 z gamma
+    of the compiled generator's coefficients to the last bit."""
     draws = np.random.default_rng(20240917)
     for _ in range(200):
         d_pp = 10.0 ** draws.uniform(-3.0, 3.0)
         beta, z = draws.uniform(0.05, 20.0), draws.uniform(0.01, 2.0)
         mass, hbar = draws.uniform(0.1, 10.0), draws.uniform(0.1, 10.0)
         cfg = HilbertConfig(dim=2, hbar=hbar, mass=mass)
-        liouv = build_liouvillian(cfg, LiouvillianSpec(
-            kind=MINIMAL_QBM, beta=beta, assembly=SINGLE_GENERATOR,
-            coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z)))
-        assert liouv.weights[0] == 2 * z * liouv.coeffs.gamma
+        spec = LiouvillianSpec(kind=MINIMAL_QBM, beta=beta,
+                               coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z))
+        _, weights, _ = single_jump_normal_form(cfg, spec)
+        assert weights[0] == 2 * z * build_liouvillian(cfg, spec).coeffs.gamma
+
+
+def _minimal_draws(seed, n):
+    """n (cfg, spec) minimal generators at dims 2 to 42, alternately free
+    and harmonic, with d_pp, beta, z, M and hbar drawn as
+    test_single_generator_rate_is_twice_z_gamma draws them; the first is
+    at dim 2 and the second at dim 42."""
+    draws = np.random.default_rng(seed)
+    for draw in range(n):
+        dim = (2, 42)[draw] if draw < 2 else int(draws.integers(2, 43))
+        d_pp = 10.0 ** draws.uniform(-3.0, 3.0)
+        beta, z = draws.uniform(0.05, 20.0), draws.uniform(0.01, 2.0)
+        mass, hbar = draws.uniform(0.1, 10.0), draws.uniform(0.1, 10.0)
+        harmonic = draw % 2 == 1
+        yield HilbertConfig(dim=dim, hbar=hbar, mass=mass), LiouvillianSpec(
+            kind=MINIMAL_QBM, beta=beta,
+            hamiltonian_kind="harmonic" if harmonic else "free",
+            omega_trap=draws.uniform(0.1, 10.0) if harmonic else None,
+            coeffs=BilinearCoefficients(d_pp=d_pp, fugacity_z=z))
+
+
+def _sparse_superoperator(k, weights, jumps):
+    """I kron K + conj(K) kron I + sum_k s_k conj(J_k) kron J_k on
+    Fortran-order vec(rho), as a sparse matrix."""
+    eye = scipy.sparse.identity(k.shape[0], format="csr")
+    k = scipy.sparse.csr_array(k)
+    out = scipy.sparse.kron(eye, k) + scipy.sparse.kron(k.conj(), eye)
+    for weight, jump in zip(weights, jumps):
+        jump = scipy.sparse.csr_array(jump)
+        out = out + weight * scipy.sparse.kron(jump.conj(), jump)
+    return scipy.sparse.csr_array(out)
+
+
+def test_minimal_generator_matches_the_single_jump_oracle():
+    """The compiled minimal generator's superoperator is the hand-assembled
+    single-jump one to 1e-14 max|L|, over dims 2 to 42, free and harmonic
+    Hamiltonians and coefficients drawn over decades."""
+    for cfg, spec in _minimal_draws(20261020, 60):
+        oracle = _sparse_superoperator(*single_jump_normal_form(cfg, spec))
+        liouv = build_liouvillian(cfg, spec)
+        compiled = _sparse_superoperator(liouv.k, liouv.weights, liouv.jumps)
+        assert abs(compiled - oracle).max() <= 1e-14 * abs(oracle).max(), (cfg, spec)
+
+
+def test_minimal_jump_is_the_thermal_annihilator():
+    """The minimal generator's one jump is build_annihilator(cfg, beta)
+    times a complex c, and its weight times |c|^2 is the rate 2 z gamma."""
+    for cfg, spec in _minimal_draws(20261021, 60):
+        liouv = build_liouvillian(cfg, spec)
+        assert liouv.weights.shape == (1,) and liouv.jumps.shape == (1, cfg.dim, cfg.dim)
+        a_th = build_annihilator(cfg, spec.beta)
+        jump = liouv.jumps[0]
+        c = np.vdot(a_th, jump) / np.vdot(a_th, a_th)
+        assert np.abs(jump - c * a_th).max() <= 1e-14 * np.abs(jump).max(), (cfg, spec)
+        rate = 2.0 * spec.coeffs.fugacity_z * liouv.coeffs.gamma
+        assert abs(liouv.weights[0] * abs(c) ** 2 - rate) <= 1e-14 * rate, (cfg, spec)
+
+
+def test_both_assembly_names_compile_the_same_generator():
+    """DOUBLE_COMMUTATOR and SINGLE_GENERATOR name one generator: the same
+    K, weights, jumps and coefficients, to the bit."""
+    for cfg, spec in _minimal_draws(20261022, 40):
+        double = build_liouvillian(cfg, spec)
+        single = build_liouvillian(cfg, dataclasses.replace(spec, assembly=SINGLE_GENERATOR))
+        assert double is not single and double.coeffs == single.coeffs
+        for part in ("k", "weights", "jumps"):
+            assert np.array_equal(getattr(double, part), getattr(single, part)), part
 
 
 def test_caldeira_leggett_equals_bilinear_bitwise(rng):
@@ -484,16 +553,12 @@ def test_minimal_coefficients_derivation():
 
 
 def test_minimal_assemblies_agree(rng):
-    """The three-term commutator assembly and the single-jump assembly are
-    the same superoperator, identically in the coefficients."""
-    spec_d = LiouvillianSpec(kind=MINIMAL_QBM, beta=2.0,
-                             coeffs=BilinearCoefficients(d_pp=0.7, fugacity_z=0.8),
-                             assembly=DOUBLE_COMMUTATOR)
-    spec_s = LiouvillianSpec(kind=MINIMAL_QBM, beta=2.0,
-                             coeffs=BilinearCoefficients(d_pp=0.7, fugacity_z=0.8),
-                             assembly=SINGLE_GENERATOR)
-    double = build_liouvillian(CFG, spec_d)
-    single = build_liouvillian(CFG, spec_s)
+    """The compiled minimal generator and the single-jump oracle are the
+    same superoperator, identically in the coefficients."""
+    spec = LiouvillianSpec(kind=MINIMAL_QBM, beta=2.0,
+                           coeffs=BilinearCoefficients(d_pp=0.7, fugacity_z=0.8))
+    double = build_liouvillian(CFG, spec)
+    single = Liouvillian(CFG, MINIMAL_QBM, *single_jump_normal_form(CFG, spec))
     for _ in range(20):
         rho = random_density(CFG.dim, rng)
         a = double.apply(rho)
@@ -1080,11 +1145,19 @@ def test_a_compile_that_raises_is_not_cached(monkeypatch):
     # the derived d_xx d_pp overflows
     (LiouvillianSpec(kind=MINIMAL_QBM, beta=1.0, coeffs=BilinearCoefficients(d_pp=1e300)),
      r"^cp_margin: "),
-], ids=["bilinear-d_pp", "caldeira_leggett-gamma", "minimal_qbm-d_pp"])
+    # either assembly name: the one construction refuses it the same way
+    (LiouvillianSpec(kind=MINIMAL_QBM, beta=1.0, coeffs=BilinearCoefficients(d_pp=1e300),
+                     assembly=SINGLE_GENERATOR), r"^cp_margin: "),
+    # t0^2 overflows in every node's rate
+    (LiouvillianSpec(kind=BOLTZMANN_COLLISION, collision=dataclasses.replace(
+        _collision_params(0.3, 8), tmatrix=TMatrixModel(kind="constant", t0=1e160))),
+     r"^t0: "),
+], ids=["bilinear-d_pp", "caldeira_leggett-gamma", "minimal_qbm-d_pp",
+        "minimal_qbm-single_generator-d_pp", "boltzmann_collision-t0"])
 def test_a_compile_whose_arithmetic_overflows_is_a_numerical_failure(spec, message):
     """Under the suite's error::RuntimeWarning no numpy warning escapes a
     compile: an overflow ends as one NumericalFailure, naming the kind and
-    the part that is not finite, or cp_margin, and nothing is cached."""
+    the part that is not finite, or cp_margin or t0, and nothing is cached."""
     cfg = HilbertConfig(dim=6)
     for _ in range(2):
         with pytest.raises(NumericalFailure, match=message):

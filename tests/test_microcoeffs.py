@@ -223,6 +223,18 @@ def test_cp_margin_refuses_terms_that_overflow():
                 refuse(c)
 
 
+@pytest.mark.parametrize("sigma_q", [None, 1.0], ids=["constant", "gaussian"])
+def test_a_t0_whose_square_overflows_is_a_numerical_failure(sigma_q):
+    """|t0| above about 1.3e154 squares past the largest float: compute_dpp
+    raises the one NumericalFailure, naming t0, with no OverflowError and
+    no numpy warning."""
+    kind = "constant" if sigma_q is None else "gaussian"
+    gas = GasThermodynamics(beta=1.0, gas_mass=1.0)
+    for t0 in (1e160, -1e160, 1e300):
+        with pytest.raises(NumericalFailure, match=r"^t0: .* not finite for t0 = "):
+            compute_dpp(TMatrixModel(kind=kind, t0=t0, sigma_q=sigma_q), gas, mass_test=1.0)
+
+
 def test_cp_margin_keeps_the_bits_of_its_formula(rng):
     """The margin is d_xx d_pp - d_xp**2 - (gamma hbar/2)**2 bit for bit,
     for Python and numpy floats alike: each square is x**2, never x * x,
