@@ -21,7 +21,8 @@ while parsing and building (the message names the offending keys or
 sections, and a library ValueError is reported with the section being
 built); 3 numerical failure, an ArithmeticError in either phase
 (NumericalFailure is one: a generator or coefficient set whose arithmetic
-overflows, a quadrature that did not converge, a diverging integration)
+overflows, a structure factor or D_pp that is not finite, a quadrature
+that did not converge, a diverging integration)
 or a ValueError once the run has started (numpy.linalg.LinAlgError is a
 ValueError).  Making the output directory
 and writing belong to the run.

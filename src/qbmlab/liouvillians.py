@@ -92,7 +92,7 @@ from .microcoeffs import (BilinearCoefficients, TMatrixModel, dpp_prefactor,
                           thermal_kernel)
 from .operators import (HAMILTONIAN_KINDS, HilbertConfig, build_hamiltonian,
                         build_momentum, build_position, NumericalFailure,
-                        check_finite, check_integer)
+                        check_finite, check_integer, float_policy)
 from .quadrature import legendre_rule
 from .structure_factor import brownian_weight
 
@@ -486,10 +486,18 @@ def collision_dpp(params: CollisionParameters, hbar: float) -> float:
     Equals the radial-integral d_pp of compute_dpp restricted to (0, q_max]
     and evaluated with this grid's nodes; the collision generator converges to
     the minimal generator with exactly this coefficient as q_max shrinks.
+    It is computed under the float policy, and a d_pp that is not finite
+    raises NumericalFailure naming the inputs that set it.
     """
-    return dpp_prefactor(params.gas_mass, params.beta, hbar) * float(np.sum(thermal_kernel(
-        params.tmatrix, params.beta, params.gas_mass, params.q_nodes,
-        params.q_weights * params.q_nodes)))
+    with float_policy():
+        d_pp = dpp_prefactor(params.gas_mass, params.beta, hbar) * float(np.sum(
+            thermal_kernel(params.tmatrix, params.beta, params.gas_mass, params.q_nodes,
+                           params.q_weights * params.q_nodes)))
+    if not np.isfinite(d_pp):
+        raise NumericalFailure(
+            f"collision_dpp: d_pp = {d_pp!r} is not finite at t0={params.tmatrix.t0!r}, "
+            f"beta={params.beta!r}, gas_mass={params.gas_mass!r}, q_max={params.q_max!r}")
+    return d_pp
 
 
 def _boltzmann_collision(cfg: HilbertConfig, spec: LiouvillianSpec):
@@ -591,7 +599,7 @@ def build_liouvillian(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
 def _compile(cfg: HilbertConfig, spec: LiouvillianSpec) -> Liouvillian:
     # one floating-point policy per compile: numpy never warns inside it, and
     # an overflow is found by the finiteness check below (or cp_margin's)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with float_policy():
         k, weights, jumps, attrs = _COMPILERS[spec.kind](cfg, spec)
         weights = np.array(weights, dtype=float)
         jumps = np.asarray(jumps, dtype=complex).reshape(-1, cfg.dim, cfg.dim)

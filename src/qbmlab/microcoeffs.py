@@ -21,6 +21,13 @@ chi = D_xx*M/(beta hbar^2 gamma) = 1/8.  cp_check and kossakowski_weights
 decide that bound by one rule, with one round-off slack, and cp_margin,
 cp_check, kossakowski_weights and every bilinear-family compile refuse a
 set whose bound's terms overflow by one NumericalFailure, naming cp_margin.
+
+The radial quadrature's convergence is decided by quadrature.integrate
+alone, which evaluates the integrand under the library's float policy.
+compute_dpp and dpp_constant_closed_form compute their results under the
+same policy and check them for finiteness once, before any of them reaches
+BilinearCoefficients: each failure is a NumericalFailure whose message
+starts with the function's name and gives t0, beta and gas_mass.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import NumericalFailure, check_finite
+from .operators import NumericalFailure, check_finite, float_policy
 from .quadrature import integrate
 from .structure_factor import BOSE, MAXWELL_BOLTZMANN, GasThermodynamics
 
@@ -73,7 +80,7 @@ class TMatrixModel:
         if self.kind == "constant":
             out = np.full_like(q, t0_squared)
         else:
-            out = t0_squared * np.exp(-(q**2) / (2.0 * self.sigma_q**2))
+            out = t0_squared * np.exp(-(q**2) / (2.0 * _square(float(self.sigma_q))))
         return out if out.ndim else float(out)
 
 
@@ -132,9 +139,12 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
     1/(2 sigma_q^2) for the Gaussian t-matrix.  It is integrated over
     [0, 12/sqrt(a)], where it has the same shape for every parameter set, so
     a narrow t-matrix is resolved as well as a wide one; for the constant
-    kind the interval ends at cutoff_momentum.  Gauss-Legendre rules of two
-    orders give the value and its error estimate; a value that is not
-    finite, or an estimate above 1e-10 of it, raises NumericalFailure.
+    kind the interval ends at cutoff_momentum.  quadrature.integrate
+    decides the integral, to an error estimate of at most 1e-10 of its
+    value (any, for a zero value).  d_pp, gamma and d_xx are computed
+    under the float policy; any of them not finite raises NumericalFailure
+    naming compute_dpp and its inputs, rather than reaching
+    BilinearCoefficients' ValueError.
 
     gamma and d_xx come from saturating_coefficients, so the set sits on the
     CP boundary (chi = 1/8).  mu = gamma/2 is the anticommutator correction
@@ -145,21 +155,37 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
     """
     check_finite("mass_test", mass_test, "positive")
     check_finite("hbar", hbar, "positive")
-    a = gas.beta / (8.0 * gas.gas_mass)
+    inputs = f"t0={tmat.t0!r}, beta={gas.beta!r}, gas_mass={gas.gas_mass!r}"
     if tmat.kind == "gaussian":
-        a += 0.5 / tmat.sigma_q**2
-    val, err = integrate(lambda q: thermal_kernel(tmat, gas.beta, gas.gas_mass, q, q**3),
-                         0.0, 12.0 / np.sqrt(a))
-    if not np.isfinite(val) or (val != 0.0 and err > 1e-10 * abs(val)):
-        raise NumericalFailure(f"radial quadrature did not converge: val={val}, err={err}")
-    d_pp = dpp_prefactor(gas.gas_mass, gas.beta, hbar) * val
-    gamma, d_xx = saturating_coefficients(d_pp, gas.beta, mass_test, hbar)
+        inputs += f", sigma_q={tmat.sigma_q!r}"
+    with float_policy():
+        a = gas.beta / (8.0 * gas.gas_mass)
+        if tmat.kind == "gaussian":
+            a += 0.5 / np.float64(tmat.sigma_q) ** 2
+        # 1e-10 relative; a zero integral, whose integrand underflowed at
+        # every node of the fine rule, is exact
+        val = integrate(lambda q: thermal_kernel(tmat, gas.beta, gas.gas_mass, q, q**3),
+                        0.0, 12.0 / np.sqrt(a), f"compute_dpp: the radial integral at {inputs}",
+                        lambda v: 1e-10 * abs(v) if v else math.inf)
+        d_pp = dpp_prefactor(gas.gas_mass, gas.beta, hbar) * val
+        gamma, d_xx = saturating_coefficients(d_pp, gas.beta, mass_test, hbar)
+    if not all(map(math.isfinite, (d_pp, gamma, d_xx))):
+        raise NumericalFailure(f"compute_dpp: d_pp, gamma and d_xx = "
+                               f"{tuple(map(float, (d_pp, gamma, d_xx)))} are not all "
+                               f"finite at {inputs}, mass_test={mass_test!r}, hbar={hbar!r}")
     return BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx, mu=0.5 * gamma)
 
 
 def dpp_constant_closed_form(t0: float, gas: GasThermodynamics, hbar: float = 1.0) -> float:
-    """Closed form for a constant amplitude: (256 pi^3 / 3) m^4 t0^2 / (hbar beta^3)."""
-    return 256.0 * np.pi**3 / 3.0 * gas.gas_mass**4 * t0**2 / (hbar * gas.beta**3)
+    """Closed form for a constant amplitude: (256 pi^3 / 3) m^4 t0^2 / (hbar beta^3).
+
+    A value that is not finite (t0^2 overflows, say) raises NumericalFailure."""
+    value = 256.0 * np.pi**3 / 3.0 * gas.gas_mass**4 * _square(float(t0)) / (
+        hbar * gas.beta**3)
+    if not math.isfinite(value):
+        raise NumericalFailure(f"dpp_constant_closed_form: the closed form is not finite "
+                               f"at t0={t0!r}, beta={gas.beta!r}, gas_mass={gas.gas_mass!r}")
+    return value
 
 
 def _square(x: float) -> float:
@@ -171,22 +197,23 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _cp_terms(c: BilinearCoefficients, hbar: float) -> tuple[float, float, float]:
-    """The terms of cp_margin in Python floats, which overflow to inf
-    without a numpy warning; a term that is not finite raises NumericalFailure."""
+def _cp_terms(c: BilinearCoefficients, hbar: float) -> tuple[float, float]:
+    """(cp_margin, its largest term), from the terms d_xx*d_pp, d_xp^2 and
+    (gamma*hbar/2)^2 in Python floats, which overflow to inf without a
+    numpy warning; a term that is not finite raises NumericalFailure."""
     terms = (float(c.d_xx) * float(c.d_pp), _square(float(c.d_xp)),
              _square(float(c.gamma) * float(hbar) / 2.0))
     if not all(map(math.isfinite, terms)):
         raise NumericalFailure(f"cp_margin: the CP bound's terms d_xx*d_pp, d_xp^2 "
                                f"and (gamma*hbar/2)^2 = {terms} are not all finite")
-    return terms
+    det, xp2, bound = terms
+    return det - xp2 - bound, max(terms)
 
 
 def cp_margin(c: BilinearCoefficients, hbar: float = 1.0) -> float:
     """Signed slack of the complete-positivity bound; >= 0 iff satisfiable.
     A coefficient set whose terms overflow has none: NumericalFailure."""
-    det, xp2, bound = _cp_terms(c, hbar)
-    return det - xp2 - bound
+    return _cp_terms(c, hbar)[0]
 
 
 def cp_check(c: BilinearCoefficients, hbar: float = 1.0) -> tuple[bool, float]:
@@ -199,8 +226,8 @@ def cp_check(c: BilinearCoefficients, hbar: float = 1.0) -> tuple[bool, float]:
     positive; kossakowski_weights keeps weights by the same rule.  The
     margin itself is returned unchanged.
     """
-    margin = cp_margin(c, hbar)
-    return bool(margin >= -CP_ROUNDOFF * max(_cp_terms(c, hbar))), margin
+    margin, largest = _cp_terms(c, hbar)
+    return bool(margin >= -CP_ROUNDOFF * largest), margin
 
 
 def kossakowski_weights(c: BilinearCoefficients,
@@ -222,8 +249,8 @@ def kossakowski_weights(c: BilinearCoefficients,
     top = weights[1]
     if not top > 0.0:
         return weights[:0], vecs[:, :0]
-    margin = cp_margin(c, hbar)
-    if abs(margin) <= CP_ROUNDOFF * max(_cp_terms(c, hbar)):
+    margin, largest = _cp_terms(c, hbar)
+    if abs(margin) <= CP_ROUNDOFF * largest:
         return weights[1:], vecs[:, 1:]
     if not abs(weights[0]) > CP_ROUNDOFF * top:
         weights[0] = 4.0 * (z / hbar**2) ** 2 * margin / top

@@ -27,6 +27,13 @@ class NumericalFailure(ArithmeticError):
     solve.  The command line exits 3 on any ArithmeticError."""
 
 
+def float_policy():
+    """The library's one floating-point policy: numpy's error state with
+    over, invalid and divide ignored, so numpy never warns inside it.  Each
+    computation run under it checks its own results' finiteness once."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def check_integer(name: str, value, low: int) -> None:
     """The one rule for an integer input: a Python or numpy integer (a bool
     is not one) of at least low, else a ValueError naming the field:

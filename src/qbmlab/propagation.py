@@ -90,6 +90,7 @@ from .operators import (
     build_position,
     check_finite,
     check_integer,
+    float_policy,
     min_eigenvalue,
     purity,
     validate_density_matrix,
@@ -434,7 +435,7 @@ def propagate(rho0, liouvillian, icfg):
         return step_fn(s)
 
     # the one floating-point policy of an integration (module docstring)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with float_policy():
         # the first sample reads rho0 itself, signed zeros and all
         sampler = Sampler(lambda s: monitors(s if s.ndim == 2 else spread(s)),
                           icfg.monitor_stride, rho)

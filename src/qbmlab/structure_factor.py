@@ -4,6 +4,12 @@ The density-fluctuation spectrum of a classical ideal gas in thermal
 equilibrium is Gaussian in the energy transfer E at fixed momentum transfer q,
 peaked at the recoil energy q^2/2m.  Sign convention: E is the energy handed
 to the gas, so detailed balance reads s(q,-E) = exp(-beta*E) * s(q,E).
+
+s_mb is evaluated under the library's float policy and checked for
+finiteness once, where it is computed; its energy moments are decided by
+quadrature.integrate alone, which also checks their convergence.  Either
+failure is a NumericalFailure whose message starts with the function's
+name and gives q, beta and gas_mass.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import NumericalFailure, check_finite
+from .operators import NumericalFailure, check_finite, float_policy
 from .quadrature import integrate
 
 MAXWELL_BOLTZMANN = "maxwell_boltzmann"
@@ -45,16 +51,24 @@ def s_mb(q: float, energy, gas: GasThermodynamics):
 
     Returns sqrt(beta*m/(2*pi*q^2)) * exp(-(beta*m/(2*q^2)) * (E - q^2/2m)^2).
     Unit zeroth moment; first moment equals the recoil energy q^2/2m.
-    Accepts scalar or array energy.
+    Accepts scalar or array energy.  A value that is not finite (q^2
+    underflows or overflows) raises NumericalFailure.
     """
     check_finite("q", q, "positive")
     if gas.statistics != MAXWELL_BOLTZMANN:
         raise ValueError("closed form implemented for the Maxwell-Boltzmann gas only")
     beta, m = gas.beta, gas.gas_mass
-    recoil = q**2 / (2.0 * m)
-    e = np.asarray(energy, dtype=float)
-    out = np.sqrt(beta * m / (2.0 * np.pi * q**2)) * np.exp(
-        -(beta * m / (2.0 * q**2)) * (e - recoil) ** 2)
+    # numpy's scalar arithmetic, the bits of Python's, but with no
+    # OverflowError or ZeroDivisionError
+    q_np = np.float64(q)
+    with float_policy():
+        recoil = q_np**2 / (2.0 * m)
+        e = np.asarray(energy, dtype=float)
+        out = np.sqrt(beta * m / (2.0 * np.pi * q_np**2)) * np.exp(
+            -(beta * m / (2.0 * q_np**2)) * (e - recoil) ** 2)
+    if not np.isfinite(out).all():
+        raise NumericalFailure(f"s_mb: the structure factor is not finite at q={q!r}, "
+                               f"beta={beta!r}, gas_mass={m!r}")
     return out if out.ndim else float(out)
 
 
@@ -71,30 +85,31 @@ def brownian_weight(q, momentum, beta: float, mass: float):
     return np.exp((-beta / (4.0 * mass)) * np.multiply(q, momentum))
 
 
-def _energy_moment(q: float, gas: GasThermodynamics, power: int) -> float:
+def _energy_moment(name: str, q: float, gas: GasThermodynamics, power: int) -> float:
     """Integral of E^power s_mb(q, E) dE by Gauss-Legendre rules over +-14 widths.
 
     Kept numerical on purpose: it cross-checks the closed form rather than
-    restating it.
+    restating it.  s_mb checks q; integrate decides convergence, to an
+    error estimate of at most 1e-8 max(|value|, 1).
     """
-    check_finite("q", q, "positive")
-    recoil = q**2 / (2.0 * gas.gas_mass)
-    width = q / np.sqrt(gas.beta * gas.gas_mass)
-    val, err = integrate(lambda e: e**power * s_mb(q, e, gas),
-                         recoil - 14.0 * width, recoil + 14.0 * width)
-    if err > 1e-8 * max(abs(val), 1.0):
-        raise NumericalFailure(f"moment-{power} quadrature did not converge: err={err:.3e}")
-    return val
+    with float_policy():
+        recoil = np.float64(q) ** 2 / (2.0 * gas.gas_mass)
+        width = q / np.sqrt(gas.beta * gas.gas_mass)
+        lo, hi = recoil - 14.0 * width, recoil + 14.0 * width
+    return integrate(lambda e: e**power * s_mb(q, e, gas), lo, hi,
+                     f"{name}: the energy moment {power} of s_mb at q={q!r}, "
+                     f"beta={gas.beta!r}, gas_mass={gas.gas_mass!r}",
+                     lambda v: 1e-8 * max(abs(v), 1.0))
 
 
 def sum_rule_zero(q: float, gas: GasThermodynamics) -> float:
     """Zeroth energy moment of s_mb by Gauss-Legendre quadrature; equals 1."""
-    return _energy_moment(q, gas, 0)
+    return _energy_moment("sum_rule_zero", q, gas, 0)
 
 
 def sum_rule_f(q: float, gas: GasThermodynamics) -> float:
     """First energy moment of s_mb by Gauss-Legendre quadrature; equals q^2/2m."""
-    return _energy_moment(q, gas, 1)
+    return _energy_moment("sum_rule_f", q, gas, 1)
 
 
 def statistics_prefactor(gas: GasThermodynamics) -> float:

@@ -179,10 +179,31 @@ OVERFLOWING_GENERATORS = {
 }
 
 
+# a gas and a t-matrix, and a microscopic minimal generator driven by them
+GAS_SIDE = "[gas]\nbeta = %s\ngas_mass = 1.0\n\n[tmatrix]\nkind = constant\nt0 = %s\n"
+MICROSCOPIC = ("[hilbert]\ndim = 6\n\n[generator]\nkind = minimal_qbm\n"
+               "coefficients = microscopic\n\n[integrator]\nt_final = 1\ndt = 0.1\n\n")
+
+
 @pytest.mark.parametrize("command, text, message", [
     *(pytest.param("evolve", "[hilbert]\ndim = 6\n\n[generator]\n%s\n\n[integrator]\n"
                    "t_final = 1\ndt = 0.1\n" % generator, message, id="evolve-" + kind)
       for kind, (generator, message) in OVERFLOWING_GENERATORS.items()),
+    # the radial integral overflows; then d_pp, gamma and d_xx do, which
+    # BilinearCoefficients would refuse as a configuration error
+    pytest.param("coeffs", GAS_SIDE % ("1.0", "1e154"),
+                 "compute_dpp: the radial integral at t0=1e+154, beta=1.0, gas_mass=1.0 "
+                 "did not converge: value=inf", id="coeffs-radial-integral"),
+    pytest.param("coeffs", GAS_SIDE % ("0.001", "1e148"),
+                 "compute_dpp: d_pp, gamma and d_xx = (inf, inf, inf) are not all finite "
+                 "at t0=1e+148, beta=0.001", id="coeffs-d_pp"),
+    pytest.param("evolve", MICROSCOPIC + GAS_SIDE % ("0.001", "1e148"),
+                 "compute_dpp: d_pp, gamma and d_xx", id="evolve-microscopic-d_pp"),
+    # q^2 underflows to a subnormal, then to zero
+    *(pytest.param("dsf", "[gas]\nbeta = 1.0\ngas_mass = 1.0\n\n[dsf]\nq_values = %s\n" % q,
+                   "s_mb: the structure factor is not finite at q=%s, beta=1.0" % q,
+                   id="dsf-q=" + q)
+      for q in ("1e-160", "1e-300")),
     pytest.param("coeffs", COEFFS_QUICK.replace("t0 = 0.02", "t0 = 1e100"), "cp_margin: ",
                  id="coeffs-t0"),
     # t0^2 itself overflows, for either kind of t-matrix

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -7,11 +9,13 @@ from qbmlab import (
     BOSE,
     FERMI,
     BilinearCoefficients,
+    CollisionParameters,
     GasThermodynamics,
     HilbertConfig,
     NumericalFailure,
     TMatrixModel,
     chi_of,
+    collision_dpp,
     compute_dpp,
     cp_check,
     cp_margin,
@@ -20,6 +24,10 @@ from qbmlab import (
     dpp_prefactor,
     friction_ratio,
     minimal_coefficients,
+    radial_grid,
+    s_mb,
+    sum_rule_f,
+    sum_rule_zero,
 )
 from qbmlab.microcoeffs import kossakowski_weights, thermal_kernel
 
@@ -263,3 +271,79 @@ def test_statistics_scaling_of_friction():
     fermi = GasThermodynamics(beta=1.0, gas_mass=1.0, fugacity=0.3, statistics=FERMI)
     assert friction_ratio(bose) == 0.7
     assert friction_ratio(fermi) == 1.3
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: compute_dpp(TMatrixModel(kind="constant", t0=1e154),
+                         GasThermodynamics(beta=1.0, gas_mass=1.0), 1.0),
+     r"^compute_dpp: the radial integral at t0=1e\+154, beta=1\.0, gas_mass=1\.0 "
+     r"did not converge: value=inf, error estimate=nan$"),
+    (lambda: compute_dpp(TMatrixModel(kind="gaussian", t0=1e154, sigma_q=2.0),
+                         GasThermodynamics(beta=1.0, gas_mass=1.0), 1.0),
+     r"^compute_dpp: the radial integral at t0=1e\+154, beta=1\.0, gas_mass=1\.0, "
+     r"sigma_q=2\.0 did not converge"),
+    (lambda: compute_dpp(TMatrixModel(kind="constant", t0=1e148),
+                         GasThermodynamics(beta=1e-3, gas_mass=1.0), 2.0),
+     r"^compute_dpp: d_pp, gamma and d_xx = \(inf, inf, inf\) are not all finite at "
+     r"t0=1e\+148, beta=0\.001, gas_mass=1\.0, mass_test=2\.0, hbar=1\.0$"),
+    (lambda: dpp_constant_closed_form(-1e155, GasThermodynamics(beta=1.0, gas_mass=1.0)),
+     r"^dpp_constant_closed_form: the closed form is not finite at t0=-1e\+155, "
+     r"beta=1\.0, gas_mass=1\.0$"),
+    (lambda: s_mb(1e-160, [0.0, 1.0], GasThermodynamics(beta=2.0, gas_mass=1.0)),
+     r"^s_mb: the structure factor is not finite at q=1e-160, beta=2\.0, gas_mass=1\.0$"),
+], ids=["compute_dpp-integral", "compute_dpp-gaussian", "compute_dpp-coefficients",
+        "dpp_constant_closed_form", "s_mb"])
+def test_a_gas_side_failure_names_its_function_and_inputs(run, message):
+    """Each gas-side result that is not finite is one NumericalFailure, with
+    no numpy warning, no OverflowError and no ValueError of
+    BilinearCoefficients; its message starts with the function's name and
+    gives the inputs that set the value."""
+    with pytest.raises(NumericalFailure, match=message):
+        run()
+
+
+def _decades(lo, hi):
+    return st.floats(min_value=np.log10(lo), max_value=np.log10(hi)).map(lambda e: 10.0**e)
+
+
+@given(t0=_decades(1e-300, 1e300), beta=_decades(1e-6, 1e6),
+       gas_mass=_decades(1e-6, 1e6), mass_test=_decades(1e-6, 1e6),
+       q=_decades(1e-300, 1e300))
+@settings(max_examples=200, deadline=None)
+def test_every_gas_side_result_is_finite_or_a_numerical_failure(t0, beta, gas_mass,
+                                                                mass_test, q):
+    """Across 600 decades of t0 and q and 12 of beta and the masses, each
+    gas-side entry point returns finite values or raises NumericalFailure,
+    named for itself, for s_mb (which it evaluates) or for t0 (whose square
+    overflows), and numpy never warns: every warning is an error here."""
+    gas = GasThermodynamics(beta=beta, gas_mass=gas_mass)
+    constant = TMatrixModel(kind="constant", t0=t0)
+    q_max = cutoff_momentum(gas)
+    nodes, weights = radial_grid(q_max, 8)
+    collision = CollisionParameters(gas_mass=gas_mass, beta=beta, fugacity_z=1.0,
+                                    tmatrix=constant, q_nodes=nodes, q_weights=weights,
+                                    q_max=q_max)
+
+    def coefficients(tmat):
+        c = compute_dpp(tmat, gas, mass_test)
+        return c.d_pp, c.gamma, c.d_xx, c.mu
+
+    entry_points = {
+        "compute_dpp": lambda: coefficients(constant),
+        "compute_dpp-gaussian": lambda: coefficients(
+            TMatrixModel(kind="gaussian", t0=t0, sigma_q=q)),
+        "dpp_constant_closed_form": lambda: dpp_constant_closed_form(t0, gas),
+        "collision_dpp": lambda: collision_dpp(collision, 1.0),
+        "s_mb": lambda: s_mb(q, [-q, 0.0, 1.0, q], gas),
+        "sum_rule_zero": lambda: sum_rule_zero(q, gas),
+        "sum_rule_f": lambda: sum_rule_f(q, gas),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, run in entry_points.items():
+            try:
+                values = run()
+            except NumericalFailure as exc:
+                assert str(exc).split(":")[0] in (name.split("-")[0], "s_mb", "t0"), name
+            else:
+                assert np.isfinite(values).all(), name

@@ -476,13 +476,32 @@ def _diverging_run():
 
 
 def _unconverged(module, run):
+    """run, with module's integrate handed, at its caller's own interval and
+    tolerance, the caller's integrand times a ripple its rules cannot
+    resolve."""
     def failing(monkeypatch):
-        monkeypatch.setattr(module, "integrate", lambda f, lo, hi: (1.0, 1.0))
+        real = qbmlab.quadrature.integrate
+        monkeypatch.setattr(module, "integrate", lambda f, lo, hi, *rule: real(
+            lambda x: f(x) * (1.0 + np.cos(1e3 * x)), lo, hi, *rule))
         run()
     return failing
 
 
 GAS = qbmlab.GasThermodynamics(beta=1.0, gas_mass=1.0)
+
+
+def _compute_dpp(t0, beta):
+    qbmlab.compute_dpp(qbmlab.TMatrixModel(kind="constant", t0=t0),
+                       qbmlab.GasThermodynamics(beta=beta, gas_mass=1.0), 1.0)
+
+
+def _collision_dpp(t0):
+    nodes, weights = qbmlab.radial_grid(10.0, 8)
+    qbmlab.collision_dpp(qbmlab.CollisionParameters(
+        gas_mass=1.0, beta=1.0, fugacity_z=1.0,
+        tmatrix=qbmlab.TMatrixModel(kind="constant", t0=t0),
+        q_nodes=nodes, q_weights=weights, q_max=10.0), 1.0)
+
 
 # (where, what fails, taking pytest's monkeypatch)
 NUMERICAL_FAILURES = [
@@ -490,6 +509,16 @@ NUMERICAL_FAILURES = [
         qbmlab.TMatrixModel(kind="constant", t0=0.1), GAS, 1.0))),
     ("sum_rule_zero", _unconverged(qbmlab.structure_factor,
                                    lambda: qbmlab.sum_rule_zero(0.5, GAS))),
+    # the radial integral overflows; then d_pp, gamma and d_xx do
+    ("compute_dpp-integral-overflows", lambda mp: _compute_dpp(1e154, 1.0)),
+    ("compute_dpp-coefficients-overflow", lambda mp: _compute_dpp(1e148, 1e-3)),
+    # q^2 underflows to a subnormal, then to zero
+    *((f"{where}-q={q}", lambda mp, run=run, q=q: run(q))
+      for q in (1e-160, 1e-300)
+      for where, run in (("s_mb", lambda q: qbmlab.s_mb(q, 0.0, GAS)),
+                         ("sum_rule_zero", lambda q: qbmlab.sum_rule_zero(q, GAS)))),
+    ("collision_dpp", lambda mp: _collision_dpp(1e154)),
+    ("dpp_constant_closed_form", lambda mp: qbmlab.dpp_constant_closed_form(1e155, GAS)),
     ("cp_margin", lambda mp: qbmlab.cp_margin(qbmlab.BilinearCoefficients(gamma=1e200))),
     ("build_liouvillian", lambda mp: _overflowing_compile()),
     ("propagate", lambda mp: _diverging_run()),
