@@ -21,8 +21,9 @@ while parsing and building (the message names the offending keys or
 sections, and a library ValueError is reported with the section being
 built); 3 numerical failure, an ArithmeticError in either phase
 (NumericalFailure is one: a generator or coefficient set whose arithmetic
-overflows, a structure factor or D_pp that is not finite, a quadrature
-that did not converge, a diverging integration)
+overflows or underflows, a structure factor or D_pp that is not finite,
+a dsf energy grid that does not increase strictly, a quadrature that did
+not converge, a diverging integration)
 or a ValueError once the run has started (numpy.linalg.LinAlgError is a
 ValueError).  Making the output directory
 and writing belong to the run.
@@ -37,6 +38,7 @@ which defaults to ./qbmlab_out.
 import argparse
 import contextlib
 import functools
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -87,6 +89,7 @@ from .structure_factor import (
     FERMI,
     MAXWELL_BOLTZMANN,
     GasThermodynamics,
+    recoil_scale,
     s_mb,
     sum_rule_f,
     sum_rule_zero,
@@ -288,10 +291,16 @@ def cmd_dsf(rc):
     rows = []
     summary = []
     for q in q_values:
-        # the recoil peak and 8 thermal widths on each side of it
-        recoil = q**2 / (2.0 * gas.gas_mass)
-        width = q / np.sqrt(gas.beta * gas.gas_mass)
-        energies = np.linspace(recoil - 8.0 * width, recoil + 8.0 * width, n_e)
+        # the recoil peak and 8 thermal widths on each side of it, in
+        # Python floats, which overflow to inf without a numpy warning
+        recoil, width = recoil_scale(q, gas)
+        lo, hi = recoil - 8.0 * width, recoil + 8.0 * width
+        energies = np.linspace(lo, hi, n_e) if math.isfinite(hi - lo) else None
+        if energies is None or not (np.diff(energies) > 0.0).all():
+            raise NumericalFailure(
+                "s_mb: the grid E_r -+ 8 sigma = [%r, %r] holds no %d finite, strictly "
+                "increasing energies at q=%r, beta=%r, gas_mass=%r"
+                % (lo, hi, n_e, q, gas.beta, gas.gas_mass))
         values = s_mb(q, energies, gas)
         rows.extend((q, e, s) for e, s in zip(energies, values))
         zeroth = sum_rule_zero(q, gas)

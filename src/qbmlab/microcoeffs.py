@@ -25,14 +25,18 @@ set whose bound's terms overflow by one NumericalFailure, naming cp_margin.
 The radial quadrature's convergence is decided by quadrature.integrate
 alone, which evaluates the integrand under the library's float policy.
 compute_dpp and dpp_constant_closed_form compute their results under the
-same policy and check them for finiteness once, before any of them reaches
-BilinearCoefficients: each failure is a NumericalFailure whose message
-starts with the function's name and gives t0, beta and gas_mass.
+same policy and check them once, before any of them reaches
+BilinearCoefficients: compute_dpp's d_pp, gamma and d_xx must be normal
+floats (exact zeros for t0 = 0), so that chi is 1/8 wherever there is
+friction, and the closed form finite.  Each failure is a NumericalFailure
+whose message starts with the function's name and gives t0, beta and
+gas_mass.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +84,9 @@ class TMatrixModel:
         if self.kind == "constant":
             out = np.full_like(q, t0_squared)
         else:
-            out = t0_squared * np.exp(-(q**2) / (2.0 * _square(float(self.sigma_q))))
+            # a sigma_q^2 that underflows to zero gives exp(-inf) = 0 at q > 0
+            with float_policy():
+                out = t0_squared * np.exp(-(q**2) / (2.0 * _square(float(self.sigma_q))))
         return out if out.ndim else float(out)
 
 
@@ -142,9 +148,10 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
     kind the interval ends at cutoff_momentum.  quadrature.integrate
     decides the integral, to an error estimate of at most 1e-10 of its
     value (any, for a zero value).  d_pp, gamma and d_xx are computed
-    under the float policy; any of them not finite raises NumericalFailure
-    naming compute_dpp and its inputs, rather than reaching
-    BilinearCoefficients' ValueError.
+    under the float policy; any of them not a finite normal float (for
+    t0 != 0) raises NumericalFailure naming compute_dpp and its inputs,
+    rather than reaching BilinearCoefficients' ValueError or a chi that
+    underflow has moved off 1/8.
 
     gamma and d_xx come from saturating_coefficients, so the set sits on the
     CP boundary (chi = 1/8).  mu = gamma/2 is the anticommutator correction
@@ -169,10 +176,14 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
                         lambda v: 1e-10 * abs(v) if v else math.inf)
         d_pp = dpp_prefactor(gas.gas_mass, gas.beta, hbar) * val
         gamma, d_xx = saturating_coefficients(d_pp, gas.beta, mass_test, hbar)
-    if not all(map(math.isfinite, (d_pp, gamma, d_xx))):
-        raise NumericalFailure(f"compute_dpp: d_pp, gamma and d_xx = "
-                               f"{tuple(map(float, (d_pp, gamma, d_xx)))} are not all "
-                               f"finite at {inputs}, mass_test={mass_test!r}, hbar={hbar!r}")
+    values = tuple(map(float, (d_pp, gamma, d_xx)))
+    # normal floats, or the exact zeros of t0 = 0: a value that underflows
+    # keeps too few digits for chi = 1/8, or none
+    if not (all(sys.float_info.min <= v < math.inf for v in values)
+            or tmat.t0 == 0 and values == (0.0, 0.0, 0.0)):
+        raise NumericalFailure(f"compute_dpp: d_pp, gamma and d_xx = {values} are not all "
+                               f"finite normal floats at {inputs}, mass_test={mass_test!r}, "
+                               f"hbar={hbar!r}")
     return BilinearCoefficients(gamma=gamma, d_pp=d_pp, d_xx=d_xx, mu=0.5 * gamma)
 
 
@@ -259,10 +270,13 @@ def kossakowski_weights(c: BilinearCoefficients,
 
 def chi_of(c: BilinearCoefficients, gas: GasThermodynamics, mass_test: float,
            hbar: float = 1.0) -> float:
-    """Position-diffusion strength in units of beta*hbar^2*gamma/M; 1/8 saturates CP."""
+    """Position-diffusion strength in units of beta*hbar^2*gamma/M; 1/8 saturates CP.
+
+    d_xx/gamma comes first: both may be near the ends of the float range,
+    where d_xx*M or beta*hbar^2*gamma would overflow or lose digits."""
     if c.gamma == 0:
         raise ValueError("chi undefined at zero friction")
-    return c.d_xx * mass_test / (gas.beta * hbar**2 * c.gamma)
+    return c.d_xx / c.gamma * (mass_test / (gas.beta * hbar**2))
 
 
 def friction_ratio(gas: GasThermodynamics) -> float:

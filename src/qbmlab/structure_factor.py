@@ -5,15 +5,27 @@ equilibrium is Gaussian in the energy transfer E at fixed momentum transfer q,
 peaked at the recoil energy q^2/2m.  Sign convention: E is the energy handed
 to the gas, so detailed balance reads s(q,-E) = exp(-beta*E) * s(q,E).
 
-s_mb is evaluated under the library's float policy and checked for
-finiteness once, where it is computed; its energy moments are decided by
-quadrature.integrate alone, which also checks their convergence.  Either
-failure is a NumericalFailure whose message starts with the function's
-name and gives q, beta and gas_mass.
+Everything here is written in the recoil-centred variable
+x = (E - E_r)/sigma, with E_r = q^2/2m and sigma = q/sqrt(beta m):
+s_mb(q, E) = g(x)/sigma, with g(x) = exp(-x^2/2)/sqrt(2 pi) the one even
+profile.  recoil_scale is the one place that decides the scale
+(E_r, sigma): it computes both under the library's float policy and
+refuses, once, a scale that is not a pair of finite normal floats, by a
+NumericalFailure whose message starts with s_mb and gives q, beta and
+gas_mass.  s_mb, the sum rules and `qbmlab dsf` all read it.
+
+The sum rules integrate g itself over x in [-14, 14], so E is never
+rounded onto E_r's float grid.  The zeroth moment checks the profile's
+mass; the first moment is E_r times that mass plus sigma times g's odd
+part, which is zero, so it checks that E_r sets the profile's centre.
+quadrature.integrate decides both, and checks their convergence; s_mb
+checks its values' finiteness once, where it computes them.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,29 +58,54 @@ class GasThermodynamics:
             raise ValueError("Bose gas requires fugacity < 1")
 
 
-def s_mb(q: float, energy, gas: GasThermodynamics):
-    """Spectrum of density fluctuations at momentum transfer q > 0.
+def _not_finite(q: float, gas: GasThermodynamics) -> NumericalFailure:
+    return NumericalFailure(f"s_mb: the structure factor is not finite at q={q!r}, "
+                            f"beta={gas.beta!r}, gas_mass={gas.gas_mass!r}")
 
-    Returns sqrt(beta*m/(2*pi*q^2)) * exp(-(beta*m/(2*q^2)) * (E - q^2/2m)^2).
-    Unit zeroth moment; first moment equals the recoil energy q^2/2m.
-    Accepts scalar or array energy.  A value that is not finite (q^2
-    underflows or overflows) raises NumericalFailure.
+
+def recoil_scale(q: float, gas: GasThermodynamics) -> tuple[float, float]:
+    """(E_r, sigma) = (q^2/2m, q/sqrt(beta m)): the recoil energy and the
+    thermal width of s_mb at momentum transfer q > 0.
+
+    A q that is not positive and finite is a ValueError, and so is a gas
+    that is not Maxwell-Boltzmann, whose closed form this is.  Either
+    value not a finite normal float (q^2 underflows or overflows, say)
+    raises NumericalFailure naming s_mb, q, beta and gas_mass.
     """
     check_finite("q", q, "positive")
     if gas.statistics != MAXWELL_BOLTZMANN:
         raise ValueError("closed form implemented for the Maxwell-Boltzmann gas only")
-    beta, m = gas.beta, gas.gas_mass
     # numpy's scalar arithmetic, the bits of Python's, but with no
     # OverflowError or ZeroDivisionError
     q_np = np.float64(q)
     with float_policy():
-        recoil = q_np**2 / (2.0 * m)
-        e = np.asarray(energy, dtype=float)
-        out = np.sqrt(beta * m / (2.0 * np.pi * q_np**2)) * np.exp(
-            -(beta * m / (2.0 * q_np**2)) * (e - recoil) ** 2)
+        recoil = float(q_np**2 / (2.0 * gas.gas_mass))
+        width = float(q_np / np.sqrt(gas.beta * gas.gas_mass))
+    if not all(sys.float_info.min <= v < math.inf for v in (recoil, width)):
+        raise _not_finite(q, gas)
+    return recoil, width
+
+
+def _profile(x, width=1.0):
+    """g(x)/width, with g(x) = exp(-x^2/2)/sqrt(2 pi) the even profile of
+    s_mb in x = (E - E_r)/sigma: s_mb(q, E) = g(x)/sigma."""
+    return np.exp(-0.5 * x**2) * (1.0 / (math.sqrt(2.0 * math.pi) * width))
+
+
+def s_mb(q: float, energy, gas: GasThermodynamics):
+    """Spectrum of density fluctuations at momentum transfer q > 0.
+
+    Returns g((E - E_r)/sigma)/sigma, with (E_r, sigma) from recoil_scale,
+    which is sqrt(beta*m/(2*pi*q^2)) * exp(-(beta*m/(2*q^2)) * (E - q^2/2m)^2).
+    Unit zeroth moment; first moment equals the recoil energy q^2/2m.
+    Accepts scalar or array energy.  A value that is not finite (a scale
+    recoil_scale refuses, or a NaN energy) raises NumericalFailure.
+    """
+    recoil, width = recoil_scale(q, gas)
+    with float_policy():
+        out = _profile((np.asarray(energy, dtype=float) - recoil) / width, width)
     if not np.isfinite(out).all():
-        raise NumericalFailure(f"s_mb: the structure factor is not finite at q={q!r}, "
-                               f"beta={beta!r}, gas_mass={m!r}")
+        raise _not_finite(q, gas)
     return out if out.ndim else float(out)
 
 
@@ -86,20 +123,31 @@ def brownian_weight(q, momentum, beta: float, mass: float):
 
 
 def _energy_moment(name: str, q: float, gas: GasThermodynamics, power: int) -> float:
-    """Integral of E^power s_mb(q, E) dE by Gauss-Legendre rules over +-14 widths.
+    """Integral of E^power s_mb(q, E) dE, for power 0 or 1, in x = (E - E_r)/sigma.
 
-    Kept numerical on purpose: it cross-checks the closed form rather than
-    restating it.  s_mb checks q; integrate decides convergence, to an
-    error estimate of at most 1e-8 max(|value|, 1).
+    With s_mb(q, E) = g(x)/sigma the zeroth moment is M0 = Int g dx and the
+    first is E_r M0 + sigma Int x g dx, each over x in [-14, 14].  Kept
+    numerical on purpose: it cross-checks the closed form rather than
+    restating it.  recoil_scale checks q; integrate decides convergence,
+    to an error estimate of at most 1e-8 max(|value|, 1).
     """
-    with float_policy():
-        recoil = np.float64(q) ** 2 / (2.0 * gas.gas_mass)
-        width = q / np.sqrt(gas.beta * gas.gas_mass)
-        lo, hi = recoil - 14.0 * width, recoil + 14.0 * width
-    return integrate(lambda e: e**power * s_mb(q, e, gas), lo, hi,
-                     f"{name}: the energy moment {power} of s_mb at q={q!r}, "
-                     f"beta={gas.beta!r}, gas_mass={gas.gas_mass!r}",
-                     lambda v: 1e-8 * max(abs(v), 1.0))
+    recoil, width = recoil_scale(q, gas)
+
+    def over_profile(f, what):
+        return integrate(f, -14.0, 14.0,
+                         f"{name}: the {what} of s_mb's profile at q={q!r}, "
+                         f"beta={gas.beta!r}, gas_mass={gas.gas_mass!r}",
+                         lambda v: 1e-8 * max(abs(v), 1.0))
+
+    mass = over_profile(_profile, "mass")
+    if power == 0:
+        return mass
+    # The rule's nodes mirror each other, so x g(x) sums as x times g's odd
+    # part alone; for the even g that is zero at every node, where a sum in
+    # node order would leave a residue that sigma/E_r = 2 sqrt(m/beta)/q
+    # magnifies at small q.
+    odd = over_profile(lambda x: 0.5 * x * (_profile(x) - _profile(-x)), "first moment")
+    return recoil * mass + width * odd
 
 
 def sum_rule_zero(q: float, gas: GasThermodynamics) -> float:

@@ -196,14 +196,27 @@ MICROSCOPIC = ("[hilbert]\ndim = 6\n\n[generator]\nkind = minimal_qbm\n"
                  "did not converge: value=inf", id="coeffs-radial-integral"),
     pytest.param("coeffs", GAS_SIDE % ("0.001", "1e148"),
                  "compute_dpp: d_pp, gamma and d_xx = (inf, inf, inf) are not all finite "
-                 "at t0=1e+148, beta=0.001", id="coeffs-d_pp"),
+                 "normal floats at t0=1e+148, beta=0.001", id="coeffs-d_pp"),
     pytest.param("evolve", MICROSCOPIC + GAS_SIDE % ("0.001", "1e148"),
                  "compute_dpp: d_pp, gamma and d_xx", id="evolve-microscopic-d_pp"),
-    # q^2 underflows to a subnormal, then to zero
+    # D_xx underflows to zero, where chi would read 0; D_pp underflows to a
+    # subnormal, where chi would be undefined at zero friction
+    pytest.param("coeffs", "[hilbert]\nmass = 1e6\n\n" + GAS_SIDE.replace(
+        "gas_mass = 1.0", "gas_mass = 1e-6") % ("1.0", "1e-145"),
+                 "compute_dpp: d_pp, gamma and d_xx = (2.6458689433857e-311, ",
+                 id="coeffs-d_xx-underflows"),
+    pytest.param("coeffs", GAS_SIDE.replace("constant", "gaussian\nsigma_q = 1e-100")
+                 % ("1.0", "1.0"), "compute_dpp: d_pp, gamma and d_xx = (",
+                 id="coeffs-d_pp-underflows"),
+    # q^2 underflows to a subnormal, then to zero; it overflows; the recoil
+    # energy's float spacing exceeds the grid's
     *(pytest.param("dsf", "[gas]\nbeta = 1.0\ngas_mass = 1.0\n\n[dsf]\nq_values = %s\n" % q,
                    "s_mb: the structure factor is not finite at q=%s, beta=1.0" % q,
                    id="dsf-q=" + q)
-      for q in ("1e-160", "1e-300")),
+      for q in ("1e-160", "1e-300", "1e+155")),
+    pytest.param("dsf", "[gas]\nbeta = 1.0\ngas_mass = 1.0\n\n[dsf]\nq_values = 1e18\n",
+                 "s_mb: the grid E_r -+ 8 sigma = [5e+35, 5e+35] holds no 41 finite, "
+                 "strictly increasing energies at q=1e+18", id="dsf-q=1e+18"),
     pytest.param("coeffs", COEFFS_QUICK.replace("t0 = 0.02", "t0 = 1e100"), "cp_margin: ",
                  id="coeffs-t0"),
     # t0^2 itself overflows, for either kind of t-matrix
@@ -213,10 +226,11 @@ MICROSCOPIC = ("[hilbert]\ndim = 6\n\n[generator]\nkind = minimal_qbm\n"
                       "kind = gaussian\nt0 = 1e160\nsigma_q = 1.0"))])
 def test_build_whose_arithmetic_overflows_exits_three(tmp_path, monkeypatch, capsys,
                                                       command, text, message):
-    """A generator or coefficient set whose arithmetic overflows is a
-    numerical failure of the build, named on one stderr line, with no
-    numpy warning under the suite's error::RuntimeWarning and nothing
-    written: coeffs writes no NaN cp_margin."""
+    """A generator or coefficient set whose arithmetic overflows, or a gas-side
+    result that underflows, is a numerical failure of the build, named on
+    one stderr line, with no numpy warning under the suite's
+    error::RuntimeWarning and nothing written: coeffs writes no NaN
+    cp_margin and no chi of 0, and dsf no table of one repeated energy."""
     code, out = run(tmp_path, monkeypatch, text, command, "overflow")
     assert code == 3
     err = capsys.readouterr().err
@@ -561,6 +575,18 @@ def test_dsf_output_contract(tmp_path, monkeypatch, capsys):
     data = (out / "sf.csv").read_text().splitlines()
     assert data[0] == "q,E,S"
     assert len(data) == 1 + 2 * 11
+
+
+@pytest.mark.parametrize("q", ["1e-20", "1e-10", "1e+10"])
+def test_dsf_sum_rules_hold_far_from_unit_momentum(tmp_path, monkeypatch, capsys, q):
+    """Where the recoil energy is far below the thermal width, or far above
+    it, both sum rules still read 1 to 1e-12."""
+    code, out = run(tmp_path, monkeypatch, DSF_QUICK.replace("0.5, 2.0", q), "dsf", "sf")
+    assert code == 0
+    summary = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    assert abs(float(summary["sum_rule_0"]) - 1.0) <= 1e-12
+    assert abs(float(summary["sum_rule_f_ratio"]) - 1.0) <= 1e-12
+    assert len((out / "sf.csv").read_text().splitlines()) == 1 + 11
 
 
 def test_fp_output_contract(tmp_path, monkeypatch, capsys):

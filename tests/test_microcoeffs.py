@@ -29,7 +29,7 @@ from qbmlab import (
     sum_rule_f,
     sum_rule_zero,
 )
-from qbmlab.microcoeffs import kossakowski_weights, thermal_kernel
+from qbmlab.microcoeffs import kossakowski_weights, saturating_coefficients, thermal_kernel
 
 scale = st.floats(min_value=0.1, max_value=10.0)
 
@@ -49,6 +49,14 @@ def test_tmatrix_validation():
         for q in (np.nan, [0.5, np.nan]):
             with pytest.raises(ValueError, match="momentum transfer must be nonnegative"):
                 model.squared(q)
+
+
+def test_gaussian_tmatrix_whose_width_underflows_is_zero_without_a_warning():
+    # sigma_q^2 underflows to zero: exp(-q^2/0) = 0 at q > 0, where numpy
+    # would warn of a division by zero (an error in this suite)
+    tm = TMatrixModel(kind="gaussian", t0=1.0, sigma_q=1e-200)
+    assert tm.squared(1.0) == 0.0
+    assert np.array_equal(tm.squared([1e-100, 1.0, 1e100]), np.zeros(3))
 
 
 def test_coefficient_set_validation():
@@ -259,6 +267,15 @@ def test_cp_margin_keeps_the_bits_of_its_formula(rng):
                 -((gamma * hbar / 2.0) ** 2)
 
 
+def test_chi_of_a_saturated_set_near_overflow_is_one_eighth():
+    # d_xx * M and beta * gamma both overflow, though every coefficient is finite
+    beta, mass_test = 1e6, 10.0
+    gamma, d_xx = saturating_coefficients(1e299, beta, mass_test)
+    c = BilinearCoefficients(gamma=gamma, d_pp=1e299, d_xx=d_xx)
+    assert abs(chi_of(c, GasThermodynamics(beta=beta, gas_mass=1.0), mass_test) - 0.125) \
+        <= 1e-12
+
+
 def test_chi_requires_friction():
     gas = GasThermodynamics(beta=2.0, gas_mass=1.0)
     c = BilinearCoefficients(d_pp=1.0, d_xx=0.1)
@@ -284,15 +301,21 @@ def test_statistics_scaling_of_friction():
      r"sigma_q=2\.0 did not converge"),
     (lambda: compute_dpp(TMatrixModel(kind="constant", t0=1e148),
                          GasThermodynamics(beta=1e-3, gas_mass=1.0), 2.0),
-     r"^compute_dpp: d_pp, gamma and d_xx = \(inf, inf, inf\) are not all finite at "
-     r"t0=1e\+148, beta=0\.001, gas_mass=1\.0, mass_test=2\.0, hbar=1\.0$"),
+     r"^compute_dpp: d_pp, gamma and d_xx = \(inf, inf, inf\) are not all finite normal "
+     r"floats at t0=1e\+148, beta=0\.001, gas_mass=1\.0, mass_test=2\.0, hbar=1\.0$"),
+    # d_xx underflows to zero, and chi with it
+    (lambda: compute_dpp(TMatrixModel(kind="constant", t0=1e-145),
+                         GasThermodynamics(beta=1.0, gas_mass=1e-6), 1e6),
+     r"^compute_dpp: d_pp, gamma and d_xx = \(2\.6458689433857e-311, 1\.3229344e-317, "
+     r"0\.0\) are not all finite normal floats at t0=1e-145, beta=1\.0, gas_mass=1e-06, "
+     r"mass_test=1000000\.0, hbar=1\.0$"),
     (lambda: dpp_constant_closed_form(-1e155, GasThermodynamics(beta=1.0, gas_mass=1.0)),
      r"^dpp_constant_closed_form: the closed form is not finite at t0=-1e\+155, "
      r"beta=1\.0, gas_mass=1\.0$"),
     (lambda: s_mb(1e-160, [0.0, 1.0], GasThermodynamics(beta=2.0, gas_mass=1.0)),
      r"^s_mb: the structure factor is not finite at q=1e-160, beta=2\.0, gas_mass=1\.0$"),
 ], ids=["compute_dpp-integral", "compute_dpp-gaussian", "compute_dpp-coefficients",
-        "dpp_constant_closed_form", "s_mb"])
+        "compute_dpp-underflow", "dpp_constant_closed_form", "s_mb"])
 def test_a_gas_side_failure_names_its_function_and_inputs(run, message):
     """Each gas-side result that is not finite is one NumericalFailure, with
     no numpy warning, no OverflowError and no ValueError of
@@ -315,7 +338,10 @@ def test_every_gas_side_result_is_finite_or_a_numerical_failure(t0, beta, gas_ma
     """Across 600 decades of t0 and q and 12 of beta and the masses, each
     gas-side entry point returns finite values or raises NumericalFailure,
     named for itself, for s_mb (which it evaluates) or for t0 (whose square
-    overflows), and numpy never warns: every warning is an error here."""
+    overflows), and numpy never warns: every warning is an error here.  The
+    values are right where they are returned: each sum rule is its closed
+    form to 1e-12, or fails naming s_mb, and a coefficient set with
+    friction saturates the CP bound, chi = 1/8 to 1e-12."""
     gas = GasThermodynamics(beta=beta, gas_mass=gas_mass)
     constant = TMatrixModel(kind="constant", t0=t0)
     q_max = cutoff_momentum(gas)
@@ -326,7 +352,11 @@ def test_every_gas_side_result_is_finite_or_a_numerical_failure(t0, beta, gas_ma
 
     def coefficients(tmat):
         c = compute_dpp(tmat, gas, mass_test)
+        assert not c.gamma > 0 or abs(chi_of(c, gas, mass_test) - 0.125) <= 1e-12, c
         return c.d_pp, c.gamma, c.d_xx, c.mu
+
+    # q^2 in Python floats, which overflow to inf without an OverflowError
+    sum_rules = {"sum_rule_zero": 1.0, "sum_rule_f": q * q / (2.0 * gas_mass)}
 
     entry_points = {
         "compute_dpp": lambda: coefficients(constant),
@@ -344,6 +374,12 @@ def test_every_gas_side_result_is_finite_or_a_numerical_failure(t0, beta, gas_ma
             try:
                 values = run()
             except NumericalFailure as exc:
-                assert str(exc).split(":")[0] in (name.split("-")[0], "s_mb", "t0"), name
+                named = str(exc).split(":")[0]
+                if name in sum_rules:
+                    assert named == "s_mb", name
+                else:
+                    assert named in (name.split("-")[0], "s_mb", "t0"), name
             else:
                 assert np.isfinite(values).all(), name
+                if name in sum_rules:
+                    assert abs(values / sum_rules[name] - 1.0) <= 1e-12, (name, values)

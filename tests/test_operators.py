@@ -517,6 +517,12 @@ NUMERICAL_FAILURES = [
       for q in (1e-160, 1e-300)
       for where, run in (("s_mb", lambda q: qbmlab.s_mb(q, 0.0, GAS)),
                          ("sum_rule_zero", lambda q: qbmlab.sum_rule_zero(q, GAS)))),
+    # q^2 overflows
+    ("sum_rule_f-q=1e155", lambda mp: qbmlab.sum_rule_f(1e155, GAS)),
+    # d_pp and gamma underflow to subnormals, d_xx to zero
+    ("compute_dpp-underflows", lambda mp: qbmlab.compute_dpp(
+        qbmlab.TMatrixModel(kind="constant", t0=1e-145),
+        qbmlab.GasThermodynamics(beta=1.0, gas_mass=1e-6), 1e6)),
     ("collision_dpp", lambda mp: _collision_dpp(1e154)),
     ("dpp_constant_closed_form", lambda mp: qbmlab.dpp_constant_closed_form(1e155, GAS)),
     ("cp_margin", lambda mp: qbmlab.cp_margin(qbmlab.BilinearCoefficients(gamma=1e200))),

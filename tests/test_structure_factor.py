@@ -145,6 +145,18 @@ def test_sum_rules_across_decades_without_warning():
     assert worst_f < 1e-12
 
 
+def test_sum_rules_hold_at_every_decade_of_q():
+    """The moments integrate s_mb's profile in x = (E - E_r)/sigma, so E is
+    never rounded onto the recoil energy's float grid, and the odd part of
+    the first moment cancels node by node: both rules hold to round-off
+    from q = 1e-150, where sigma/E_r reaches 1e150, to q = 1e150."""
+    for beta, gas_mass in ((1.0, 1.0), (1e-6, 1e6), (1e6, 1e-6)):
+        gas = GasThermodynamics(beta=beta, gas_mass=gas_mass)
+        for q in map(float, 10.0 ** np.arange(-150, 151, 10)):
+            assert abs(sum_rule_zero(q, gas) - 1.0) <= 2.3e-16, q
+            assert abs(sum_rule_f(q, gas) / (q * q / (2.0 * gas_mass)) - 1.0) <= 4.5e-16, q
+
+
 def test_statistics_prefactor_values():
     assert statistics_prefactor(GasThermodynamics(1.0, 1.0, 0.3)) == 0.3
     bose = GasThermodynamics(1.0, 1.0, 0.5, statistics=BOSE)
