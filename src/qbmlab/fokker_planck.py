@@ -27,6 +27,15 @@ builds the new grid, whose validation checks the geometry's three scalars,
 reads the density's minimum and sum and scans it for non-finite entries
 only when the sum is not finite.
 
+The library's one floating-point policy (operators.float_policy) is this
+module's only one.  The stencil is computed under it, in numpy scalars,
+and checked once: its bound must be positive, each of its two terms finite
+(so the bound is infinite only when eta and d_v are both zero), and its
+drift and weights finite, else NumericalFailure names stability_bound and
+its inputs.  gaussian_grid's exponent and fp_solve's loop run under it
+too; a density that overflows in a step is refused by FPGrid's own checks,
+which also serve a grid built outside any run.
+
 fp_solve steps and samples like the RK4 propagator (see propagation), so
 the quantum and classical series of a comparison share one time grid.  It
 keeps each sampled density as it is and reduces them to moments
@@ -41,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import check_finite, check_integer
+from .operators import NumericalFailure, check_finite, check_integer, float_policy
 from .propagation import Sampler, fixed_steps
 
 _CFL_FRACTION = 0.4
@@ -122,24 +131,39 @@ def _centers(v_min, v_max, n_cells):
 def _stencil(v_min, v_max, n_cells, eta, d_v):
     """(bound, dv, drift, delta, 1 - delta) of fp_step for coefficients that
     _check_coefficients accepted: the stability bound, the cell width, eta*v
-    at the interior edges, and the edges' Chang-Cooper weights."""
-    dv = (v_max - v_min) / n_cells
-    bounds = []
-    if d_v > 0.0:
-        bounds.append(dv * dv / (2.0 * d_v))
-    if eta > 0.0:  # FPGrid holds v_min < 0 < v_max
-        bounds.append(dv / (eta * max(-v_min, v_max)))
-    bound = _CFL_FRACTION * min(bounds) if bounds else np.inf
-    drift = eta * (v_min + np.arange(1, n_cells) * dv)
-    if d_v > 0.0:
-        delta = _cc_delta(drift * dv / d_v)
-    else:
-        # pure advection: upwind against the characteristic flow -eta*v
-        delta = np.where(drift > 0.0, 0.0, np.where(drift < 0.0, 1.0, 0.5))
+    at the interior edges, and the edges' Chang-Cooper weights.  Computed
+    in numpy scalars under the float policy and checked once: a bound that
+    is not positive, a term of it that is infinite (the bound is infinite
+    only when eta and d_v are both zero), or a drift or weight that is not
+    finite raises NumericalFailure naming stability_bound.  The bound and
+    dv are handed back as Python floats."""
+    with float_policy():
+        # numpy scalars, which follow the policy where Python floats raise
+        eta, d_v, v_min, v_max = map(np.float64, (eta, d_v, v_min, v_max))
+        dv = (v_max - v_min) / n_cells
+        bounds = []
+        if d_v > 0.0:
+            bounds.append(dv * dv / (2.0 * d_v))
+        if eta > 0.0:  # FPGrid holds v_min < 0 < v_max
+            bounds.append(dv / (eta * max(-v_min, v_max)))
+        bound = _CFL_FRACTION * min(bounds) if bounds else np.inf
+        drift = eta * (v_min + np.arange(1, n_cells) * dv)
+        if d_v > 0.0:
+            delta = _cc_delta(drift * dv / d_v)
+        else:
+            # pure advection: upwind against the characteristic flow -eta*v
+            delta = np.where(drift > 0.0, 0.0, np.where(drift < 0.0, 1.0, 0.5))
+    # a term that overflows to inf would leave the other term as the bound
+    if not (bound > 0.0 and all(b < np.inf for b in bounds)
+            and np.isfinite(drift).all() and np.isfinite(delta).all()):
+        raise NumericalFailure(
+            f"stability_bound: the stencil is not finite at eta={float(eta)!r}, "
+            f"d_v={float(d_v)!r}, v_min={float(v_min)!r}, v_max={float(v_max)!r}, "
+            f"n_cells={int(n_cells)}")
     keep = 1.0 - delta
     for array in (drift, delta, keep):
         array.flags.writeable = False
-    return bound, dv, drift, delta, keep
+    return float(bound), float(dv), drift, delta, keep
 
 
 def gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=1.0):
@@ -150,7 +174,7 @@ def gaussian_grid(v_min, v_max, n_cells, mean=0.0, var=1.0):
     check_finite("mean", mean)
     check_finite("var", var, "positive")
     # an exponent that overflows is -inf, whose exp is the underflow below
-    with np.errstate(over="ignore"):
+    with float_policy():
         p = np.exp(-0.5 * (_centers(v_min, v_max, n_cells) - mean) ** 2 / var)
     norm = np.sum(p) * ((v_max - v_min) / n_cells)
     if not norm > 0.0:
@@ -195,7 +219,8 @@ def _check_coefficients(eta, d_v):
 
 def stability_bound(grid, eta, d_v):
     """Largest dt that fp_step accepts for this grid and coefficients, which
-    must be finite and nonnegative; inf when both are zero."""
+    must be finite and nonnegative; inf when both are zero.  A stencil whose
+    arithmetic overflows or underflows raises NumericalFailure."""
     _check_coefficients(eta, d_v)
     return _stencil(grid.v_min, grid.v_max, grid.n_cells, eta, d_v)[0]
 
@@ -213,11 +238,9 @@ def _cc_delta(w):
     out[small] = 0.5 - ws * (1.0 / 12.0 - w2 * (
         1.0 / 720.0 - w2 * (1.0 / 30240.0 - w2 / 1209600.0)))
     wb = w[~small]
-    with np.errstate(over="ignore"):
-        grow = np.expm1(wb)
-    # above the overflow threshold 1/(e^w - 1) underflows to zero anyway
-    inv = np.where(np.isfinite(grow), 1.0 / grow, 0.0)
-    out[~small] = 1.0 / wb - inv
+    # under the stencil's float policy, e^w - 1 above the overflow threshold
+    # is inf, and 1/inf the zero that 1/(e^w - 1) underflows to anyway
+    out[~small] = 1.0 / wb - 1.0 / np.expm1(wb)
     return out
 
 
@@ -271,9 +294,11 @@ def fp_solve(grid, eta, d_v, t_final, dt, sample_stride=1):
     sampler = Sampler(functools.partial(_moments, grid.centers, grid.dv),
                       sample_stride, grid.p_values, block=_MOMENT_BLOCK)
     current = grid
-    for t, h in fixed_steps(t_final, dt):
-        current = fp_step(current, eta, d_v, h)
-        sampler.accept(t, current.p_values)
-    times, mass, mean_v, var_v = sampler.columns(t_final, current.p_values)
+    # the one floating-point policy of a run, as propagate's
+    with float_policy():
+        for t, h in fixed_steps(t_final, dt):
+            current = fp_step(current, eta, d_v, h)
+            sampler.accept(t, current.p_values)
+        times, mass, mean_v, var_v = sampler.columns(t_final, current.p_values)
     return FPTrajectory(times=times, mass=mass, mean_v=mean_v, var_v=var_v,
                         final_grid=current, steps=sampler.accepted)

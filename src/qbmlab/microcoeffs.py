@@ -26,11 +26,13 @@ The radial quadrature's convergence is decided by quadrature.integrate
 alone, which evaluates the integrand under the library's float policy.
 compute_dpp and dpp_constant_closed_form compute their results under the
 same policy and check them once, before any of them reaches
-BilinearCoefficients: compute_dpp's d_pp, gamma and d_xx must be normal
-floats (exact zeros for t0 = 0), so that chi is 1/8 wherever there is
-friction, and the closed form finite.  Each failure is a NumericalFailure
-whose message starts with the function's name and gives t0, beta and
-gas_mass.
+BilinearCoefficients: compute_dpp's d_pp, gamma and d_xx and the closed
+form must be normal floats (exact zeros for t0 = 0), so that chi is 1/8
+wherever there is friction.  Each failure is a NumericalFailure whose
+message starts with the function's name and gives t0, beta and gas_mass.
+The policy is the module's only floating-point mechanism: |t(q)|^2, the
+closed form and cp_margin's terms are computed in numpy scalars under it,
+whose ** has Python's bits but overflows to inf rather than raising.
 """
 
 from __future__ import annotations
@@ -77,16 +79,17 @@ class TMatrixModel:
         q = np.asarray(q, dtype=float)
         if not np.all(q >= 0):  # NaN too
             raise ValueError("momentum transfer must be nonnegative")
-        t0_squared = _square(float(self.t0))
+        with float_policy():
+            t0_squared = np.float64(self.t0) ** 2
+            if self.kind == "constant":
+                out = np.full_like(q, t0_squared)
+            else:
+                # sigma_q^2 is never formed: a q/sigma_q that overflows gives
+                # exp(-inf) = 0, and q = 0 gives t0^2 at any sigma_q
+                out = t0_squared * np.exp(-0.5 * (q / np.float64(self.sigma_q)) ** 2)
         if not math.isfinite(t0_squared):
             raise NumericalFailure(f"t0: the squared amplitude t0^2 is not finite "
                                    f"for t0 = {self.t0!r}")
-        if self.kind == "constant":
-            out = np.full_like(q, t0_squared)
-        else:
-            # a sigma_q^2 that underflows to zero gives exp(-inf) = 0 at q > 0
-            with float_policy():
-                out = t0_squared * np.exp(-(q**2) / (2.0 * _square(float(self.sigma_q))))
         return out if out.ndim else float(out)
 
 
@@ -190,30 +193,26 @@ def compute_dpp(tmat: TMatrixModel, gas: GasThermodynamics, mass_test: float,
 def dpp_constant_closed_form(t0: float, gas: GasThermodynamics, hbar: float = 1.0) -> float:
     """Closed form for a constant amplitude: (256 pi^3 / 3) m^4 t0^2 / (hbar beta^3).
 
-    A value that is not finite (t0^2 overflows, say) raises NumericalFailure."""
-    value = 256.0 * np.pi**3 / 3.0 * gas.gas_mass**4 * _square(float(t0)) / (
-        hbar * gas.beta**3)
-    if not math.isfinite(value):
-        raise NumericalFailure(f"dpp_constant_closed_form: the closed form is not finite "
-                               f"at t0={t0!r}, beta={gas.beta!r}, gas_mass={gas.gas_mass!r}")
+    Computed under the float policy; by compute_dpp's rule, a value that is
+    not a finite normal float (an exact zero for t0 = 0) raises
+    NumericalFailure naming dpp_constant_closed_form, t0, beta and gas_mass."""
+    with float_policy():
+        value = float(256.0 * np.pi**3 / 3.0 * np.float64(gas.gas_mass) ** 4
+                      * np.float64(t0) ** 2 / (hbar * np.float64(gas.beta) ** 3))
+    if not (sys.float_info.min <= value < math.inf or t0 == 0 and value == 0.0):
+        raise NumericalFailure(f"dpp_constant_closed_form: the closed form = {value!r} is not a "
+                               f"finite normal float at t0={t0!r}, beta={gas.beta!r}, "
+                               f"gas_mass={gas.gas_mass!r}")
     return value
-
-
-def _square(x: float) -> float:
-    """x**2, C's pow as numpy's is (x * x differs in the last bit for about
-    one x in a thousand), and inf where Python raises OverflowError."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
 
 
 def _cp_terms(c: BilinearCoefficients, hbar: float) -> tuple[float, float]:
     """(cp_margin, its largest term), from the terms d_xx*d_pp, d_xp^2 and
-    (gamma*hbar/2)^2 in Python floats, which overflow to inf without a
-    numpy warning; a term that is not finite raises NumericalFailure."""
-    terms = (float(c.d_xx) * float(c.d_pp), _square(float(c.d_xp)),
-             _square(float(c.gamma) * float(hbar) / 2.0))
+    (gamma*hbar/2)^2, computed in numpy scalars under the float policy; a
+    term that is not finite raises NumericalFailure."""
+    with float_policy():
+        terms = tuple(map(float, (np.float64(c.d_xx) * c.d_pp, np.float64(c.d_xp) ** 2,
+                                  (np.float64(c.gamma) * hbar / 2.0) ** 2)))
     if not all(map(math.isfinite, terms)):
         raise NumericalFailure(f"cp_margin: the CP bound's terms d_xx*d_pp, d_xp^2 "
                                f"and (gamma*hbar/2)^2 = {terms} are not all finite")

@@ -219,6 +219,20 @@ MICROSCOPIC = ("[hilbert]\ndim = 6\n\n[generator]\nkind = minimal_qbm\n"
                  "strictly increasing energies at q=1e+18", id="dsf-q=1e+18"),
     pytest.param("coeffs", COEFFS_QUICK.replace("t0 = 0.02", "t0 = 1e100"), "cp_margin: ",
                  id="coeffs-t0"),
+    # the Fokker-Planck stencil: the drift eta*v overflows; the diffusion
+    # bound's 2 d_v does; the comparison's eta times v_max does
+    pytest.param("fp", "[fp]\neta = 1e300\nd_v = 1.0\ninitial = gaussian\n"
+                 "initial_var = 1e18\nv_min = -1e10\nv_max = 1e10\nt_final = 1.0\n"
+                 "n_cells = 8\n",
+                 "stability_bound: the stencil is not finite at eta=1e+300, d_v=1.0, "
+                 "v_min=-10000000000.0, v_max=10000000000.0, n_cells=8", id="fp-drift"),
+    pytest.param("fp", "[fp]\neta = 1.0\nd_v = 1e308\nt_final = 1.0\nn_cells = 8\n",
+                 "stability_bound: the stencil is not finite at eta=1.0, d_v=1e+308, "
+                 "v_min=-8.0, v_max=8.0, n_cells=8", id="fp-diffusion"),
+    pytest.param("compare", "[compare]\nbeta = 1.0\nd_pp = 1.0\nt_final = 0.1\ndim = 8\n"
+                 "eta_scale = 1e308\n",
+                 "stability_bound: the stencil is not finite at eta=1e+308, d_v=1.0, ",
+                 id="compare-eta_scale"),
     # t0^2 itself overflows, for either kind of t-matrix
     *(pytest.param("coeffs", COEFFS_QUICK.replace("kind = constant\nt0 = 0.02", tmatrix),
                    "t0: ", id="coeffs-t0-squared-" + tmatrix.split()[2])
@@ -226,11 +240,12 @@ MICROSCOPIC = ("[hilbert]\ndim = 6\n\n[generator]\nkind = minimal_qbm\n"
                       "kind = gaussian\nt0 = 1e160\nsigma_q = 1.0"))])
 def test_build_whose_arithmetic_overflows_exits_three(tmp_path, monkeypatch, capsys,
                                                       command, text, message):
-    """A generator or coefficient set whose arithmetic overflows, or a gas-side
-    result that underflows, is a numerical failure of the build, named on
-    one stderr line, with no numpy warning under the suite's
-    error::RuntimeWarning and nothing written: coeffs writes no NaN
-    cp_margin and no chi of 0, and dsf no table of one repeated energy."""
+    """A generator or coefficient set whose arithmetic overflows, a gas-side
+    result that underflows, or a Fokker-Planck stencil that is not finite,
+    is a numerical failure of the build, named on one stderr line, with no
+    numpy warning under the suite's error::RuntimeWarning and nothing
+    written: coeffs writes no NaN cp_margin and no chi of 0, and dsf no
+    table of one repeated energy."""
     code, out = run(tmp_path, monkeypatch, text, command, "overflow")
     assert code == 3
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qbmlab import (
     FPGrid,
     FPTrajectory,
+    NumericalFailure,
     fp_solve,
     fp_step,
     gaussian_grid,
@@ -494,6 +496,81 @@ def test_matches_quantum_momentum_variance():
     rel = np.abs(record.var_p[:n] - var_p_classical) \
         / np.maximum(np.abs(record.var_p[:n]), 1e-300)
     assert rel.max() < 0.02
+
+
+def _ramp_grid(v_max, n_cells):
+    """The density rising linearly across [-v_max, v_max], normalised."""
+    weights = np.arange(1.0, n_cells + 1.0)
+    return FPGrid(v_min=-v_max, v_max=v_max, n_cells=n_cells,
+                  p_values=weights / (weights.sum() * (2.0 * v_max / n_cells)))
+
+
+# (eta, d_v, v_max, n_cells): the drift eta*v overflows; the bound's 2 d_v
+# does; eta*v_max does; dv^2 does, with no drift and with a drift whose own
+# term, 1e299, is 1e101 times the diffusion term's true 1.2e198; dv^2
+# underflows
+_UNSTABLE_STENCILS = {
+    "drift-overflows": (1e300, 1.0, 1e10, 8),
+    "diffusion-overflows": (1.0, 1e308, 8.0, 8),
+    "drift-bound-overflows": (1e308, 1.0, 8.0, 8),
+    "bound-infinite": (0.0, 1e-300, 1e200, 8),
+    "diffusion-bound-infinite": (1e-300, 1e200, 1e200, 8),
+    "bound-underflows": (0.0, 1e300, 1e-160, 8),
+}
+
+
+@pytest.mark.parametrize("eta, d_v, v_max, n_cells", list(_UNSTABLE_STENCILS.values()),
+                         ids=list(_UNSTABLE_STENCILS))
+def test_a_stencil_that_is_not_finite_is_a_numerical_failure(eta, d_v, v_max, n_cells):
+    """A bound that is zero, a term of it that is infinite, or a drift or
+    weight that is not finite, is one NumericalFailure naming
+    stability_bound and its inputs as plain floats, from stability_bound,
+    fp_step and fp_solve alike, with no numpy warning (an error here)."""
+    grid = _ramp_grid(v_max, n_cells)
+    message = (f"stability_bound: the stencil is not finite at eta={eta!r}, d_v={d_v!r}, "
+               f"v_min={-v_max!r}, v_max={v_max!r}, n_cells={n_cells}")
+    for run in (lambda: stability_bound(grid, np.float64(eta), d_v),
+                lambda: fp_step(grid, eta, d_v, 1e-300),
+                lambda: fp_solve(grid, eta, d_v, 1.0, 1e-300)):
+        with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+            run()
+
+
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(min_value=-300.0, max_value=300.0)
+                         .map(lambda e: 10.0**e))
+# what FPGrid refuses in a density; any other ValueError is no density's
+_GRID_REFUSALS = "^(p_values must be finite|p_values must be nonnegative|density must integrate)"
+
+
+@given(eta=_COEFFICIENT, d_v=_COEFFICIENT, k=st.integers(min_value=-400, max_value=1000))
+@settings(max_examples=200, deadline=None)
+def test_every_stencil_steps_or_is_a_numerical_failure(eta, d_v, k):
+    """Across 600 decades of eta and d_v, zero included, and 1400 octaves
+    of the domain [-2^k, 2^k]: stability_bound returns a positive float or
+    raises NumericalFailure, and three fp_solve steps at dt = bound return
+    a trajectory, raise NumericalFailure or have FPGrid refuse the density,
+    never warn and never raise a bare Python exception."""
+    grid = _ramp_grid(2.0**k, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            bound = stability_bound(grid, eta, d_v)
+        except NumericalFailure as exc:
+            assert str(exc).startswith("stability_bound: "), exc
+            return
+        assert isinstance(bound, float) and bound > 0.0
+        # with both coefficients zero any dt is stable; three steps of a
+        # bound above a third of the largest float would overflow t_final
+        dt = bound if bound < np.inf else 1.0
+        t_final = 3.0 * dt if dt <= sys.float_info.max / 3.0 else dt
+        try:
+            traj = fp_solve(grid, eta, d_v, t_final, dt)
+        except NumericalFailure:
+            return
+        except ValueError as exc:
+            assert re.match(_GRID_REFUSALS, str(exc)), exc
+            return
+    assert traj.final_grid.p_values.min() >= -1e-15
 
 
 def test_flux_weight_series_branch_is_accurate():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -52,10 +53,19 @@ def test_tmatrix_validation():
 
 
 def test_gaussian_tmatrix_whose_width_underflows_is_zero_without_a_warning():
-    # sigma_q^2 underflows to zero: exp(-q^2/0) = 0 at q > 0, where numpy
-    # would warn of a division by zero (an error in this suite)
-    tm = TMatrixModel(kind="gaussian", t0=1.0, sigma_q=1e-200)
+    # q/sigma_q overflows at q > 0, where exp(-q^2/(2 sigma_q^2)) would warn
+    # of a division by zero (an error in this suite); sigma_q^2 is never
+    # formed, so q = 0 gives t0^2 rather than 0/0
+    tm = TMatrixModel(kind="gaussian", t0=3.0, sigma_q=1e-200)
     assert tm.squared(1.0) == 0.0
+    assert tm.squared(0.0) == 9.0
+    assert tm.squared(np.array([0.0, 1e-300, 1.0])).tolist() == [9.0, 9.0, 0.0]
+    # compute_dpp's interval [0, 12/sqrt(a)] collapses onto q = 0: it fails
+    # naming the zero coefficients and sigma_q, not an unconverged NaN
+    with pytest.raises(NumericalFailure, match=(
+            r"^compute_dpp: d_pp, gamma and d_xx = \(0\.0, 0\.0, 0\.0\) are not all finite "
+            r"normal floats at t0=3\.0, beta=1\.0, gas_mass=1\.0, sigma_q=1e-200, ")):
+        compute_dpp(tm, GasThermodynamics(beta=1.0, gas_mass=1.0), mass_test=1.0)
     assert np.array_equal(tm.squared([1e-100, 1.0, 1e100]), np.zeros(3))
 
 
@@ -75,6 +85,9 @@ def test_closed_form_matches_quadrature():
     coeffs = compute_dpp(tm, gas, mass_test=2.0)
     exact = dpp_constant_closed_form(0.02, gas)
     assert abs(coeffs.d_pp - exact) < 1e-9 * exact
+    # t0 = 0: both are the exact zero that their normal-float rule allows
+    assert compute_dpp(TMatrixModel(kind="constant", t0=0.0), gas, 2.0).d_pp == 0.0 == \
+        dpp_constant_closed_form(0.0, gas)
 
 
 @given(beta=st.floats(min_value=0.05, max_value=50.0), t0=scale,
@@ -310,17 +323,31 @@ def test_statistics_scaling_of_friction():
      r"0\.0\) are not all finite normal floats at t0=1e-145, beta=1\.0, gas_mass=1e-06, "
      r"mass_test=1000000\.0, hbar=1\.0$"),
     (lambda: dpp_constant_closed_form(-1e155, GasThermodynamics(beta=1.0, gas_mass=1.0)),
-     r"^dpp_constant_closed_form: the closed form is not finite at t0=-1e\+155, "
-     r"beta=1\.0, gas_mass=1\.0$"),
+     r"^dpp_constant_closed_form: the closed form = inf is not a finite normal float at "
+     r"t0=-1e\+155, beta=1\.0, gas_mass=1\.0$"),
+    # beta^3 underflows to zero; it overflows, where numpy alone would give
+    # a silent 0.0; m^4 overflows; the value is subnormal
+    *((lambda t0=t0, beta=beta, gas_mass=gas_mass: dpp_constant_closed_form(
+        t0, GasThermodynamics(beta=beta, gas_mass=gas_mass)),
+       rf"^dpp_constant_closed_form: the closed form = {re.escape(value)} is not a finite "
+       rf"normal float at t0={re.escape(repr(t0))}, beta={re.escape(repr(beta))}, "
+       rf"gas_mass={re.escape(repr(gas_mass))}$")
+      for t0, beta, gas_mass, value in ((1.0, 1e-110, 1.0, "inf"), (1.0, 1e110, 1.0, "0.0"),
+                                        (1.0, 1.0, 1e80, "inf"),
+                                        (1e-160, 1.0, 1.0, "2.6458396e-317"))),
     (lambda: s_mb(1e-160, [0.0, 1.0], GasThermodynamics(beta=2.0, gas_mass=1.0)),
      r"^s_mb: the structure factor is not finite at q=1e-160, beta=2\.0, gas_mass=1\.0$"),
 ], ids=["compute_dpp-integral", "compute_dpp-gaussian", "compute_dpp-coefficients",
-        "compute_dpp-underflow", "dpp_constant_closed_form", "s_mb"])
+        "compute_dpp-underflow", "dpp_constant_closed_form",
+        *("dpp_constant_closed_form-" + case for case in (
+            "beta-cubed-underflows", "beta-cubed-overflows", "mass-overflows", "subnormal")),
+        "s_mb"])
 def test_a_gas_side_failure_names_its_function_and_inputs(run, message):
-    """Each gas-side result that is not finite is one NumericalFailure, with
-    no numpy warning, no OverflowError and no ValueError of
-    BilinearCoefficients; its message starts with the function's name and
-    gives the inputs that set the value."""
+    """Each gas-side result that is not finite, or not a normal float, is one
+    NumericalFailure, with no numpy warning, no ZeroDivisionError, no
+    OverflowError and no ValueError of BilinearCoefficients; its message
+    starts with the function's name and gives the inputs that set the
+    value."""
     with pytest.raises(NumericalFailure, match=message):
         run()
 

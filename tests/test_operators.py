@@ -526,6 +526,8 @@ NUMERICAL_FAILURES = [
     ("collision_dpp", lambda mp: _collision_dpp(1e154)),
     ("dpp_constant_closed_form", lambda mp: qbmlab.dpp_constant_closed_form(1e155, GAS)),
     ("cp_margin", lambda mp: qbmlab.cp_margin(qbmlab.BilinearCoefficients(gamma=1e200))),
+    ("stability_bound", lambda mp: qbmlab.stability_bound(
+        qbmlab.gaussian_grid(-8.0, 8.0, 8), 1.0, 1e308)),
     ("build_liouvillian", lambda mp: _overflowing_compile()),
     ("propagate", lambda mp: _diverging_run()),
     ("stationary_state", lambda mp: qbmlab.stationary_state(np.full((4, 4), np.nan))),
