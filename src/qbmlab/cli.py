@@ -374,9 +374,15 @@ def cmd_compare(rc):
                                 dt=delta / _COMPARE_SUBSTEPS,
                                 monitor_stride=_COMPARE_SUBSTEPS)
 
-        # classical twin: momentum-to-velocity conversion of the same moments
+        # classical twin: momentum-to-velocity conversion of the same moments;
+        # a Python float's ** raises an OverflowError that names nothing
+        try:
+            mass_sq = mass**2
+        except OverflowError:
+            raise NumericalFailure(
+                "compare: mass**2 overflows at mass=%r" % mass) from None
         eta = 2.0 * z * liouv.coeffs.gamma * eta_scale
-        d_v = z * d_pp / mass**2
+        d_v = z * d_pp / mass_sq
         var_v0 = cfg.hbar * cfg.omega_basis / (2.0 * mass)  # vacuum momentum spread
         var_ref = max(var_v0, d_v / eta) if eta > 0.0 else var_v0
         v_max = rc.get("compare", "v_max", _float, 8.0 * np.sqrt(var_ref))
@@ -396,7 +402,7 @@ def cmd_compare(rc):
                 np.max(np.abs(record.times - traj.times)) > 1e-9 * t_final:
             raise NumericalFailure("comparison time grids failed to align")
         var_q = record.var_p
-        var_c = mass**2 * traj.var_v
+        var_c = mass_sq * traj.var_v
         rel = np.abs(var_q - var_c) / np.maximum(np.maximum(np.abs(var_q),
                                                             np.abs(var_c)), 1e-300)
         return ("t,var_p_quantum,var_p_classical,rel_diff",

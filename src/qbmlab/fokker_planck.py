@@ -23,9 +23,10 @@ grid and the coefficients (eta, d_v) -- the stability bound, the edge
 drift and the Chang-Cooper weights -- is its stencil, computed once per
 grid and coefficients and shared read-only; the cell centres are
 computed once per grid.  A step then does only the flux arithmetic and
-builds the new grid, whose validation checks the geometry's three scalars,
-reads the density's minimum and sum and scans it for non-finite entries
-only when the sum is not finite.
+the density rule that FPGrid also applies (_density_fault): it reads the
+new density's minimum and sum, and scans it for non-finite entries only
+when the sum is not finite.  The new grid takes the input's geometry,
+which was checked when the input was built, so a step checks no geometry.
 
 The library's one floating-point policy (operators.float_policy) is this
 module's only one.  The stencil is computed under it, in numpy scalars,
@@ -33,8 +34,10 @@ and checked once: its bound must be positive, each of its two terms finite
 (so the bound is infinite only when eta and d_v are both zero), and its
 drift and weights finite, else NumericalFailure names stability_bound and
 its inputs.  gaussian_grid's exponent and fp_solve's loop run under it
-too; a density that overflows in a step is refused by FPGrid's own checks,
-which also serve a grid built outside any run.
+too; a density that overflows in a step fails the density rule, and
+fp_step raises NumericalFailure naming itself, the rule's message and the
+step's inputs, where a grid built by a caller raises the same message as a
+ValueError.
 
 fp_solve steps and samples like the RK4 propagator (see propagation), so
 the quantum and classical series of a comparison share one time grid.  It
@@ -77,27 +80,10 @@ class FPGrid:
         object.__setattr__(self, "p_values", p)
         if p.shape != (self.n_cells,):
             raise ValueError("p_values must have shape (n_cells,)")
-        # array methods: fp_step builds a grid every step, and numpy's
-        # np.* wrappers cost more per call than the reductions themselves.
-        # The minimum is NaN or -inf when such an entry exists, and the sum
-        # is then skipped, so it never adds inf to -inf; an inf entry
-        # otherwise makes the sum inf.  Only a non-finite sum has the
-        # entries scanned: finite entries whose sum overflows pass on to
-        # the mass check.  Their sum's overflow warning, raised as an error
-        # under warnings-as-errors (or numpy's over="raise"), is that same
-        # infinite sum; the try costs nothing when nothing is raised.
-        p_min = p.min()
-        try:
-            total = p.sum() if p_min > -math.inf else math.nan
-        except (RuntimeWarning, FloatingPointError):
-            total = math.inf
-        if not math.isfinite(total) and not np.isfinite(p).all():
-            raise ValueError("p_values must be finite")
-        if p_min < -1e-15:
-            raise ValueError("p_values must be nonnegative (min %.3e)" % p_min)
-        mass = total * self.dv
-        if abs(mass - 1.0) > 1e-12:
-            raise ValueError("density must integrate to 1, got %.16g" % mass)
+        # the one density rule, which fp_step also runs on every step
+        fault = _density_fault(p, self.dv)
+        if fault:
+            raise ValueError(fault)
 
     @property
     def dv(self):
@@ -115,6 +101,35 @@ def _check_geometry(v_min, v_max, n_cells):
     check_finite("v_min", v_min, "negative")
     check_finite("v_max", v_max, "positive")
     check_integer("n_cells", n_cells, 4)
+
+
+def _density_fault(p, dv):
+    """The one density rule, for a float array p of the grid's shape on cells
+    of width dv: the refusal's message, or None.  Checked in this order:
+    every entry finite, the minimum at least -1e-15, and the midpoint mass
+    sum(p) * dv within 1e-12 of one.  FPGrid raises the message as a
+    ValueError, fp_step, which runs it on every step, as a NumericalFailure."""
+    # array methods: fp_step checks every step, and numpy's np.* wrappers
+    # cost more per call than the reductions themselves.  The minimum is NaN
+    # or -inf when such an entry exists, and the sum is then skipped, so it
+    # never adds inf to -inf; an inf entry otherwise makes the sum inf.  Only
+    # a non-finite sum has the entries scanned: finite entries whose sum
+    # overflows pass on to the mass check.  Their sum's overflow warning,
+    # raised as an error under warnings-as-errors (or numpy's over="raise"),
+    # is that same infinite sum; the try costs nothing when nothing is raised.
+    p_min = p.min()
+    try:
+        total = p.sum() if p_min > -math.inf else math.nan
+    except (RuntimeWarning, FloatingPointError):
+        total = math.inf
+    if not math.isfinite(total) and not np.isfinite(p).all():
+        return "p_values must be finite"
+    if p_min < -1e-15:
+        return "p_values must be nonnegative (min %.3e)" % p_min
+    mass = total * dv
+    if abs(mass - 1.0) > 1e-12:
+        return "density must integrate to 1, got %.16g" % mass
+    return None
 
 
 # Both caches are bounded: a run steps one grid with one coefficient pair,
@@ -211,8 +226,9 @@ def _check_coefficients(eta, d_v):
     # the chained comparisons refuse NaN as well as inf and negatives.  They
     # and fp_step's dt check are the scalar checks left outside
     # operators.check_finite: every step runs them, and three check_finite
-    # calls cost 0.45 us more per step, about 2% of fp_solve at 60 cells
-    # (in-process, 1 BLAS thread)
+    # calls would take 0.43-0.46 us per step against their 0.19 us, 2% of
+    # fp_solve's 13.5 us per step at 60 cells (in-process, best of 7, 1 BLAS
+    # thread, 2-vCPU host)
     if not (0.0 <= eta < np.inf and 0.0 <= d_v < np.inf):
         raise ValueError("eta and d_v must be finite and nonnegative")
 
@@ -245,12 +261,16 @@ def _cc_delta(w):
 
 
 def fp_step(grid, eta, d_v, dt):
-    """One explicit conservative update; returns a new grid.
+    """One explicit conservative update; returns a new grid of the input's
+    geometry.
 
     Rejects non-finite or negative coefficients, a dt that is not positive
     and finite, and a dt above the positivity-preserving stability bound.
     Mass is conserved to roundoff because interior fluxes telescope and
-    the boundary fluxes are identically zero.
+    the boundary fluxes are identically zero.  A new density that fails
+    FPGrid's density rule (its arithmetic overflowed, say) raises
+    NumericalFailure naming fp_step, the rule's message and the step's
+    inputs.
     """
     _check_coefficients(eta, d_v)
     if not 0.0 < dt < np.inf:
@@ -268,8 +288,18 @@ def fp_step(grid, eta, d_v, dt):
     p_new = p.copy()
     p_new[:-1] += flux
     p_new[1:] -= flux
-    return FPGrid(v_min=grid.v_min, v_max=grid.v_max,
-                  n_cells=grid.n_cells, p_values=p_new)
+    fault = _density_fault(p_new, dv)
+    if fault:
+        raise NumericalFailure(
+            f"fp_step: {fault} after a step of dt={float(dt)!r} at eta={float(eta)!r}, "
+            f"d_v={float(d_v)!r}, v_min={float(grid.v_min)!r}, "
+            f"v_max={float(grid.v_max)!r}, n_cells={int(grid.n_cells)}")
+    # the input's geometry was checked when it was built, and the density
+    # has just been: a grid of both needs no __post_init__
+    stepped = object.__new__(FPGrid)
+    vars(stepped).update(v_min=grid.v_min, v_max=grid.v_max,
+                         n_cells=grid.n_cells, p_values=p_new)
+    return stepped
 
 
 @dataclass

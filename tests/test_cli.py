@@ -233,6 +233,10 @@ MICROSCOPIC = ("[hilbert]\ndim = 6\n\n[generator]\nkind = minimal_qbm\n"
                  "eta_scale = 1e308\n",
                  "stability_bound: the stencil is not finite at eta=1e+308, d_v=1.0, ",
                  id="compare-eta_scale"),
+    # the classical twin's mass^2, a Python float's **, overflows
+    pytest.param("compare", "[compare]\nbeta = 1.0\nd_pp = 1.0\nt_final = 0.1\ndim = 8\n"
+                 "mass = 1e160\n", "compare: mass**2 overflows at mass=1e+160\n",
+                 id="compare-mass"),
     # t0^2 itself overflows, for either kind of t-matrix
     *(pytest.param("coeffs", COEFFS_QUICK.replace("kind = constant\nt0 = 0.02", tmatrix),
                    "t0: ", id="coeffs-t0-squared-" + tmatrix.split()[2])
@@ -250,6 +254,20 @@ def test_build_whose_arithmetic_overflows_exits_three(tmp_path, monkeypatch, cap
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: " + message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_fp_step_whose_density_overflows_exits_three(tmp_path, monkeypatch, capsys):
+    """A step inside the stability bound whose flux overflows at these
+    scales is a numerical failure of the run that names fp_step, the
+    density rule's verdict and the step's inputs, and writes nothing."""
+    text = ("[fp]\neta = 1e-275\nd_v = 0\nv_min = -1e-44\nv_max = 1e-44\n"
+            "initial = gaussian\ninitial_var = 1e-88\nt_final = 1e270\nn_cells = 8\n")
+    code, out = run(tmp_path, monkeypatch, text, "fp", "overflow")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: fp_step: p_values must be finite after a step of dt=1e+270 "
+        "at eta=1e-275, d_v=0.0, v_min=-1e-44, v_max=1e-44, n_cells=8\n")
     assert not out.exists()
 
 

@@ -394,7 +394,26 @@ def test_gaussian_grid_refuses_a_gaussian_that_underflows_everywhere(mean, var):
         gaussian_grid(-6.0, 6.0, 40, mean=mean, var=var)
 
 
+def _step_holding(p):
+    """fp_step with both coefficients zero on a 100-cell grid on [-6, 6] made
+    to hold p unchecked: the step adds a signed-zero flux to every finite
+    entry, so its check sees p itself, and a non-finite entry makes its
+    neighbours non-finite too.  Zero times an infinite entry is the step's
+    own NaN, as under fp_solve's float policy; the caller's overflow rule
+    is left as it stands, for the check's sum."""
+    grid = FPGrid(v_min=-6.0, v_max=6.0, n_cells=100, p_values=np.full(100, 1.0 / 12.0))
+    object.__setattr__(grid, "p_values", p)
+    with np.errstate(invalid="ignore"):
+        return fp_step(grid, 0.0, 0.0, 1.0)
+
+
+_STEP = " after a step of dt=1.0 at eta=0.0, d_v=0.0, v_min=-6.0, v_max=6.0, n_cells=100"
+
+
 def test_grid_refusals_name_their_check():
+    """Each refusal of a grid built by a caller is a ValueError with its
+    check's message; each density refusal is also fp_step's: the same
+    message in a NumericalFailure that names the step and its inputs."""
     ok = dict(v_min=-6.0, v_max=6.0, n_cells=100, p_values=np.full(100, 1.0 / 12.0))
     negative = ok["p_values"].copy()
     negative[3] = -1e-3
@@ -408,35 +427,76 @@ def test_grid_refusals_name_their_check():
     overflow = np.full(100, 1e307)
     negative_overflow = overflow.copy()
     negative_overflow[3] = -1e-3
+
+    def builds(changes, message):
+        """(build, error type, the whole message): FPGrid's, and fp_step's
+        for a density row."""
+        yield lambda: FPGrid(**{**ok, **changes}), ValueError, message
+        if changes.keys() == {"p_values"} and changes["p_values"].shape == (100,):
+            yield (lambda: _step_holding(changes["p_values"]), NumericalFailure,
+                   "fp_step: " + message + _STEP)
+
     for changes, message in (
             (dict(v_min=1.0), "v_min must be negative and finite, got 1.0"),
             (dict(v_max=0.0), "v_max must be positive and finite, got 0.0"),
             (dict(n_cells=3, p_values=np.full(3, 1.0 / 12.0)),
-             "^n_cells must be an integer >= 4, got 3$"),
-            (dict(p_values=np.full(99, 1.0 / 12.0)),
-             r"p_values must have shape \(n_cells,\)"),
+             "n_cells must be an integer >= 4, got 3"),
+            (dict(p_values=np.full(99, 1.0 / 12.0)), "p_values must have shape (n_cells,)"),
             *((dict(p_values=p), "p_values must be finite") for p in nonfinite),
-            (dict(p_values=negative),
-             r"p_values must be nonnegative \(min -1\.000e-03\)"),
+            (dict(p_values=negative), "p_values must be nonnegative (min -1.000e-03)"),
             (dict(p_values=negative_overflow),
-             r"p_values must be nonnegative \(min -1\.000e-03\)"),
-            (dict(p_values=np.ones(100)),
-             "density must integrate to 1, got 12$"),
-            (dict(p_values=overflow), "density must integrate to 1, got inf$")):
+             "p_values must be nonnegative (min -1.000e-03)"),
+            (dict(p_values=np.ones(100)), "density must integrate to 1, got 12"),
+            (dict(p_values=overflow), "density must integrate to 1, got inf")):
         # pytest raises every RuntimeWarning: no refusal may surface as the
         # overflowing sum's warning
-        with pytest.raises(ValueError, match=message):
-            FPGrid(**{**ok, **changes})
+        for build, error, whole in builds(changes, message):
+            with pytest.raises(error, match=f"^{re.escape(whole)}$"):
+                build()
     # the overflow refusals when numpy raises on overflow, and when its
     # warning is ignored
-    for p, message in ((overflow, "density must integrate to 1, got inf$"),
-                       (negative_overflow,
-                        r"p_values must be nonnegative \(min -1\.000e-03\)")):
-        with pytest.raises(ValueError, match=message), np.errstate(over="raise"):
-            FPGrid(**{**ok, "p_values": p})
-        with pytest.raises(ValueError, match=message), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            FPGrid(**{**ok, "p_values": p})
+    for p, message in ((overflow, "density must integrate to 1, got inf"),
+                       (negative_overflow, "p_values must be nonnegative (min -1.000e-03)")):
+        for build, error, whole in builds(dict(p_values=p), message):
+            with pytest.raises(error, match=f"^{re.escape(whole)}$"), \
+                    np.errstate(over="raise"):
+                build()
+            with pytest.raises(error, match=f"^{re.escape(whole)}$"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                build()
+
+
+def test_a_step_keeps_the_input_geometry():
+    """fp_step's grid has the input's v_min, v_max, n_cells and dv, and
+    shares its cached centres."""
+    grid = gaussian_grid(-5.0, 7.0, 64, mean=-0.3, var=0.9)
+    stepped = fp_step(grid, 1.0, 0.8, 0.5 * stability_bound(grid, 1.0, 0.8))
+    assert type(stepped) is FPGrid and stepped is not grid
+    for name in ("v_min", "v_max", "n_cells", "dv"):
+        assert getattr(stepped, name) == getattr(grid, name), name
+    assert stepped.centers is grid.centers
+    assert stepped.p_values.shape == (64,) and stepped.p_values is not grid.p_values
+
+
+def test_fp_solve_calls_the_module_step_once_per_step(monkeypatch):
+    """fp_solve looks fp_step up in its module on every step, so a wrapper
+    there counts each step with the grid it steps."""
+    import qbmlab.fokker_planck as fokker_planck
+
+    seen = []
+    step = fokker_planck.fp_step
+
+    def counting(grid, *args):
+        seen.append((grid.v_min, grid.v_max, grid.n_cells))
+        return step(grid, *args)
+
+    monkeypatch.setattr(fokker_planck, "fp_step", counting)
+    grid = gaussian_grid(-6.0, 6.0, 60, mean=0.5, var=0.6)
+    dt = 0.9 * stability_bound(grid, 1.0, 0.8)
+    traj = fp_solve(grid, 1.0, 0.8, 40.5 * dt, dt, sample_stride=3)
+    assert traj.steps == 41
+    assert seen == [(-6.0, 6.0, 60)] * traj.steps
 
 
 def test_sampling_grid():
@@ -538,8 +598,6 @@ def test_a_stencil_that_is_not_finite_is_a_numerical_failure(eta, d_v, v_max, n_
 
 _COEFFICIENT = st.one_of(st.just(0.0), st.floats(min_value=-300.0, max_value=300.0)
                          .map(lambda e: 10.0**e))
-# what FPGrid refuses in a density; any other ValueError is no density's
-_GRID_REFUSALS = "^(p_values must be finite|p_values must be nonnegative|density must integrate)"
 
 
 @given(eta=_COEFFICIENT, d_v=_COEFFICIENT, k=st.integers(min_value=-400, max_value=1000))
@@ -548,8 +606,8 @@ def test_every_stencil_steps_or_is_a_numerical_failure(eta, d_v, k):
     """Across 600 decades of eta and d_v, zero included, and 1400 octaves
     of the domain [-2^k, 2^k]: stability_bound returns a positive float or
     raises NumericalFailure, and three fp_solve steps at dt = bound return
-    a trajectory, raise NumericalFailure or have FPGrid refuse the density,
-    never warn and never raise a bare Python exception."""
+    a trajectory or raise fp_step's NumericalFailure on the density, never
+    warn and never raise a bare Python exception or a ValueError."""
     grid = _ramp_grid(2.0**k, 8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -565,10 +623,8 @@ def test_every_stencil_steps_or_is_a_numerical_failure(eta, d_v, k):
         t_final = 3.0 * dt if dt <= sys.float_info.max / 3.0 else dt
         try:
             traj = fp_solve(grid, eta, d_v, t_final, dt)
-        except NumericalFailure:
-            return
-        except ValueError as exc:
-            assert re.match(_GRID_REFUSALS, str(exc)), exc
+        except NumericalFailure as exc:
+            assert str(exc).startswith("fp_step: "), exc
             return
     assert traj.final_grid.p_values.min() >= -1e-15
 
